@@ -62,7 +62,7 @@ def _parse_int(token: str, what: str, minimum: int = 1) -> int:
 
 
 def parse_entry(token: str) -> Pmf:
-    """bern:p, point:v or discrete:v@w,v@w,..."""
+    """bern:p, point:v or discrete:v@w,v@w,...; discrete weights are normalized."""
     name, _, params = token.partition(":")
     if name == "bern":
         p = _parse_float(params, "--entry bern")
@@ -85,8 +85,13 @@ def parse_entry(token: str) -> Pmf:
                     _parse_float(weight, "--entry discrete weight"),
                 )
             )
+        total = math.fsum(w for _, w in pairs)
+        if not (math.isfinite(total) and total > 0.0):
+            raise UsageError(
+                f"--entry discrete: weights sum to {total}, need a positive total"
+            )
         try:
-            return Pmf.from_pairs(pairs)
+            return Pmf.from_pairs((v, w / total) for v, w in pairs)
         except ValueError as exc:
             raise UsageError(f"--entry discrete: {exc}") from None
     raise UsageError(f"unknown entry kind {name!r}; use bern, point or discrete")

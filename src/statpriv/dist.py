@@ -6,11 +6,12 @@ matching the convention used by sampling templates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, product
 from functools import cached_property
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import AlreadyFixedError, EnumerationBudgetError
@@ -128,7 +129,10 @@ class Query:
 
     The evaluator may assume a nonempty input; `empty_answer` is the declared
     answer for an empty sample. `symmetric` asserts permutation invariance and
-    `monotone` coordinatewise monotonicity, both trusted as declared.
+    `monotone` coordinatewise monotonicity, both trusted as declared. A
+    symmetric query may also give `counts_evaluator`: given the distinct
+    values, it returns a function of their counts that gives the same answer
+    as the evaluator, in time independent of the sample size.
     """
 
     name: str
@@ -136,15 +140,54 @@ class Query:
     monotone: bool
     symmetric: bool = True
     empty_answer: float = 0.0
+    counts_evaluator: (
+        Callable[[tuple[float, ...]], Callable[[Sequence[int]], float]] | None
+    ) = None
 
     def answer(self, values: tuple[float, ...]) -> float:
         if not values:
             return float(self.empty_answer)
         return float(self.evaluator(values))
 
+    def counts_answer(self, values: tuple[float, ...]) -> Callable[[Sequence[int]], float]:
+        """The answer on the multiset that holds values[i] counts[i] times,
+        as a function of the counts (not all zero)."""
+        if self.counts_evaluator is not None:
+            return self.counts_evaluator(values)
+        return lambda counts: self.answer(
+            tuple(v for v, c in zip(values, counts) for _ in range(c))
+        )
+
+
+def _sum_of_counts(values: tuple[float, ...]) -> Callable[[Sequence[int]], float]:
+    """math.fsum of a multiset of `values` from its counts.
+
+    Each value is an integer over a common power of two, so the sum is exact
+    in integers and rounded once, as fsum rounds it.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    nums = [n * (den // d) for n, d in ratios]
+    return lambda counts: sum(map(mul, counts, nums)) / den
+
+
+def _positive_count(values: tuple[float, ...]) -> Callable[[Sequence[int]], float]:
+    positive = [v > 0.0 for v in values]
+    return lambda counts: float(sum(compress(counts, positive)))
+
+
+def _mean_of_counts(values: tuple[float, ...]) -> Callable[[Sequence[int]], float]:
+    total = _sum_of_counts(values)
+    return lambda counts: total(counts) / sum(counts)
+
 
 def sum_query() -> Query:
-    return Query("sum", lambda values: math.fsum(values), monotone=True)
+    return Query(
+        "sum",
+        lambda values: math.fsum(values),
+        monotone=True,
+        counts_evaluator=_sum_of_counts,
+    )
 
 
 def count_query() -> Query:
@@ -153,6 +196,7 @@ def count_query() -> Query:
         "count",
         lambda values: float(sum(1 for x in values if x > 0.0)),
         monotone=True,
+        counts_evaluator=_positive_count,
     )
 
 
@@ -162,6 +206,7 @@ def mean_query() -> Query:
         lambda values: math.fsum(values) / len(values),
         monotone=True,
         empty_answer=0.0,
+        counts_evaluator=_mean_of_counts,
     )
 
 
@@ -253,30 +298,196 @@ def condition(db: DatabaseModel, j: int, w: float) -> DatabaseModel:
     return DatabaseModel(tuple(entries), db.fixed + ((j, w),))
 
 
+# Multinomial weights are built on integer mantissas of this many bits with a
+# separate binary exponent. A step of a weight recurrence truncates at most
+# 2^-127 relative, so even 2^40 steps stay far below one float ulp, and no
+# weight, factorial or power ever leaves the float range before the final
+# rounding (to 0.0 when the weight itself underflows).
+_PREC = 128
+_ONE = 1 << _PREC
+
+
+def _fixed(m: int, e: int) -> tuple[int, int]:
+    """m * 2^e with m shifted to _PREC bits (m > 0)."""
+    shift = m.bit_length() - _PREC
+    return (m >> shift, e + shift) if shift >= 0 else (m << -shift, e + shift)
+
+
+def _fixed_pow(p: float, c: int) -> tuple[int, int]:
+    """p ** c as a fixed mantissa and exponent (p > 0)."""
+    num, den = p.as_integer_ratio()
+    base = _fixed(num, 1 - den.bit_length())
+    out = (_ONE, -_PREC)
+    while c:
+        if c & 1:
+            out = _fixed(out[0] * base[0], out[1] + base[1])
+        base = _fixed(base[0] * base[0], 2 * base[1])
+        c >>= 1
+    return out
+
+
+def _weights(probs: Sequence[float], c: int, m: int, e: int):
+    """(counts, m', e') per vector of len(probs) counts summing to c, first
+    count descending, where m' * 2^e' is m * 2^e times the multinomial
+    probability c! / prod(counts!) * prod(p ** count) of the counts.
+
+    Along a count j of the first outcome, C(c, j) p^j is a recurrence from
+    p^c; with two outcomes left the recurrence also carries the last power.
+    """
+    p, *rest = probs
+    pm, pe = _fixed_pow(p, c)
+    m, e = _fixed(m * pm, e + pe)
+    if not rest:
+        yield (c,), m, e
+        return
+    # From j + 1 to j draws of p the weight changes by (j + 1) / (c - j)
+    # times 1 / p, or times q / p when q is the only outcome left.
+    num, den = p.as_integer_ratio()
+    last = len(rest) == 1
+    if last:
+        qnum, qden = rest[0].as_integer_ratio()
+        up, down = qnum * den, qden * num
+    else:
+        up, down = den, num
+    for j in range(c, -1, -1):
+        if j < c:
+            # m keeps at least _PREC bits, so shift >= 0.
+            bottom = (c - j) * down
+            m = (m * (j + 1) * up << bottom.bit_length()) // bottom
+            shift = m.bit_length() - _PREC
+            m >>= shift
+            e += shift - bottom.bit_length()
+        if last:
+            yield (j, c - j), m, e
+        else:
+            for tail, tm, te in _weights(rest, c - j, m, e):
+                yield (j, *tail), tm, te
+
+
+def _to_float(m: int, e: int) -> float:
+    return math.ldexp(m / _ONE, e + _PREC)
+
+
+def binomial_pmf(n: int, p: float) -> list[float]:
+    """P(M = m) for m = 0..n, M ~ Binomial(n, p), each exact to roundoff at
+    any n (see _PREC)."""
+    if p in (0.0, 1.0):
+        return [float(m == (n if p else 0)) for m in range(n + 1)]
+    out = [_to_float(m, e) for _, m, e in _weights((p, 1.0 - p), n, _ONE, -_PREC)]
+    return out[::-1]
+
+
+def answer_law(
+    db: DatabaseModel,
+    indices: Sequence[int],
+    q: Query,
+    budget: int = DEFAULT_BUDGET,
+) -> Pmf:
+    """Exact answer distribution of q on the sample (x_i for i in indices).
+
+    The x_i are independent draws from the model's entries (1-based), and a
+    repeated index reuses one draw. Each distinct index is a slot: an entry
+    pmf plus the number of times the sample repeats it. A symmetric query
+    sees only the multiset of the sample, so slots with equal (pmf, repeat)
+    merge into one class, and a class of c slots is enumerated as the count
+    vectors over its support with multinomial weights; the answer comes
+    from the summed count vector (Query.counts_answer). For a non-symmetric
+    query every slot is its own class, which is plain ordered enumeration.
+
+    A state is one count vector per class; a class of c slots over k support
+    points has C(c + k - 1, c) of them. Raises EnumerationBudgetError before
+    enumerating when the product over classes exceeds `budget`. Answers are
+    merged at the canonical 12-digit precision. An empty sample yields the
+    query's declared empty answer.
+    """
+    if not indices:
+        return Pmf.point(q.empty_answer)
+    repeats = Counter(indices)
+    distinct = sorted(repeats)
+    slots = [(db.entries[i - 1], repeats[i]) for i in distinct]
+    if q.symmetric:
+        classes = [(_class_states(pmf, c), pmf, r, c) for (pmf, r), c in Counter(slots).items()]
+        classes.sort(key=itemgetter(0), reverse=True)
+        options = [_multiset_options(pmf, r, c) for _, pmf, r, c in classes]
+        join = _add_counts
+        evaluate = q.counts_answer(db.outcome_grid)
+    else:
+        classes = [(_class_states(pmf, 1), pmf, r, 1) for pmf, r in slots]
+        options = [
+            [((a,), w) for a, w in zip(pmf.outcomes, pmf.weights) if w > 0.0]
+            for _, pmf, _, _ in classes
+        ]
+        join = tuple.__add__
+        slot_of = {i: s for s, i in enumerate(distinct)}
+        pick = [slot_of[i] for i in indices]
+
+        def evaluate(sample):
+            return q.answer(tuple(sample[s] for s in pick))
+
+    states = 1
+    for size, *_ in classes:
+        states *= size
+        if states > budget:
+            raise EnumerationBudgetError(states, budget)
+    # The first class, the largest for a symmetric query, is streamed; the
+    # option lists of the others are kept. A sample is the summed count
+    # vector for a symmetric query and the tuple of slot values otherwise.
+    heads, *rest = options
+    pools = [list(opts) for opts in rest]
+    acc: dict[float, float] = {}
+    for head, head_weight in heads:
+        for tail in product(*pools):
+            sample = head
+            weight = head_weight
+            for part, w in tail:
+                sample = join(sample, part)
+                weight *= w
+            a = round_significant(evaluate(sample))
+            acc[a] = acc.get(a, 0.0) + weight
+    items = sorted(acc.items())
+    return Pmf(tuple(a for a, _ in items), tuple(w for _, w in items))
+
+
+def _add_counts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
+
+
+def _class_states(pmf: Pmf, c: int) -> int:
+    """Count vectors of c draws over the support of pmf."""
+    return math.comb(c + len(pmf.support) - 1, c)
+
+
+def _multiset_options(pmf: Pmf, repeat: int, c: int):
+    """(count vector on the outcome grid, weight) per multiset of c draws
+    from pmf, each draw repeated `repeat` times; a lazy iterator."""
+    width = len(pmf.weights)
+    support = [i for i, w in enumerate(pmf.weights) if w > 0.0]
+    if c == 1:
+        # A single draw weighs what the entry gives it. Skipping the
+        # recurrence set-up keeps the many small templates of a sampling
+        # bound cheap.
+        for i in support:
+            vector = [0] * width
+            vector[i] = repeat
+            yield tuple(vector), pmf.weights[i]
+        return
+    probs = [pmf.weights[i] for i in support]
+    for counts, m, e in _weights(probs, c, _ONE, -_PREC):
+        vector = [0] * width
+        for i, j in zip(support, counts):
+            vector[i] = j * repeat
+        yield tuple(vector), _to_float(m, e)
+
+
 def pushforward(db: DatabaseModel, q: Query, budget: int = DEFAULT_BUDGET) -> Pmf:
     """Exact answer distribution of q over the full product model.
 
-    Enumerates the product of per-entry supports and merges answers at the
-    canonical 12-digit precision. Raises EnumerationBudgetError when the
-    state count exceeds `budget`.
+    This is answer_law on the template 1..n. For a symmetric query a state
+    is a multiset of entry values, C(n + k - 1, n) of them for n i.i.d.
+    entries over k support points; otherwise it is an ordered tuple.
+    Raises EnumerationBudgetError when the state count exceeds `budget`.
     """
-    supports = []
-    states = 1
-    for e in db.entries:
-        pos = tuple((a, w) for a, w in zip(e.outcomes, e.weights) if w > 0.0)
-        supports.append(pos)
-        states *= len(pos)
-        if states > budget:
-            raise EnumerationBudgetError(states, budget)
-    acc: dict[float, float] = {}
-    for combo in itertools.product(*supports):
-        weight = 1.0
-        for _, w in combo:
-            weight *= w
-        a = round_significant(q.answer(tuple(v for v, _ in combo)))
-        acc[a] = acc.get(a, 0.0) + weight
-    items = sorted(acc.items())
-    return Pmf(tuple(a for a, _ in items), tuple(w for _, w in items))
+    return answer_law(db, range(1, db.n + 1), q, budget)
 
 
 def mismatch_distance(db_a: DatabaseModel, db_b: DatabaseModel) -> int:

@@ -6,13 +6,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dist import (
     DEFAULT_BUDGET,
     DatabaseModel,
     Pmf,
     Query,
+    binomial_pmf,
     condition,
     pushforward,
 )
@@ -192,21 +191,12 @@ def _counting_conditioned_pmfs(entry, q, n):
         p = math.fsum(w for a, w in zip(entry.outcomes, entry.weights) if a > 0.0)
         shift = {a: (1.0 if a > 0.0 else 0.0) for a in entry.outcomes}
         base = lambda k: float(k)
-    rest = _binomial_weights(n - 1, p)
+    rest = binomial_pmf(n - 1, p)
     out = {}
     for v in entry.outcomes:
         pairs = [(shift[v] + base(k), wk) for k, wk in enumerate(rest)]
         out[v] = Pmf.from_pairs(pairs)
     return out
-
-
-def _binomial_weights(n: int, p: float) -> list[float]:
-    """Binomial(n, p) weights by iterated convolution."""
-    weights = np.array([1.0])
-    kernel = np.array([1.0 - p, p])
-    for _ in range(n):
-        weights = np.convolve(weights, kernel)
-    return [float(w) for w in weights]
 
 
 @dataclass(frozen=True)

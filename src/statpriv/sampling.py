@@ -16,8 +16,8 @@ from .dist import (
     DatabaseModel,
     Pmf,
     Query,
+    answer_law,
     condition,
-    round_significant,
 )
 from .divergence import (
     PrivacyCurve,
@@ -172,34 +172,15 @@ def apply_template(
 ) -> Pmf:
     """Answer distribution of q over the entries a template draws.
 
-    Repeated indices share one draw, so only distinct positions are
-    enumerated. An empty template yields the query's declared empty answer.
+    This is answer_law on the template: repeated indices share one draw,
+    and for a symmetric query a state is a multiset of the drawn values
+    (see answer_law). An empty template yields the query's declared empty
+    answer.
     """
     for i in t.indices:
         if i > db.n:
             raise ValueError(f"template index {i} exceeds model size {db.n}")
-    if not t.indices:
-        return Pmf.point(q.empty_answer)
-    supports = []
-    states = 1
-    for i in t.distinct:
-        e = db.entries[i - 1]
-        pos = tuple((a, w) for a, w in zip(e.outcomes, e.weights) if w > 0.0)
-        supports.append(pos)
-        states *= len(pos)
-        if states > budget:
-            raise EnumerationBudgetError(states, budget)
-    acc: dict[float, float] = {}
-    for combo in itertools.product(*supports):
-        weight = 1.0
-        for _, w in combo:
-            weight *= w
-        value = dict(zip(t.distinct, (v for v, _ in combo)))
-        sample = tuple(value[i] for i in t.indices)
-        a = round_significant(q.answer(sample))
-        acc[a] = acc.get(a, 0.0) + weight
-    items = sorted(acc.items())
-    return Pmf(tuple(a for a, _ in items), tuple(w for _, w in items))
+    return answer_law(db, t.indices, q, budget)
 
 
 def sampled_pushforward(

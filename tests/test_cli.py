@@ -5,6 +5,7 @@ import math
 import pytest
 
 from statpriv.cli import (
+    UsageError,
     main,
     parse_entry,
     parse_eps,
@@ -22,9 +23,49 @@ def test_parse_entry():
     assert parse_entry("point:2.5").as_dict == {2.5: 1.0}
     got = parse_entry("discrete:0@0.5,2@0.25,3@0.25").as_dict
     assert got == {0.0: 0.5, 2.0: 0.25, 3.0: 0.25}
-    for bad in ("bern", "bern:1.5", "gauss:1", "discrete:0@0.5"):
+    # discrete weights are normalized, so a lone weight of 0.5 is a point mass
+    assert parse_entry("discrete:0@0.5").as_dict == {0.0: 1.0}
+    for bad in ("bern", "bern:1.5", "gauss:1", "discrete:0@0", "discrete:0@-1,1@2"):
         with pytest.raises(Exception):
             parse_entry(bad)
+
+
+def test_parse_entry_normalizes_discrete_weights():
+    got = parse_entry("discrete:0@1,1@1,2@1")
+    assert got.outcomes == (0.0, 1.0, 2.0)
+    assert all(abs(w - 1.0 / 3.0) <= 1e-15 for w in got.weights)
+    # weights that already sum to 1 pass through unchanged
+    exact = parse_entry("discrete:0@0.125,1@0.5,2@0.375")
+    assert exact.weights == (0.125, 0.5, 0.375)
+    for zero in ("discrete:0@0,1@0", "discrete:0@-1,1@1"):
+        with pytest.raises(UsageError, match="positive total"):
+            parse_entry(zero)
+
+
+def test_discrete_entry_with_unnormalized_weights_runs(tmp_path):
+    out = tmp_path / "third.csv"
+    code = run(
+        tmp_path,
+        "curve", "--entry", "discrete:0@1,1@1,2@1", "--n", "3", "--query", "sum",
+        "--eps", "0", "--out", str(out),
+    )
+    assert code == 0
+    assert out.read_text().startswith("epsilon,delta\n0,")
+
+
+def test_poisson_amplify_beyond_float_binomials(tmp_path):
+    # C(1100, m) exceeds the float range for m near 550; the size weights
+    # must still be computed, not overflow.
+    out = tmp_path / "poisson.csv"
+    code = run(
+        tmp_path,
+        "amplify", "--entry", "bern:0.5", "--query", "count",
+        "--technique", "poisson:1100,0.01", "--eps", "0.5", "--out", str(out),
+    )
+    assert code == 0
+    header, row = out.read_text().splitlines()
+    assert header == "epsilon,eps_prime,delta_prime"
+    assert 0.0 < float(row.split(",")[2]) < 1.0
 
 
 def test_parse_eps():
@@ -115,14 +156,17 @@ def test_amplify_wr_gate_refusal_exit_code(tmp_path):
     assert not out.exists()
 
 
-def test_budget_exit_code(tmp_path):
+def test_budget_exit_code(tmp_path, capsys):
+    # Entry 1 is conditioned; the other 59 entries form one class of
+    # C(59 + 2, 2) = 1830 multisets.
     out = tmp_path / "big.csv"
     code = run(
         tmp_path,
-        "curve", "--entry", "bern:0.5", "--n", "40", "--query", "mean",
-        "--eps", "0", "--out", str(out), "--budget", "1000",
+        "curve", "--entry", "discrete:0@0.25,1@0.5,2@0.25", "--n", "60",
+        "--query", "mean", "--eps", "0", "--out", str(out), "--budget", "1000",
     )
     assert code == 2
+    assert "needs 1830 states" in capsys.readouterr().err
 
 
 def test_usage_exit_code(tmp_path):

@@ -136,10 +136,14 @@ def test_pushforward_merges_collisions():
 
 
 def test_pushforward_budget():
-    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 30)
+    # A symmetric query enumerates multisets: 60 i.i.d. three-valued entries
+    # give C(60 + 2, 2) states, not 3^60.
+    e = Pmf.from_pairs([(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)])
+    db = DatabaseModel.iid(e, 60)
     with pytest.raises(EnumerationBudgetError) as err:
         pushforward(db, sum_query(), budget=1000)
     assert err.value.budget == 1000
+    assert err.value.states == math.comb(62, 2)
 
 
 def test_mismatch_distance():
