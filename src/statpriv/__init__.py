@@ -11,7 +11,6 @@ from .amplify import (
     viability_ratio,
     with_replacement_bound,
     without_replacement_bound,
-    without_replacement_bound_iid,
 )
 from .dist import (
     DEFAULT_BUDGET,
@@ -21,7 +20,6 @@ from .dist import (
     condition,
     count_query,
     mean_query,
-    mismatch_distance,
     pushforward,
     query_by_name,
     round_significant,

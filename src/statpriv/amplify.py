@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -12,13 +13,15 @@ from .dist import (
     Query,
     binomial_pmf,
     condition,
+    scan_positions,
 )
 from .divergence import (
     PrivacyCurve,
-    default_eps_grid,
+    as_grid,
     half_line_check,
     hockey_stick_divergence,
     privacy_curve,
+    worst_pairs,
 )
 from .errors import NotSamplableError, ZeroProbabilityError
 from .sampling import (
@@ -27,6 +30,7 @@ from .sampling import (
     matched_coupling,
     sampling_curve,
     sampling_curve_max,
+    template_key,
 )
 
 PARAM_TOL = 1e-12
@@ -68,11 +72,12 @@ def shrink_epsilon(eps: float, rate: float) -> float:
     return math.log1p(rate * math.expm1(eps))
 
 
-def _stretch_epsilon(eps: float, n: int, m: int) -> float:
-    """Inverse of shrink_epsilon at rate m/n; m = n returns eps unchanged."""
-    if m == n:
+def stretch_epsilon(eps: float, factor: float) -> float:
+    """log(1 + factor (e^eps - 1)), the inverse of shrink_epsilon at rate
+    1/factor; factor 1 returns eps unchanged. The package's only stretch."""
+    if factor == 1.0:
         return float(eps)
-    return math.log1p((n / m) * math.expm1(float(eps)))
+    return math.log1p(factor * math.expm1(float(eps)))
 
 
 def _check_model(db: DatabaseModel, n: int) -> None:
@@ -110,27 +115,13 @@ def without_replacement_bound(
     _check_model(db, n)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if grid is None:
-        grid = default_eps_grid()
-    grid = tuple(float(e) for e in grid)
+    grid = as_grid(grid)
     rate = m / n
     values = _sampled_curve_values(db, q, n, m, grid, budget)
     return tuple(
         AmplifiedParams(shrink_epsilon(e, rate), rate * v)
         for e, v in zip(grid, values)
     )
-
-
-def without_replacement_bound_iid(
-    entry: Pmf,
-    q: Query,
-    n: int,
-    m: int,
-    grid: tuple[float, ...] | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[AmplifiedParams, ...]:
-    """without_replacement_bound for n i.i.d. copies of one entry pmf."""
-    return without_replacement_bound(DatabaseModel.iid(entry, n), q, n, m, grid, budget)
 
 
 def viability_ratio(
@@ -156,7 +147,7 @@ def viability_ratio(
     base = privacy_curve(DatabaseModel.iid(entry, n), q, (eps,), budget).values[0]
     if base == 0.0:
         raise ZeroDivisionError(f"unsampled curve is 0 at eps={eps}; ratio undefined")
-    stretched = _stretch_epsilon(eps, n, m)
+    stretched = stretch_epsilon(eps, n / m)
     top = privacy_curve(DatabaseModel.iid(entry, m), q, (stretched,), budget).values[0]
     return (m / n) * top / base
 
@@ -182,9 +173,7 @@ def poisson_bound(
     rate = float(rate)
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if grid is None:
-        grid = default_eps_grid()
-    grid = tuple(float(e) for e in grid)
+    grid = as_grid(grid)
 
     def sized_values(m, stretched):
         return _sampled_curve_values(db, q, n, m, stretched, budget)
@@ -209,7 +198,7 @@ def _size_mixture(n, rate, grid, sized_values):
         if weight < NEGLIGIBLE_SIZE_WEIGHT:
             charged.append(factor)
             continue
-        values = sized_values(m, tuple(_stretch_epsilon(e, n, m) for e in grid))
+        values = sized_values(m, tuple(stretch_epsilon(e, n / m) for e in grid))
         for ts, v in zip(terms, values):
             ts.append(factor * v)
     tail = math.fsum(charged)
@@ -250,26 +239,20 @@ def with_replacement_bound(
         raise ValueError(f"need m >= 1, got m={m}")
     if not q.monotone:
         raise ValueError("the with-replacement bound needs a monotone query")
-    if grid is None:
-        grid = default_eps_grid()
-    grid = tuple(float(e) for e in grid)
+    grid = as_grid(grid)
     technique = TemplateDistribution.with_replacement(n, m, budget)
-    if db.is_iid and q.symmetric:
-        positions = (1,)
-    else:
-        positions = tuple(range(1, n + 1))
+    positions = scan_positions(db, q, technique.exchangeable)
     _check_half_line_scope(db, q, technique, positions, grid, budget)
     weights = occurrence_weights(n, m)
     per_k: list[tuple[float, tuple[float, ...]]] = []
     for k in range(1, m + 1):
         if weights[k] == 0.0:
             continue
-        best = None
-        for j in positions:
-            view = technique.given_count(j, k)
-            vals = sampling_curve(db, q, view, j, grid, budget).values
-            best = vals if best is None else tuple(map(max, best, vals))
-        per_k.append((weights[k], best))
+        curves = [
+            sampling_curve(db, q, technique.given_count(j, k), j, grid, budget).values
+            for j in positions
+        ]
+        per_k.append((weights[k], tuple(max(col) for col in zip(*curves))))
     stay_out = 1.0 - 1.0 / n
     drawn_rate = 1.0 - stay_out ** m
     out = []
@@ -292,12 +275,15 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
     Coupled cross pairs: for each (template with j, partner without j) pair
     from the matched coupling and each value v, the mean value inequality
     divergence(conditioned v through the template, unconditioned through the
-    partner) <= max over w of the same-template divergence is verified
-    directly. The literal half-line condition routinely fails on these pairs
-    for interleaved answer supports even though the inequality the proof
-    actually uses holds, so the inequality itself is checked.
+    partner) <= max over w != v of the same-template divergence (row v of
+    worst_pairs) is verified directly. The literal half-line condition
+    routinely fails on these pairs for interleaved answer supports even
+    though the inequality the proof actually uses holds, so the inequality
+    itself is checked. Pairs with the same template keys compare the same
+    answer laws, so each is checked once.
 
-    Raises NotSamplableError with a witness on the first failure.
+    Raises NotSamplableError with a witness and the refused family
+    ("half_line" or "coupled") on the first failure.
     """
     outcomes = db.outcome_grid
     for j in positions:
@@ -306,7 +292,7 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
         cache: dict[tuple[float | None, tuple[int, ...]], Pmf] = {}
 
         def answers(w, t):
-            key = (w, tuple(sorted(t.indices)) if q.symmetric else t.indices)
+            key = (w, template_key(t, q))
             pmf = cache.get(key)
             if pmf is None:
                 model = db if w is None else conditioned[w]
@@ -315,31 +301,33 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
             return pmf
 
         for t, _ in drawn.items:
-            for v in outcomes:
-                for w in outcomes:
-                    if v == w:
-                        continue
-                    res = half_line_check(answers(v, t), answers(w, t), grid, strict=False)
-                    if not res:
-                        raise NotSamplableError(
-                            res.eps,
-                            res.outcome,
-                            context=f"j={j}, template={t.indices}, pair=({v}, {w})",
-                        )
+            for v, w in itertools.permutations(outcomes, 2):
+                res = half_line_check(answers(v, t), answers(w, t), grid, strict=False)
+                if not res:
+                    raise NotSamplableError(
+                        res.eps,
+                        res.outcome,
+                        "half_line",
+                        context=f"j={j}, template={t.indices}, pair=({v}, {w})",
+                    )
         try:
             avoided = technique.given_not_drawn(j)
         except ZeroProbabilityError:
             continue
+        ceilings: dict[tuple[int, ...], dict[float, tuple[float, ...]]] = {}
+        checked = set()
         for t_in, t_out, _ in matched_coupling(drawn, avoided, j):
+            key_in, key_out = template_key(t_in, q), template_key(t_out, q)
+            if (key_in, key_out) in checked:
+                continue
+            checked.add((key_in, key_out))
+            if key_in not in ceilings:
+                ceilings[key_in] = worst_pairs({w: answers(w, t_in) for w in outcomes}, grid)
             right = answers(None, t_out)
             for v in outcomes:
                 left = answers(v, t_in)
-                for eps in grid:
+                for eps, ceiling in zip(grid, ceilings[key_in][v]):
                     cross = hockey_stick_divergence(left, right, eps)
-                    ceiling = max(
-                        hockey_stick_divergence(left, answers(w, t_in), eps)
-                        for w in outcomes
-                    )
                     if cross > ceiling + PARAM_TOL:
                         witness = max(
                             left.outcomes,
@@ -348,6 +336,7 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
                         raise NotSamplableError(
                             eps,
                             witness,
+                            "coupled",
                             context=(
                                 f"j={j}, coupled templates {t_in.indices} and "
                                 f"{t_out.indices}, conditioned to {v}: cross "
@@ -384,7 +373,8 @@ def dp_poisson_bound(
 ) -> float:
     """Size-decomposed Poisson bound applied to an arbitrary delta curve.
 
-    Evaluates the curve at the stretched epsilons by linear interpolation;
+    Evaluates the curve at the stretched epsilons with value_at, whose
+    chord in e^eps bounds a delta curve from above between grid points;
     sizes of negligible weight are charged delta = 1 instead (see
     _size_mixture). Stretches beyond the grid raise unless `extrapolate` is
     set, which clamps to the end value; the clamp is anti-conservative above

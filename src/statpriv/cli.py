@@ -15,6 +15,7 @@ from .amplify import (
     dp_poisson_bound,
     dp_subsample,
     poisson_bound,
+    stretch_epsilon,
     viability_ratio,
     with_replacement_bound,
     without_replacement_bound,
@@ -494,13 +495,12 @@ def cmd_compare(args) -> int:
     db = DatabaseModel.iid(entry, n)
     needed = set()
     for eps in eps_list:
-        needed.add(math.log1p(math.expm1(eps) / rate))
-        for m in range(1, n + 1):
-            needed.add(eps if m == n else math.log1p((n / m) * math.expm1(eps)))
+        needed.add(stretch_epsilon(eps, 1.0 / rate))
+        needed.update(stretch_epsilon(eps, n / m) for m in range(1, n + 1))
     curve = privacy_curve(db, q, tuple(sorted(needed)), budget)
     rows = []
     for eps in eps_list:
-        matched = math.log1p(math.expm1(eps) / rate)
+        matched = stretch_epsilon(eps, 1.0 / rate)
         classic = dp_subsample(matched, curve.value_at(matched), rate).delta_prime
         sized = dp_poisson_bound(curve, n, rate, eps)
         rows.append((eps, classic, sized))

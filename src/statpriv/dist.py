@@ -280,6 +280,15 @@ class DatabaseModel:
         return DatabaseModel((entry,) * n)
 
 
+def scan_positions(db: DatabaseModel, q: Query, exchangeable: bool) -> tuple[int, ...]:
+    """Positions a worst-pair scan must visit: (1,) when i.i.d. entries, a
+    symmetric query and an exchangeable technique make all positions alike,
+    otherwise every position not fixed."""
+    if exchangeable and db.is_iid and q.symmetric:
+        return (1,)
+    return tuple(j for j in range(1, db.n + 1) if not db.is_fixed(j))
+
+
 def condition(db: DatabaseModel, j: int, w: float) -> DatabaseModel:
     """Fix entry j to outcome w, returning the conditioned model.
 
@@ -488,12 +497,3 @@ def pushforward(db: DatabaseModel, q: Query, budget: int = DEFAULT_BUDGET) -> Pm
     Raises EnumerationBudgetError when the state count exceeds `budget`.
     """
     return answer_law(db, range(1, db.n + 1), q, budget)
-
-
-def mismatch_distance(db_a: DatabaseModel, db_b: DatabaseModel) -> int:
-    """Entries that cannot be matched to an equal entry, plus the size gap."""
-    ca = Counter(db_a.entries)
-    cb = Counter(db_b.entries)
-    common = sum((ca & cb).values())
-    small, large = sorted((db_a.n, db_b.n))
-    return (small - common) + (large - small)

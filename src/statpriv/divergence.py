@@ -14,6 +14,7 @@ from .dist import (
     binomial_pmf,
     condition,
     pushforward,
+    scan_positions,
 )
 
 CURVE_TOL = 1e-12
@@ -22,6 +23,11 @@ CURVE_TOL = 1e-12
 def default_eps_grid() -> tuple[float, ...]:
     """Epsilon grid 0 to 3 in steps of 0.05, the package-wide default."""
     return tuple(round(0.05 * i, 10) for i in range(61))
+
+
+def as_grid(grid: tuple[float, ...] | None) -> tuple[float, ...]:
+    """`grid` as a tuple of floats; None gives default_eps_grid()."""
+    return default_eps_grid() if grid is None else tuple(float(e) for e in grid)
 
 
 def privacy_loss(mu: Pmf, nu: Pmf, a: float) -> float:
@@ -90,10 +96,12 @@ class PrivacyCurve:
                 raise ValueError("delta values must be nonincreasing in epsilon")
 
     def value_at(self, eps: float, extrapolate: bool = False) -> float:
-        """Linear interpolation on the grid.
+        """Interpolation on the grid, linear in e^eps.
 
-        Epsilons outside the grid raise unless `extrapolate` is set, which
-        clamps to the nearest end value.
+        delta is a supremum of the functions mu(S) - e^eps nu(S), so it is
+        convex in e^eps and this chord bounds it from above; a chord in eps
+        would not. Epsilons outside the grid raise unless `extrapolate` is
+        set, which clamps to the nearest end value.
         """
         eps = float(eps)
         if eps < self.grid[0] or eps > self.grid[-1]:
@@ -109,8 +117,30 @@ class PrivacyCurve:
             return self.values[i]
         g0, g1 = self.grid[i - 1], self.grid[i]
         v0, v1 = self.values[i - 1], self.values[i]
-        t = (eps - g0) / (g1 - g0)
+        t = math.expm1(eps - g0) / math.expm1(g1 - g0)
         return min(1.0, max(0.0, v0 + t * (v1 - v0)))
+
+
+def worst_pairs(
+    pmfs: dict[float, Pmf], grid: tuple[float, ...]
+) -> dict[float, tuple[float, ...]]:
+    """The one worst-pair scan: conditioning value v -> per grid epsilon, the
+    maximum over w != v of hockey_stick_divergence(pmfs[v], pmfs[w], eps),
+    0.0 when there is no other value.
+    """
+    rows = {}
+    for v, mu in pmfs.items():
+        others = [nu for w, nu in pmfs.items() if w != v]
+        row = []
+        for eps in grid:
+            best = 0.0
+            for nu in others:
+                d = hockey_stick_divergence(mu, nu, eps)
+                if d > best:
+                    best = d
+            row.append(best)
+        rows[v] = tuple(row)
+    return rows
 
 
 def privacy_curve(
@@ -123,62 +153,35 @@ def privacy_curve(
 
     For every epsilon on the grid this maximizes
     hockey_stick_divergence(answers | entry j = v, answers | entry j = w, eps)
-    over positions j and ordered pairs (v, w) from the outcome grid. With
-    i.i.d. entries and a symmetric query one position suffices, so only j = 1
-    is scanned.
+    over positions j and ordered pairs (v, w) from the outcome grid, scanning
+    the positions of scan_positions.
 
     The generic path enumerates conditioned pushforwards once per (j, w).
     Models with i.i.d. two-valued entries under a sum or count query use a
     Binomial convolution instead, which keeps n in the thousands tractable.
     """
-    if grid is None:
-        grid = default_eps_grid()
-    grid = tuple(float(e) for e in grid)
+    grid = as_grid(grid)
     if db.fixed:
         raise ValueError("privacy_curve needs a pure product model, got fixed positions")
-    per_position = _conditioned_answer_pmfs(db, q, budget)
-    outcomes = db.outcome_grid
-    values = []
-    for eps in grid:
-        best = 0.0
-        for pmfs in per_position:
-            for v in outcomes:
-                for w in outcomes:
-                    if v == w:
-                        continue
-                    d = hockey_stick_divergence(pmfs[v], pmfs[w], eps)
-                    if d > best:
-                        best = d
-        values.append(best)
-    return PrivacyCurve(grid, tuple(values))
+    fast = _counting_conditioned_pmfs(db, q)
+    per_position = [fast] if fast is not None else [
+        {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
+        for j in scan_positions(db, q, exchangeable=True)
+    ]
+    rows = [row for pmfs in per_position for row in worst_pairs(pmfs, grid).values()]
+    return PrivacyCurve(grid, tuple(max(col) for col in zip(*rows)))
 
 
-def _conditioned_answer_pmfs(db, q, budget):
-    """One dict per scanned position mapping conditioning value to answers."""
-    if db.is_iid and q.symmetric:
-        fast = _counting_conditioned_pmfs(db.entries[0], q, db.n)
-        if fast is not None:
-            return [fast]
-        positions = (1,)
-    else:
-        positions = tuple(j for j in range(1, db.n + 1) if not db.is_fixed(j))
-    out = []
-    for j in positions:
-        out.append(
-            {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
-        )
-    return out
-
-
-def _counting_conditioned_pmfs(entry, q, n):
+def _counting_conditioned_pmfs(db, q):
     """Binomial fast path for i.i.d. two-valued entries under sum or count.
 
     The n - 1 unconditioned entries contribute a Binomial number of high
     outcomes; the conditioned entry shifts the answer deterministically.
     Returns None when the fast path does not apply.
     """
-    if q.name not in ("sum", "count"):
+    if not (db.is_iid and q.symmetric) or q.name not in ("sum", "count"):
         return None
+    entry, n = db.entries[0], db.n
     if len(entry.outcomes) != 2:
         return None
     lo, hi = entry.outcomes

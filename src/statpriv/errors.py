@@ -22,9 +22,10 @@ class ZeroProbabilityError(ValueError):
 
 
 class NotSamplableError(ValueError):
-    """The half-line property failed; carries the witness."""
+    """The samplability gate refused; carries the witness and the refused
+    family, "half_line" (same-template pair) or "coupled" (cross pair)."""
 
-    def __init__(self, eps, outcome, context=""):
+    def __init__(self, eps, outcome, family, context=""):
         detail = f" ({context})" if context else ""
         super().__init__(
             f"half-line property fails at eps={eps} "
@@ -32,3 +33,4 @@ class NotSamplableError(ValueError):
         )
         self.eps = eps
         self.outcome = outcome
+        self.family = family

@@ -18,12 +18,9 @@ from .dist import (
     Query,
     answer_law,
     condition,
+    scan_positions,
 )
-from .divergence import (
-    PrivacyCurve,
-    default_eps_grid,
-    hockey_stick_divergence,
-)
+from .divergence import PrivacyCurve, as_grid, worst_pairs
 from .errors import EnumerationBudgetError, ZeroProbabilityError
 
 PROB_TOL = 1e-12
@@ -167,6 +164,11 @@ class TemplateDistribution:
         return self._restrict(lambda t: t.count(j) == 0, f"index {j} not drawn")
 
 
+def template_key(t: Template, q: Query) -> tuple[int, ...]:
+    """Cache key of a template's answer law; a symmetric query ignores order."""
+    return tuple(sorted(t.indices)) if q.symmetric else t.indices
+
+
 def apply_template(
     db: DatabaseModel, t: Template, q: Query, budget: int = DEFAULT_BUDGET
 ) -> Pmf:
@@ -195,7 +197,7 @@ def sampled_pushforward(
     acc: dict[float, float] = {}
     cache: dict[tuple[int, ...], Pmf] = {}
     for t, p in technique.items:
-        key = tuple(sorted(t.indices)) if q.symmetric else t.indices
+        key = template_key(t, q)
         sub = cache.get(key)
         if sub is None:
             sub = apply_template(db, t, q, budget)
@@ -221,30 +223,20 @@ def sampling_curve(
     distributions of the model conditioned to j = v versus j = w, maximized
     over ordered pairs (v, w).
     """
-    if grid is None:
-        grid = default_eps_grid()
-    grid = tuple(float(e) for e in grid)
+    grid = as_grid(grid)
     view = technique.given_drawn(j)
-    outcomes = db.outcome_grid
-    conditioned = {w: condition(db, j, w) for w in outcomes}
-    cache: dict[tuple[int, ...], dict[float, Pmf]] = {}
+    conditioned = {w: condition(db, j, w) for w in db.outcome_grid}
+    cache: dict[tuple[int, ...], tuple[float, ...]] = {}
     terms: list[list[float]] = [[] for _ in grid]
     for t, p in view.items:
-        key = tuple(sorted(t.indices)) if q.symmetric else t.indices
-        pmfs = cache.get(key)
-        if pmfs is None:
-            pmfs = {w: apply_template(conditioned[w], t, q, budget) for w in outcomes}
-            cache[key] = pmfs
-        for gi, eps in enumerate(grid):
-            best = 0.0
-            for v in outcomes:
-                for w in outcomes:
-                    if v == w:
-                        continue
-                    d = hockey_stick_divergence(pmfs[v], pmfs[w], eps)
-                    if d > best:
-                        best = d
-            terms[gi].append(p * best)
+        key = template_key(t, q)
+        worst = cache.get(key)
+        if worst is None:
+            pmfs = {w: apply_template(cond, t, q, budget) for w, cond in conditioned.items()}
+            worst = tuple(max(col) for col in zip(*worst_pairs(pmfs, grid).values()))
+            cache[key] = worst
+        for ts, d in zip(terms, worst):
+            ts.append(p * d)
     values = tuple(min(1.0, max(0.0, math.fsum(ts))) for ts in terms)
     return PrivacyCurve(grid, values)
 
@@ -256,21 +248,11 @@ def sampling_curve_max(
     grid: tuple[float, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> PrivacyCurve:
-    """Pointwise maximum of sampling_curve over positions.
-
-    With i.i.d. entries, a symmetric query and an exchangeable technique all
-    positions give the same curve, so only j = 1 is computed.
-    """
-    if grid is None:
-        grid = default_eps_grid()
-    grid = tuple(float(e) for e in grid)
-    if db.is_iid and q.symmetric and technique.exchangeable:
-        positions = (1,)
-    else:
-        positions = tuple(j for j in range(1, db.n + 1) if not db.is_fixed(j))
-    curves = [sampling_curve(db, q, technique, j, grid, budget) for j in positions]
-    values = tuple(max(c.values[gi] for c in curves) for gi in range(len(grid)))
-    return PrivacyCurve(grid, values)
+    """Pointwise maximum of sampling_curve over the positions of scan_positions."""
+    grid = as_grid(grid)
+    positions = scan_positions(db, q, technique.exchangeable)
+    curves = [sampling_curve(db, q, technique, j, grid, budget).values for j in positions]
+    return PrivacyCurve(grid, tuple(max(col) for col in zip(*curves)))
 
 
 def matched_coupling(

@@ -15,7 +15,6 @@ from statpriv.amplify import (
     viability_ratio,
     with_replacement_bound,
     without_replacement_bound,
-    without_replacement_bound_iid,
 )
 from statpriv.dist import DatabaseModel, Pmf, condition, count_query, sum_query
 from statpriv.divergence import PrivacyCurve
@@ -55,8 +54,6 @@ def test_without_replacement_two_of_one():
         (0.0, 0.5),
         (math.log(1.5), 0.5),
     ]
-    iid_pts = without_replacement_bound_iid(Pmf.bernoulli(0.5), sum_query(), 2, 1, (0.0, LN2))
-    assert iid_pts == pts
 
 
 def test_without_replacement_full_sample_passthrough():
@@ -148,6 +145,7 @@ def test_with_replacement_gate_refuses_coupled_violation():
         with_replacement_bound(db, sum_query(), 2, 2, (0.0, 0.5, 1.0))
     assert err.value.eps == 0.5
     assert "coupled" in str(err.value)
+    assert err.value.family == "coupled"
 
 
 def test_with_replacement_gate_refuses_interleaved_lattice():
@@ -158,6 +156,7 @@ def test_with_replacement_gate_refuses_interleaved_lattice():
     assert err.value.eps == 0.0
     assert err.value.outcome == 2.0
     assert "template=(1, 2, 2)" in str(err.value)
+    assert err.value.family == "half_line"
 
 
 def test_with_replacement_gate_passes_symmetric_two_of_two():

@@ -89,7 +89,7 @@ def models(draw):
     return db, indices
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(models(), st.sampled_from(QUERIES))
 def test_kernel_matches_ordered_enumeration(model, q):
     db, indices = model
@@ -170,7 +170,7 @@ def test_binomial_pmf_sums_to_one_beyond_float_coefficients():
     assert abs(math.fsum(ws) - 1.0) <= 1e-13
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.lists(
         st.tuples(

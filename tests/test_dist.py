@@ -11,7 +11,6 @@ from statpriv.dist import (
     condition,
     count_query,
     mean_query,
-    mismatch_distance,
     pushforward,
     query_by_name,
     round_significant,
@@ -144,16 +143,6 @@ def test_pushforward_budget():
         pushforward(db, sum_query(), budget=1000)
     assert err.value.budget == 1000
     assert err.value.states == math.comb(62, 2)
-
-
-def test_mismatch_distance():
-    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
-    assert mismatch_distance(db, db) == 0
-    assert mismatch_distance(db, condition(db, 2, 1.0)) == 1
-    two = condition(condition(db, 1, 0.0), 3, 1.0)
-    assert mismatch_distance(db, two) == 2
-    # unequal sizes contribute the size gap on top of unmatched entries
-    assert mismatch_distance(db, DatabaseModel.iid(Pmf.bernoulli(0.5), 2)) == 1
 
 
 def test_query_requires_evaluator_name():

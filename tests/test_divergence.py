@@ -79,7 +79,9 @@ def test_default_eps_grid():
 def test_privacy_curve_object():
     c = PrivacyCurve((0.0, 1.0, 2.0), (0.5, 0.2, 0.1))
     assert c.value_at(1.0) == 0.2
-    assert abs(c.value_at(0.5) - 0.35) <= TOL  # linear interpolation
+    # chord in e^eps: 0.5 - 0.3 (sqrt(e) - 1) / (e - 1), above the eps chord 0.35
+    want = 0.5 - 0.3 * (math.sqrt(math.e) - 1.0) / (math.e - 1.0)
+    assert abs(c.value_at(0.5) - want) <= TOL
     with pytest.raises(ValueError):
         c.value_at(3.0)
     assert c.value_at(3.0, extrapolate=True) == 0.1
@@ -87,6 +89,19 @@ def test_privacy_curve_object():
         PrivacyCurve((0.0, 1.0), (0.2, 0.5))  # must be nonincreasing
     with pytest.raises(ValueError):
         PrivacyCurve((1.0, 0.0), (0.5, 0.2))  # grid must increase
+
+
+def test_value_at_bounds_the_curve_between_grid_points():
+    # One pair: delta is affine in e^eps, so the chord is exact (0.25 in eps).
+    mu, nu = pmf({0.0: 1.0}), pmf({0.0: 0.5, 1.0: 0.5})
+    pair = PrivacyCurve((0.0, LN2), tuple(hockey_stick_divergence(mu, nu, e) for e in (0.0, LN2)))
+    assert abs(pair.value_at(LN2 / 2) - (1.0 - math.sqrt(0.5))) <= TOL
+    # bern(0.3) count, n=5: a chord in eps falls up to 0.0097 below the curve.
+    db = DatabaseModel.iid(Pmf.bernoulli(0.3), 5)
+    coarse = privacy_curve(db, count_query(), tuple(0.5 * i for i in range(7)))
+    dense = privacy_curve(db, count_query(), tuple(round(0.01 * i, 10) for i in range(301)))
+    for eps, exact in zip(dense.grid, dense.values):
+        assert coarse.value_at(eps) >= exact - 1e-15, eps
 
 
 def test_privacy_curve_bernoulli_three():

@@ -1,0 +1,95 @@
+"""Property tests of the pipeline against the brute-force oracle.
+
+Random small models (2-3 outcomes in -2..3, n <= 4, sum or count) are drawn
+by hypothesis under the derandomized profile of conftest.py. The oracle
+enumerates the joint law of template and database from scratch, so it shares
+no aggregation code with the pipeline.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from statpriv.amplify import poisson_bound, with_replacement_bound, without_replacement_bound
+from statpriv.dist import DatabaseModel, Pmf, condition, count_query, sum_query
+from statpriv.divergence import privacy_curve
+from statpriv.errors import NotSamplableError
+from statpriv.oracle import brute_force_divergence
+from statpriv.sampling import Template, TemplateDistribution
+
+AGREEMENT_TOL = 1e-12
+DOMINANCE_TOL = 1e-10
+GRID = (0.0, 0.5, 1.0)
+QUERIES = st.sampled_from((sum_query(), count_query()))
+
+
+@st.composite
+def models(draw, iid):
+    """1-4 entries on 2-3 shared outcomes; non-i.i.d. models draw each entry
+    from a pool of two pmfs."""
+    outcomes = sorted(draw(st.sets(st.integers(-2, 3), min_size=2, max_size=3)))
+
+    def entry():
+        raw = draw(st.lists(st.integers(0, 4), min_size=len(outcomes), max_size=len(outcomes)))
+        if not any(raw):
+            raw[0] = 1
+        total = sum(raw)
+        return Pmf(tuple(float(a) for a in outcomes), tuple(r / total for r in raw))
+
+    n = draw(st.integers(1, 4))
+    if iid:
+        return DatabaseModel.iid(entry(), n)
+    pool = [entry(), entry()]
+    return DatabaseModel(tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+
+
+def oracle_worst_pair(db, technique, q, eps, positions):
+    """Largest oracle divergence over positions and ordered value pairs."""
+    return max(
+        brute_force_divergence(condition(db, j, v), condition(db, j, w), technique, q, eps)
+        for j in positions
+        for v in db.outcome_grid
+        for w in db.outcome_grid
+        if v != w
+    )
+
+
+@settings(max_examples=120)
+@given(st.booleans().flatmap(models), QUERIES)
+def test_privacy_curve_is_the_oracle_worst_pair(db, q):
+    # The full template 1..n with probability 1 is the unsampled model; the
+    # oracle scans every position, the pipeline only those scan_positions
+    # picks.
+    full = TemplateDistribution("full", db.n, ((Template(tuple(range(1, db.n + 1))), 1.0),))
+    curve = privacy_curve(db, q, GRID)
+    for eps, got in zip(GRID, curve.values):
+        want = oracle_worst_pair(db, full, q, eps, range(1, db.n + 1))
+        assert abs(got - want) <= AGREEMENT_TOL, (eps, got, want)
+
+
+def assert_dominates(db, technique, q, eps, bound):
+    direct = oracle_worst_pair(db, technique, q, eps, (1,))
+    assert direct <= bound + DOMINANCE_TOL, (technique.kind, eps, bound, direct)
+
+
+@settings(max_examples=100)
+@given(models(iid=True), QUERIES, st.sampled_from((0.25, 0.5, 1.0)))
+def test_amplification_bounds_dominate_the_oracle(db, q, rate):
+    n = db.n
+    for m in range(1, n + 1):
+        technique = TemplateDistribution.without_replacement(n, m)
+        for p in without_replacement_bound(db, q, n, m, GRID):
+            assert_dominates(db, technique, q, p.eps_prime, p.delta_prime)
+    technique = TemplateDistribution.poisson(n, rate)
+    curve = poisson_bound(db, q, n, rate, GRID)
+    for eps, delta in zip(curve.grid, curve.values):
+        assert_dominates(db, technique, q, eps, delta)
+    for m in (1, 2):
+        try:
+            points = with_replacement_bound(db, q, n, m, GRID)
+        except NotSamplableError:
+            continue  # refused by the gate: the theorem does not apply
+        technique = TemplateDistribution.with_replacement(n, m)
+        for p in points:
+            assert_dominates(db, technique, q, p.eps_prime, p.delta_prime)
