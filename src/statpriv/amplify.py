@@ -19,6 +19,7 @@ from .divergence import (
     PrivacyCurve,
     as_grid,
     half_line_check,
+    hockey_stick_curve,
     hockey_stick_divergence,
     privacy_curve,
     worst_pairs,
@@ -279,8 +280,8 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
     worst_pairs) is verified directly. The literal half-line condition
     routinely fails on these pairs for interleaved answer supports even
     though the inequality the proof actually uses holds, so the inequality
-    itself is checked. Pairs with the same template keys compare the same
-    answer laws, so each is checked once.
+    itself is checked. Templates and pairs with the same template keys
+    compare the same answer laws, so each is checked once.
 
     Raises NotSamplableError with a witness and the refused family
     ("half_line" or "coupled") on the first failure.
@@ -300,7 +301,10 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
                 cache[key] = pmf
             return pmf
 
+        first_of_key = {}
         for t, _ in drawn.items:
+            first_of_key.setdefault(template_key(t, q), t)
+        for t in first_of_key.values():
             for v, w in itertools.permutations(outcomes, 2):
                 res = half_line_check(answers(v, t), answers(w, t), grid, strict=False)
                 if not res:
@@ -326,8 +330,8 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
             right = answers(None, t_out)
             for v in outcomes:
                 left = answers(v, t_in)
-                for eps, ceiling in zip(grid, ceilings[key_in][v]):
-                    cross = hockey_stick_divergence(left, right, eps)
+                crosses = hockey_stick_curve(left, right, grid)
+                for eps, cross, ceiling in zip(grid, crosses, ceilings[key_in][v]):
                     if cross > ceiling + PARAM_TOL:
                         witness = max(
                             left.outcomes,
@@ -340,8 +344,8 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
                             context=(
                                 f"j={j}, coupled templates {t_in.indices} and "
                                 f"{t_out.indices}, conditioned to {v}: cross "
-                                f"divergence {cross} exceeds the same-template "
-                                f"ceiling {ceiling}"
+                                f"divergence {hockey_stick_divergence(left, right, eps)} "
+                                f"exceeds the same-template ceiling {ceiling}"
                             ),
                         )
 

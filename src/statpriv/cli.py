@@ -405,12 +405,10 @@ def cmd_verify(args) -> int:
             high = condition(db, 1, 1.0)
             low = condition(db, 1, 0.0)
             for label, technique in techniques:
+                answers_high = sampled_pushforward(high, technique, q, budget)
+                answers_low = sampled_pushforward(low, technique, q, budget)
                 for eps in (0.0, 0.5, 1.0):
-                    pipe = hockey_stick_divergence(
-                        sampled_pushforward(high, technique, q, budget),
-                        sampled_pushforward(low, technique, q, budget),
-                        eps,
-                    )
+                    pipe = hockey_stick_divergence(answers_high, answers_low, eps)
                     if faulty:
                         pipe = -pipe
                         faulty = False

@@ -322,10 +322,10 @@ def _fixed(m: int, e: int) -> tuple[int, int]:
     return (m >> shift, e + shift) if shift >= 0 else (m << -shift, e + shift)
 
 
-def _fixed_pow(p: float, c: int) -> tuple[int, int]:
-    """p ** c as a fixed mantissa and exponent (p > 0)."""
-    num, den = p.as_integer_ratio()
-    base = _fixed(num, 1 - den.bit_length())
+def _fixed_pow(num: int, den: int, c: int) -> tuple[int, int]:
+    """(num / den) ** c as a fixed mantissa and exponent (num, den > 0)."""
+    shift = max(0, _PREC + 1 + den.bit_length() - num.bit_length())
+    base = _fixed((num << shift) // den, -shift)
     out = (_ONE, -_PREC)
     while c:
         if c & 1:
@@ -335,16 +335,24 @@ def _fixed_pow(p: float, c: int) -> tuple[int, int]:
     return out
 
 
-def _weights(probs: Sequence[float], c: int, m: int, e: int):
+def _weights(probs: Sequence[float], c: int, m: int | None = None, e: int = 0):
     """(counts, m', e') per vector of len(probs) counts summing to c, first
     count descending, where m' * 2^e' is m * 2^e times the multinomial
     probability c! / prod(counts!) * prod(p ** count) of the counts.
 
+    Without m the start is 1 / S^c, S the exact rational sum of probs, so the
+    weights sum to 1: (0.7, 0.3) sums to 1 - 2^-54, and S^n undivided would
+    miss WEIGHT_TOL from about n = 18000.
+
     Along a count j of the first outcome, C(c, j) p^j is a recurrence from
     p^c; with two outcomes left the recurrence also carries the last power.
     """
+    if m is None:
+        ratios = [p.as_integer_ratio() for p in probs]
+        den = max(d for _, d in ratios)
+        m, e = _fixed_pow(den, sum(num * (den // d) for num, d in ratios), c)
     p, *rest = probs
-    pm, pe = _fixed_pow(p, c)
+    pm, pe = _fixed_pow(*p.as_integer_ratio(), c)
     m, e = _fixed(m * pm, e + pe)
     if not rest:
         yield (c,), m, e
@@ -382,7 +390,7 @@ def binomial_pmf(n: int, p: float) -> list[float]:
     any n (see _PREC)."""
     if p in (0.0, 1.0):
         return [float(m == (n if p else 0)) for m in range(n + 1)]
-    out = [_to_float(m, e) for _, m, e in _weights((p, 1.0 - p), n, _ONE, -_PREC)]
+    out = [_to_float(m, e) for _, m, e in _weights((p, 1.0 - p), n)]
     return out[::-1]
 
 
@@ -481,7 +489,7 @@ def _multiset_options(pmf: Pmf, repeat: int, c: int):
             yield tuple(vector), pmf.weights[i]
         return
     probs = [pmf.weights[i] for i in support]
-    for counts, m, e in _weights(probs, c, _ONE, -_PREC):
+    for counts, m, e in _weights(probs, c):
         vector = [0] * width
         for i, j in zip(support, counts):
             vector[i] = j * repeat

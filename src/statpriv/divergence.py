@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .dist import (
@@ -55,17 +55,34 @@ def hockey_stick_divergence(mu: Pmf, nu: Pmf, eps: float) -> float:
 
     At eps = 0 this is the total variation distance.
     """
-    if eps < 0.0 or not math.isfinite(eps):
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    scale = math.exp(eps)
+    return hockey_stick_curve(mu, nu, (eps,))[0]
+
+
+def hockey_stick_curve(mu: Pmf, nu: Pmf, grid: tuple[float, ...]) -> tuple[float, ...]:
+    """hockey_stick_divergence(mu, nu, eps) for every eps of `grid`, in order.
+
+    The outcomes mu puts mass on are sorted once by nu(a) / mu(a) (0 off
+    nu's support); those with mu(a) - e^eps nu(a) > 0 form a prefix of that
+    order. fsum is exactly rounded, so the order of the terms does not matter.
+    """
     nud = nu.as_dict
-    terms = []
-    for a, wa in zip(mu.outcomes, mu.weights):
-        wb = nud.get(a, 0.0)
-        diff = wa if wb == 0.0 else wa - scale * wb
-        if diff > 0.0:
-            terms.append(diff)
-    return min(1.0, math.fsum(terms))
+    pairs = sorted(
+        (nud.get(a, 0.0) / wa, wa, nud.get(a, 0.0))
+        for a, wa in zip(mu.outcomes, mu.weights)
+        if wa > 0.0
+    )
+    ratios = [r for r, _, _ in pairs]
+    out = []
+    for eps in grid:
+        if eps < 0.0 or not math.isfinite(eps):
+            raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+        scale = math.exp(eps)
+        # wa - scale * wb > 0 implies wb / wa < 1 / scale; the slack covers
+        # the rounding of both sides, and the exact test decides.
+        k = bisect_right(ratios, (1.0 + 1e-9) / scale)
+        terms = [d for _, wa, wb in pairs[:k] if (d := wa - scale * wb) > 0.0]
+        out.append(min(1.0, math.fsum(terms)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -130,16 +147,8 @@ def worst_pairs(
     """
     rows = {}
     for v, mu in pmfs.items():
-        others = [nu for w, nu in pmfs.items() if w != v]
-        row = []
-        for eps in grid:
-            best = 0.0
-            for nu in others:
-                d = hockey_stick_divergence(mu, nu, eps)
-                if d > best:
-                    best = d
-            row.append(best)
-        rows[v] = tuple(row)
+        curves = [hockey_stick_curve(mu, nu, grid) for w, nu in pmfs.items() if w != v]
+        rows[v] = tuple(max(col) for col in zip((0.0,) * len(grid), *curves))
     return rows
 
 

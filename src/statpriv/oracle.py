@@ -8,6 +8,7 @@ sampling pipeline, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -41,8 +42,10 @@ class _Kahan:
         self.total = t
 
 
+@functools.lru_cache(maxsize=32)  # verify asks again for the same laws
 def _answer_law(db, technique, q, budget):
-    """Joint enumeration of (template, database realization) pairs."""
+    """Joint enumeration of (template, database realization) pairs, as
+    (answer, mass) pairs in increasing answer order."""
     grid = db.outcome_grid
     states = len(technique.items) * len(grid) ** db.n
     if states > budget:
@@ -59,7 +62,7 @@ def _answer_law(db, technique, q, budget):
             else:
                 a = _round12(float(q.empty_answer))
             acc.setdefault(a, _Kahan()).add(weight)
-    return {a: k.total for a, k in acc.items()}
+    return tuple(sorted((a, k.total) for a, k in acc.items()))
 
 
 def brute_force_divergence(
@@ -77,11 +80,10 @@ def brute_force_divergence(
     if technique.n != db_a.n or technique.n != db_b.n:
         raise ValueError("technique size must match both models")
     law_a = _answer_law(db_a, technique, q, budget)
-    law_b = _answer_law(db_b, technique, q, budget)
+    law_b = dict(_answer_law(db_b, technique, q, budget))
     scale = math.exp(eps)
     acc = _Kahan()
-    for a in sorted(law_a):
-        wa = law_a[a]
+    for a, wa in law_a:
         wb = law_b.get(a, 0.0)
         diff = wa if wb == 0.0 else wa - scale * wb
         if diff > 0.0:

@@ -105,7 +105,10 @@ def tradeoff_from_pmfs(mu: Pmf, nu: Pmf) -> TradeoffFn:
     xs = []
     ys = []
     for k in range(len(rows), -1, -1):
-        xs.append(math.fsum(r[2] for r in rows[k:]))
+        x = math.fsum(r[2] for r in rows[k:])
+        if xs and x == xs[-1]:  # nu mass below one ulp of x: keep the
+            del xs[-1], ys[-1]  # larger set, whose type II error is lower
+        xs.append(x)
         ys.append(math.fsum(r[1] for r in rows[:k]))
     xs[-1] = 1.0
     return TradeoffFn(tuple(xs), tuple(ys))

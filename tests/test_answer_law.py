@@ -112,12 +112,15 @@ def test_mean_curve_beyond_ordered_enumeration_matches_count_fast_path():
 
 
 def exact_multinomial(counts, probs):
+    """Probability of the counts under probs divided exactly by their sum:
+    float probabilities such as (0.7, 0.3) sum to 1 only after rounding."""
     coef = math.factorial(sum(counts))
     for c in counts:
         coef //= math.factorial(c)
+    total = sum(map(Fraction, probs))
     weight = Fraction(coef)
     for p, c in zip(probs, counts):
-        weight *= Fraction(p) ** c
+        weight *= (Fraction(p) / total) ** c
     return weight
 
 
@@ -160,6 +163,20 @@ def test_binomial_pmf_is_exact_to_roundoff_at_any_n():
             assert_exact_to_roundoff(got[m], want, (n, p, m))
     # a weight below the float range rounds to 0 instead of raising
     assert binomial_pmf(5000, 0.01)[5000] == 0.0
+
+
+def test_entry_weights_that_sum_to_one_only_after_rounding_do_not_drift():
+    # bern(0.3) stores (0.7, 0.3), 1 - 2^-54 as rationals; 20000 draws of the
+    # undivided weights total 1 - 1.1e-12, which Pmf refuses. The count takes
+    # the Binomial fast path, the mean the multiset kernel.
+    db = DatabaseModel.iid(Pmf.bernoulli(0.3), 20000)
+    grid = (0.0, 0.05, 0.5)
+    count = privacy_curve(db, count_query(), grid)
+    mean = privacy_curve(db, mean_query(), grid)
+    assert count.values[0] > 0.005
+    assert max(abs(a - b) for a, b in zip(mean.values, count.values)) <= TOL
+    assert abs(math.fsum(binomial_pmf(20000, 0.3)) - 1.0) <= 1e-15
+    assert abs(math.fsum(pushforward(db, mean_query()).weights) - 1.0) <= 1e-15
 
 
 def test_binomial_pmf_sums_to_one_beyond_float_coefficients():

@@ -10,6 +10,7 @@ from statpriv.divergence import (
     PrivacyCurve,
     default_eps_grid,
     half_line_check,
+    hockey_stick_curve,
     hockey_stick_divergence,
     privacy_curve,
     privacy_loss,
@@ -60,6 +61,20 @@ def test_hockey_stick_decreases_in_eps():
         assert cur <= prev + TOL
         prev = cur
     assert hockey_stick_divergence(a, b, math.log(2.5)) == 0.125
+
+
+def test_hockey_stick_curve_keeps_outcomes_at_the_ratio_boundary():
+    # e^eps within a few ulps of mu(0) / nu(0) = 2: the term
+    # 0.5 - e^eps * 0.25 is a few ulps above or below 0, and the bisection
+    # on nu / mu must still hand every positive one to the exact test.
+    a = pmf({0.0: 0.5, 1.0: 0.5})
+    b = pmf({0.0: 0.25, 1.0: 0.75})
+    grid = [LN2]
+    for _ in range(4):
+        grid = [math.nextafter(grid[0], 0.0), *grid, math.nextafter(grid[-1], 1.0)]
+    values = hockey_stick_curve(a, b, tuple(grid))
+    assert values == tuple(max(0.0, 0.5 - math.exp(e) * 0.25) for e in grid)
+    assert any(0.0 < v < 1e-15 for v in values) and values[-1] == 0.0
 
 
 def test_hockey_stick_asymmetry():

@@ -1,4 +1,5 @@
-"""Property tests of the pipeline against the brute-force oracle.
+"""Property tests of the pipeline against the brute-force oracle, of the
+hockey-stick kernel against its definition, and of the trade-off round trips.
 
 Random small models (2-3 outcomes in -2..3, n <= 4, sum or count) are drawn
 by hypothesis under the derandomized profile of conftest.py. The oracle
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 
 from statpriv.amplify import poisson_bound, with_replacement_bound, without_replacement_bound
 from statpriv.dist import DatabaseModel, Pmf, condition, count_query, sum_query
-from statpriv.divergence import privacy_curve
+from statpriv.divergence import PrivacyCurve, hockey_stick_curve, privacy_curve
 from statpriv.errors import NotSamplableError
 from statpriv.oracle import brute_force_divergence
 from statpriv.sampling import Template, TemplateDistribution
+from statpriv.tradeoff import conjugate, curve_to_tradeoff, tradeoff_from_pmfs, tradeoff_to_delta
 
 AGREEMENT_TOL = 1e-12
 DOMINANCE_TOL = 1e-10
@@ -93,3 +95,58 @@ def test_amplification_bounds_dominate_the_oracle(db, q, rate):
         technique = TemplateDistribution.with_replacement(n, m)
         for p in points:
             assert_dominates(db, technique, q, p.eps_prime, p.delta_prime)
+
+
+# Raw masses before normalization: zeros, masses near 1e-300 (one of them
+# below the normal range) and ordinary ones.
+RAW_MASSES = st.sampled_from((0.0, 0.0, 1e-300, 3e-300, 1e-310, 1.0, 2.0, 3.0, 7.0))
+
+
+@st.composite
+def pmf_pairs(draw):
+    """(mu, nu) with zero weights and tiny masses; nu is mu itself, another
+    pmf on mu's outcome range, or one on outcomes disjoint from mu's."""
+
+    def pmf(shift):
+        outcomes = sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=5)))
+        raw = [draw(RAW_MASSES) for _ in outcomes]
+        if max(raw) < 1.0:
+            raw[0] = 1.0
+        total = math.fsum(raw)
+        return Pmf(tuple(float(a + shift) for a in outcomes), tuple(r / total for r in raw))
+
+    mu = pmf(0)
+    mode = draw(st.sampled_from(("same", "other", "disjoint")))
+    return mu, mu if mode == "same" else pmf(10 if mode == "disjoint" else 0)
+
+
+def hockey_stick_by_definition(mu, nu, eps):
+    union = set(mu.outcomes) | set(nu.outcomes)
+    scale = math.exp(eps)
+    return min(1.0, math.fsum(max(0.0, mu.prob(a) - scale * nu.prob(a)) for a in union))
+
+
+@settings(max_examples=400)
+@given(pmf_pairs(), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
+def test_hockey_stick_curve_is_the_definition_bit_for_bit(pair, grid):
+    # The grid is unsorted and may repeat an epsilon.
+    mu, nu = pair
+    want = tuple(hockey_stick_by_definition(mu, nu, eps) for eps in grid)
+    assert hockey_stick_curve(mu, nu, tuple(grid)) == want
+    assert hockey_stick_curve(nu, mu, tuple(grid)) == tuple(
+        hockey_stick_by_definition(nu, mu, eps) for eps in grid
+    )
+
+
+@settings(max_examples=200)
+@given(pmf_pairs())
+def test_tradeoff_round_trips_bound_the_curve(pair):
+    mu, nu = pair
+    grid = tuple(0.25 * i for i in range(13))
+    values = hockey_stick_curve(mu, nu, grid)
+    fn = tradeoff_from_pmfs(mu, nu)
+    for eps, delta in zip(grid, values):
+        assert abs(1.0 + conjugate(fn, -math.exp(eps)) - delta) <= 1e-9, (eps, delta)
+    envelope = curve_to_tradeoff(PrivacyCurve(grid, values))
+    for eps, delta in zip(grid, values):
+        assert tradeoff_to_delta(envelope, eps) <= delta, (eps, delta)

@@ -145,6 +145,23 @@ def test_sampling_curve_max_collapses_to_smaller_model():
         assert all(abs(x - y) <= TOL for x, y in zip(got.values, ref.values))
 
 
+def test_sampling_curve_max_scans_every_position_of_a_conditioned_view():
+    # A conditioned view is not exchangeable, so every position is scanned
+    # even on an i.i.d. model. Given entry 2 among two draws with
+    # replacement from three, the template (2, 2) has probability 1/5 and
+    # answers 2 x_2 (distance 1 at eps 0); the other four pair entry 2 with
+    # another entry (0.5). Entry 1 is drawn only alongside entry 2.
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
+    q = sum_query()
+    view = TemplateDistribution.with_replacement(3, 2).given_drawn(2)
+    grid = (0.0, 0.5)
+    per_position = [sampling_curve(db, q, view, j, grid).values for j in (1, 2, 3)]
+    assert abs(per_position[0][0] - 0.5) <= TOL
+    assert abs(per_position[1][0] - 0.6) <= TOL
+    got = sampling_curve_max(db, q, view, grid)
+    assert got.values == tuple(max(col) for col in zip(*per_position))
+
+
 def test_matched_coupling_injective():
     t = TemplateDistribution.without_replacement(3, 2)
     triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1)
