@@ -13,6 +13,7 @@ from .dist import (
     Query,
     binomial_pmf,
     condition,
+    law_key,
     scan_positions,
 )
 from .divergence import (
@@ -31,7 +32,6 @@ from .sampling import (
     matched_coupling,
     sampling_curve,
     sampling_curve_max,
-    template_key,
 )
 
 PARAM_TOL = 1e-12
@@ -280,8 +280,9 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
     worst_pairs) is verified directly. The literal half-line condition
     routinely fails on these pairs for interleaved answer supports even
     though the inequality the proof actually uses holds, so the inequality
-    itself is checked. Templates and pairs with the same template keys
-    compare the same answer laws, so each is checked once.
+    itself is checked. Templates and pairs whose answer laws have equal
+    law keys compare the same laws, so each is checked once; every
+    template's keys are computed once.
 
     Raises NotSamplableError with a witness and the refused family
     ("half_line" or "coupled") on the first failure.
@@ -289,24 +290,35 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
     outcomes = db.outcome_grid
     for j in positions:
         drawn = technique.given_drawn(j)
-        conditioned = {w: condition(db, j, w) for w in outcomes}
-        cache: dict[tuple[float | None, tuple[int, ...]], Pmf] = {}
+        conditioned = [condition(db, j, w) for w in outcomes]
+        # Law keys are numbered, so that tuples and pairs of them hash as ints.
+        numbers: dict[tuple, int] = {}
+        laws: dict[int, Pmf] = {}
 
-        def answers(w, t):
-            key = (w, template_key(t, q))
-            pmf = cache.get(key)
+        def number(model, t):
+            return numbers.setdefault(law_key(model, t.indices, q), len(numbers))
+
+        def law(model, t, k):
+            pmf = laws.get(k)
             if pmf is None:
-                model = db if w is None else conditioned[w]
-                pmf = apply_template(model, t, q, budget)
-                cache[key] = pmf
+                pmf = laws[k] = apply_template(model, t, q, budget)
             return pmf
+
+        keys_in = {
+            t.indices: tuple(number(cond, t) for cond in conditioned) for t, _ in drawn.items
+        }
+
+        def answers(t):
+            ks = keys_in[t.indices]
+            return {w: law(cond, t, k) for w, cond, k in zip(outcomes, conditioned, ks)}
 
         first_of_key = {}
         for t, _ in drawn.items:
-            first_of_key.setdefault(template_key(t, q), t)
+            first_of_key.setdefault(keys_in[t.indices], t)
         for t in first_of_key.values():
+            pmfs = answers(t)
             for v, w in itertools.permutations(outcomes, 2):
-                res = half_line_check(answers(v, t), answers(w, t), grid, strict=False)
+                res = half_line_check(pmfs[v], pmfs[w], grid, strict=False)
                 if not res:
                     raise NotSamplableError(
                         res.eps,
@@ -318,18 +330,23 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
             avoided = technique.given_not_drawn(j)
         except ZeroProbabilityError:
             continue
+        keys_out: dict[tuple[int, ...], int] = {}
         ceilings: dict[tuple[int, ...], dict[float, tuple[float, ...]]] = {}
         checked = set()
         for t_in, t_out, _ in matched_coupling(drawn, avoided, j):
-            key_in, key_out = template_key(t_in, q), template_key(t_out, q)
+            key_in = keys_in[t_in.indices]
+            key_out = keys_out.get(t_out.indices)
+            if key_out is None:
+                key_out = keys_out[t_out.indices] = number(db, t_out)
             if (key_in, key_out) in checked:
                 continue
             checked.add((key_in, key_out))
+            lefts = answers(t_in)
             if key_in not in ceilings:
-                ceilings[key_in] = worst_pairs({w: answers(w, t_in) for w in outcomes}, grid)
-            right = answers(None, t_out)
+                ceilings[key_in] = worst_pairs(lefts, grid)
+            right = law(db, t_out, key_out)
             for v in outcomes:
-                left = answers(v, t_in)
+                left = lefts[v]
                 crosses = hockey_stick_curve(left, right, grid)
                 for eps, cross, ceiling in zip(grid, crosses, ceilings[key_in][v]):
                     if cross > ceiling + PARAM_TOL:

@@ -380,6 +380,8 @@ def cmd_verify(args) -> int:
     rows = []
     failures = 0
     faulty = bool(args.inject_fault)
+    refused = {"half_line": 0, "coupled": 0}
+    wr_cases = 0
 
     def record(case, quantity, pipeline, reference, ok):
         nonlocal failures
@@ -455,10 +457,12 @@ def cmd_verify(args) -> int:
                 )
             for m in range(1, 3):
                 technique = TemplateDistribution.with_replacement(n, m)
+                wr_cases += 1
                 try:
                     bounds = with_replacement_bound(db, q, n, m, (0.0, 0.5, 1.0), budget)
-                except NotSamplableError:
+                except NotSamplableError as exc:
                     # The gate refused this model; nothing to compare.
+                    refused[exc.family] += 1
                     continue
                 for eps, bound in zip((0.0, 0.5, 1.0), bounds):
                     direct = direct_delta(technique, bound.eps_prime)
@@ -473,6 +477,12 @@ def cmd_verify(args) -> int:
         args.out,
         ("case", "quantity", "pipeline", "oracle", "abs_diff", "pass"),
         rows,
+    )
+    families = ", ".join(f"{family} {count}" for family, count in refused.items())
+    print(
+        f"verify: the samplability gate refused {sum(refused.values())} of "
+        f"{wr_cases} with-replacement cases ({families})",
+        file=sys.stderr,
     )
     return 3 if failures else 0
 

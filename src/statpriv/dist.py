@@ -7,11 +7,10 @@ matching the convention used by sampling templates.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, product
 from functools import cached_property
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import AlreadyFixedError, EnumerationBudgetError
@@ -394,6 +393,46 @@ def binomial_pmf(n: int, p: float) -> list[float]:
     return out[::-1]
 
 
+def law_key(db: DatabaseModel, indices: Sequence[int], q: Query) -> tuple:
+    """Hashable key of answer_law(db, indices, q). answer_law enumerates from
+    the key alone, so equal keys give bit-identical laws.
+
+    Each distinct index is a slot: an entry pmf plus the number of times the
+    sample repeats it. For a symmetric query the key is the multiset of
+    slots, as (pmf, repeat, slots) classes in a fixed order: largest class
+    (most states) first, ties broken by repeat, slots and the pmf. On i.i.d.
+    entries the templates (1, 2) and (1, 32) share a key. Otherwise the key
+    is the slot pmfs in order of first occurrence and the index pattern, each
+    index replaced by its slot.
+    """
+    if indices:
+        if min(indices) < 1:
+            raise ValueError(f"indices are 1-based, got {min(indices)}")
+        if max(indices) > db.n:
+            raise ValueError(f"template index {max(indices)} exceeds model size {db.n}")
+    entries = db.entries
+    if not q.symmetric:
+        slot_of = {i: s for s, i in enumerate(dict.fromkeys(indices))}
+        return tuple(entries[i - 1] for i in slot_of), tuple(map(slot_of.__getitem__, indices))
+    # Plain dicts count about twice as fast as Counter on short templates.
+    repeats: dict[int, int] = {}
+    for i in indices:
+        repeats[i] = repeats.get(i, 0) + 1
+    slots: dict[tuple[Pmf, int], int] = {}
+    for i, r in repeats.items():
+        slot = entries[i - 1], r
+        slots[slot] = slots.get(slot, 0) + 1
+    classes = [(pmf, r, c) for (pmf, r), c in slots.items()]
+    if len(classes) > 1:
+        classes.sort(key=_class_order)
+    return tuple(classes)
+
+
+def _class_order(cls):
+    pmf, r, c = cls
+    return -_class_states(pmf, c), r, c, pmf.outcomes, pmf.weights
+
+
 def answer_law(
     db: DatabaseModel,
     indices: Sequence[int],
@@ -403,46 +442,43 @@ def answer_law(
     """Exact answer distribution of q on the sample (x_i for i in indices).
 
     The x_i are independent draws from the model's entries (1-based), and a
-    repeated index reuses one draw. Each distinct index is a slot: an entry
-    pmf plus the number of times the sample repeats it. A symmetric query
-    sees only the multiset of the sample, so slots with equal (pmf, repeat)
-    merge into one class, and a class of c slots is enumerated as the count
-    vectors over its support with multinomial weights; the answer comes
-    from the summed count vector (Query.counts_answer). For a non-symmetric
-    query every slot is its own class, which is plain ordered enumeration.
+    repeated index reuses one draw. The law is enumerated from
+    law_key(db, indices, q). A symmetric query sees only the multiset of the
+    sample, so a class of c slots with equal (pmf, repeat) is enumerated as
+    the count vectors over its support with multinomial weights; the answer
+    comes from the summed count vector (Query.counts_answer). For a
+    non-symmetric query every slot is its own class, which is plain ordered
+    enumeration.
 
     A state is one count vector per class; a class of c slots over k support
     points has C(c + k - 1, c) of them. Raises EnumerationBudgetError before
-    enumerating when the product over classes exceeds `budget`. Answers are
-    merged at the canonical 12-digit precision. An empty sample yields the
-    query's declared empty answer.
+    enumerating when the product over classes exceeds `budget`, and
+    ValueError when an answer overflows the float range. Answers are merged
+    at the canonical 12-digit precision. An empty sample yields the query's
+    declared empty answer.
     """
+    key = law_key(db, indices, q)
     if not indices:
         return Pmf.point(q.empty_answer)
-    repeats = Counter(indices)
-    distinct = sorted(repeats)
-    slots = [(db.entries[i - 1], repeats[i]) for i in distinct]
     if q.symmetric:
-        classes = [(_class_states(pmf, c), pmf, r, c) for (pmf, r), c in Counter(slots).items()]
-        classes.sort(key=itemgetter(0), reverse=True)
-        options = [_multiset_options(pmf, r, c) for _, pmf, r, c in classes]
+        sizes = [_class_states(pmf, c) for pmf, _, c in key]
+        options = [_multiset_options(pmf, r, c) for pmf, r, c in key]
         join = _add_counts
-        evaluate = q.counts_answer(db.outcome_grid)
+        evaluate = q.counts_answer(key[0][0].outcomes)
     else:
-        classes = [(_class_states(pmf, 1), pmf, r, 1) for pmf, r in slots]
+        pmfs, pattern = key
+        sizes = [len(pmf.support) for pmf in pmfs]
         options = [
             [((a,), w) for a, w in zip(pmf.outcomes, pmf.weights) if w > 0.0]
-            for _, pmf, _, _ in classes
+            for pmf in pmfs
         ]
         join = tuple.__add__
-        slot_of = {i: s for s, i in enumerate(distinct)}
-        pick = [slot_of[i] for i in indices]
 
         def evaluate(sample):
-            return q.answer(tuple(sample[s] for s in pick))
+            return q.answer(tuple(map(sample.__getitem__, pattern)))
 
     states = 1
-    for size, *_ in classes:
+    for size in sizes:
         states *= size
         if states > budget:
             raise EnumerationBudgetError(states, budget)
@@ -452,15 +488,20 @@ def answer_law(
     heads, *rest = options
     pools = [list(opts) for opts in rest]
     acc: dict[float, float] = {}
-    for head, head_weight in heads:
-        for tail in product(*pools):
-            sample = head
-            weight = head_weight
-            for part, w in tail:
-                sample = join(sample, part)
-                weight *= w
-            a = round_significant(evaluate(sample))
-            acc[a] = acc.get(a, 0.0) + weight
+    try:
+        for head, head_weight in heads:
+            for tail in product(*pools):
+                sample = head
+                weight = head_weight
+                for part, w in tail:
+                    sample = join(sample, part)
+                    weight *= w
+                a = round_significant(evaluate(sample))
+                acc[a] = acc.get(a, 0.0) + weight
+    except OverflowError:
+        raise ValueError(
+            f"query {q.name!r} overflows: an answer on this model is beyond the float range"
+        ) from None
     items = sorted(acc.items())
     return Pmf(tuple(a for a, _ in items), tuple(w for _, w in items))
 

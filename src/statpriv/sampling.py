@@ -18,6 +18,7 @@ from .dist import (
     Query,
     answer_law,
     condition,
+    law_key,
     scan_positions,
 )
 from .divergence import PrivacyCurve, as_grid, worst_pairs
@@ -164,11 +165,6 @@ class TemplateDistribution:
         return self._restrict(lambda t: t.count(j) == 0, f"index {j} not drawn")
 
 
-def template_key(t: Template, q: Query) -> tuple[int, ...]:
-    """Cache key of a template's answer law; a symmetric query ignores order."""
-    return tuple(sorted(t.indices)) if q.symmetric else t.indices
-
-
 def apply_template(
     db: DatabaseModel, t: Template, q: Query, budget: int = DEFAULT_BUDGET
 ) -> Pmf:
@@ -176,12 +172,10 @@ def apply_template(
 
     This is answer_law on the template: repeated indices share one draw,
     and for a symmetric query a state is a multiset of the drawn values
-    (see answer_law). An empty template yields the query's declared empty
-    answer.
+    (see answer_law). Templates with equal law_key give equal laws, which is
+    what every cache of answer laws is keyed by. An empty template yields the
+    query's declared empty answer.
     """
-    for i in t.indices:
-        if i > db.n:
-            raise ValueError(f"template index {i} exceeds model size {db.n}")
     return answer_law(db, t.indices, q, budget)
 
 
@@ -195,13 +189,12 @@ def sampled_pushforward(
     if technique.n != db.n:
         raise ValueError(f"technique over 1..{technique.n} does not match model size {db.n}")
     acc: dict[float, float] = {}
-    cache: dict[tuple[int, ...], Pmf] = {}
+    cache: dict[tuple, Pmf] = {}
     for t, p in technique.items:
-        key = template_key(t, q)
+        key = law_key(db, t.indices, q)
         sub = cache.get(key)
         if sub is None:
-            sub = apply_template(db, t, q, budget)
-            cache[key] = sub
+            sub = cache[key] = apply_template(db, t, q, budget)
         for a, w in zip(sub.outcomes, sub.weights):
             acc[a] = acc.get(a, 0.0) + p * w
     items = sorted(acc.items())
@@ -226,10 +219,10 @@ def sampling_curve(
     grid = as_grid(grid)
     view = technique.given_drawn(j)
     conditioned = {w: condition(db, j, w) for w in db.outcome_grid}
-    cache: dict[tuple[int, ...], tuple[float, ...]] = {}
+    cache: dict[tuple, tuple[float, ...]] = {}
     terms: list[list[float]] = [[] for _ in grid]
     for t, p in view.items:
-        key = template_key(t, q)
+        key = tuple(law_key(cond, t.indices, q) for cond in conditioned.values())
         worst = cache.get(key)
         if worst is None:
             pmfs = {w: apply_template(cond, t, q, budget) for w, cond in conditioned.items()}

@@ -16,6 +16,8 @@ from statpriv.amplify import (
     with_replacement_bound,
     without_replacement_bound,
 )
+import statpriv.amplify
+import statpriv.sampling
 from statpriv.dist import DatabaseModel, Pmf, condition, count_query, sum_query
 from statpriv.divergence import PrivacyCurve
 from statpriv.errors import NotSamplableError
@@ -157,6 +159,59 @@ def test_with_replacement_gate_refuses_interleaved_lattice():
     assert err.value.outcome == 2.0
     assert "template=(1, 2, 2)" in str(err.value)
     assert err.value.family == "half_line"
+
+
+@pytest.mark.parametrize(
+    "entry, q, n, m, grid, family, message",
+    [
+        (
+            Pmf.bernoulli(0.3), sum_query(), 6, 3, (0.0, 0.5, 1.0), "half_line",
+            "half-line property fails at eps=0.0 with witness outcome 2.0 "
+            "(j=1, template=(1, 2, 2), pair=(0.0, 1.0))",
+        ),
+        (
+            Pmf.bernoulli(0.3), count_query(), 6, 3, (0.0, 0.5, 1.0), "half_line",
+            "half-line property fails at eps=0.0 with witness outcome 2.0 "
+            "(j=1, template=(1, 2, 2), pair=(0.0, 1.0))",
+        ),
+        (
+            Pmf.bernoulli(0.3), sum_query(), 32, 2, None, "coupled",
+            "half-line property fails at eps=0.05 with witness outcome 1.0 "
+            "(j=1, coupled templates (1, 2) and (2, 2), conditioned to 1.0: cross "
+            "divergence 0.7 exceeds the same-template ceiling 0.6846186710871927)",
+        ),
+        (
+            Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), sum_query(), 4, 2, None, "coupled",
+            "half-line property fails at eps=0.05 with witness outcome 1.0 "
+            "(j=1, coupled templates (1, 2) and (2, 2), conditioned to 1.0: cross "
+            "divergence 0.5 exceeds the same-template ceiling 0.48718222590599397)",
+        ),
+    ],
+)
+def test_with_replacement_gate_refusals_are_frozen(entry, q, n, m, grid, family, message):
+    # The gate checks each distinct answer law once; the first refusal, its
+    # witness and every number in its message must not move.
+    with pytest.raises(NotSamplableError) as err:
+        with_replacement_bound(DatabaseModel.iid(entry, n), q, n, m, grid)
+    assert (err.value.family, str(err.value)) == (family, message)
+
+
+def test_with_replacement_bound_enumerates_each_answer_law_once(monkeypatch):
+    # On 32 i.i.d. entries the 1024 templates of two draws have 10 distinct
+    # conditioned answer laws: 4 for the gate's drawn templates, 2 for their
+    # partners, 4 for the draw-count curves, which enumerate again.
+    calls = []
+    original = statpriv.sampling.apply_template
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].indices)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(statpriv.amplify, "apply_template", counted)
+    monkeypatch.setattr(statpriv.sampling, "apply_template", counted)
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 32)
+    with_replacement_bound(db, sum_query(), 32, 2)
+    assert len(calls) <= 10
 
 
 def test_with_replacement_gate_passes_symmetric_two_of_two():

@@ -11,6 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +20,11 @@ from statpriv.dist import (
     DatabaseModel,
     Pmf,
     Query,
+    answer_law,
     binomial_pmf,
     condition,
     count_query,
+    law_key,
     mean_query,
     pushforward,
     round_significant,
@@ -65,9 +68,10 @@ def assert_same_law(got, want):
 
 
 @st.composite
-def models(draw):
-    """Models of 1-4 entries on 2-3 outcomes, with repeated entries and
-    conditioned positions, plus a template over them with repeats."""
+def models(draw, min_n=1, min_len=0):
+    """Models of min_n-4 entries on 2-3 outcomes, with repeated entries and
+    conditioned positions, plus a template of min_len-5 indices over them
+    with repeats."""
     outcomes = sorted(
         draw(st.sets(st.sampled_from((-2.0, -1.0, 0.0, 0.5, 1.0, 3.0)), min_size=2, max_size=3))
     )
@@ -81,11 +85,11 @@ def models(draw):
 
     # Two candidate pmfs, so that equal entries (and merged classes) occur.
     pool = [entry(), entry()]
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(min_n, 4))
     db = DatabaseModel(tuple(draw(st.sampled_from(pool)) for _ in range(n)))
     for j in draw(st.sets(st.integers(1, n), max_size=2)):
         db = condition(db, j, draw(st.sampled_from(outcomes)))
-    indices = tuple(draw(st.lists(st.integers(1, n), max_size=5)))
+    indices = tuple(draw(st.lists(st.integers(1, n), min_size=min_len, max_size=5)))
     return db, indices
 
 
@@ -227,3 +231,72 @@ def test_dp_poisson_bound_beyond_float_coefficients():
     curve = PrivacyCurve((0.0, 1.0, 2.0), (0.5, 0.2, 0.1))
     got = dp_poisson_bound(curve, 1100, 0.5, 0.5, extrapolate=True)
     assert 0.0 < got <= 0.5
+
+
+def bits(law):
+    return [(a.hex(), w.hex()) for a, w in zip(law.outcomes, law.weights)]
+
+
+@st.composite
+def template_pairs(draw):
+    """A model and a template as in models(), plus a second template: the
+    first with its positions permuted among equal entries (reordered or
+    not), or a fresh one."""
+    db, indices = draw(models(min_n=2, min_len=2))
+    if draw(st.booleans()):
+        # permute positions within each group of equal entries
+        target = {}
+        for k in range(1, db.n + 1):
+            alike = [i for i in range(1, db.n + 1) if db.entry(i) == db.entry(k)]
+            if k == alike[0]:
+                target.update(zip(alike, draw(st.permutations(alike))))
+        other = tuple(target[i] for i in indices)
+        if draw(st.booleans()):
+            return db, indices, tuple(draw(st.permutations(other))), False
+        return db, indices, other, True
+    return db, indices, tuple(draw(st.lists(st.integers(1, db.n), max_size=5))), False
+
+
+@settings(max_examples=300)
+@given(template_pairs(), st.sampled_from(QUERIES))
+def test_equal_law_keys_give_bit_identical_laws(pair, q):
+    db, a, b, order_kept = pair
+    key_a, key_b = law_key(db, a, q), law_key(db, b, q)
+    if order_kept or (q.symmetric and sorted(a) == sorted(b)):
+        # the same law by definition, so the key must be shared
+        assert key_a == key_b
+    if key_a == key_b:
+        assert bits(answer_law(db, a, q)) == bits(answer_law(db, b, q))
+
+
+def test_law_key_shares_positions_with_equal_entries_and_keeps_order_when_it_matters():
+    iid = DatabaseModel.iid(Pmf.bernoulli(0.3), 32)
+    assert law_key(iid, (1, 2), sum_query()) == law_key(iid, (1, 32), sum_query())
+    assert law_key(iid, (1, 2), sum_query()) != law_key(iid, (1, 1), sum_query())
+    assert law_key(iid, (1, 2), POSITION_WEIGHTED_SUM) == law_key(iid, (2, 1), POSITION_WEIGHTED_SUM)
+    # not i.i.d.: the position-weighted sum tells (1, 2) from (2, 1)
+    db = DatabaseModel((Pmf.bernoulli(0.3), Pmf.bernoulli(0.6)))
+    q = POSITION_WEIGHTED_SUM
+    assert law_key(db, (1, 2), q) != law_key(db, (2, 1), q)
+    assert answer_law(db, (1, 2), q) != answer_law(db, (2, 1), q)
+    assert law_key(db, (1, 2), sum_query()) == law_key(db, (2, 1), sum_query())
+    with pytest.raises(ValueError, match="exceeds model size"):
+        law_key(db, (1, 3), q)
+    # Three classes tie on their state count; summed in the order the
+    # template lists them, these two laws differ in the last bit.
+    e, f = Pmf((0.0, 0.5, 1.0), (0.375, 0.375, 0.25)), Pmf((0.0, 0.5, 1.0), (0.0, 4 / 7, 3 / 7))
+    db = DatabaseModel((e, e, f))
+    a, b = (3, 3, 1, 1, 2), (2, 1, 1, 3, 3)
+    for q in (sum_query(), mean_query()):
+        assert law_key(db, a, q) == law_key(db, b, q)
+        assert bits(answer_law(db, a, q)) == bits(answer_law(db, b, q))
+
+
+@pytest.mark.parametrize(
+    "q, indices",
+    [(mean_query(), (1, 2, 3)), (sum_query(), (1, 2)), (sum_query(), (1, 1, 2))],
+)
+def test_an_answer_beyond_the_float_range_is_a_value_error_naming_the_query(q, indices):
+    db = DatabaseModel.iid(Pmf((0.0, 1e308), (0.5, 0.5)), 3)
+    with pytest.raises(ValueError, match=f"query '{q.name}' overflows"):
+        answer_law(db, indices, q)

@@ -239,6 +239,33 @@ def test_verify_clean_and_faulty(tmp_path):
     assert any(r.endswith(",0") for r in bad.read_text().splitlines()[1:])
 
 
+def test_verify_counts_gate_refusals_on_stderr(tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    assert run(tmp_path, "verify", "--max-n", "4", "--out", str(out)) == 0
+    assert capsys.readouterr().err == (
+        "verify: the samplability gate refused 3 of 12 with-replacement cases "
+        "(half_line 0, coupled 3)\n"
+    )
+    rows = out.read_text().splitlines()
+    assert "wr n=4 m=2 p=0.5 eps=0,wr_dominance,0.25,0.25,0,1" in rows
+    assert not any(r.startswith("wr n=4 m=2 p=0.3 eps=0,wr_dominance") for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, query",
+    [
+        (("curve", "--n", "3", "--query", "mean"), "mean"),
+        (("amplify", "--n", "3", "--query", "sum", "--technique", "wr:3,2"), "sum"),
+    ],
+)
+def test_answers_beyond_the_float_range_exit_1_naming_the_query(tmp_path, capsys, argv, query):
+    out = tmp_path / "out.csv"
+    code = run(tmp_path, *argv, "--entry", "discrete:1e308@0.5,0@0.5", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: query '{query}' overflows") and err.count("\n") == 1
+
+
 def test_compare_poisson(tmp_path):
     out = tmp_path / "cmp.csv"
     code = run(
