@@ -4,7 +4,6 @@ from .amplify import (
     AmplifiedParams,
     dp_poisson_bound,
     dp_subsample,
-    normal_approximation_delta,
     occurrence_weights,
     poisson_bound,
     shrink_epsilon,
@@ -22,7 +21,6 @@ from .dist import (
     mean_query,
     pushforward,
     query_by_name,
-    round_significant,
     sum_query,
 )
 from .divergence import (

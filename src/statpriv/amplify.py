@@ -68,9 +68,7 @@ def shrink_epsilon(eps: float, rate: float) -> float:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if rate == 1.0:
-        return eps
-    return math.log1p(rate * math.expm1(eps))
+    return stretch_epsilon(eps, rate)
 
 
 def stretch_epsilon(eps: float, factor: float) -> float:
@@ -365,17 +363,6 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
                                 f"exceeds the same-template ceiling {ceiling}"
                             ),
                         )
-
-
-def normal_approximation_delta(n: int, p: float, eps: float) -> float:
-    """Large-n counting shortcut min(1, 10 / (n p (1 - p) eps^2))."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got {p}")
-    if not eps > 0.0:
-        raise ValueError(f"need eps > 0, got {eps}")
-    return min(1.0, 10.0 / (n * p * (1.0 - p) * eps * eps))
 
 
 def dp_subsample(eps: float, delta: float, rate: float) -> AmplifiedParams:

@@ -114,8 +114,6 @@ def _parse_one_eps(token: str) -> float:
 
 def parse_eps(token: str) -> tuple[float, ...]:
     """Single value, comma list, start:stop:step grid; ln<x> for log values."""
-    from .dist import round_significant
-
     if ":" in token:
         parts = token.split(":")
         if len(parts) != 3:
@@ -126,7 +124,9 @@ def parse_eps(token: str) -> tuple[float, ...]:
         if step <= 0.0 or stop < start or start < 0.0:
             raise UsageError(f"--eps: bad grid {token!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(round_significant(start + i * step) for i in range(count))
+        # 12 significant digits print the grid as typed (0.3, not
+        # 0.30000000000000004); a display choice, not a merge of answers.
+        return tuple(float(f"{start + i * step:.12g}") for i in range(count))
     values = tuple(_parse_one_eps(part) for part in token.split(","))
     for prev, nxt in zip(values, values[1:]):
         if nxt <= prev:

@@ -17,18 +17,6 @@ from .errors import AlreadyFixedError, EnumerationBudgetError
 
 DEFAULT_BUDGET = 10_000_000
 WEIGHT_TOL = 1e-12
-SIG_DIGITS = 12
-
-
-def round_significant(x: float, digits: int = SIG_DIGITS) -> float:
-    """Round to `digits` significant digits.
-
-    This is the canonical precision at which query answers are merged and
-    compared everywhere in the package.
-    """
-    if x == 0.0 or not math.isfinite(x):
-        return x + 0.0
-    return round(x, digits - 1 - math.floor(math.log10(abs(x))))
 
 
 @dataclass(frozen=True)
@@ -78,12 +66,14 @@ class Pmf:
     def from_pairs(pairs: Iterable[tuple[float, float]], drop_zero: bool = True) -> "Pmf":
         """Build a pmf from (outcome, weight) pairs, merging equal outcomes.
 
-        Outcomes are canonicalized to 12 significant digits before merging.
+        Outcomes are kept as given: two merge only when they are the same
+        float (0.0 and -0.0 are one outcome, 0.0). Weights are added in the
+        order of the pairs.
         """
         acc: dict[float, float] = {}
         for a, w in pairs:
-            key = round_significant(float(a))
-            acc[key] = acc.get(key, 0.0) + float(w)
+            a += 0.0
+            acc[a] = acc.get(a, 0.0) + w
         items = sorted(acc.items())
         if drop_zero:
             items = [(a, w) for a, w in items if w > 0.0]
@@ -93,7 +83,7 @@ class Pmf:
 
     @staticmethod
     def point(value: float) -> "Pmf":
-        return Pmf((round_significant(float(value)),), (1.0,))
+        return Pmf((float(value) + 0.0,), (1.0,))
 
     @staticmethod
     def point_on(value: float, outcomes: Sequence[float]) -> "Pmf":
@@ -130,8 +120,11 @@ class Query:
     answer for an empty sample. `symmetric` asserts permutation invariance and
     `monotone` coordinatewise monotonicity, both trusted as declared. A
     symmetric query may also give `counts_evaluator`: given the distinct
-    values, it returns a function of their counts that gives the same answer
-    as the evaluator, in time independent of the sample size.
+    values, it returns a function of their counts that gives the evaluator's
+    float bit for bit, in time independent of the sample size. Answer laws
+    merge two answers exactly when they are the same float, so a counts
+    evaluator that rounded differently would split or merge answers the
+    released query does not.
     """
 
     name: str
@@ -453,9 +446,9 @@ def answer_law(
     A state is one count vector per class; a class of c slots over k support
     points has C(c + k - 1, c) of them. Raises EnumerationBudgetError before
     enumerating when the product over classes exceeds `budget`, and
-    ValueError when an answer overflows the float range. Answers are merged
-    at the canonical 12-digit precision. An empty sample yields the query's
-    declared empty answer.
+    ValueError when an answer overflows the float range. The law is built by
+    answer_pmf, so answers merge only when they are the same float. An empty
+    sample yields the query's declared empty answer.
     """
     key = law_key(db, indices, q)
     if not indices:
@@ -487,8 +480,8 @@ def answer_law(
     # vector for a symmetric query and the tuple of slot values otherwise.
     heads, *rest = options
     pools = [list(opts) for opts in rest]
-    acc: dict[float, float] = {}
-    try:
+
+    def pairs():
         for head, head_weight in heads:
             for tail in product(*pools):
                 sample = head
@@ -496,14 +489,47 @@ def answer_law(
                 for part, w in tail:
                     sample = join(sample, part)
                     weight *= w
-                a = round_significant(evaluate(sample))
-                acc[a] = acc.get(a, 0.0) + weight
+                yield evaluate(sample), weight
+
+    return answer_pmf(q, pairs())
+
+
+def answer_pmf(q: Query, pairs: Iterable[tuple[float, float]]) -> Pmf:
+    """The law of q's answers from (answer, weight) pairs, the one place an
+    answer law is built: Pmf.from_pairs, so two answers merge exactly when q
+    returns the same float for them. A weight that underflowed to 0 keeps
+    its answer. An answer beyond the float range, raised while the pairs are
+    produced, is a ValueError naming q.
+    """
+    try:
+        return Pmf.from_pairs(pairs, drop_zero=False)
     except OverflowError:
         raise ValueError(
             f"query {q.name!r} overflows: an answer on this model is beyond the float range"
         ) from None
-    items = sorted(acc.items())
-    return Pmf(tuple(a for a, _ in items), tuple(w for _, w in items))
+
+
+def binomial_laws(db: DatabaseModel, q: Query) -> dict[float, Pmf] | None:
+    """The Binomial fast path: conditioning value v -> answer law of q on db
+    with one entry fixed to v, for i.i.d. two-valued entries and a symmetric
+    query; None otherwise.
+
+    The n - 1 free entries take the high outcome a Binomial number k of
+    times. answer_law on the conditioned model streams these n count
+    vectors with the same weights and adds the fixed entry's one-hot vector;
+    so does this, without building the model or its key, so the laws are
+    bit-identical to answer_law's at any n.
+    """
+    if not (db.is_iid and q.symmetric) or len(db.outcome_grid) != 2:
+        return None
+    entry = db.entries[0]
+    lo, hi = entry.outcomes
+    answer = q.counts_answer(entry.outcomes)
+    free = list(_multiset_options(entry, 1, db.n - 1))
+    return {
+        lo: answer_pmf(q, ((answer((a + 1, b)), w) for (a, b), w in free)),
+        hi: answer_pmf(q, ((answer((a, b + 1)), w) for (a, b), w in free)),
+    }
 
 
 def _add_counts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from .dist import (
     DatabaseModel,
     Pmf,
     Query,
-    binomial_pmf,
+    binomial_laws,
     condition,
     pushforward,
     scan_positions,
@@ -166,49 +166,21 @@ def privacy_curve(
     the positions of scan_positions.
 
     The generic path enumerates conditioned pushforwards once per (j, w).
-    Models with i.i.d. two-valued entries under a sum or count query use a
-    Binomial convolution instead, which keeps n in the thousands tractable.
+    Models with i.i.d. two-valued entries under a symmetric query take the
+    Binomial fast path (dist.binomial_laws) instead: the generic path's laws
+    bit for bit, without building a model per conditioning value, so n in
+    the thousands stays cheap.
     """
     grid = as_grid(grid)
     if db.fixed:
         raise ValueError("privacy_curve needs a pure product model, got fixed positions")
-    fast = _counting_conditioned_pmfs(db, q)
+    fast = binomial_laws(db, q)
     per_position = [fast] if fast is not None else [
         {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
         for j in scan_positions(db, q, exchangeable=True)
     ]
     rows = [row for pmfs in per_position for row in worst_pairs(pmfs, grid).values()]
     return PrivacyCurve(grid, tuple(max(col) for col in zip(*rows)))
-
-
-def _counting_conditioned_pmfs(db, q):
-    """Binomial fast path for i.i.d. two-valued entries under sum or count.
-
-    The n - 1 unconditioned entries contribute a Binomial number of high
-    outcomes; the conditioned entry shifts the answer deterministically.
-    Returns None when the fast path does not apply.
-    """
-    if not (db.is_iid and q.symmetric) or q.name not in ("sum", "count"):
-        return None
-    entry, n = db.entries[0], db.n
-    if len(entry.outcomes) != 2:
-        return None
-    lo, hi = entry.outcomes
-    if q.name == "sum":
-        p = entry.weights[1]
-        shift = {lo: lo, hi: hi}
-        step = hi - lo
-        base = lambda k: lo * (n - 1) + step * k
-    else:
-        p = math.fsum(w for a, w in zip(entry.outcomes, entry.weights) if a > 0.0)
-        shift = {a: (1.0 if a > 0.0 else 0.0) for a in entry.outcomes}
-        base = lambda k: float(k)
-    rest = binomial_pmf(n - 1, p)
-    out = {}
-    for v in entry.outcomes:
-        pairs = [(shift[v] + base(k), wk) for k, wk in enumerate(rest)]
-        out[v] = Pmf.from_pairs(pairs)
-    return out
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,6 @@ from .sampling import TemplateDistribution
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
 
-def _round12(x: float) -> float:
-    # deliberate duplicate of the pipeline's canonical answer rounding
-    if x == 0.0 or not math.isfinite(x):
-        return x + 0.0
-    return round(x, 11 - math.floor(math.log10(abs(x))))
-
-
 class _Kahan:
     """Compensated accumulator."""
 
@@ -56,11 +49,11 @@ def _answer_law(db, technique, q, budget):
             weight = pt
             for entry, value in zip(db.entries, row):
                 weight *= entry.prob(value)
+            # An answer is the float the query returns; equal floats merge.
             if t.indices:
-                sample = tuple(row[i - 1] for i in t.indices)
-                a = _round12(float(q.evaluator(sample)))
+                a = float(q.evaluator(tuple(row[i - 1] for i in t.indices)))
             else:
-                a = _round12(float(q.empty_answer))
+                a = float(q.empty_answer)
             acc.setdefault(a, _Kahan()).add(weight)
     return tuple(sorted((a, k.total) for a, k in acc.items()))
 

@@ -17,6 +17,7 @@ from .dist import (
     Pmf,
     Query,
     answer_law,
+    answer_pmf,
     condition,
     law_key,
     scan_positions,
@@ -188,17 +189,18 @@ def sampled_pushforward(
     """Mixture of per-template answer distributions under the technique."""
     if technique.n != db.n:
         raise ValueError(f"technique over 1..{technique.n} does not match model size {db.n}")
-    acc: dict[float, float] = {}
     cache: dict[tuple, Pmf] = {}
-    for t, p in technique.items:
-        key = law_key(db, t.indices, q)
-        sub = cache.get(key)
-        if sub is None:
-            sub = cache[key] = apply_template(db, t, q, budget)
-        for a, w in zip(sub.outcomes, sub.weights):
-            acc[a] = acc.get(a, 0.0) + p * w
-    items = sorted(acc.items())
-    return Pmf(tuple(a for a, _ in items), tuple(w for _, w in items))
+
+    def pairs():
+        for t, p in technique.items:
+            key = law_key(db, t.indices, q)
+            sub = cache.get(key)
+            if sub is None:
+                sub = cache[key] = apply_template(db, t, q, budget)
+            for a, w in zip(sub.outcomes, sub.weights):
+                yield a, p * w
+
+    return answer_pmf(q, pairs())
 
 
 def sampling_curve(

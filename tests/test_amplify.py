@@ -8,10 +8,10 @@ from statpriv.amplify import (
     AmplifiedParams,
     dp_poisson_bound,
     dp_subsample,
-    normal_approximation_delta,
     occurrence_weights,
     poisson_bound,
     shrink_epsilon,
+    stretch_epsilon,
     viability_ratio,
     with_replacement_bound,
     without_replacement_bound,
@@ -34,6 +34,10 @@ def test_shrink_epsilon():
     assert shrink_epsilon(0.0, 0.5) == 0.0
     got = shrink_epsilon(1.0, 0.5)
     assert abs(got - math.log(1.0 + 0.5 * (math.e - 1.0))) <= TOL
+    # one formula: shrinking at rate r is stretching by r, bit for bit
+    for eps, rate in ((1.0, 0.5), (0.05, 0.1), (3.0, 0.999)):
+        assert shrink_epsilon(eps, rate) == stretch_epsilon(eps, rate)
+        assert shrink_epsilon(eps, rate) == math.log1p(rate * math.expm1(eps))
     with pytest.raises(ValueError):
         shrink_epsilon(-1.0, 0.5)
     with pytest.raises(ValueError):
@@ -263,16 +267,6 @@ def test_viability_ratio_zero_denominator():
     entry = Pmf.from_pairs([(0.0, 1.0)])
     with pytest.raises(ZeroDivisionError):
         viability_ratio(entry, count_query(), 2, 1, 0.5)
-
-
-def test_normal_approximation_delta():
-    assert normal_approximation_delta(1000, 0.5, 0.1) == 1.0
-    got = normal_approximation_delta(10000, 0.5, 0.1)
-    assert abs(got - 0.4) <= TOL
-    with pytest.raises(ValueError):
-        normal_approximation_delta(0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        normal_approximation_delta(10, 0.5, 0.0)
 
 
 def test_dp_subsample():

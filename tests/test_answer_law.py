@@ -3,7 +3,8 @@
 `pushforward` and `apply_template` share one kernel that enumerates multisets
 with multinomial weights for symmetric queries. These tests check it against
 a plain ordered enumeration written here, against the Binomial fast path of
-`privacy_curve`, and its weights against exact rational arithmetic.
+`privacy_curve`, and its weights against exact rational arithmetic. Every
+answer is the float the query returns; two answers merge only when equal.
 """
 
 import dataclasses
@@ -21,16 +22,16 @@ from statpriv.dist import (
     Pmf,
     Query,
     answer_law,
+    binomial_laws,
     binomial_pmf,
     condition,
     count_query,
     law_key,
     mean_query,
     pushforward,
-    round_significant,
     sum_query,
 )
-from statpriv.divergence import PrivacyCurve, default_eps_grid, privacy_curve
+from statpriv.divergence import PrivacyCurve, default_eps_grid, privacy_curve, worst_pairs
 from statpriv.sampling import Template, apply_template
 
 TOL = 1e-12
@@ -56,7 +57,7 @@ def ordered_law(db, indices, q):
     for combo in itertools.product(*supports):
         value = dict(zip(distinct, (a for a, _ in combo)))
         weight = math.prod(w for _, w in combo)
-        a = round_significant(q.answer(tuple(value[i] for i in indices)))
+        a = q.answer(tuple(value[i] for i in indices))
         acc[a] = acc.get(a, 0.0) + weight
     return acc
 
@@ -101,18 +102,73 @@ def test_kernel_matches_ordered_enumeration(model, q):
     assert_same_law(pushforward(db, q), ordered_law(db, tuple(range(1, db.n + 1)), q))
 
 
-def test_mean_curve_beyond_ordered_enumeration_matches_count_fast_path():
-    # On 0/1 entries the mean is a bijective relabelling of the count, so the
-    # two curves agree. The count takes the Binomial fast path; the mean
-    # takes the kernel, 1100 multisets per conditioned model where ordered
-    # enumeration would need 2^1099 states. Its multinomial coefficients
-    # exceed the float range.
+def test_mean_curve_beyond_ordered_enumeration_matches_the_kernel():
+    # Mean takes the Binomial fast path on 0/1 entries; the kernel enumerates
+    # 1100 multisets per conditioned model where ordered enumeration would
+    # need 2^1099 states. Its multinomial coefficients exceed the float range.
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 1100)
     grid = default_eps_grid()
-    mean = privacy_curve(db, mean_query(), grid)
-    count = privacy_curve(db, count_query(), grid)
+    q = mean_query()
+    mean = privacy_curve(db, q, grid)
+    kernel = {w: pushforward(condition(db, 1, w), q) for w in db.outcome_grid}
     assert mean.values[0] > 0.01
-    assert max(abs(a - b) for a, b in zip(mean.values, count.values)) <= TOL
+    assert mean.values == tuple(max(col) for col in zip(*worst_pairs(kernel, grid).values()))
+
+
+TWO_VALUED_OUTCOMES = (-2.5, -0.7, -0.3, -0.1, 0.0, 0.1, 0.2, 0.3, 1.0, 2.7)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.sampled_from(TWO_VALUED_OUTCOMES), min_size=2, max_size=2, unique=True),
+    st.sampled_from((0.3, 0.5, 0.7)),
+    st.integers(1, 12),
+    st.sampled_from((sum_query(), count_query(), mean_query())),
+)
+def test_binomial_fast_path_equals_the_kernel_bit_for_bit(outcomes, p, n, q):
+    # p goes to the first drawn outcome, the lower or the higher one; the
+    # fast path must answer with the query's own floats, as the kernel does.
+    first, second = outcomes
+    db = DatabaseModel.iid(Pmf.from_pairs([(first, p), (second, 1.0 - p)]), n)
+    grid = default_eps_grid()
+    fast = binomial_laws(db, q)
+    kernel = {w: pushforward(condition(db, 1, w), q) for w in db.outcome_grid}
+    assert worst_pairs(fast, grid) == worst_pairs(kernel, grid)
+    assert {w: bits(law) for w, law in fast.items()} == {w: bits(law) for w, law in kernel.items()}
+
+
+def test_binomial_fast_path_needs_two_values_iid_and_a_symmetric_query():
+    assert binomial_laws(DatabaseModel.iid(Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), 3), sum_query()) is None
+    assert binomial_laws(DatabaseModel((Pmf.bernoulli(0.3), Pmf.bernoulli(0.6))), sum_query()) is None
+    assert binomial_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 3), POSITION_WEIGHTED_SUM) is None
+    assert set(binomial_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 3), mean_query())) == {0.0, 1.0}
+
+
+@st.composite
+def shifted_models(draw, power_of_two):
+    """An integer-valued entry, n and an integer shift c up to 1e15 with
+    n * (c + max outcome) below 2^53, so every sum is an exact float."""
+    outcomes = sorted(draw(st.sets(st.integers(0, 6), min_size=2, max_size=3)))
+    raw = draw(st.lists(st.integers(1, 4), min_size=len(outcomes), max_size=len(outcomes)))
+    entry = Pmf(tuple(map(float, outcomes)), tuple(r / sum(raw) for r in raw))
+    n = draw(st.sampled_from((1, 2, 4, 8))) if power_of_two else draw(st.integers(1, 8))
+    # every magnitude of c equally often, not mostly small shifts
+    size = 10 ** draw(st.sampled_from(range(16)))
+    c = min(draw(st.integers(size // 10, size)), (2**53 - 1) // n - outcomes[-1])
+    shifted = Pmf(tuple(float(a + c) for a in outcomes), entry.weights)
+    return DatabaseModel.iid(entry, n), DatabaseModel.iid(shifted, n)
+
+
+@settings(max_examples=150)
+@given(st.data(), st.sampled_from((sum_query(), mean_query())))
+def test_privacy_curve_is_invariant_under_an_integer_shift(data, q):
+    # Adding c to every outcome is a bijection on exact sums and, for n a
+    # power of two, on exact means: the released answers are relabelled, so
+    # the curve must not move by a bit. Merging answers that agree to 12
+    # digits fails this from c near 1e11.
+    db, shifted = data.draw(shifted_models(power_of_two=q.name == "mean"))
+    grid = default_eps_grid()
+    assert privacy_curve(shifted, q, grid).values == privacy_curve(db, q, grid).values
 
 
 def exact_multinomial(counts, probs):

@@ -12,6 +12,9 @@ from statpriv.cli import (
     parse_technique,
     read_config,
 )
+from statpriv.dist import DatabaseModel, condition, sum_query
+from statpriv.oracle import brute_force_divergence
+from statpriv.sampling import TemplateDistribution
 
 
 def run(tmp_path, *argv):
@@ -264,6 +267,40 @@ def test_answers_beyond_the_float_range_exit_1_naming_the_query(tmp_path, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: query '{query}' overflows") and err.count("\n") == 1
+
+
+def curve_rows(tmp_path, entry, n, eps):
+    out = tmp_path / "curve.csv"
+    argv = ("curve", "--entry", entry, "--n", str(n), "--query", "sum", "--eps", eps)
+    assert run(tmp_path, *argv, "--out", str(out)) == 0
+    return out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_shifting_every_outcome_by_1e11_leaves_the_sum_curve_unchanged(tmp_path, n):
+    # Sums of 1e11 and 1e11 + 1 agree to 12 digits but are distinct exact
+    # floats, so they must stay distinct answers: a shift is a bijection.
+    shifted = curve_rows(tmp_path, "discrete:1e11@0.5,100000000001@0.5", n, "0,1")
+    assert shifted == curve_rows(tmp_path, "bern:0.5", n, "0,1")
+    assert float(shifted[2].split(",")[1]) > 0.005
+
+
+def test_two_valued_decimal_entry_takes_the_answers_the_query_releases(tmp_path):
+    # fsum tells the 4 sums of three draws of -0.1 / 0.2 apart, as it does
+    # the counts of bern(0.3); no merge or split of answers loosens delta.
+    rows = curve_rows(tmp_path, "discrete:-0.1@0.7,0.2@0.3", 3, "0,1")
+    assert rows == curve_rows(tmp_path, "bern:0.3", 3, "0,1")
+    assert [float(r.split(",")[1]) for r in rows[1:]] == [0.49, 0.49]
+    entry = parse_entry("discrete:-0.1@0.7,0.2@0.3")
+    db = DatabaseModel.iid(entry, 3)
+    high, low = condition(db, 1, 0.2), condition(db, 1, -0.1)
+    technique = TemplateDistribution.without_replacement(3, 3)
+    for eps in (0.0, 1.0):
+        oracle = max(
+            brute_force_divergence(high, low, technique, sum_query(), eps),
+            brute_force_divergence(low, high, technique, sum_query(), eps),
+        )
+        assert abs(oracle - 0.49) <= 1e-12
 
 
 def test_compare_poisson(tmp_path):

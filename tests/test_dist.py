@@ -13,20 +13,12 @@ from statpriv.dist import (
     mean_query,
     pushforward,
     query_by_name,
-    round_significant,
     sum_query,
 )
 from statpriv.errors import AlreadyFixedError, EnumerationBudgetError
 
 EXACT = 0.0
 TOL = 1e-12
-
-
-def test_round_significant():
-    assert round_significant(0.0, 12) == 0.0
-    assert round_significant(1.0 + 1e-15, 12) == 1.0
-    assert round_significant(123456.789, 12) == 123456.789
-    assert round_significant(-2.5, 12) == -2.5
 
 
 def test_pmf_basic():
@@ -39,9 +31,15 @@ def test_pmf_basic():
 
 
 def test_pmf_from_pairs_merges_and_drops_zeros():
-    p = Pmf.from_pairs([(1.0, 0.5), (1.0 + 1e-15, 0.25), (2.0, 0.25), (3.0, 0.0)])
-    assert p.outcomes == (1.0, 2.0)
-    assert p.weights == (0.75, 0.25)
+    p = Pmf.from_pairs(
+        [(1.0, 0.25), (1.0 + 1e-15, 0.25), (2.0, 0.125), (-0.0, 0.125), (0.0, 0.125),
+         (2.0, 0.125), (3.0, 0.0)]
+    )
+    # 1.0 + 1e-15 is another float than 1.0, so another outcome
+    assert p.outcomes == (0.0, 1.0, 1.0 + 1e-15, 2.0)
+    assert p.weights == (0.25, 0.25, 0.25, 0.25)
+    assert math.copysign(1.0, p.outcomes[0]) == 1.0  # -0.0 and 0.0 are one outcome, 0.0
+    assert math.copysign(1.0, Pmf.point(-0.0).outcomes[0]) == 1.0
 
 
 def test_pmf_rejects_bad_weights():
