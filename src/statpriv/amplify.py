@@ -279,8 +279,9 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
     routinely fails on these pairs for interleaved answer supports even
     though the inequality the proof actually uses holds, so the inequality
     itself is checked. Templates and pairs whose answer laws have equal
-    law keys compare the same laws, so each is checked once; every
-    template's keys are computed once.
+    law keys compare the same laws, so each is checked once. Both families
+    run over classes of templates (TemplateDistribution.classes) and class
+    pairs (matched_coupling), in the enumeration order of the templates.
 
     Raises NotSamplableError with a witness and the refused family
     ("half_line" or "coupled") on the first failure.
@@ -289,30 +290,23 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
     for j in positions:
         drawn = technique.given_drawn(j)
         conditioned = [condition(db, j, w) for w in outcomes]
-        # Law keys are numbered, so that tuples and pairs of them hash as ints.
-        numbers: dict[tuple, int] = {}
-        laws: dict[int, Pmf] = {}
+        laws: dict[tuple, Pmf] = {}
 
-        def number(model, t):
-            return numbers.setdefault(law_key(model, t.indices, q), len(numbers))
+        def law(model, t):
+            key = law_key(model, t.indices, q)
+            if key not in laws:
+                laws[key] = apply_template(model, t, q, budget)
+            return laws[key]
 
-        def law(model, t, k):
-            pmf = laws.get(k)
-            if pmf is None:
-                pmf = laws[k] = apply_template(model, t, q, budget)
-            return pmf
-
-        keys_in = {
-            t.indices: tuple(number(cond, t) for cond in conditioned) for t, _ in drawn.items
-        }
+        def keys_in(t):
+            return tuple(law_key(cond, t.indices, q) for cond in conditioned)
 
         def answers(t):
-            ks = keys_in[t.indices]
-            return {w: law(cond, t, k) for w, cond, k in zip(outcomes, conditioned, ks)}
+            return {w: law(cond, t) for w, cond in zip(outcomes, conditioned)}
 
         first_of_key = {}
-        for t, _ in drawn.items:
-            first_of_key.setdefault(keys_in[t.indices], t)
+        for t, _ in drawn.classes(db, q, budget):
+            first_of_key.setdefault(keys_in(t), t)
         for t in first_of_key.values():
             pmfs = answers(t)
             for v, w in itertools.permutations(outcomes, 2):
@@ -328,21 +322,18 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
             avoided = technique.given_not_drawn(j)
         except ZeroProbabilityError:
             continue
-        keys_out: dict[tuple[int, ...], int] = {}
-        ceilings: dict[tuple[int, ...], dict[float, tuple[float, ...]]] = {}
+        ceilings: dict[tuple, dict[float, tuple[float, ...]]] = {}
         checked = set()
-        for t_in, t_out, _ in matched_coupling(drawn, avoided, j):
-            key_in = keys_in[t_in.indices]
-            key_out = keys_out.get(t_out.indices)
-            if key_out is None:
-                key_out = keys_out[t_out.indices] = number(db, t_out)
-            if (key_in, key_out) in checked:
+        for t_in, t_out, _ in matched_coupling(drawn, avoided, j, db, q, budget):
+            key_in = keys_in(t_in)
+            pair = key_in, law_key(db, t_out.indices, q)
+            if pair in checked:
                 continue
-            checked.add((key_in, key_out))
+            checked.add(pair)
             lefts = answers(t_in)
             if key_in not in ceilings:
                 ceilings[key_in] = worst_pairs(lefts, grid)
-            right = law(db, t_out, key_out)
+            right = law(db, t_out)
             for v in outcomes:
                 left = lefts[v]
                 crosses = hockey_stick_curve(left, right, grid)

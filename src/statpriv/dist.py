@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, product
 from functools import cached_property
-from operator import add, mul
+from operator import add, lt, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import AlreadyFixedError, EnumerationBudgetError
@@ -32,22 +32,24 @@ class Pmf:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(float(a) for a in self.outcomes))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.outcomes) != len(self.weights):
+        # Every check iterates in C (map, all, min): a sampling bound builds
+        # hundreds of laws, each checked here.
+        outcomes = tuple(map(float, self.outcomes))
+        weights = tuple(map(float, self.weights))
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "weights", weights)
+        if len(outcomes) != len(weights):
             raise ValueError("outcomes and weights must have equal length")
-        if not self.outcomes:
+        if not outcomes:
             raise ValueError("a pmf needs at least one outcome")
-        for a in self.outcomes:
-            if not math.isfinite(a):
-                raise ValueError(f"non-finite outcome {a}")
-        for prev, nxt in zip(self.outcomes, self.outcomes[1:]):
-            if not nxt > prev:
-                raise ValueError("outcomes must be strictly increasing")
-        for w in self.weights:
-            if not (math.isfinite(w) and w >= 0.0):
-                raise ValueError(f"invalid weight {w}")
-        total = math.fsum(self.weights)
+        if not all(map(math.isfinite, outcomes)):
+            raise ValueError(f"non-finite outcome {min(outcomes, key=math.isfinite)}")
+        if not all(map(lt, outcomes, outcomes[1:])):
+            raise ValueError("outcomes must be strictly increasing")
+        if not (all(map(math.isfinite, weights)) and min(weights) >= 0.0):
+            bad = next(w for w in weights if not (math.isfinite(w) and w >= 0.0))
+            raise ValueError(f"invalid weight {bad}")
+        total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
 
@@ -273,12 +275,15 @@ class DatabaseModel:
 
 
 def scan_positions(db: DatabaseModel, q: Query, exchangeable: bool) -> tuple[int, ...]:
-    """Positions a worst-pair scan must visit: (1,) when i.i.d. entries, a
-    symmetric query and an exchangeable technique make all positions alike,
-    otherwise every position not fixed."""
-    if exchangeable and db.is_iid and q.symmetric:
-        return (1,)
-    return tuple(j for j in range(1, db.n + 1) if not db.is_fixed(j))
+    """Positions a worst-pair scan must visit: every position not fixed, or
+    with an exchangeable technique and a symmetric query the first of each
+    distinct entry pmf, as positions with one pmf are then alike."""
+    fixed = {j for j, _ in db.fixed}
+    free = [j for j in range(1, db.n + 1) if j not in fixed]
+    if exchangeable and q.symmetric:
+        free = {db.entries[j - 1]: j for j in reversed(free)}.values()
+        return tuple(sorted(free))
+    return tuple(free)
 
 
 def condition(db: DatabaseModel, j: int, w: float) -> DatabaseModel:
@@ -556,11 +561,15 @@ def _multiset_options(pmf: Pmf, repeat: int, c: int):
             yield tuple(vector), pmf.weights[i]
         return
     probs = [pmf.weights[i] for i in support]
+    # A support filling the grid, drawn once, has _weights' counts as vectors.
+    spread = len(support) < width or repeat != 1
     for counts, m, e in _weights(probs, c):
-        vector = [0] * width
-        for i, j in zip(support, counts):
-            vector[i] = j * repeat
-        yield tuple(vector), _to_float(m, e)
+        if spread:
+            vector = [0] * width
+            for i, j in zip(support, counts):
+                vector[i] = j * repeat
+            counts = tuple(vector)
+        yield counts, _to_float(m, e)
 
 
 def pushforward(db: DatabaseModel, q: Query, budget: int = DEFAULT_BUDGET) -> Pmf:

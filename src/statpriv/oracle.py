@@ -35,23 +35,43 @@ class _Kahan:
         self.total = t
 
 
+def _templates(technique):
+    """(number of templates, iterator of (indices, probability)) of a whole
+    technique, enumerated here from its definition, not from its classes."""
+    n, m, kind = technique.n, technique.param, technique.kind
+    if technique.given:
+        raise ValueError("the oracle takes whole techniques, not conditioned views")
+    if m is None:
+        return len(technique.items), ((t.indices, p) for t, p in technique.items)
+    everyone = range(1, n + 1)
+    if kind == "with_replacement":
+        return n ** m, ((s, 1.0 / n ** m) for s in itertools.product(everyone, repeat=m))
+    sizes = range(n + 1) if kind == "poisson" else (m,)
+    return sum(math.comb(n, k) for k in sizes), (
+        (c, m ** k * (1.0 - m) ** (n - k) if kind == "poisson" else 1.0 / math.comb(n, m))
+        for k in sizes
+        for c in itertools.combinations(everyone, k)
+    )
+
+
 @functools.lru_cache(maxsize=32)  # verify asks again for the same laws
 def _answer_law(db, technique, q, budget):
     """Joint enumeration of (template, database realization) pairs, as
     (answer, mass) pairs in increasing answer order."""
     grid = db.outcome_grid
-    states = len(technique.items) * len(grid) ** db.n
+    count, templates = _templates(technique)
+    states = count * len(grid) ** db.n
     if states > budget:
         raise EnumerationBudgetError(states, budget)
     acc: dict[float, _Kahan] = {}
-    for t, pt in technique.items:
+    for indices, pt in templates:
         for row in itertools.product(grid, repeat=db.n):
             weight = pt
             for entry, value in zip(db.entries, row):
                 weight *= entry.prob(value)
             # An answer is the float the query returns; equal floats merge.
-            if t.indices:
-                a = float(q.evaluator(tuple(row[i - 1] for i in t.indices)))
+            if indices:
+                a = float(q.evaluator(tuple(row[i - 1] for i in indices)))
             else:
                 a = float(q.empty_answer)
             acc.setdefault(a, _Kahan()).add(weight)

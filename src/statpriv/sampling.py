@@ -1,7 +1,9 @@
 """Sampling templates, technique distributions and sampled privacy curves.
 
 A template is a sequence of 1-based entry indices; repeated indices refer to
-one shared draw of that entry. A technique is a distribution over templates.
+one shared draw of that entry. A technique is a distribution over templates,
+held as classes of templates that share one answer law (see
+TemplateDistribution.classes).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .dist import (
     Query,
     answer_law,
     answer_pmf,
+    binomial_pmf,
     condition,
     law_key,
     scan_positions,
@@ -30,15 +33,10 @@ PROB_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Template:
-    """Index sequence naming which entries to draw."""
+    """Index sequence naming which entries to draw; TemplateDistribution
+    and law_key check that the indices lie in 1..n."""
 
     indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        for i in self.indices:
-            if i < 1:
-                raise ValueError(f"indices are 1-based, got {i}")
 
     @property
     def length(self) -> int:
@@ -54,16 +52,26 @@ class Template:
 
 @dataclass(frozen=True)
 class TemplateDistribution:
-    """Distribution over templates drawing from entries 1..n.
+    """Distribution over templates drawing from entries 1..n, held as
+    (representative template, mass) per class of templates.
 
-    `exchangeable` marks distributions invariant under relabeling entries;
-    the named constructors set it, conditioned views clear it.
+    A distribution built from explicit `items` is its own list of classes.
+    The named techniques (without_replacement, poisson, with_replacement)
+    and their given_* views are built in closed form: their `items` are the
+    classes when all entries are alike, `classes` those one model and query
+    tell apart. `param` is m, or the rate for poisson, None for explicit
+    items; `given` holds a view's conditions (j, lo, hi): entry j drawn lo
+    to hi times, or for j = 0 a length in lo..hi. `exchangeable` marks
+    distributions invariant under relabeling entries; the named
+    constructors set it, conditioned views clear it.
     """
 
     kind: str
     n: int
     items: tuple[tuple[Template, float], ...]
     exchangeable: bool = False
+    param: float | None = None
+    given: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
         if self.n < 1:
@@ -72,43 +80,23 @@ class TemplateDistribution:
         object.__setattr__(self, "items", items)
         if not items:
             raise ValueError("a technique needs at least one template")
-        seen = set()
         for t, p in items:
             if not isinstance(t, Template):
                 raise ValueError(f"expected Template, got {type(t).__name__}")
-            if t in seen:
-                raise ValueError(f"duplicate template {t.indices}")
-            seen.add(t)
-            if p <= 0.0:
+            if not p > 0.0:
                 raise ValueError(f"template probability {p} must be positive")
-            for i in t.indices:
-                if i > self.n:
-                    raise ValueError(f"index {i} exceeds n={self.n}")
+            if t.indices and not 1 <= min(t.indices) <= max(t.indices) <= self.n:
+                raise ValueError(f"template {t.indices} leaves the indices 1..{self.n}")
         total = math.fsum(p for _, p in items)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"template probabilities sum to {total}, not 1")
-
-    @cached_property
-    def _probs(self) -> dict[Template, float]:
-        return dict(self.items)
-
-    def prob(self, t: Template) -> float:
-        return self._probs.get(t, 0.0)
 
     @staticmethod
     def without_replacement(n: int, m: int, budget: int = DEFAULT_BUDGET) -> "TemplateDistribution":
         """Uniform distribution over sorted m-subsets of 1..n."""
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-        count = math.comb(n, m)
-        if count > budget:
-            raise EnumerationBudgetError(count, budget)
-        p = 1.0 / count
-        items = tuple(
-            (Template(combo), p)
-            for combo in itertools.combinations(range(1, n + 1), m)
-        )
-        return TemplateDistribution("without_replacement", n, items, exchangeable=True)
+        return TemplateDistribution._named("without_replacement", n, m, budget)
 
     @staticmethod
     def poisson(n: int, rate: float, budget: int = DEFAULT_BUDGET) -> "TemplateDistribution":
@@ -116,54 +104,195 @@ class TemplateDistribution:
         rate = float(rate)
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {rate}")
-        count = 2 ** n
-        if count > budget:
-            raise EnumerationBudgetError(count, budget)
-        items = []
-        for m in range(n + 1):
-            p = rate ** m * (1.0 - rate) ** (n - m)
-            if p == 0.0:
-                continue
-            for combo in itertools.combinations(range(1, n + 1), m):
-                items.append((Template(combo), p))
-        return TemplateDistribution("poisson", n, tuple(items), exchangeable=True)
+        return TemplateDistribution._named("poisson", n, rate, budget)
 
     @staticmethod
     def with_replacement(n: int, m: int, budget: int = DEFAULT_BUDGET) -> "TemplateDistribution":
         """m independent uniform draws from 1..n, order kept."""
-        if m < 1:
-            raise ValueError(f"need m >= 1, got m={m}")
-        if n < 1:
-            raise ValueError(f"need n >= 1, got n={n}")
-        count = n ** m
-        if count > budget:
-            raise EnumerationBudgetError(count, budget)
-        p = 1.0 / count
-        items = tuple(
-            (Template(seq), p)
-            for seq in itertools.product(range(1, n + 1), repeat=m)
-        )
-        return TemplateDistribution("with_replacement", n, items, exchangeable=True)
+        if m < 1 or n < 1:
+            raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        return TemplateDistribution._named("with_replacement", n, m, budget)
 
-    def _restrict(self, keep, label: str) -> "TemplateDistribution":
-        kept = [(t, p) for t, p in self.items if keep(t)]
-        if not kept:
+    @staticmethod
+    def _named(kind, n, param, budget, given=(), label=""):
+        items = _classes(kind, n, param, _groups(n, None, given), False, given, budget)
+        if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
-        mass = math.fsum(p for _, p in kept)
-        items = tuple((t, p / mass) for t, p in kept)
-        return TemplateDistribution(self.kind, self.n, items)
+        return TemplateDistribution(kind, n, items, not given, param, given)
+
+    def classes(
+        self, db: DatabaseModel, q: Query, budget: int = DEFAULT_BUDGET
+    ) -> tuple[tuple[Template, float], ...]:
+        """(representative, mass) per class of templates with one answer
+        law of q on db, in enumeration order.
+
+        Positions with equal entry pmfs form a group, each position a view
+        conditions on a group of its own. A class is a pattern of draw
+        counts per group, in slot order unless q is symmetric. Its mass
+        counts its templates (hypergeometric or multinomial over the group
+        sizes), with the Binomial size weight for poisson; its
+        representative is its first template in itertools order. Raises
+        EnumerationBudgetError past `budget` classes.
+        """
+        if self.n != db.n:
+            raise ValueError(f"technique over 1..{self.n} does not match model size {db.n}")
+        if self.param is None:
+            return self.items
+        groups = _groups(self.n, db, self.given)
+        return _classes(self.kind, self.n, self.param, groups, not q.symmetric, self.given, budget)
+
+    def _view(self, j, lo, hi, label) -> "TemplateDistribution":
+        given = (*self.given, (j, lo, hi))
+        if self.param is not None:
+            return self._named(self.kind, self.n, self.param, DEFAULT_BUDGET, given, label)
+        items = _conditioned(self.items, given)
+        if not items:
+            raise ZeroProbabilityError(f"no templates with {label}")
+        return TemplateDistribution(self.kind, self.n, items, False, None, given)
 
     def given_size(self, m: int) -> "TemplateDistribution":
-        return self._restrict(lambda t: t.length == m, f"length {m}")
+        return self._view(0, m, m, f"length {m}")
 
     def given_count(self, j: int, k: int) -> "TemplateDistribution":
-        return self._restrict(lambda t: t.count(j) == k, f"index {j} drawn {k} times")
+        return self._view(j, k, k, f"index {j} drawn {k} times")
 
     def given_drawn(self, j: int) -> "TemplateDistribution":
-        return self._restrict(lambda t: t.count(j) > 0, f"index {j} drawn")
+        return self._view(j, 1, math.inf, f"index {j} drawn")
 
     def given_not_drawn(self, j: int) -> "TemplateDistribution":
-        return self._restrict(lambda t: t.count(j) == 0, f"index {j} not drawn")
+        return self._view(j, 0, 0, f"index {j} not drawn")
+
+
+def _groups(n, db, given):
+    """Positions 1..n grouped by entry pmf of db (all alike without db or on
+    an i.i.d. db), each position named in `given` alone; groups in order of
+    their first position."""
+    singled = {j for j, _, _ in given}
+    entries = db.entries if db is not None and not db.is_iid else (None,) * n
+    groups: dict[object, list[int]] = {}
+    for i, entry in enumerate(entries, 1):
+        groups.setdefault(i if i in singled else entry, []).append(i)
+    return list(groups.values())
+
+
+def _conditioned(items, given):
+    """The (template, mass) pairs meeting the conditions of `given`,
+    renormalized."""
+    kept = [
+        (t, p) for t, p in items
+        if all(lo <= (t.count(j) if j else t.length) <= hi for j, lo, hi in given)
+    ]
+    total = math.fsum(p for _, p in kept)
+    return tuple((t, p / total) for t, p in kept) if given else tuple(kept)
+
+
+def _classes(kind, n, param, groups, ordered, given, budget):
+    """(Template, mass) per class of a named technique's templates over
+    `groups`, conditioned on `given`, in enumeration order."""
+    wr = kind == "with_replacement"
+    totals = range(n + 1) if kind == "poisson" else (param,)
+    if wr and ordered:
+        found = _sequence_classes(groups, param, budget)
+    elif ordered:
+        # Sorted templates are told apart by their sequence of groups: take
+        # runs of consecutive positions in one group as the groups, then
+        # merge the patterns with one sequence.
+        group_of = {i: g for g, pos in enumerate(groups) for i in pos}
+        runs = [list(run) for _, run in itertools.groupby(range(1, n + 1), group_of.get)]
+        merged: dict[tuple, tuple[tuple[int, ...], int]] = {}
+        for rep, count in _multiset_classes(runs, totals, False, budget):
+            seq = tuple(map(group_of.get, rep))
+            first, total = merged.get(seq, (rep, 0))
+            merged[seq] = min(first, rep), total + count
+        found = merged.values()
+    else:
+        found = _multiset_classes(groups, totals, wr, budget)
+    size_weights = binomial_pmf(n, param) if kind == "poisson" else None
+    items = []
+    for rep, count in found:
+        share = count / (n ** len(rep) if wr else math.comb(n, len(rep)))
+        mass = share * size_weights[len(rep)] if size_weights else share
+        if mass > 0.0:
+            items.append((Template(rep), mass))
+    items.sort(key=lambda item: (item[0].length, item[0].indices))
+    return _conditioned(items, given)
+
+
+def _multiset_classes(groups, totals, wr, budget):
+    """(first template, number of templates) per class of templates with
+    equal draws per group: per group, the repeats of its distinct indices
+    (all 1 for the sorted techniques). Groups are taken in turn, keeping
+    the patterns that can still reach a length in `totals`, so no more
+    patterns than classes are ever held; they are counted first."""
+    top = max(totals) if wr else 1
+    if _pattern_count(groups, totals, top, budget + 1) > budget:
+        raise EnumerationBudgetError(f"more than {budget}", budget)
+    room = top * sum(map(len, groups))
+    patterns: list[tuple[tuple, int]] = [((), 0)]
+    for pos in groups:
+        room -= top * len(pos)
+        patterns = [
+            ((*pattern, lam), drawn + c)
+            for pattern, drawn in patterns
+            for c in _draws(totals, top, room, drawn, len(pos))
+            for lam in _partitions(c, top, len(pos))
+        ]
+    for pattern, drawn in patterns:
+        num, den = math.factorial(drawn) if wr else 1, 1
+        for pos, lam in zip(groups, pattern):
+            num *= math.perm(len(pos), len(lam))
+            for r, same in itertools.groupby(lam):
+                mult = len(list(same))
+                den *= math.factorial(mult) * math.factorial(r) ** mult
+        # The first template gives larger repeats to earlier indices.
+        rep = [i for pos, lam in zip(groups, pattern) for i, r in zip(pos, lam) for _ in range(r)]
+        yield tuple(sorted(rep)), num // den
+
+
+def _pattern_count(groups, totals, top, cap):
+    """How many patterns _multiset_classes enumerates, or cap if at least
+    cap: the same walk over the groups, on counts per number drawn."""
+    most = max(totals)
+    ways = {0: 1}
+    room = top * sum(map(len, groups))
+    for pos in groups:
+        room -= top * len(pos)
+        if top == 1:
+            fits = [int(c <= len(pos)) for c in range(most + 1)]
+        else:
+            # By conjugation, partitions into parts of at most len(pos); a
+            # group can take all draws, so fits[most] >= cap is enough.
+            fits = [1] + [0] * most
+            for part in range(1, min(len(pos), most) + 1):
+                for c in range(part, most + 1):
+                    fits[c] = min(cap, fits[c] + fits[c - part])
+                if fits[most] >= cap:
+                    return cap
+        grown: dict[int, int] = {}
+        for drawn, w in ways.items():
+            for c in _draws(totals, top, room, drawn, len(pos)):
+                grown[drawn + c] = min(cap, grown.get(drawn + c, 0) + w * fits[c])
+        ways = grown
+        if sum(ways.values()) >= cap:
+            return cap
+    return sum(ways.values())
+
+
+def _draws(totals, top, room, drawn, size):
+    """How many draws a group of `size` indices can take after `drawn`, so
+    that the groups after it, with `room` for more, can reach `totals`."""
+    return range(max(0, min(totals) - drawn - room), min(max(totals) - drawn, top * size) + 1)
+
+
+def _partitions(c, top, most):
+    """Partitions of c into at most `most` parts of at most `top`, as
+    descending tuples."""
+    if c == 0:
+        yield ()
+    elif most > 0:
+        for first in range(min(c, top), 0, -1):
+            for rest in _partitions(c - first, first, most - 1):
+                yield (first, *rest)
 
 
 def apply_template(
@@ -186,13 +315,11 @@ def sampled_pushforward(
     q: Query,
     budget: int = DEFAULT_BUDGET,
 ) -> Pmf:
-    """Mixture of per-template answer distributions under the technique."""
-    if technique.n != db.n:
-        raise ValueError(f"technique over 1..{technique.n} does not match model size {db.n}")
+    """Mixture of per-class answer distributions under the technique."""
     cache: dict[tuple, Pmf] = {}
 
     def pairs():
-        for t, p in technique.items:
+        for t, p in technique.classes(db, q, budget):
             key = law_key(db, t.indices, q)
             sub = cache.get(key)
             if sub is None:
@@ -213,17 +340,17 @@ def sampling_curve(
 ) -> PrivacyCurve:
     """Expected worst-pair divergence over templates drawing entry j.
 
-    For each epsilon this averages, over the technique conditioned on entry j
-    being drawn, the maximal hockey-stick divergence between template answer
-    distributions of the model conditioned to j = v versus j = w, maximized
-    over ordered pairs (v, w).
+    For each epsilon this averages, over the classes of the technique
+    conditioned on entry j being drawn, the maximal hockey-stick divergence
+    between template answer distributions of the model conditioned to j = v
+    versus j = w, maximized over ordered pairs (v, w).
     """
     grid = as_grid(grid)
     view = technique.given_drawn(j)
     conditioned = {w: condition(db, j, w) for w in db.outcome_grid}
     cache: dict[tuple, tuple[float, ...]] = {}
     terms: list[list[float]] = [[] for _ in grid]
-    for t, p in view.items:
+    for t, p in view.classes(db, q, budget):
         key = tuple(law_key(cond, t.indices, q) for cond in conditioned.values())
         worst = cache.get(key)
         if worst is None:
@@ -251,25 +378,32 @@ def sampling_curve_max(
 
 
 def matched_coupling(
-    drawn: TemplateDistribution, not_drawn: TemplateDistribution, j: int
+    drawn: TemplateDistribution,
+    not_drawn: TemplateDistribution,
+    j: int,
+    db: DatabaseModel,
+    q: Query,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[tuple[Template, Template, float], ...]:
-    """Couple templates drawing entry j with templates avoiding it.
+    """Couple the classes of templates drawing entry j with templates
+    avoiding it, as (template with j, partner without j, joint probability)
+    triples over drawn.classes(db, q).
 
-    Returns (template with j, partner without j, joint probability) triples
-    whose partners agree with the template outside the slots holding j. When
-    every template is injective the single j slot is replaced uniformly by an
-    index not already drawn; with repeats each j slot is replaced
-    independently and uniformly by another index. Both marginals are exact:
-    the first equals `drawn`, the second recovers `not_drawn` after sorting
-    partner indices (injective case) or directly (repeat case).
-
-    Both inputs must put all mass on one common template length; mixed
-    lengths (Poisson views) are rejected.
+    Partners agree with the template outside the slots holding j. When
+    every template is injective the single j slot is replaced uniformly by
+    an index not already drawn; with repeats each j slot is replaced
+    independently and uniformly by another index. A partner stands for all
+    partners alike up to relabeling entries within a group (see
+    TemplateDistribution.classes) and is the first of them in product
+    order. The first marginal is the classes of `drawn`; the second is
+    `not_drawn` after sorting partner indices (injective case) or directly.
+    Both inputs must put all mass on one template length; mixed lengths
+    (Poisson views) are rejected.
     """
     if drawn.n != not_drawn.n:
         raise ValueError("coupled techniques must share n")
     n = drawn.n
-    lengths = {t.length for t, _ in drawn.items} | {t.length for t, _ in not_drawn.items}
+    lengths = {t.length for t, _ in drawn.items + not_drawn.items}
     if len(lengths) != 1:
         raise ValueError(
             f"coupling needs one common template length, got {sorted(lengths)}"
@@ -283,27 +417,49 @@ def matched_coupling(
     if n < 2:
         raise ValueError("coupling needs a second index to swap in")
     injective = all(len(t.distinct) == t.length for t, _ in drawn.items)
+    groups = _groups(n, db, (*drawn.given, (j, 1, math.inf)))
     pairs = []
-    for t, p in drawn.items:
-        slots = [i for i, idx in enumerate(t.indices) if idx == j]
-        if injective:
-            avail = [x for x in range(1, n + 1) if x not in t.distinct]
-            if not avail:
-                raise ValueError(f"no index left to replace {j} in {t.indices}")
-            share = p / len(avail)
-            for x in avail:
-                partner = list(t.indices)
-                partner[slots[0]] = x
-                pairs.append((t, Template(tuple(partner)), share))
-        else:
-            others = [x for x in range(1, n + 1) if x != j]
-            share = p / len(others) ** len(slots)
-            for combo in itertools.product(others, repeat=len(slots)):
-                partner = list(t.indices)
-                for s, x in zip(slots, combo):
-                    partner[s] = x
-                pairs.append((t, Template(tuple(partner)), share))
+    for t, p in drawn.classes(db, q, budget):
+        # The j slots are a with-replacement draw from the other indices:
+        # one already drawn (a group of its own, unless injective) or a
+        # free one of a group.
+        slots = [s for s, i in enumerate(t.indices) if i == j]
+        kept = [] if injective else [[i] for i in t.distinct if i != j]
+        free = [[i for i in pos if i not in t.distinct] for pos in groups]
+        others = [g for g in kept + free if g]
+        if not others:
+            raise ValueError(f"no index left to replace {j} in {t.indices}")
+        width = sum(map(len, others))
+        fills = _classes("with_replacement", width, len(slots), others, not q.symmetric, (), budget)
+        for fill, share in fills:
+            partner = list(t.indices)
+            for s, x in zip(slots, fill.indices):
+                partner[s] = x
+            pairs.append((t, Template(tuple(partner)), p * share))
+        if len(pairs) > budget:
+            raise EnumerationBudgetError(f"more than {budget}", budget)
     return tuple(pairs)
+
+
+def _sequence_classes(groups, m, budget):
+    """(first template, number of templates) per class of sequences of m
+    draws from the indices of `groups`: which slots repeat an index, and
+    the group of each distinct index. Built slot by slot, a new index taken
+    as the next one of its group."""
+    states = [((), [0] * len(groups), 1)]
+    for _ in range(m):
+        grown = []
+        for values, used, count in states:
+            grown += [((*values, x), used, count) for x in dict.fromkeys(values)]
+            for g, pos in enumerate(groups):
+                if used[g] < len(pos):
+                    more = used.copy()
+                    more[g] += 1
+                    grown.append(((*values, pos[used[g]]), more, count * (len(pos) - used[g])))
+            if len(grown) > budget:
+                raise EnumerationBudgetError(f"more than {budget}", budget)
+        states = grown
+    return [(values, count) for values, _, count in states]
 
 
 @dataclass(frozen=True)

@@ -200,10 +200,9 @@ def test_with_replacement_gate_refusals_are_frozen(entry, q, n, m, grid, family,
     assert (err.value.family, str(err.value)) == (family, message)
 
 
-def test_with_replacement_bound_enumerates_each_answer_law_once(monkeypatch):
-    # On 32 i.i.d. entries the 1024 templates of two draws have 10 distinct
-    # conditioned answer laws: 4 for the gate's drawn templates, 2 for their
-    # partners, 4 for the draw-count curves, which enumerate again.
+@pytest.fixture
+def answer_laws_built(monkeypatch):
+    """The templates apply_template is called on, as they are called."""
     calls = []
     original = statpriv.sampling.apply_template
 
@@ -213,9 +212,28 @@ def test_with_replacement_bound_enumerates_each_answer_law_once(monkeypatch):
 
     monkeypatch.setattr(statpriv.amplify, "apply_template", counted)
     monkeypatch.setattr(statpriv.sampling, "apply_template", counted)
+    return calls
+
+
+def test_with_replacement_bound_enumerates_each_answer_law_once(answer_laws_built):
+    # On 32 i.i.d. entries the 1024 templates of two draws have 10 distinct
+    # conditioned answer laws: 4 for the gate's drawn templates, 2 for their
+    # partners, 4 for the draw-count curves, which enumerate again.
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 32)
     with_replacement_bound(db, sum_query(), 32, 2)
-    assert len(calls) <= 10
+    assert len(answer_laws_built) <= 10
+
+
+def test_with_replacement_bound_scales_with_classes_not_templates(answer_laws_built):
+    # 10^8 templates of two draws from 10000 entries, past the default
+    # budget when listed one by one; as classes there are a handful, with
+    # the same 10 answer laws as at n = 32. Entry 1 drawn once gives delta
+    # 1/2 at every eps, twice delta 1, so delta' = (1/n)(1 - 1/n) + 1/n^2.
+    n = 10000
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
+    points = with_replacement_bound(db, sum_query(), n, 2, (0.0, 1.0))
+    assert len(answer_laws_built) <= 10
+    assert all(abs(p.delta_prime - 1 / n) <= TOL / n for p in points)
 
 
 def test_with_replacement_gate_passes_symmetric_two_of_two():

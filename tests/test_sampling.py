@@ -1,13 +1,24 @@
-"""Templates, technique distributions, sampled curves and couplings."""
+"""Templates, technique distributions and their classes, sampled curves and
+couplings.
+
+The named techniques are built in closed form as classes of templates. The
+tests here enumerate the templates themselves with itertools and exact
+rational probabilities, and check the classes, their representatives and
+masses, and the coupled class pairs against that enumeration.
+"""
 
 import math
-from itertools import product
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from statpriv.dist import DatabaseModel, Pmf, condition, sum_query
+from statpriv.dist import DatabaseModel, Pmf, Query, condition, law_key, sum_query
 from statpriv.divergence import hockey_stick_divergence, privacy_curve
-from statpriv.errors import ZeroProbabilityError
+from statpriv.errors import EnumerationBudgetError, ZeroProbabilityError
 from statpriv.sampling import (
     Template,
     TemplateDistribution,
@@ -20,10 +31,86 @@ from statpriv.sampling import (
 )
 
 TOL = 1e-12
+# Relative error allowed on a class mass against its exact value.
+MASS_TOL = 1e-15
+
+# Not symmetric: the position of every value in the sample matters.
+POSITION_WEIGHTED_SUM = Query(
+    "position-weighted-sum",
+    lambda values: math.fsum((i + 1) * x for i, x in enumerate(values)),
+    monotone=True,
+    symmetric=False,
+)
 
 
 def pmf(d):
     return Pmf.from_pairs(d.items())
+
+
+def explicit_templates(technique):
+    """(indices, exact probability) of every template of positive mass of a
+    whole named technique, in itertools order."""
+    n, param = technique.n, technique.param
+    everyone = range(1, n + 1)
+    if technique.kind == "without_replacement":
+        return [(c, Fraction(1, math.comb(n, param))) for c in combinations(everyone, param)]
+    if technique.kind == "with_replacement":
+        return [(s, Fraction(1, n ** param)) for s in product(everyone, repeat=param)]
+    rate = Fraction(param)
+    out = []
+    for size in range(n + 1):
+        p = rate ** size * (1 - rate) ** (n - size)
+        out += [(c, p) for c in combinations(everyone, size) if p]
+    return out
+
+
+def explicit_view(technique, given):
+    """explicit_templates conditioned on `given`, a list of (j, lo, hi) with
+    j = 0 for the length, renormalized exactly."""
+    kept = [
+        (t, p) for t, p in explicit_templates(technique)
+        if all(lo <= (t.count(j) if j else len(t)) <= hi for j, lo, hi in given)
+    ]
+    total = sum(p for _, p in kept)
+    return [(t, p / total) for t, p in kept]
+
+
+def class_key(indices, db, singled, symmetric):
+    """Which class a template falls in: each distinct index is labeled by
+    its entry pmf, or by itself when singled out; a symmetric query sees the
+    multiset of (label, repeat), another query the labels in order of first
+    occurrence and the pattern of repeats."""
+
+    def label(i):
+        return ("alone", i) if i in singled else db.entries[i - 1]
+
+    first = list(dict.fromkeys(indices))
+    if symmetric:
+        return frozenset(Counter((label(i), indices.count(i)) for i in first).items())
+    return tuple(map(label, first)), tuple(map(first.index, indices))
+
+
+def assert_classes_match_the_templates(technique, given, db, q):
+    """technique.classes(db, q) against the itertools enumeration: one class
+    per class key, represented by its first template, with the exact mass of
+    its templates; the mass per law_key agrees too."""
+    singled = {j for j, _, _ in given}
+    first, exact = {}, {}
+    for t, p in explicit_view(technique, given):
+        key = class_key(t, db, singled, q.symmetric)
+        first.setdefault(key, t)
+        exact[key] = exact.get(key, 0) + p
+    got = technique.classes(db, q)
+    assert [t.indices for t, _ in got] == list(first.values())
+    for (t, mass), want in zip(got, exact.values()):
+        assert abs(mass - want) <= MASS_TOL * want, (t.indices, mass, float(want))
+    per_law, want_law = {}, {}
+    for (t, mass), want in zip(got, exact.values()):
+        key = law_key(db, t.indices, q)
+        per_law.setdefault(key, []).append(mass)
+        want_law[key] = want_law.get(key, 0) + want
+    for key, masses in per_law.items():
+        assert abs(math.fsum(masses) - want_law[key]) <= MASS_TOL * want_law[key]
 
 
 def test_template_basics():
@@ -31,17 +118,21 @@ def test_template_basics():
     assert t.length == 3
     assert t.count(2) == 2
     assert t.distinct == (1, 2)
-    with pytest.raises(ValueError):
-        Template((0, 1))
+    for bad in ((0, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            TemplateDistribution("explicit", 2, ((Template(bad), 1.0),))
 
 
 def test_without_replacement_support():
+    # Alike entries make one class; entry 1 conditioned apart splits it.
     t = TemplateDistribution.without_replacement(3, 2)
     assert t.kind == "without_replacement"
     assert t.exchangeable
-    assert [(tt.indices, w) for tt, w in t.items] == [
-        ((1, 2), 1 / 3),
-        ((1, 3), 1 / 3),
+    assert [(tt.indices, w) for tt, w in t.items] == [((1, 2), 1.0)]
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
+    high = condition(db, 1, 1.0)
+    assert [(tt.indices, w) for tt, w in t.classes(high, sum_query())] == [
+        ((1, 2), 2 / 3),
         ((2, 3), 1 / 3),
     ]
 
@@ -50,8 +141,7 @@ def test_poisson_support_includes_empty():
     t = TemplateDistribution.poisson(2, 0.5)
     assert [(tt.indices, w) for tt, w in t.items] == [
         ((), 0.25),
-        ((1,), 0.25),
-        ((2,), 0.25),
+        ((1,), 0.5),
         ((1, 2), 0.25),
     ]
     sure = TemplateDistribution.poisson(2, 1.0)
@@ -60,29 +150,37 @@ def test_poisson_support_includes_empty():
 
 def test_with_replacement_support():
     t = TemplateDistribution.with_replacement(2, 2)
-    assert [(tt.indices, w) for tt, w in t.items] == [
+    assert [(tt.indices, w) for tt, w in t.items] == [((1, 1), 0.5), ((1, 2), 0.5)]
+    # uniform over index sequences is invariant under relabeling positions
+    assert t.exchangeable
+    # Two unlike entries under a query that sees the order: every sequence
+    # is a class of its own.
+    db = DatabaseModel((Pmf.bernoulli(0.5), Pmf.bernoulli(0.25)))
+    assert [(tt.indices, w) for tt, w in t.classes(db, POSITION_WEIGHTED_SUM)] == [
         ((1, 1), 0.25),
         ((1, 2), 0.25),
         ((2, 1), 0.25),
         ((2, 2), 0.25),
     ]
-    # uniform over index sequences is invariant under relabeling positions
-    assert t.exchangeable
 
 
 def test_weights_sum_to_one():
+    db = DatabaseModel((Pmf.bernoulli(0.5),) * 2 + (Pmf.bernoulli(0.25),) * 2)
     for t in (
         TemplateDistribution.without_replacement(4, 2),
-        TemplateDistribution.poisson(3, 0.3),
-        TemplateDistribution.with_replacement(3, 3),
+        TemplateDistribution.poisson(4, 0.3),
+        TemplateDistribution.with_replacement(4, 3),
     ):
         assert abs(math.fsum(w for _, w in t.items) - 1.0) <= TOL
+        for q in (sum_query(), POSITION_WEIGHTED_SUM):
+            assert abs(math.fsum(w for _, w in t.classes(db, q)) - 1.0) <= TOL
 
 
 def test_given_drawn_and_not_drawn():
     t = TemplateDistribution.without_replacement(3, 2)
     drawn = t.given_drawn(1)
-    assert [(tt.indices, w) for tt, w in drawn.items] == [((1, 2), 0.5), ((1, 3), 0.5)]
+    assert [(tt.indices, w) for tt, w in drawn.items] == [((1, 2), 1.0)]
+    assert not drawn.exchangeable
     out = t.given_not_drawn(1)
     assert [(tt.indices, w) for tt, w in out.items] == [((2, 3), 1.0)]
     full = TemplateDistribution.without_replacement(2, 2)
@@ -93,11 +191,112 @@ def test_given_drawn_and_not_drawn():
 def test_given_count():
     t = TemplateDistribution.with_replacement(2, 2)
     one = t.given_count(1, 1)
-    assert [(tt.indices, w) for tt, w in one.items] == [((1, 2), 0.5), ((2, 1), 0.5)]
+    assert [(tt.indices, w) for tt, w in one.items] == [((1, 2), 1.0)]
+    # The order of the two draws tells (1, 2) from (2, 1) for a query that
+    # sees it.
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
+    assert [(tt.indices, w) for tt, w in one.classes(db, POSITION_WEIGHTED_SUM)] == [
+        ((1, 2), 0.5),
+        ((2, 1), 0.5),
+    ]
     two = t.given_count(1, 2)
     assert [(tt.indices, w) for tt, w in two.items] == [((1, 1), 1.0)]
     with pytest.raises(ZeroProbabilityError):
         t.given_count(1, 3)
+
+
+def test_explicit_items_are_their_own_classes():
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
+    items = ((Template((2, 1)), 0.25), (Template((1, 2)), 0.25), (Template((3,)), 0.5))
+    t = TemplateDistribution("explicit", 3, items)
+    assert t.classes(db, sum_query()) == items
+    assert t.given_drawn(1).items == ((Template((2, 1)), 0.5), (Template((1, 2)), 0.5))
+    with pytest.raises(ZeroProbabilityError):
+        t.given_count(1, 2)
+
+
+def test_budget_counts_classes_not_templates():
+    # 10^8 sequences of two draws from 10000 entries are 2 classes, 4 with
+    # entry 1 conditioned apart ((1, 1), (1, 2), (2, 2), (2, 3)); the 2^6
+    # Poisson subsets of 6 unlike entries are 64 classes.
+    wide = TemplateDistribution.with_replacement(10000, 2, budget=2)
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 10000)
+    assert len(wide.classes(condition(db, 1, 1.0), sum_query(), budget=4)) == 4
+    with pytest.raises(EnumerationBudgetError):
+        wide.classes(condition(db, 1, 1.0), sum_query(), budget=3)
+    # Four draws from 6 alike entries: the 5 partitions of 4. One hundred
+    # draws from 100: 190569292 partitions, refused before any is built.
+    assert len(TemplateDistribution.with_replacement(6, 4, budget=5).items) == 5
+    with pytest.raises(EnumerationBudgetError):
+        TemplateDistribution.with_replacement(6, 4, budget=4)
+    with pytest.raises(EnumerationBudgetError):
+        TemplateDistribution.with_replacement(100, 100)
+    # Three of six entries in three pairs of alike ones: 7 count vectors.
+    pairs = DatabaseModel(tuple(Pmf.bernoulli(p) for p in (0.2, 0.2, 0.4, 0.4, 0.6, 0.6)))
+    three = TemplateDistribution.without_replacement(6, 3)
+    assert len(three.classes(pairs, sum_query(), budget=7)) == 7
+    with pytest.raises(EnumerationBudgetError):
+        three.classes(pairs, sum_query(), budget=6)
+    unlike = DatabaseModel(tuple(Pmf.bernoulli(p) for p in (0.1, 0.2, 0.3, 0.4, 0.6, 0.7)))
+    subsets = TemplateDistribution.poisson(6, 0.5)
+    assert len(subsets.classes(unlike, POSITION_WEIGHTED_SUM, budget=64)) == 64
+    with pytest.raises(EnumerationBudgetError):
+        subsets.classes(unlike, POSITION_WEIGHTED_SUM, budget=63)
+
+
+VIEWS = st.sampled_from(("size", "count", "drawn", "not_drawn"))
+
+
+@st.composite
+def technique_cases(draw):
+    """A model of 1-6 entries drawn from 1-3 pmfs, a named technique over
+    it, up to two conditions for a view, and sum or a query that sees the
+    order."""
+    ps = draw(st.lists(st.sampled_from((0.25, 0.5, 0.7)), min_size=1, max_size=3))
+    pool = [Pmf.bernoulli(p) for p in ps]
+    n = draw(st.integers(1, 6))
+    db = DatabaseModel(tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+    kind = draw(st.sampled_from(("without_replacement", "poisson", "with_replacement")))
+    if kind == "without_replacement":
+        technique = TemplateDistribution.without_replacement(n, draw(st.integers(1, n)))
+    elif kind == "poisson":
+        technique = TemplateDistribution.poisson(n, draw(st.sampled_from((0.25, 0.3, 0.5, 1.0))))
+    else:
+        technique = TemplateDistribution.with_replacement(n, draw(st.integers(1, 3)))
+    given = []
+    for view in draw(st.lists(VIEWS, max_size=2)):
+        j = draw(st.integers(1, n))
+        k = draw(st.integers(0, 3))
+        conditions = {"size": (0, k, k), "count": (j, k, k), "drawn": (j, 1, math.inf)}
+        given.append(conditions.get(view, (j, 0, 0)))
+    q = draw(st.sampled_from((sum_query(), POSITION_WEIGHTED_SUM)))
+    return db, technique, given, q
+
+
+def apply_views(technique, given):
+    for j, lo, hi in given:
+        if j == 0:
+            technique = technique.given_size(lo)
+        elif hi == math.inf:
+            technique = technique.given_drawn(j)
+        elif hi == 0:
+            technique = technique.given_not_drawn(j)
+        else:
+            technique = technique.given_count(j, lo)
+    return technique
+
+
+@settings(max_examples=300)
+@given(technique_cases())
+def test_closed_form_classes_are_the_enumerated_templates(case):
+    db, technique, given, q = case
+    try:
+        view = apply_views(technique, given)
+    except ZeroProbabilityError:
+        assert not explicit_view(technique, given)
+        return
+    assert_classes_match_the_templates(technique, [], db, q)
+    assert_classes_match_the_templates(view, given, db, q)
 
 
 def test_apply_template_repeats_share_one_draw():
@@ -164,54 +363,104 @@ def test_sampling_curve_max_scans_every_position_of_a_conditioned_view():
 
 def test_matched_coupling_injective():
     t = TemplateDistribution.without_replacement(3, 2)
-    triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1)
+    q = sum_query()
+    iid = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
+    triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, iid, q)
+    assert [(a.indices, b.indices, w) for a, b, w in triples] == [((1, 2), (3, 2), 1.0)]
+    # Entries 2 and 3 unlike: each template is its own class.
+    db = DatabaseModel((Pmf.bernoulli(0.5),) * 2 + (Pmf.bernoulli(0.25),))
+    triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, db, q)
     assert [(a.indices, b.indices, w) for a, b, w in triples] == [
         ((1, 2), (3, 2), 0.5),
         ((1, 3), (2, 3), 0.5),
     ]
 
 
-def _coupling_marginals(triples, symmetric=True):
-    left, right = {}, {}
-    for a, b, w in triples:
-        ka = tuple(sorted(a.indices)) if symmetric else a.indices
-        kb = tuple(sorted(b.indices)) if symmetric else b.indices
-        left[ka] = left.get(ka, 0.0) + w
-        right[kb] = right.get(kb, 0.0) + w
-    return left, right
+def explicit_coupling(drawn_templates, j, n):
+    """The coupling on explicit templates, with exact probabilities: the
+    single j slot of an injective template replaced uniformly by an index
+    not drawn, otherwise each j slot independently by any index but j."""
+    injective = all(len(set(t)) == len(t) for t, _ in drawn_templates)
+    out = []
+    for t, p in drawn_templates:
+        slots = [s for s, i in enumerate(t) if i == j]
+        if injective:
+            choices = [(x,) for x in range(1, n + 1) if x not in t]
+        else:
+            choices = list(product([x for x in range(1, n + 1) if x != j], repeat=len(slots)))
+        for values in choices:
+            partner = list(t)
+            for s, x in zip(slots, values):
+                partner[s] = x
+            out.append((t, tuple(partner), p / len(choices)))
+    return out
+
+
+COUPLING_MODELS = (
+    (Pmf.bernoulli(0.5),) * 4,
+    (Pmf.bernoulli(0.5), Pmf.bernoulli(0.25), Pmf.bernoulli(0.5), Pmf.bernoulli(0.25)),
+)
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3)])
 def test_matched_coupling_marginals_without_replacement(n, m):
-    t = TemplateDistribution.without_replacement(n, m)
-    drawn, avoided = t.given_drawn(1), t.given_not_drawn(1)
-    left, right = _coupling_marginals(matched_coupling(drawn, avoided, 1))
-    want_left = {tuple(sorted(tt.indices)): w for tt, w in drawn.items}
-    want_right = {tuple(sorted(tt.indices)): w for tt, w in avoided.items}
-    assert set(left) == set(want_left)
-    assert all(abs(left[k] - want_left[k]) <= TOL for k in want_left)
-    assert set(right) == set(want_right)
-    assert all(abs(right[k] - want_right[k]) <= TOL for k in want_right)
+    assert_coupling_matches_the_templates(TemplateDistribution.without_replacement(n, m))
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3)])
 def test_matched_coupling_marginals_with_replacement(n, m):
-    t = TemplateDistribution.with_replacement(n, m)
+    assert_coupling_matches_the_templates(TemplateDistribution.with_replacement(n, m))
+
+
+def assert_coupling_matches_the_templates(technique):
+    """Class pairs against the explicit coupling, on alike and unlike
+    entries, for sum and a query that sees the order: equal joint mass per
+    pair of law keys, and the marginals of the class pairs are the classes
+    of the drawn view and, for with replacement, of the avoiding view."""
+    n = technique.n
+    queries = (sum_query(), POSITION_WEIGHTED_SUM)
+    for entries, q, j in product(COUPLING_MODELS, queries, range(1, n + 1)):
+        db = DatabaseModel(entries[:n])
+        drawn, avoided = technique.given_drawn(j), technique.given_not_drawn(j)
+        triples = matched_coupling(drawn, avoided, j, db, q)
+        got, want = {}, {}
+        for a, b, w in triples:
+            key = law_key(db, a.indices, q), law_key(db, b.indices, q)
+            got[key] = got.get(key, 0.0) + w
+        for a, b, w in explicit_coupling(explicit_view(technique, [(j, 1, math.inf)]), j, n):
+            key = law_key(db, a, q), law_key(db, b, q)
+            want[key] = want.get(key, 0) + w
+        assert set(got) == set(want)
+        assert all(abs(got[k] - want[k]) <= TOL for k in want)
+        left = Counter()
+        for a, _, w in triples:
+            left[a] += w
+        assert all(abs(left[t] - w) <= TOL for t, w in drawn.classes(db, q))
+        if technique.kind == "with_replacement":
+            right = Counter()
+            for _, b, w in triples:
+                right[law_key(db, b.indices, q)] += w
+            for t, w in avoided.classes(db, q):
+                right[law_key(db, t.indices, q)] -= w
+            assert all(abs(v) <= TOL for v in right.values())
+
+
+def test_matched_coupling_budget_counts_class_pairs():
+    # Two draws from 32 alike entries, entry 1 drawn: 2 classes with 2
+    # partner classes each.
+    t = TemplateDistribution.with_replacement(32, 2)
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 32)
     drawn, avoided = t.given_drawn(1), t.given_not_drawn(1)
-    left, right = _coupling_marginals(
-        matched_coupling(drawn, avoided, 1), symmetric=False
-    )
-    want_left = {tt.indices: w for tt, w in drawn.items}
-    want_right = {tt.indices: w for tt, w in avoided.items}
-    assert all(abs(left[k] - want_left[k]) <= TOL for k in want_left)
-    assert abs(math.fsum(right.values()) - 1.0) <= TOL
-    assert all(abs(right[k] - want_right[k]) <= TOL for k in want_right)
+    assert len(matched_coupling(drawn, avoided, 1, db, sum_query(), budget=4)) == 4
+    with pytest.raises(EnumerationBudgetError):
+        matched_coupling(drawn, avoided, 1, db, sum_query(), budget=3)
 
 
 def test_matched_coupling_rejects_mixed_lengths():
     t = TemplateDistribution.poisson(3, 0.5)
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
     with pytest.raises(ValueError):
-        matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1)
+        matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, db, sum_query())
 
 
 def test_maximal_coupling_split():
