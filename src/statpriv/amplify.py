@@ -278,10 +278,11 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
     worst_pairs) is verified directly. The literal half-line condition
     routinely fails on these pairs for interleaved answer supports even
     though the inequality the proof actually uses holds, so the inequality
-    itself is checked. Templates and pairs whose answer laws have equal
-    law keys compare the same laws, so each is checked once. Both families
-    run over classes of templates (TemplateDistribution.classes) and class
-    pairs (matched_coupling), in the enumeration order of the templates.
+    itself is checked. Both families run over classes of templates
+    (TemplateDistribution.classes) and class pairs (matched_coupling), in
+    the enumeration order of the templates; the classes of a technique's
+    drawn view already have distinct law keys, and class pairs with equal
+    law keys compare the same laws, so each is checked once.
 
     Raises NotSamplableError with a witness and the refused family
     ("half_line" or "coupled") on the first failure.
@@ -304,10 +305,7 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
         def answers(t):
             return {w: law(cond, t) for w, cond in zip(outcomes, conditioned)}
 
-        first_of_key = {}
         for t, _ in drawn.classes(db, q, budget):
-            first_of_key.setdefault(keys_in(t), t)
-        for t in first_of_key.values():
             pmfs = answers(t)
             for v, w in itertools.permutations(outcomes, 2):
                 res = half_line_check(pmfs[v], pmfs[w], grid, strict=False)

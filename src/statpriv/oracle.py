@@ -36,21 +36,25 @@ class _Kahan:
 
 
 def _templates(technique):
-    """(number of templates, iterator of (indices, probability)) of a whole
-    technique, enumerated here from its definition, not from its classes."""
+    """(number of templates, iterator of (indices, probability)) of a
+    technique: its explicit items, or for a whole named technique the
+    templates of positive probability enumerated here from its definition,
+    not from its classes."""
     n, m, kind = technique.n, technique.param, technique.kind
-    if technique.given:
-        raise ValueError("the oracle takes whole techniques, not conditioned views")
     if m is None:
         return len(technique.items), ((t.indices, p) for t, p in technique.items)
+    if technique.given:
+        raise ValueError("the oracle takes whole named techniques, not their views")
     everyone = range(1, n + 1)
     if kind == "with_replacement":
         return n ** m, ((s, 1.0 / n ** m) for s in itertools.product(everyone, repeat=m))
-    sizes = range(n + 1) if kind == "poisson" else (m,)
+    if kind == "poisson":
+        weights = [m ** k * (1.0 - m) ** (n - k) for k in range(n + 1)]
+    else:
+        weights = [0.0] * m + [1.0 / math.comb(n, m)]
+    sizes = [k for k, p in enumerate(weights) if p > 0.0]
     return sum(math.comb(n, k) for k in sizes), (
-        (c, m ** k * (1.0 - m) ** (n - k) if kind == "poisson" else 1.0 / math.comb(n, m))
-        for k in sizes
-        for c in itertools.combinations(everyone, k)
+        (c, weights[k]) for k in sizes for c in itertools.combinations(everyone, k)
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .dist import (
@@ -59,19 +59,20 @@ class TemplateDistribution:
     The named techniques (without_replacement, poisson, with_replacement)
     and their given_* views are built in closed form: their `items` are the
     classes when all entries are alike, `classes` those one model and query
-    tell apart. `param` is m, or the rate for poisson, None for explicit
-    items; `given` holds a view's conditions (j, lo, hi): entry j drawn lo
-    to hi times, or for j = 0 a length in lo..hi. `exchangeable` marks
-    distributions invariant under relabeling entries; the named
-    constructors set it, conditioned views clear it.
+    tell apart. Only these set `param` (m, or the rate for poisson),
+    `given` (a view's conditions (j, lo, hi): entry j drawn lo to hi times,
+    or for j = 0 a length in lo..hi) and `budget`, which their views get.
+    `exchangeable` marks distributions invariant under relabeling entries;
+    the named constructors set it, conditioned views clear it.
     """
 
     kind: str
     n: int
     items: tuple[tuple[Template, float], ...]
     exchangeable: bool = False
-    param: float | None = None
-    given: tuple[tuple[int, int, float], ...] = ()
+    param: float | None = field(default=None, init=False)
+    given: tuple[tuple[int, int, float], ...] = field(default=(), init=False)
+    budget: int = field(default=DEFAULT_BUDGET, init=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -115,10 +116,13 @@ class TemplateDistribution:
 
     @staticmethod
     def _named(kind, n, param, budget, given=(), label=""):
-        items = _classes(kind, n, param, _groups(n, None, given), False, given, budget)
+        items = _classes(kind, n, param, _groups(n, None, given), True, given, budget)
         if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
-        return TemplateDistribution(kind, n, items, not given, param, given)
+        out = TemplateDistribution(kind, n, items, not given)
+        for name, value in (("param", param), ("given", given), ("budget", budget)):
+            object.__setattr__(out, name, value)
+        return out
 
     def classes(
         self, db: DatabaseModel, q: Query, budget: int = DEFAULT_BUDGET
@@ -127,28 +131,33 @@ class TemplateDistribution:
         law of q on db, in enumeration order.
 
         Positions with equal entry pmfs form a group, each position a view
-        conditions on a group of its own. A class is a pattern of draw
-        counts per group, in slot order unless q is symmetric. Its mass
-        counts its templates (hypergeometric or multinomial over the group
-        sizes), with the Binomial size weight for poisson; its
-        representative is its first template in itertools order. Raises
-        EnumerationBudgetError past `budget` classes.
+        conditions on a group of its own. For a symmetric query a class is
+        a pattern of draws per group: the repeats of its distinct indices.
+        Its mass counts its templates (hypergeometric or multinomial over
+        the group sizes), with the Binomial size weight for poisson; its
+        representative is its first template in itertools order. A query
+        that sees the order tells apart the sequence of groups and repeats:
+        those classes are found by enumerating the templates. Raises
+        EnumerationBudgetError past `budget` classes, or past `budget`
+        templates when they are enumerated.
         """
         if self.n != db.n:
             raise ValueError(f"technique over 1..{self.n} does not match model size {db.n}")
         if self.param is None:
             return self.items
+        if db.is_iid and q.symmetric and len(self.items) <= budget:
+            return self.items  # built over these very groups
         groups = _groups(self.n, db, self.given)
-        return _classes(self.kind, self.n, self.param, groups, not q.symmetric, self.given, budget)
+        return _classes(self.kind, self.n, self.param, groups, q.symmetric, self.given, budget)
 
     def _view(self, j, lo, hi, label) -> "TemplateDistribution":
-        given = (*self.given, (j, lo, hi))
         if self.param is not None:
-            return self._named(self.kind, self.n, self.param, DEFAULT_BUDGET, given, label)
-        items = _conditioned(self.items, given)
+            given = (*self.given, (j, lo, hi))
+            return self._named(self.kind, self.n, self.param, self.budget, given, label)
+        items = _conditioned(self.items, ((j, lo, hi),))
         if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
-        return TemplateDistribution(self.kind, self.n, items, False, None, given)
+        return TemplateDistribution(self.kind, self.n, items)
 
     def given_size(self, m: int) -> "TemplateDistribution":
         return self._view(0, m, m, f"length {m}")
@@ -186,47 +195,43 @@ def _conditioned(items, given):
     return tuple((t, p / total) for t, p in kept) if given else tuple(kept)
 
 
-def _classes(kind, n, param, groups, ordered, given, budget):
+def _classes(kind, n, param, groups, symmetric, given, budget):
     """(Template, mass) per class of a named technique's templates over
     `groups`, conditioned on `given`, in enumeration order."""
     wr = kind == "with_replacement"
-    totals = range(n + 1) if kind == "poisson" else (param,)
-    if wr and ordered:
-        found = _sequence_classes(groups, param, budget)
-    elif ordered:
-        # Sorted templates are told apart by their sequence of groups: take
-        # runs of consecutive positions in one group as the groups, then
-        # merge the patterns with one sequence.
-        group_of = {i: g for g, pos in enumerate(groups) for i in pos}
-        runs = [list(run) for _, run in itertools.groupby(range(1, n + 1), group_of.get)]
-        merged: dict[tuple, tuple[tuple[int, ...], int]] = {}
-        for rep, count in _multiset_classes(runs, totals, False, budget):
-            seq = tuple(map(group_of.get, rep))
-            first, total = merged.get(seq, (rep, 0))
-            merged[seq] = min(first, rep), total + count
-        found = merged.values()
-    else:
-        found = _multiset_classes(groups, totals, wr, budget)
-    size_weights = binomial_pmf(n, param) if kind == "poisson" else None
+    weights = binomial_pmf(n, param) if kind == "poisson" else None
+    totals = [k for k, w in enumerate(weights) if w > 0.0] if weights else [param]
+    found = (_multiset_classes if symmetric else _sequence_classes)(wr, groups, totals, budget)
     items = []
     for rep, count in found:
         share = count / (n ** len(rep) if wr else math.comb(n, len(rep)))
-        mass = share * size_weights[len(rep)] if size_weights else share
+        mass = share * weights[len(rep)] if weights else share
         if mass > 0.0:
             items.append((Template(rep), mass))
     items.sort(key=lambda item: (item[0].length, item[0].indices))
     return _conditioned(items, given)
 
 
-def _multiset_classes(groups, totals, wr, budget):
+def _multiset_classes(wr, groups, totals, budget):
     """(first template, number of templates) per class of templates with
-    equal draws per group: per group, the repeats of its distinct indices
-    (all 1 for the sorted techniques). Groups are taken in turn, keeping
-    the patterns that can still reach a length in `totals`, so no more
-    patterns than classes are ever held; they are counted first."""
-    top = max(totals) if wr else 1
-    if _pattern_count(groups, totals, top, budget + 1) > budget:
-        raise EnumerationBudgetError(f"more than {budget}", budget)
+    equal draws per group: per group, the repeats of its distinct indices,
+    all 1 without replacement. The patterns are counted first, from their
+    generating function: per group of s indices 1 / ((1 - x)...(1 - x^s))
+    with repeats (partitions into at most s parts), (1 + x + ... + x^s)
+    without. They are then built group by group, keeping those that can
+    still reach a length in `totals`."""
+    most = max(totals)
+    top = most if wr else 1
+    ways = [1] + [0] * most
+    for pos in groups:
+        for part in range(1, min(len(pos), most) + 1) if wr else (1,):
+            for c in range(part, most + 1):
+                ways[c] += ways[c - part]
+        for c in () if wr else range(most, len(pos), -1):
+            ways[c] -= ways[c - len(pos) - 1]
+    count = sum(ways[c] for c in totals)
+    if count > budget:
+        raise EnumerationBudgetError(count, budget)
     room = top * sum(map(len, groups))
     patterns: list[tuple[tuple, int]] = [((), 0)]
     for pos in groups:
@@ -234,7 +239,7 @@ def _multiset_classes(groups, totals, wr, budget):
         patterns = [
             ((*pattern, lam), drawn + c)
             for pattern, drawn in patterns
-            for c in _draws(totals, top, room, drawn, len(pos))
+            for c in range(max(0, totals[0] - drawn - room), min(most - drawn, top * len(pos)) + 1)
             for lam in _partitions(c, top, len(pos))
         ]
     for pattern, drawn in patterns:
@@ -249,50 +254,39 @@ def _multiset_classes(groups, totals, wr, budget):
         yield tuple(sorted(rep)), num // den
 
 
-def _pattern_count(groups, totals, top, cap):
-    """How many patterns _multiset_classes enumerates, or cap if at least
-    cap: the same walk over the groups, on counts per number drawn."""
-    most = max(totals)
-    ways = {0: 1}
-    room = top * sum(map(len, groups))
-    for pos in groups:
-        room -= top * len(pos)
-        if top == 1:
-            fits = [int(c <= len(pos)) for c in range(most + 1)]
-        else:
-            # By conjugation, partitions into parts of at most len(pos); a
-            # group can take all draws, so fits[most] >= cap is enough.
-            fits = [1] + [0] * most
-            for part in range(1, min(len(pos), most) + 1):
-                for c in range(part, most + 1):
-                    fits[c] = min(cap, fits[c] + fits[c - part])
-                if fits[most] >= cap:
-                    return cap
-        grown: dict[int, int] = {}
-        for drawn, w in ways.items():
-            for c in _draws(totals, top, room, drawn, len(pos)):
-                grown[drawn + c] = min(cap, grown.get(drawn + c, 0) + w * fits[c])
-        ways = grown
-        if sum(ways.values()) >= cap:
-            return cap
-    return sum(ways.values())
-
-
-def _draws(totals, top, room, drawn, size):
-    """How many draws a group of `size` indices can take after `drawn`, so
-    that the groups after it, with `room` for more, can reach `totals`."""
-    return range(max(0, min(totals) - drawn - room), min(max(totals) - drawn, top * size) + 1)
-
-
 def _partitions(c, top, most):
     """Partitions of c into at most `most` parts of at most `top`, as
-    descending tuples."""
-    if c == 0:
-        yield ()
+    descending tuples; a run of ones is one step, not one level each."""
+    if c == 0 or top == 1:
+        if c <= most:
+            yield (1,) * c
     elif most > 0:
         for first in range(min(c, top), 0, -1):
             for rest in _partitions(c - first, first, most - 1):
                 yield (first, *rest)
+
+
+def _sequence_classes(wr, groups, totals, budget):
+    """(first template, number of templates) per class of templates a query
+    that sees the order tells apart: the groups of the distinct indices in
+    order of first occurrence and the pattern of repeats. The templates are
+    enumerated in itertools order and grouped."""
+    indices = sorted(i for pos in groups for i in pos)
+    group_of = {i: g for g, pos in enumerate(groups) for i in pos}
+    if wr:
+        count = len(indices) ** totals[0]
+        templates = itertools.product(indices, repeat=totals[0])
+    else:
+        count = sum(math.comb(len(indices), k) for k in totals)
+        templates = itertools.chain(*(itertools.combinations(indices, k) for k in totals))
+    if count > budget:
+        raise EnumerationBudgetError(count, budget)
+    found: dict[tuple, list] = {}
+    for t in templates:
+        first = list(dict.fromkeys(t))
+        key = tuple(map(group_of.get, first)), tuple(map(first.index, t))
+        found.setdefault(key, [t, 0])[1] += 1
+    return found.values()
 
 
 def apply_template(
@@ -395,10 +389,10 @@ def matched_coupling(
     independently and uniformly by another index. A partner stands for all
     partners alike up to relabeling entries within a group (see
     TemplateDistribution.classes) and is the first of them in product
-    order. The first marginal is the classes of `drawn`; the second is
-    `not_drawn` after sorting partner indices (injective case) or directly.
-    Both inputs must put all mass on one template length; mixed lengths
-    (Poisson views) are rejected.
+    order. The first marginal is the classes of `drawn`; the partners the
+    pairs stand for have the law of `not_drawn` after sorting their indices
+    (injective case) or directly. Both inputs must put all mass on one
+    template length; mixed lengths (Poisson views) are rejected.
     """
     if drawn.n != not_drawn.n:
         raise ValueError("coupled techniques must share n")
@@ -430,7 +424,7 @@ def matched_coupling(
         if not others:
             raise ValueError(f"no index left to replace {j} in {t.indices}")
         width = sum(map(len, others))
-        fills = _classes("with_replacement", width, len(slots), others, not q.symmetric, (), budget)
+        fills = _classes("with_replacement", width, len(slots), others, q.symmetric, (), budget)
         for fill, share in fills:
             partner = list(t.indices)
             for s, x in zip(slots, fill.indices):
@@ -439,28 +433,6 @@ def matched_coupling(
         if len(pairs) > budget:
             raise EnumerationBudgetError(f"more than {budget}", budget)
     return tuple(pairs)
-
-
-def _sequence_classes(groups, m, budget):
-    """(first template, number of templates) per class of sequences of m
-    draws from the indices of `groups`: which slots repeat an index, and
-    the group of each distinct index. Built slot by slot, a new index taken
-    as the next one of its group."""
-    states = [((), [0] * len(groups), 1)]
-    for _ in range(m):
-        grown = []
-        for values, used, count in states:
-            grown += [((*values, x), used, count) for x in dict.fromkeys(values)]
-            for g, pos in enumerate(groups):
-                if used[g] < len(pos):
-                    more = used.copy()
-                    more[g] += 1
-                    grown.append(((*values, pos[used[g]]), more, count * (len(pos) - used[g])))
-            if len(grown) > budget:
-                raise EnumerationBudgetError(f"more than {budget}", budget)
-        states = grown
-    return [(values, count) for values, _, count in states]
-
 
 @dataclass(frozen=True)
 class CouplingSplit:

@@ -8,7 +8,7 @@ from statpriv.dist import DatabaseModel, Pmf, condition, sum_query
 from statpriv.divergence import hockey_stick_divergence
 from statpriv.errors import EnumerationBudgetError
 from statpriv.oracle import brute_force_divergence, brute_force_tradeoff
-from statpriv.sampling import TemplateDistribution, sampled_pushforward
+from statpriv.sampling import Template, TemplateDistribution, sampled_pushforward
 from statpriv.tradeoff import tradeoff_from_pmfs
 
 TOL = 1e-12
@@ -47,6 +47,29 @@ def test_brute_force_divergence_budget():
         brute_force_divergence(
             condition(db, 1, 1.0), condition(db, 1, 0.0), tech, sum_query(), 0.0, budget=4
         )
+
+
+def test_brute_force_divergence_takes_explicit_views_not_named_ones():
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
+    hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
+    items = ((Template((1,)), 0.5), (Template((2, 3)), 0.25), (Template((1, 3)), 0.25))
+    view = TemplateDistribution("explicit", 3, items).given_drawn(1)
+    want = hockey_stick_divergence(
+        sampled_pushforward(hi, view, sum_query()), sampled_pushforward(lo, view, sum_query()), 0.0
+    )
+    assert abs(brute_force_divergence(hi, lo, view, sum_query(), 0.0) - want) <= TOL
+    with pytest.raises(ValueError):
+        brute_force_divergence(
+            hi, lo, TemplateDistribution.poisson(3, 0.5).given_drawn(1), sum_query(), 0.0
+        )
+
+
+def test_brute_force_divergence_counts_templates_of_positive_probability():
+    # Poisson at rate 1 draws every entry: one template of 2^3 states, not 2^3.
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
+    hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
+    sure = TemplateDistribution.poisson(3, 1.0)
+    assert brute_force_divergence(hi, lo, sure, sum_query(), 0.0, budget=8) == 0.5
 
 
 def test_brute_force_divergence_rejects_size_mismatch():

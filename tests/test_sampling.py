@@ -135,6 +135,9 @@ def test_without_replacement_support():
         ((1, 2), 2 / 3),
         ((2, 3), 1 / 3),
     ]
+    # A class of 1200 draws from alike entries is built in one step.
+    wide = TemplateDistribution.without_replacement(1500, 1200)
+    assert [(tt.indices, w) for tt, w in wide.items] == [(tuple(range(1, 1201)), 1.0)]
 
 
 def test_poisson_support_includes_empty():
@@ -213,12 +216,15 @@ def test_explicit_items_are_their_own_classes():
     assert t.given_drawn(1).items == ((Template((2, 1)), 0.5), (Template((1, 2)), 0.5))
     with pytest.raises(ZeroProbabilityError):
         t.given_count(1, 2)
+    # Only the named constructors set the closed-form rule.
+    assert t.param is None and t.given == ()
+    with pytest.raises(TypeError):
+        TemplateDistribution("poisson", 3, items, param=0.5)
 
 
 def test_budget_counts_classes_not_templates():
     # 10^8 sequences of two draws from 10000 entries are 2 classes, 4 with
-    # entry 1 conditioned apart ((1, 1), (1, 2), (2, 2), (2, 3)); the 2^6
-    # Poisson subsets of 6 unlike entries are 64 classes.
+    # entry 1 conditioned apart ((1, 1), (1, 2), (2, 2), (2, 3)).
     wide = TemplateDistribution.with_replacement(10000, 2, budget=2)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 10000)
     assert len(wide.classes(condition(db, 1, 1.0), sum_query(), budget=4)) == 4
@@ -237,11 +243,23 @@ def test_budget_counts_classes_not_templates():
     assert len(three.classes(pairs, sum_query(), budget=7)) == 7
     with pytest.raises(EnumerationBudgetError):
         three.classes(pairs, sum_query(), budget=6)
+    # A query that sees the order has its classes found among the templates,
+    # so there the budget counts templates: 2^6 Poisson subsets.
     unlike = DatabaseModel(tuple(Pmf.bernoulli(p) for p in (0.1, 0.2, 0.3, 0.4, 0.6, 0.7)))
     subsets = TemplateDistribution.poisson(6, 0.5)
     assert len(subsets.classes(unlike, POSITION_WEIGHTED_SUM, budget=64)) == 64
     with pytest.raises(EnumerationBudgetError):
         subsets.classes(unlike, POSITION_WEIGHTED_SUM, budget=63)
+
+
+def test_views_keep_the_budget_of_their_technique():
+    # Four draws from 6 entries, entry 1 conditioned apart: 12 classes are
+    # counted, 7 of them draw entry 1.
+    with pytest.raises(EnumerationBudgetError) as err:
+        TemplateDistribution.with_replacement(6, 4, budget=5).given_drawn(1)
+    assert (err.value.states, err.value.budget) == (12, 5)
+    view = TemplateDistribution.with_replacement(6, 4, budget=12).given_drawn(1)
+    assert len(view.items) == 7
 
 
 VIEWS = st.sampled_from(("size", "count", "drawn", "not_drawn"))
@@ -297,6 +315,12 @@ def test_closed_form_classes_are_the_enumerated_templates(case):
         return
     assert_classes_match_the_templates(technique, [], db, q)
     assert_classes_match_the_templates(view, given, db, q)
+    # For a symmetric query the budget counts exactly the classes built.
+    if q.symmetric:
+        count = len(technique.classes(db, q))
+        assert len(technique.classes(db, q, budget=count)) == count
+        with pytest.raises(EnumerationBudgetError):
+            technique.classes(db, q, budget=count - 1)
 
 
 def test_apply_template_repeats_share_one_draw():
@@ -415,19 +439,22 @@ def test_matched_coupling_marginals_with_replacement(n, m):
 def assert_coupling_matches_the_templates(technique):
     """Class pairs against the explicit coupling, on alike and unlike
     entries, for sum and a query that sees the order: equal joint mass per
-    pair of law keys, and the marginals of the class pairs are the classes
-    of the drawn view and, for with replacement, of the avoiding view."""
+    pair of law keys; the first marginal is the classes of the drawn view,
+    the second the classes of the avoiding view, after sorting partners
+    without replacement."""
     n = technique.n
+    wr = technique.kind == "with_replacement"
     queries = (sum_query(), POSITION_WEIGHTED_SUM)
     for entries, q, j in product(COUPLING_MODELS, queries, range(1, n + 1)):
         db = DatabaseModel(entries[:n])
         drawn, avoided = technique.given_drawn(j), technique.given_not_drawn(j)
         triples = matched_coupling(drawn, avoided, j, db, q)
+        explicit = explicit_coupling(explicit_view(technique, [(j, 1, math.inf)]), j, n)
         got, want = {}, {}
         for a, b, w in triples:
             key = law_key(db, a.indices, q), law_key(db, b.indices, q)
             got[key] = got.get(key, 0.0) + w
-        for a, b, w in explicit_coupling(explicit_view(technique, [(j, 1, math.inf)]), j, n):
+        for a, b, w in explicit:
             key = law_key(db, a, q), law_key(db, b, q)
             want[key] = want.get(key, 0) + w
         assert set(got) == set(want)
@@ -436,13 +463,19 @@ def assert_coupling_matches_the_templates(technique):
         for a, _, w in triples:
             left[a] += w
         assert all(abs(left[t] - w) <= TOL for t, w in drawn.classes(db, q))
-        if technique.kind == "with_replacement":
-            right = Counter()
-            for _, b, w in triples:
-                right[law_key(db, b.indices, q)] += w
-            for t, w in avoided.classes(db, q):
-                right[law_key(db, t.indices, q)] -= w
-            assert all(abs(v) <= TOL for v in right.values())
+        # Without replacement, the partners one class pair stands for sort
+        # to different sequences when the query sees the order; there the
+        # explicit coupling, equal to the class pairs above, is sorted.
+        if wr or q.symmetric:
+            partners = [(b.indices, w) for _, b, w in triples]
+        else:
+            partners = [(b, w) for _, b, w in explicit]
+        right = Counter()
+        for b, w in partners:
+            right[law_key(db, b if wr else tuple(sorted(b)), q)] += w
+        for t, w in avoided.classes(db, q):
+            right[law_key(db, t.indices, q)] -= w
+        assert all(abs(v) <= TOL for v in right.values())
 
 
 def test_matched_coupling_budget_counts_class_pairs():
