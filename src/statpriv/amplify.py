@@ -89,10 +89,10 @@ def _check_model(db: DatabaseModel, n: int) -> None:
 def _sampled_curve_values(db, q, n, m, grid, budget):
     """Sampled curve for m-of-n without replacement, as a value tuple.
 
-    i.i.d. models with a symmetric query collapse to the privacy curve of an
-    m-entry model, which also unlocks the Binomial fast path.
+    i.i.d. models collapse to the privacy curve of an m-entry model, which
+    also unlocks the Binomial fast path.
     """
-    if db.is_iid and q.symmetric:
+    if db.is_iid:
         return privacy_curve(DatabaseModel.iid(db.entries[0], m), q, grid, budget).values
     technique = TemplateDistribution.without_replacement(n, m, budget)
     return sampling_curve_max(db, q, technique, grid, budget).values
@@ -240,7 +240,7 @@ def with_replacement_bound(
         raise ValueError("the with-replacement bound needs a monotone query")
     grid = as_grid(grid)
     technique = TemplateDistribution.with_replacement(n, m, budget)
-    positions = scan_positions(db, q, technique.exchangeable)
+    positions = scan_positions(db, technique.exchangeable)
     _check_half_line_scope(db, q, technique, positions, grid, budget)
     weights = occurrence_weights(n, m)
     per_k: list[tuple[float, tuple[float, ...]]] = []
@@ -294,18 +294,18 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
         laws: dict[tuple, Pmf] = {}
 
         def law(model, t):
-            key = law_key(model, t.indices, q)
+            key = law_key(model, t.indices)
             if key not in laws:
                 laws[key] = apply_template(model, t, q, budget)
             return laws[key]
 
         def keys_in(t):
-            return tuple(law_key(cond, t.indices, q) for cond in conditioned)
+            return tuple(law_key(cond, t.indices) for cond in conditioned)
 
         def answers(t):
             return {w: law(cond, t) for w, cond in zip(outcomes, conditioned)}
 
-        for t, _ in drawn.classes(db, q, budget):
+        for t, _ in drawn.classes(db, budget):
             pmfs = answers(t)
             for v, w in itertools.permutations(outcomes, 2):
                 res = half_line_check(pmfs[v], pmfs[w], grid, strict=False)
@@ -322,9 +322,9 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
             continue
         ceilings: dict[tuple, dict[float, tuple[float, ...]]] = {}
         checked = set()
-        for t_in, t_out, _ in matched_coupling(drawn, avoided, j, db, q, budget):
+        for t_in, t_out, _ in matched_coupling(drawn, avoided, j, db, budget):
             key_in = keys_in(t_in)
-            pair = key_in, law_key(db, t_out.indices, q)
+            pair = key_in, law_key(db, t_out.indices)
             if pair in checked:
                 continue
             checked.add(pair)
@@ -374,8 +374,8 @@ def dp_poisson_bound(
     chord in e^eps bounds a delta curve from above between grid points;
     sizes of negligible weight are charged delta = 1 instead (see
     _size_mixture). Stretches beyond the grid raise unless `extrapolate` is
-    set, which clamps to the end value; the clamp is anti-conservative above
-    the grid, hence off by default.
+    set, which extends the curve as value_at does: an upper bound above the
+    grid, where delta is nonincreasing, and below it.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

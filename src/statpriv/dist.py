@@ -118,21 +118,21 @@ class Pmf:
 class Query:
     """Numeric query over a tuple of entry values.
 
-    The evaluator may assume a nonempty input; `empty_answer` is the declared
-    answer for an empty sample. `symmetric` asserts permutation invariance and
-    `monotone` coordinatewise monotonicity, both trusted as declared. A
-    symmetric query may also give `counts_evaluator`: given the distinct
-    values, it returns a function of their counts that gives the evaluator's
-    float bit for bit, in time independent of the sample size. Answer laws
-    merge two answers exactly when they are the same float, so a counts
-    evaluator that rounded differently would split or merge answers the
-    released query does not.
+    The evaluator may assume a nonempty input and must not depend on the
+    order of its input: answer laws are built from the multiset of the
+    sample. `empty_answer` is the declared answer for an empty sample. The
+    order invariance and `monotone` (coordinatewise monotonicity) are
+    trusted as declared. A query may also give `counts_evaluator`: given
+    the distinct values, it returns a function of their counts that gives
+    the evaluator's float bit for bit, in time independent of the sample
+    size. Answer laws merge two answers exactly when they are the same
+    float, so a counts evaluator that rounded differently would split or
+    merge answers the released query does not.
     """
 
     name: str
     evaluator: Callable[[tuple[float, ...]], float]
     monotone: bool
-    symmetric: bool = True
     empty_answer: float = 0.0
     counts_evaluator: (
         Callable[[tuple[float, ...]], Callable[[Sequence[int]], float]] | None
@@ -274,13 +274,13 @@ class DatabaseModel:
         return DatabaseModel((entry,) * n)
 
 
-def scan_positions(db: DatabaseModel, q: Query, exchangeable: bool) -> tuple[int, ...]:
+def scan_positions(db: DatabaseModel, exchangeable: bool) -> tuple[int, ...]:
     """Positions a worst-pair scan must visit: every position not fixed, or
-    with an exchangeable technique and a symmetric query the first of each
-    distinct entry pmf, as positions with one pmf are then alike."""
+    with an exchangeable technique the first of each distinct entry pmf, as
+    positions with one pmf are then alike."""
     fixed = {j for j, _ in db.fixed}
     free = [j for j in range(1, db.n + 1) if j not in fixed]
-    if exchangeable and q.symmetric:
+    if exchangeable:
         free = {db.entries[j - 1]: j for j in reversed(free)}.values()
         return tuple(sorted(free))
     return tuple(free)
@@ -391,17 +391,17 @@ def binomial_pmf(n: int, p: float) -> list[float]:
     return out[::-1]
 
 
-def law_key(db: DatabaseModel, indices: Sequence[int], q: Query) -> tuple:
-    """Hashable key of answer_law(db, indices, q). answer_law enumerates from
-    the key alone, so equal keys give bit-identical laws.
+def law_key(db: DatabaseModel, indices: Sequence[int]) -> tuple:
+    """Hashable key of answer_law(db, indices, q) for every query q.
+    answer_law enumerates from the key alone, so equal keys give
+    bit-identical laws.
 
     Each distinct index is a slot: an entry pmf plus the number of times the
-    sample repeats it. For a symmetric query the key is the multiset of
-    slots, as (pmf, repeat, slots) classes in a fixed order: largest class
-    (most states) first, ties broken by repeat, slots and the pmf. On i.i.d.
-    entries the templates (1, 2) and (1, 32) share a key. Otherwise the key
-    is the slot pmfs in order of first occurrence and the index pattern, each
-    index replaced by its slot.
+    sample repeats it. The key is the multiset of slots, as (pmf, repeat,
+    slots) classes in a fixed order: largest class (most states) first, ties
+    broken by repeat, slots and the pmf. On i.i.d. entries the templates
+    (1, 2) and (1, 32) share a key, and so do (1, 2) and (2, 1) on any
+    entries.
     """
     if indices:
         if min(indices) < 1:
@@ -409,9 +409,6 @@ def law_key(db: DatabaseModel, indices: Sequence[int], q: Query) -> tuple:
         if max(indices) > db.n:
             raise ValueError(f"template index {max(indices)} exceeds model size {db.n}")
     entries = db.entries
-    if not q.symmetric:
-        slot_of = {i: s for s, i in enumerate(dict.fromkeys(indices))}
-        return tuple(entries[i - 1] for i in slot_of), tuple(map(slot_of.__getitem__, indices))
     # Plain dicts count about twice as fast as Counter on short templates.
     repeats: dict[int, int] = {}
     for i in indices:
@@ -441,12 +438,10 @@ def answer_law(
 
     The x_i are independent draws from the model's entries (1-based), and a
     repeated index reuses one draw. The law is enumerated from
-    law_key(db, indices, q). A symmetric query sees only the multiset of the
-    sample, so a class of c slots with equal (pmf, repeat) is enumerated as
-    the count vectors over its support with multinomial weights; the answer
-    comes from the summed count vector (Query.counts_answer). For a
-    non-symmetric query every slot is its own class, which is plain ordered
-    enumeration.
+    law_key(db, indices). A query sees only the multiset of the sample, so
+    a class of c slots with equal (pmf, repeat) is enumerated as the count
+    vectors over its support with multinomial weights; the answer comes
+    from the summed count vector (Query.counts_answer).
 
     A state is one count vector per class; a class of c slots over k support
     points has C(c + k - 1, c) of them. Raises EnumerationBudgetError before
@@ -455,34 +450,19 @@ def answer_law(
     answer_pmf, so answers merge only when they are the same float. An empty
     sample yields the query's declared empty answer.
     """
-    key = law_key(db, indices, q)
+    key = law_key(db, indices)
     if not indices:
         return Pmf.point(q.empty_answer)
-    if q.symmetric:
-        sizes = [_class_states(pmf, c) for pmf, _, c in key]
-        options = [_multiset_options(pmf, r, c) for pmf, r, c in key]
-        join = _add_counts
-        evaluate = q.counts_answer(key[0][0].outcomes)
-    else:
-        pmfs, pattern = key
-        sizes = [len(pmf.support) for pmf in pmfs]
-        options = [
-            [((a,), w) for a, w in zip(pmf.outcomes, pmf.weights) if w > 0.0]
-            for pmf in pmfs
-        ]
-        join = tuple.__add__
-
-        def evaluate(sample):
-            return q.answer(tuple(map(sample.__getitem__, pattern)))
-
     states = 1
-    for size in sizes:
-        states *= size
+    for pmf, _, c in key:
+        states *= _class_states(pmf, c)
         if states > budget:
             raise EnumerationBudgetError(states, budget)
-    # The first class, the largest for a symmetric query, is streamed; the
-    # option lists of the others are kept. A sample is the summed count
-    # vector for a symmetric query and the tuple of slot values otherwise.
+    options = [_multiset_options(pmf, r, c) for pmf, r, c in key]
+    join = _add_counts
+    evaluate = q.counts_answer(key[0][0].outcomes)
+    # The first class, the largest, is streamed; the option lists of the
+    # others are kept. A sample is the summed count vector.
     heads, *rest = options
     pools = [list(opts) for opts in rest]
 
@@ -516,8 +496,7 @@ def answer_pmf(q: Query, pairs: Iterable[tuple[float, float]]) -> Pmf:
 
 def binomial_laws(db: DatabaseModel, q: Query) -> dict[float, Pmf] | None:
     """The Binomial fast path: conditioning value v -> answer law of q on db
-    with one entry fixed to v, for i.i.d. two-valued entries and a symmetric
-    query; None otherwise.
+    with one entry fixed to v, for i.i.d. two-valued entries; None otherwise.
 
     The n - 1 free entries take the high outcome a Binomial number k of
     times. answer_law on the conditioned model streams these n count
@@ -525,7 +504,7 @@ def binomial_laws(db: DatabaseModel, q: Query) -> dict[float, Pmf] | None:
     so does this, without building the model or its key, so the laws are
     bit-identical to answer_law's at any n.
     """
-    if not (db.is_iid and q.symmetric) or len(db.outcome_grid) != 2:
+    if not db.is_iid or len(db.outcome_grid) != 2:
         return None
     entry = db.entries[0]
     lo, hi = entry.outcomes
@@ -575,9 +554,8 @@ def _multiset_options(pmf: Pmf, repeat: int, c: int):
 def pushforward(db: DatabaseModel, q: Query, budget: int = DEFAULT_BUDGET) -> Pmf:
     """Exact answer distribution of q over the full product model.
 
-    This is answer_law on the template 1..n. For a symmetric query a state
-    is a multiset of entry values, C(n + k - 1, n) of them for n i.i.d.
-    entries over k support points; otherwise it is an ordered tuple.
-    Raises EnumerationBudgetError when the state count exceeds `budget`.
+    This is answer_law on the template 1..n. A state is a multiset of entry
+    values, C(n + k - 1, n) of them for n i.i.d. entries over k support
+    points. Raises EnumerationBudgetError when the state count exceeds `budget`.
     """
     return answer_law(db, range(1, db.n + 1), q, budget)

@@ -118,7 +118,10 @@ class PrivacyCurve:
         delta is a supremum of the functions mu(S) - e^eps nu(S), so it is
         convex in e^eps and this chord bounds it from above; a chord in eps
         would not. Epsilons outside the grid raise unless `extrapolate` is
-        set, which clamps to the nearest end value.
+        set. Then above the grid the last value is returned, a bound as
+        delta is nonincreasing; below it, min(1, values[0] + e^g0 - e^eps)
+        for g0 = grid[0], a bound as from eps to g0 each mu(S) - e^eps nu(S)
+        drops by (e^g0 - e^eps) nu(S) <= e^g0 - e^eps.
         """
         eps = float(eps)
         if eps < self.grid[0] or eps > self.grid[-1]:
@@ -126,9 +129,11 @@ class PrivacyCurve:
                 raise ValueError(
                     f"eps={eps} outside the curve grid "
                     f"[{self.grid[0]}, {self.grid[-1]}]; "
-                    "pass extrapolate=True to clamp"
+                    "pass extrapolate=True to extend the curve"
                 )
-            return self.values[0] if eps < self.grid[0] else self.values[-1]
+            if eps > self.grid[-1]:
+                return self.values[-1]
+            return min(1.0, self.values[0] + math.exp(self.grid[0]) - math.exp(eps))
         i = bisect_left(self.grid, eps)
         if i < len(self.grid) and self.grid[i] == eps:
             return self.values[i]
@@ -166,10 +171,10 @@ def privacy_curve(
     the positions of scan_positions.
 
     The generic path enumerates conditioned pushforwards once per (j, w).
-    Models with i.i.d. two-valued entries under a symmetric query take the
-    Binomial fast path (dist.binomial_laws) instead: the generic path's laws
-    bit for bit, without building a model per conditioning value, so n in
-    the thousands stays cheap.
+    Models with i.i.d. two-valued entries take the Binomial fast path
+    (dist.binomial_laws) instead: the generic path's laws bit for bit,
+    without building a model per conditioning value, so n in the thousands
+    stays cheap.
     """
     grid = as_grid(grid)
     if db.fixed:
@@ -177,7 +182,7 @@ def privacy_curve(
     fast = binomial_laws(db, q)
     per_position = [fast] if fast is not None else [
         {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
-        for j in scan_positions(db, q, exchangeable=True)
+        for j in scan_positions(db, exchangeable=True)
     ]
     rows = [row for pmfs in per_position for row in worst_pairs(pmfs, grid).values()]
     return PrivacyCurve(grid, tuple(max(col) for col in zip(*rows)))

@@ -58,8 +58,8 @@ class TemplateDistribution:
     A distribution built from explicit `items` is its own list of classes.
     The named techniques (without_replacement, poisson, with_replacement)
     and their given_* views are built in closed form: their `items` are the
-    classes when all entries are alike, `classes` those one model and query
-    tell apart. Only these set `param` (m, or the rate for poisson),
+    classes when all entries are alike, `classes` those one model tells
+    apart. Only these set `param` (m, or the rate for poisson),
     `given` (a view's conditions (j, lo, hi): entry j drawn lo to hi times,
     or for j = 0 a length in lo..hi) and `budget`, which their views get.
     `exchangeable` marks distributions invariant under relabeling entries;
@@ -116,7 +116,7 @@ class TemplateDistribution:
 
     @staticmethod
     def _named(kind, n, param, budget, given=(), label=""):
-        items = _classes(kind, n, param, _groups(n, None, given), True, given, budget)
+        items = _classes(kind, n, param, _groups(n, None, given), given, budget)
         if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
         out = TemplateDistribution(kind, n, items, not given)
@@ -125,30 +125,27 @@ class TemplateDistribution:
         return out
 
     def classes(
-        self, db: DatabaseModel, q: Query, budget: int = DEFAULT_BUDGET
+        self, db: DatabaseModel, budget: int = DEFAULT_BUDGET
     ) -> tuple[tuple[Template, float], ...]:
         """(representative, mass) per class of templates with one answer
-        law of q on db, in enumeration order.
+        law on db for every query, in enumeration order.
 
         Positions with equal entry pmfs form a group, each position a view
-        conditions on a group of its own. For a symmetric query a class is
-        a pattern of draws per group: the repeats of its distinct indices.
-        Its mass counts its templates (hypergeometric or multinomial over
-        the group sizes), with the Binomial size weight for poisson; its
-        representative is its first template in itertools order. A query
-        that sees the order tells apart the sequence of groups and repeats:
-        those classes are found by enumerating the templates. Raises
-        EnumerationBudgetError past `budget` classes, or past `budget`
-        templates when they are enumerated.
+        conditions on a group of its own. A class is a pattern of draws per
+        group: the repeats of its distinct indices. Its mass counts its
+        templates (hypergeometric or multinomial over the group sizes), with
+        the Binomial size weight for poisson; its representative is its
+        first template in itertools order. Raises EnumerationBudgetError
+        past `budget` classes.
         """
         if self.n != db.n:
             raise ValueError(f"technique over 1..{self.n} does not match model size {db.n}")
         if self.param is None:
             return self.items
-        if db.is_iid and q.symmetric and len(self.items) <= budget:
+        if db.is_iid and len(self.items) <= budget:
             return self.items  # built over these very groups
         groups = _groups(self.n, db, self.given)
-        return _classes(self.kind, self.n, self.param, groups, q.symmetric, self.given, budget)
+        return _classes(self.kind, self.n, self.param, groups, self.given, budget)
 
     def _view(self, j, lo, hi, label) -> "TemplateDistribution":
         if self.param is not None:
@@ -195,15 +192,14 @@ def _conditioned(items, given):
     return tuple((t, p / total) for t, p in kept) if given else tuple(kept)
 
 
-def _classes(kind, n, param, groups, symmetric, given, budget):
+def _classes(kind, n, param, groups, given, budget):
     """(Template, mass) per class of a named technique's templates over
     `groups`, conditioned on `given`, in enumeration order."""
     wr = kind == "with_replacement"
     weights = binomial_pmf(n, param) if kind == "poisson" else None
     totals = [k for k, w in enumerate(weights) if w > 0.0] if weights else [param]
-    found = (_multiset_classes if symmetric else _sequence_classes)(wr, groups, totals, budget)
     items = []
-    for rep, count in found:
+    for rep, count in _multiset_classes(wr, groups, totals, budget):
         share = count / (n ** len(rep) if wr else math.comb(n, len(rep)))
         mass = share * weights[len(rep)] if weights else share
         if mass > 0.0:
@@ -266,37 +262,13 @@ def _partitions(c, top, most):
                 yield (first, *rest)
 
 
-def _sequence_classes(wr, groups, totals, budget):
-    """(first template, number of templates) per class of templates a query
-    that sees the order tells apart: the groups of the distinct indices in
-    order of first occurrence and the pattern of repeats. The templates are
-    enumerated in itertools order and grouped."""
-    indices = sorted(i for pos in groups for i in pos)
-    group_of = {i: g for g, pos in enumerate(groups) for i in pos}
-    if wr:
-        count = len(indices) ** totals[0]
-        templates = itertools.product(indices, repeat=totals[0])
-    else:
-        count = sum(math.comb(len(indices), k) for k in totals)
-        templates = itertools.chain(*(itertools.combinations(indices, k) for k in totals))
-    if count > budget:
-        raise EnumerationBudgetError(count, budget)
-    found: dict[tuple, list] = {}
-    for t in templates:
-        first = list(dict.fromkeys(t))
-        key = tuple(map(group_of.get, first)), tuple(map(first.index, t))
-        found.setdefault(key, [t, 0])[1] += 1
-    return found.values()
-
-
 def apply_template(
     db: DatabaseModel, t: Template, q: Query, budget: int = DEFAULT_BUDGET
 ) -> Pmf:
     """Answer distribution of q over the entries a template draws.
 
     This is answer_law on the template: repeated indices share one draw,
-    and for a symmetric query a state is a multiset of the drawn values
-    (see answer_law). Templates with equal law_key give equal laws, which is
+    and a state is a multiset of the drawn values (see answer_law). Templates with equal law_key give equal laws, which is
     what every cache of answer laws is keyed by. An empty template yields the
     query's declared empty answer.
     """
@@ -313,8 +285,8 @@ def sampled_pushforward(
     cache: dict[tuple, Pmf] = {}
 
     def pairs():
-        for t, p in technique.classes(db, q, budget):
-            key = law_key(db, t.indices, q)
+        for t, p in technique.classes(db, budget):
+            key = law_key(db, t.indices)
             sub = cache.get(key)
             if sub is None:
                 sub = cache[key] = apply_template(db, t, q, budget)
@@ -344,8 +316,8 @@ def sampling_curve(
     conditioned = {w: condition(db, j, w) for w in db.outcome_grid}
     cache: dict[tuple, tuple[float, ...]] = {}
     terms: list[list[float]] = [[] for _ in grid]
-    for t, p in view.classes(db, q, budget):
-        key = tuple(law_key(cond, t.indices, q) for cond in conditioned.values())
+    for t, p in view.classes(db, budget):
+        key = tuple(law_key(cond, t.indices) for cond in conditioned.values())
         worst = cache.get(key)
         if worst is None:
             pmfs = {w: apply_template(cond, t, q, budget) for w, cond in conditioned.items()}
@@ -366,7 +338,7 @@ def sampling_curve_max(
 ) -> PrivacyCurve:
     """Pointwise maximum of sampling_curve over the positions of scan_positions."""
     grid = as_grid(grid)
-    positions = scan_positions(db, q, technique.exchangeable)
+    positions = scan_positions(db, technique.exchangeable)
     curves = [sampling_curve(db, q, technique, j, grid, budget).values for j in positions]
     return PrivacyCurve(grid, tuple(max(col) for col in zip(*curves)))
 
@@ -376,12 +348,11 @@ def matched_coupling(
     not_drawn: TemplateDistribution,
     j: int,
     db: DatabaseModel,
-    q: Query,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[tuple[Template, Template, float], ...]:
     """Couple the classes of templates drawing entry j with templates
     avoiding it, as (template with j, partner without j, joint probability)
-    triples over drawn.classes(db, q).
+    triples over drawn.classes(db).
 
     Partners agree with the template outside the slots holding j. When
     every template is injective the single j slot is replaced uniformly by
@@ -413,7 +384,7 @@ def matched_coupling(
     injective = all(len(t.distinct) == t.length for t, _ in drawn.items)
     groups = _groups(n, db, (*drawn.given, (j, 1, math.inf)))
     pairs = []
-    for t, p in drawn.classes(db, q, budget):
+    for t, p in drawn.classes(db, budget):
         # The j slots are a with-replacement draw from the other indices:
         # one already drawn (a group of its own, unless injective) or a
         # free one of a group.
@@ -424,7 +395,7 @@ def matched_coupling(
         if not others:
             raise ValueError(f"no index left to replace {j} in {t.indices}")
         width = sum(map(len, others))
-        fills = _classes("with_replacement", width, len(slots), others, q.symmetric, (), budget)
+        fills = _classes("with_replacement", width, len(slots), others, (), budget)
         for fill, share in fills:
             partner = list(t.indices)
             for s, x in zip(slots, fill.indices):

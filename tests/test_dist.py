@@ -133,7 +133,7 @@ def test_pushforward_merges_collisions():
 
 
 def test_pushforward_budget():
-    # A symmetric query enumerates multisets: 60 i.i.d. three-valued entries
+    # The kernel enumerates multisets: 60 i.i.d. three-valued entries
     # give C(60 + 2, 2) states, not 3^60.
     e = Pmf.from_pairs([(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)])
     db = DatabaseModel.iid(e, 60)

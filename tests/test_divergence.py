@@ -119,6 +119,23 @@ def test_value_at_bounds_the_curve_between_grid_points():
         assert coarse.value_at(eps) >= exact - 1e-15, eps
 
 
+def test_value_at_below_the_grid_is_an_upper_bound():
+    # delta(0) = 0.8, but delta(0.5) = 0.9 - 0.1 e^0.5 = 0.7351: the first
+    # grid value is no bound below the grid. From eps to 0.5 delta drops by
+    # at most e^0.5 - e^eps.
+    mu, nu = pmf({0.0: 0.9, 1.0: 0.1}), pmf({0.0: 0.1, 1.0: 0.9})
+    grid = (0.5, 1.0, 2.0)
+    c = PrivacyCurve(grid, tuple(hockey_stick_divergence(mu, nu, e) for e in grid))
+    assert abs(hockey_stick_divergence(mu, nu, 0.0) - 0.8) <= TOL
+    assert c.value_at(0.0, extrapolate=True) == 1.0
+    for eps in (0.0, 0.2, 0.45, 0.49):
+        got = c.value_at(eps, extrapolate=True)
+        assert got == min(1.0, c.values[0] + math.exp(0.5) - math.exp(eps))
+        assert got >= hockey_stick_divergence(mu, nu, eps), eps
+    with pytest.raises(ValueError):
+        c.value_at(0.0)
+
+
 def test_privacy_curve_bernoulli_three():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
     c = privacy_curve(db, sum_query(), (0.0, LN2, 1.0))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statpriv.dist import DatabaseModel, Pmf, Query, condition, law_key, sum_query
+from statpriv.dist import DatabaseModel, Pmf, condition, law_key, sum_query
 from statpriv.divergence import hockey_stick_divergence, privacy_curve
 from statpriv.errors import EnumerationBudgetError, ZeroProbabilityError
 from statpriv.sampling import (
@@ -33,14 +33,6 @@ from statpriv.sampling import (
 TOL = 1e-12
 # Relative error allowed on a class mass against its exact value.
 MASS_TOL = 1e-15
-
-# Not symmetric: the position of every value in the sample matters.
-POSITION_WEIGHTED_SUM = Query(
-    "position-weighted-sum",
-    lambda values: math.fsum((i + 1) * x for i, x in enumerate(values)),
-    monotone=True,
-    symmetric=False,
-)
 
 
 def pmf(d):
@@ -75,38 +67,35 @@ def explicit_view(technique, given):
     return [(t, p / total) for t, p in kept]
 
 
-def class_key(indices, db, singled, symmetric):
+def class_key(indices, db, singled):
     """Which class a template falls in: each distinct index is labeled by
-    its entry pmf, or by itself when singled out; a symmetric query sees the
-    multiset of (label, repeat), another query the labels in order of first
-    occurrence and the pattern of repeats."""
+    its entry pmf, or by itself when singled out, and the class is the
+    multiset of (label, repeat)."""
 
     def label(i):
         return ("alone", i) if i in singled else db.entries[i - 1]
 
     first = list(dict.fromkeys(indices))
-    if symmetric:
-        return frozenset(Counter((label(i), indices.count(i)) for i in first).items())
-    return tuple(map(label, first)), tuple(map(first.index, indices))
+    return frozenset(Counter((label(i), indices.count(i)) for i in first).items())
 
 
-def assert_classes_match_the_templates(technique, given, db, q):
-    """technique.classes(db, q) against the itertools enumeration: one class
+def assert_classes_match_the_templates(technique, given, db):
+    """technique.classes(db) against the itertools enumeration: one class
     per class key, represented by its first template, with the exact mass of
     its templates; the mass per law_key agrees too."""
     singled = {j for j, _, _ in given}
     first, exact = {}, {}
     for t, p in explicit_view(technique, given):
-        key = class_key(t, db, singled, q.symmetric)
+        key = class_key(t, db, singled)
         first.setdefault(key, t)
         exact[key] = exact.get(key, 0) + p
-    got = technique.classes(db, q)
+    got = technique.classes(db)
     assert [t.indices for t, _ in got] == list(first.values())
     for (t, mass), want in zip(got, exact.values()):
         assert abs(mass - want) <= MASS_TOL * want, (t.indices, mass, float(want))
     per_law, want_law = {}, {}
     for (t, mass), want in zip(got, exact.values()):
-        key = law_key(db, t.indices, q)
+        key = law_key(db, t.indices)
         per_law.setdefault(key, []).append(mass)
         want_law[key] = want_law.get(key, 0) + want
     for key, masses in per_law.items():
@@ -131,7 +120,7 @@ def test_without_replacement_support():
     assert [(tt.indices, w) for tt, w in t.items] == [((1, 2), 1.0)]
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
     high = condition(db, 1, 1.0)
-    assert [(tt.indices, w) for tt, w in t.classes(high, sum_query())] == [
+    assert [(tt.indices, w) for tt, w in t.classes(high)] == [
         ((1, 2), 2 / 3),
         ((2, 3), 1 / 3),
     ]
@@ -156,13 +145,12 @@ def test_with_replacement_support():
     assert [(tt.indices, w) for tt, w in t.items] == [((1, 1), 0.5), ((1, 2), 0.5)]
     # uniform over index sequences is invariant under relabeling positions
     assert t.exchangeable
-    # Two unlike entries under a query that sees the order: every sequence
-    # is a class of its own.
+    # Two unlike entries: (1, 2) and (2, 1) are one class, as the answer
+    # law does not depend on the order of the draws.
     db = DatabaseModel((Pmf.bernoulli(0.5), Pmf.bernoulli(0.25)))
-    assert [(tt.indices, w) for tt, w in t.classes(db, POSITION_WEIGHTED_SUM)] == [
+    assert [(tt.indices, w) for tt, w in t.classes(db)] == [
         ((1, 1), 0.25),
-        ((1, 2), 0.25),
-        ((2, 1), 0.25),
+        ((1, 2), 0.5),
         ((2, 2), 0.25),
     ]
 
@@ -175,8 +163,7 @@ def test_weights_sum_to_one():
         TemplateDistribution.with_replacement(4, 3),
     ):
         assert abs(math.fsum(w for _, w in t.items) - 1.0) <= TOL
-        for q in (sum_query(), POSITION_WEIGHTED_SUM):
-            assert abs(math.fsum(w for _, w in t.classes(db, q)) - 1.0) <= TOL
+        assert abs(math.fsum(w for _, w in t.classes(db)) - 1.0) <= TOL
 
 
 def test_given_drawn_and_not_drawn():
@@ -195,13 +182,6 @@ def test_given_count():
     t = TemplateDistribution.with_replacement(2, 2)
     one = t.given_count(1, 1)
     assert [(tt.indices, w) for tt, w in one.items] == [((1, 2), 1.0)]
-    # The order of the two draws tells (1, 2) from (2, 1) for a query that
-    # sees it.
-    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    assert [(tt.indices, w) for tt, w in one.classes(db, POSITION_WEIGHTED_SUM)] == [
-        ((1, 2), 0.5),
-        ((2, 1), 0.5),
-    ]
     two = t.given_count(1, 2)
     assert [(tt.indices, w) for tt, w in two.items] == [((1, 1), 1.0)]
     with pytest.raises(ZeroProbabilityError):
@@ -212,7 +192,7 @@ def test_explicit_items_are_their_own_classes():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
     items = ((Template((2, 1)), 0.25), (Template((1, 2)), 0.25), (Template((3,)), 0.5))
     t = TemplateDistribution("explicit", 3, items)
-    assert t.classes(db, sum_query()) == items
+    assert t.classes(db) == items
     assert t.given_drawn(1).items == ((Template((2, 1)), 0.5), (Template((1, 2)), 0.5))
     with pytest.raises(ZeroProbabilityError):
         t.given_count(1, 2)
@@ -227,9 +207,9 @@ def test_budget_counts_classes_not_templates():
     # entry 1 conditioned apart ((1, 1), (1, 2), (2, 2), (2, 3)).
     wide = TemplateDistribution.with_replacement(10000, 2, budget=2)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 10000)
-    assert len(wide.classes(condition(db, 1, 1.0), sum_query(), budget=4)) == 4
+    assert len(wide.classes(condition(db, 1, 1.0), budget=4)) == 4
     with pytest.raises(EnumerationBudgetError):
-        wide.classes(condition(db, 1, 1.0), sum_query(), budget=3)
+        wide.classes(condition(db, 1, 1.0), budget=3)
     # Four draws from 6 alike entries: the 5 partitions of 4. One hundred
     # draws from 100: 190569292 partitions, refused before any is built.
     assert len(TemplateDistribution.with_replacement(6, 4, budget=5).items) == 5
@@ -240,16 +220,9 @@ def test_budget_counts_classes_not_templates():
     # Three of six entries in three pairs of alike ones: 7 count vectors.
     pairs = DatabaseModel(tuple(Pmf.bernoulli(p) for p in (0.2, 0.2, 0.4, 0.4, 0.6, 0.6)))
     three = TemplateDistribution.without_replacement(6, 3)
-    assert len(three.classes(pairs, sum_query(), budget=7)) == 7
+    assert len(three.classes(pairs, budget=7)) == 7
     with pytest.raises(EnumerationBudgetError):
-        three.classes(pairs, sum_query(), budget=6)
-    # A query that sees the order has its classes found among the templates,
-    # so there the budget counts templates: 2^6 Poisson subsets.
-    unlike = DatabaseModel(tuple(Pmf.bernoulli(p) for p in (0.1, 0.2, 0.3, 0.4, 0.6, 0.7)))
-    subsets = TemplateDistribution.poisson(6, 0.5)
-    assert len(subsets.classes(unlike, POSITION_WEIGHTED_SUM, budget=64)) == 64
-    with pytest.raises(EnumerationBudgetError):
-        subsets.classes(unlike, POSITION_WEIGHTED_SUM, budget=63)
+        three.classes(pairs, budget=6)
 
 
 def test_views_keep_the_budget_of_their_technique():
@@ -268,8 +241,7 @@ VIEWS = st.sampled_from(("size", "count", "drawn", "not_drawn"))
 @st.composite
 def technique_cases(draw):
     """A model of 1-6 entries drawn from 1-3 pmfs, a named technique over
-    it, up to two conditions for a view, and sum or a query that sees the
-    order."""
+    it and up to two conditions for a view."""
     ps = draw(st.lists(st.sampled_from((0.25, 0.5, 0.7)), min_size=1, max_size=3))
     pool = [Pmf.bernoulli(p) for p in ps]
     n = draw(st.integers(1, 6))
@@ -287,8 +259,7 @@ def technique_cases(draw):
         k = draw(st.integers(0, 3))
         conditions = {"size": (0, k, k), "count": (j, k, k), "drawn": (j, 1, math.inf)}
         given.append(conditions.get(view, (j, 0, 0)))
-    q = draw(st.sampled_from((sum_query(), POSITION_WEIGHTED_SUM)))
-    return db, technique, given, q
+    return db, technique, given
 
 
 def apply_views(technique, given):
@@ -307,20 +278,19 @@ def apply_views(technique, given):
 @settings(max_examples=300)
 @given(technique_cases())
 def test_closed_form_classes_are_the_enumerated_templates(case):
-    db, technique, given, q = case
+    db, technique, given = case
     try:
         view = apply_views(technique, given)
     except ZeroProbabilityError:
         assert not explicit_view(technique, given)
         return
-    assert_classes_match_the_templates(technique, [], db, q)
-    assert_classes_match_the_templates(view, given, db, q)
-    # For a symmetric query the budget counts exactly the classes built.
-    if q.symmetric:
-        count = len(technique.classes(db, q))
-        assert len(technique.classes(db, q, budget=count)) == count
-        with pytest.raises(EnumerationBudgetError):
-            technique.classes(db, q, budget=count - 1)
+    assert_classes_match_the_templates(technique, [], db)
+    assert_classes_match_the_templates(view, given, db)
+    # The budget counts exactly the classes built.
+    count = len(technique.classes(db))
+    assert len(technique.classes(db, budget=count)) == count
+    with pytest.raises(EnumerationBudgetError):
+        technique.classes(db, budget=count - 1)
 
 
 def test_apply_template_repeats_share_one_draw():
@@ -356,8 +326,8 @@ def test_sampling_curve_single_draw():
 
 
 def test_sampling_curve_max_collapses_to_smaller_model():
-    # m-of-n sampling of an i.i.d. model with a symmetric query looks
-    # exactly like the m-entry model
+    # m-of-n sampling of an i.i.d. model looks exactly like the m-entry
+    # model
     grid = (0.0, 0.25, 0.5, 1.0, 2.0)
     q = sum_query()
     for n, m, p in ((3, 2, 0.5), (4, 2, 0.3), (4, 3, 0.5)):
@@ -387,13 +357,12 @@ def test_sampling_curve_max_scans_every_position_of_a_conditioned_view():
 
 def test_matched_coupling_injective():
     t = TemplateDistribution.without_replacement(3, 2)
-    q = sum_query()
     iid = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
-    triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, iid, q)
+    triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, iid)
     assert [(a.indices, b.indices, w) for a, b, w in triples] == [((1, 2), (3, 2), 1.0)]
     # Entries 2 and 3 unlike: each template is its own class.
     db = DatabaseModel((Pmf.bernoulli(0.5),) * 2 + (Pmf.bernoulli(0.25),))
-    triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, db, q)
+    triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, db)
     assert [(a.indices, b.indices, w) for a, b, w in triples] == [
         ((1, 2), (3, 2), 0.5),
         ((1, 3), (2, 3), 0.5),
@@ -438,43 +407,34 @@ def test_matched_coupling_marginals_with_replacement(n, m):
 
 def assert_coupling_matches_the_templates(technique):
     """Class pairs against the explicit coupling, on alike and unlike
-    entries, for sum and a query that sees the order: equal joint mass per
-    pair of law keys; the first marginal is the classes of the drawn view,
-    the second the classes of the avoiding view, after sorting partners
-    without replacement."""
+    entries: equal joint mass per pair of law keys; the first marginal is
+    the classes of the drawn view, the second the classes of the avoiding
+    view, after sorting partners without replacement."""
     n = technique.n
     wr = technique.kind == "with_replacement"
-    queries = (sum_query(), POSITION_WEIGHTED_SUM)
-    for entries, q, j in product(COUPLING_MODELS, queries, range(1, n + 1)):
+    for entries, j in product(COUPLING_MODELS, range(1, n + 1)):
         db = DatabaseModel(entries[:n])
         drawn, avoided = technique.given_drawn(j), technique.given_not_drawn(j)
-        triples = matched_coupling(drawn, avoided, j, db, q)
+        triples = matched_coupling(drawn, avoided, j, db)
         explicit = explicit_coupling(explicit_view(technique, [(j, 1, math.inf)]), j, n)
         got, want = {}, {}
         for a, b, w in triples:
-            key = law_key(db, a.indices, q), law_key(db, b.indices, q)
+            key = law_key(db, a.indices), law_key(db, b.indices)
             got[key] = got.get(key, 0.0) + w
         for a, b, w in explicit:
-            key = law_key(db, a, q), law_key(db, b, q)
+            key = law_key(db, a), law_key(db, b)
             want[key] = want.get(key, 0) + w
         assert set(got) == set(want)
         assert all(abs(got[k] - want[k]) <= TOL for k in want)
         left = Counter()
         for a, _, w in triples:
             left[a] += w
-        assert all(abs(left[t] - w) <= TOL for t, w in drawn.classes(db, q))
-        # Without replacement, the partners one class pair stands for sort
-        # to different sequences when the query sees the order; there the
-        # explicit coupling, equal to the class pairs above, is sorted.
-        if wr or q.symmetric:
-            partners = [(b.indices, w) for _, b, w in triples]
-        else:
-            partners = [(b, w) for _, b, w in explicit]
+        assert all(abs(left[t] - w) <= TOL for t, w in drawn.classes(db))
         right = Counter()
-        for b, w in partners:
-            right[law_key(db, b if wr else tuple(sorted(b)), q)] += w
-        for t, w in avoided.classes(db, q):
-            right[law_key(db, t.indices, q)] -= w
+        for _, b, w in triples:
+            right[law_key(db, b.indices if wr else tuple(sorted(b.indices)))] += w
+        for t, w in avoided.classes(db):
+            right[law_key(db, t.indices)] -= w
         assert all(abs(v) <= TOL for v in right.values())
 
 
@@ -484,16 +444,16 @@ def test_matched_coupling_budget_counts_class_pairs():
     t = TemplateDistribution.with_replacement(32, 2)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 32)
     drawn, avoided = t.given_drawn(1), t.given_not_drawn(1)
-    assert len(matched_coupling(drawn, avoided, 1, db, sum_query(), budget=4)) == 4
+    assert len(matched_coupling(drawn, avoided, 1, db, budget=4)) == 4
     with pytest.raises(EnumerationBudgetError):
-        matched_coupling(drawn, avoided, 1, db, sum_query(), budget=3)
+        matched_coupling(drawn, avoided, 1, db, budget=3)
 
 
 def test_matched_coupling_rejects_mixed_lengths():
     t = TemplateDistribution.poisson(3, 0.5)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
     with pytest.raises(ValueError):
-        matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, db, sum_query())
+        matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, db)
 
 
 def test_maximal_coupling_split():
