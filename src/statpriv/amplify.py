@@ -90,7 +90,7 @@ def _sampled_curve_values(db, q, n, m, grid, budget):
     """Sampled curve for m-of-n without replacement, as a value tuple.
 
     i.i.d. models collapse to the privacy curve of an m-entry model, which
-    also unlocks the Binomial fast path.
+    for an additive query is built on the lattice chain.
     """
     if db.is_iid:
         return privacy_curve(DatabaseModel.iid(db.entries[0], m), q, grid, budget).values
@@ -166,7 +166,9 @@ def poisson_bound(
     Binomial(n, rate) weight of m, scaled by m/n. The empty sample
     contributes nothing, and sizes of negligible weight are charged
     delta = 1 (see _size_mixture). The output curve is indexed by the input
-    epsilon.
+    epsilon. On an i.i.d. model with an additive query each size's curve is
+    one privacy_curve call, and as the sizes come in increasing order each
+    call extends the lattice chain of the last by one entry.
     """
     _check_model(db, n)
     rate = float(rate)
@@ -182,7 +184,9 @@ def poisson_bound(
 
 def _size_mixture(n, rate, grid, sized_values):
     """Sum over sizes m of the Binomial(n, rate) weight of m times m/n times
-    sized_values(m, stretched grid), per grid epsilon, capped at 1.
+    sized_values(m, stretched grid), per grid epsilon, capped at 1. Sizes
+    go in increasing order, so a sized_values that extends the last size's
+    law (privacy_curve's lattice chain) holds one law at a time.
 
     A size whose weight is below NEGLIGIBLE_SIZE_WEIGHT is not evaluated and
     is charged delta = 1, the most it can contribute, so the sum stays an

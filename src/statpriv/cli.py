@@ -239,7 +239,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--technique", help="none, wor:n,m, poisson:n,rate or wr:n,m")
     p.add_argument("--eps", help="epsilon: value, comma list or start:stop:step")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--budget", help="enumeration state budget")
+    p.add_argument("--budget", help="enumeration budget: multiset states or lattice cells")
     p.add_argument("--config", help="key=value config file; flags win")
 
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check the pipeline against the oracle")
     p.add_argument("--max-n", dest="max_n", help="largest model size (default 3)")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--budget", help="enumeration state budget")
+    p.add_argument("--budget", help="enumeration budget: multiset states or lattice cells")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import groupby, product
 from functools import cached_property
-from operator import add, lt, mul
+from operator import add, itemgetter, lt, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import AlreadyFixedError, EnumerationBudgetError
@@ -122,20 +122,26 @@ class Query:
     order of its input: answer laws are built from the multiset of the
     sample. `empty_answer` is the declared answer for an empty sample. The
     order invariance and `monotone` (coordinatewise monotonicity) are
-    trusted as declared. A query may also give `counts_evaluator`: given
-    the distinct values, it returns a function of their counts that gives
-    the evaluator's float bit for bit, in time independent of the sample
-    size. Answer laws merge two answers exactly when they are the same
-    float, so a counts evaluator that rounded differently would split or
-    merge answers the released query does not.
+    trusted as declared.
+
+    A query may declare itself `additive`: given the distinct values, it
+    returns an integer score per value and answer(size, total), the answer
+    on a sample of that size whose scores add up to `total`. The answer
+    must be the evaluator's float bit for bit and nondecreasing in the
+    total. Answer laws merge two answers exactly when they are the same
+    float, so a declaration that rounded differently would split or merge
+    answers the released query does not. Additive queries take the lattice
+    chain (lattice_laws) in privacy curves, and counts_answer derives from
+    the declaration; other queries answer from a rebuilt sample.
     """
 
     name: str
     evaluator: Callable[[tuple[float, ...]], float]
     monotone: bool
     empty_answer: float = 0.0
-    counts_evaluator: (
-        Callable[[tuple[float, ...]], Callable[[Sequence[int]], float]] | None
+    additive: (
+        Callable[[tuple[float, ...]], tuple[Sequence[int], Callable[[int, int], float]]]
+        | None
     ) = None
 
     def answer(self, values: tuple[float, ...]) -> float:
@@ -146,42 +152,38 @@ class Query:
     def counts_answer(self, values: tuple[float, ...]) -> Callable[[Sequence[int]], float]:
         """The answer on the multiset that holds values[i] counts[i] times,
         as a function of the counts (not all zero)."""
-        if self.counts_evaluator is not None:
-            return self.counts_evaluator(values)
+        if self.additive is not None:
+            scores, answer = self.additive(values)
+            return lambda counts: answer(sum(counts), sum(map(mul, counts, scores)))
         return lambda counts: self.answer(
             tuple(v for v, c in zip(values, counts) for _ in range(c))
         )
 
 
-def _sum_of_counts(values: tuple[float, ...]) -> Callable[[Sequence[int]], float]:
-    """math.fsum of a multiset of `values` from its counts.
-
-    Each value is an integer over a common power of two, so the sum is exact
-    in integers and rounded once, as fsum rounds it.
-    """
+def _numerators(values: tuple[float, ...]) -> tuple[list[int], int]:
+    """Each value as an integer over one common power of two: a sum of
+    values is exact in these integers and rounds once, as fsum rounds it."""
     ratios = [v.as_integer_ratio() for v in values]
     den = max(d for _, d in ratios)
-    nums = [n * (den // d) for n, d in ratios]
-    return lambda counts: sum(map(mul, counts, nums)) / den
+    return [n * (den // d) for n, d in ratios], den
 
 
-def _positive_count(values: tuple[float, ...]) -> Callable[[Sequence[int]], float]:
-    positive = [v > 0.0 for v in values]
-    return lambda counts: float(sum(compress(counts, positive)))
+def _additive_sum(values):
+    scores, den = _numerators(values)
+    return scores, lambda size, total: total / den
 
 
-def _mean_of_counts(values: tuple[float, ...]) -> Callable[[Sequence[int]], float]:
-    total = _sum_of_counts(values)
-    return lambda counts: total(counts) / sum(counts)
+def _additive_count(values):
+    return [int(v > 0.0) for v in values], lambda size, total: float(total)
+
+
+def _additive_mean(values):
+    scores, den = _numerators(values)
+    return scores, lambda size, total: total / den / size
 
 
 def sum_query() -> Query:
-    return Query(
-        "sum",
-        lambda values: math.fsum(values),
-        monotone=True,
-        counts_evaluator=_sum_of_counts,
-    )
+    return Query("sum", lambda values: math.fsum(values), monotone=True, additive=_additive_sum)
 
 
 def count_query() -> Query:
@@ -190,7 +192,7 @@ def count_query() -> Query:
         "count",
         lambda values: float(sum(1 for x in values if x > 0.0)),
         monotone=True,
-        counts_evaluator=_positive_count,
+        additive=_additive_count,
     )
 
 
@@ -200,7 +202,7 @@ def mean_query() -> Query:
         lambda values: math.fsum(values) / len(values),
         monotone=True,
         empty_answer=0.0,
-        counts_evaluator=_mean_of_counts,
+        additive=_additive_mean,
     )
 
 
@@ -480,40 +482,119 @@ def answer_law(
 
 
 def answer_pmf(q: Query, pairs: Iterable[tuple[float, float]]) -> Pmf:
-    """The law of q's answers from (answer, weight) pairs, the one place an
-    answer law is built: Pmf.from_pairs, so two answers merge exactly when q
-    returns the same float for them. A weight that underflowed to 0 keeps
-    its answer. An answer beyond the float range, raised while the pairs are
-    produced, is a ValueError naming q.
+    """The law of q's answers from (answer, weight) pairs in any order, for
+    the multiset kernel and sampled_pushforward: Pmf.from_pairs, so two
+    answers merge exactly when q returns the same float for them, as in the
+    lattice chain's runs. A weight that underflowed to 0 keeps its answer.
+    An answer beyond the float range, raised while the pairs are produced,
+    is a ValueError naming q.
     """
     try:
         return Pmf.from_pairs(pairs, drop_zero=False)
     except OverflowError:
-        raise ValueError(
-            f"query {q.name!r} overflows: an answer on this model is beyond the float range"
-        ) from None
+        raise _overflow(q) from None
 
 
-def binomial_laws(db: DatabaseModel, q: Query) -> dict[float, Pmf] | None:
-    """The Binomial fast path: conditioning value v -> answer law of q on db
-    with one entry fixed to v, for i.i.d. two-valued entries; None otherwise.
+def lattice_laws(
+    db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUDGET
+) -> dict[float, Pmf] | None:
+    """The lattice chain: conditioning value v -> answer law of q on db with
+    entry j fixed to v, for an additive q (see Query); None when q is not
+    additive or the chain would build more than `budget` cells, for the
+    multiset kernel (answer_law) to take over.
 
-    The n - 1 free entries take the high outcome a Binomial number k of
-    times. answer_law on the conditioned model streams these n count
-    vectors with the same weights and adds the fixed entry's one-hot vector;
-    so does this, without building the model or its key, so the laws are
-    bit-identical to answer_law's at any n.
+    Scores lie on a lattice of step g, the gcd of the grid's score
+    differences. The m free entries (all but j) are convolved in floats one
+    at a time, law(i) = law(i - 1) * entry i, on i * span + 1 cells, so
+    span * m(m + 1)/2 + m cells in all: what `budget` counts. Dividing by
+    the fsum keeps weights that sum to 1 only after rounding, such as
+    (0.7, 0.3), from drifting. Fixing j to v shifts every total by v's
+    score; q's float for a reachable total is its answer, and as q is
+    nondecreasing in the total, equal answers are adjacent runs and merge in
+    total order: the outcomes of answer_law, bit for bit.
+
+    Error: every term is nonnegative, so each mass is within (2km + 3)u
+    relative of the exact law (the entries' weights divided by their
+    rational sums), to first order in u = 2^-53, k the largest support of a
+    free entry, plus km 2^-1074 per lattice cell from subnormal roundings.
     """
-    if not db.is_iid or len(db.outcome_grid) != 2:
+    if q.additive is None:
         return None
-    entry = db.entries[0]
-    lo, hi = entry.outcomes
-    answer = q.counts_answer(entry.outcomes)
-    free = list(_multiset_options(entry, 1, db.n - 1))
-    return {
-        lo: answer_pmf(q, ((answer((a + 1, b)), w) for (a, b), w in free)),
-        hi: answer_pmf(q, ((answer((a, b + 1)), w) for (a, b), w in free)),
-    }
+    grid = db.outcome_grid
+    scores, answer = q.additive(grid)
+    low = min(scores)
+    g = math.gcd(*(s - low for s in scores)) or 1
+    steps = tuple((s - low) // g for s in scores)
+    free = db.entries[: j - 1] + db.entries[j:]
+    m = len(free)
+    if max(steps) * (m * (m + 1) // 2) + m > budget:
+        return None
+    law, reach = _free_law(free, steps)
+    total = math.fsum(law)
+    reachable = [i for i, bit in enumerate(bin(reach)[:1:-1]) if bit == "1"]
+    weights = [law[i] / total for i in reachable]
+    laws = {}
+    for v, s in zip(grid, scores):
+        shift = m * low + s
+        try:
+            # + 0.0 makes -0.0 the outcome 0.0, as Pmf.from_pairs does
+            answers = [answer(m + 1, shift + g * i) + 0.0 for i in reachable]
+        except OverflowError:
+            raise _overflow(q) from None
+        laws[v] = _run_law(answers, weights)
+    return laws
+
+
+# The one law _free_law remembers: steps -> (entries, law, reachable cells).
+_chain_memo: dict = {}
+
+
+def _free_law(entries: tuple[Pmf, ...], steps: tuple[int, ...]):
+    """The chain over `entries` before normalization, and its reachable
+    cells as the set bits of an int. The last chain is kept: a request
+    that appends entries to it extends it one step per entry, which gives
+    bit for bit the law a rebuild from scratch would, so sizes 1, 2, 3, ...
+    of one entry cost one step each and only one law is held."""
+    done, law, reach = _chain_memo.get(steps, ((), [1.0], 1))
+    if entries[: len(done)] != done:
+        done, law, reach = (), [1.0], 1
+    for entry in entries[len(done):]:
+        law, reach = _step(law, reach, entry, steps)
+    _chain_memo.clear()
+    _chain_memo[steps] = entries, law, reach
+    return law, reach
+
+
+def _step(law: list[float], reach: int, entry: Pmf, steps: tuple[int, ...]):
+    """law * entry and its reachable cells: per support point of the
+    entry, in grid order, its weight times the law shifted by its step."""
+    size = len(law)
+    out = [0.0] * (size + max(steps))
+    (s, w), *rest = ((s, w) for s, w in zip(steps, entry.weights) if w > 0.0)
+    out[s : s + size] = [w * x for x in law]
+    grown = reach << s
+    for s, w in rest:
+        out[s : s + size] = [a + w * x for a, x in zip(out[s : s + size], law)]
+        grown |= reach << s
+    return out, grown
+
+
+def _run_law(answers: list[float], weights: list[float]) -> Pmf:
+    """The law of nondecreasing answers with their weights: equal answers
+    are adjacent and merge, their weights summed by fsum."""
+    if all(map(lt, answers, answers[1:])):
+        return Pmf(answers, weights)
+    outcomes, masses = [], []
+    for a, run in groupby(zip(answers, weights), key=itemgetter(0)):
+        outcomes.append(a)
+        masses.append(math.fsum(w for _, w in run))
+    return Pmf(outcomes, masses)
+
+
+def _overflow(q: Query) -> ValueError:
+    return ValueError(
+        f"query {q.name!r} overflows: an answer on this model is beyond the float range"
+    )
 
 
 def _add_counts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,8 +11,8 @@ from .dist import (
     DatabaseModel,
     Pmf,
     Query,
-    binomial_laws,
     condition,
+    lattice_laws,
     pushforward,
     scan_positions,
 )
@@ -170,21 +170,23 @@ def privacy_curve(
     over positions j and ordered pairs (v, w) from the outcome grid, scanning
     the positions of scan_positions.
 
-    The generic path enumerates conditioned pushforwards once per (j, w).
-    Models with i.i.d. two-valued entries take the Binomial fast path
-    (dist.binomial_laws) instead: the generic path's laws bit for bit,
-    without building a model per conditioning value, so n in the thousands
-    stays cheap.
+    For an additive query (sum, count, mean) the laws of a position come
+    from one lattice chain over the other entries, shifted per conditioning
+    value (dist.lattice_laws). Consecutive calls on i.i.d. models of sizes
+    m, m + 1, ... extend that chain by one entry each, which is how the
+    Poisson size mixture builds its laws. Other queries, and chains that
+    would build more cells than `budget`, enumerate conditioned pushforwards
+    once per (j, w) with the multiset kernel.
     """
     grid = as_grid(grid)
     if db.fixed:
         raise ValueError("privacy_curve needs a pure product model, got fixed positions")
-    fast = binomial_laws(db, q)
-    per_position = [fast] if fast is not None else [
-        {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
-        for j in scan_positions(db, exchangeable=True)
-    ]
-    rows = [row for pmfs in per_position for row in worst_pairs(pmfs, grid).values()]
+    rows = []
+    for j in scan_positions(db, exchangeable=True):
+        pmfs = lattice_laws(db, j, q, budget)
+        if pmfs is None:
+            pmfs = {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
+        rows.extend(worst_pairs(pmfs, grid).values())
     return PrivacyCurve(grid, tuple(max(col) for col in zip(*rows)))
 
 

@@ -1,10 +1,12 @@
-"""The answer-law kernel against independent references.
+"""The answer-law kernels against independent references.
 
 `pushforward` and `apply_template` share one kernel that enumerates multisets
-with multinomial weights. These tests check it against a plain ordered
-enumeration written here, against the Binomial fast path of
-`privacy_curve`, and its weights against exact rational arithmetic. Every
-answer is the float the query returns; two answers merge only when equal.
+with multinomial weights; `privacy_curve` builds the laws of additive queries
+with the lattice chain `lattice_laws`. These tests check the multiset kernel
+against a plain ordered enumeration written here, the chain against the
+multiset kernel, and the weights of both against exact rational arithmetic.
+Every answer is the float the query returns; two answers merge only when
+equal.
 """
 
 import dataclasses
@@ -21,22 +23,24 @@ from statpriv.dist import (
     DatabaseModel,
     Pmf,
     Query,
+    WEIGHT_TOL,
     answer_law,
-    binomial_laws,
     binomial_pmf,
     condition,
     count_query,
+    lattice_laws,
     law_key,
     mean_query,
     pushforward,
     sum_query,
 )
+from statpriv import dist
 from statpriv.divergence import PrivacyCurve, default_eps_grid, privacy_curve, worst_pairs
 from statpriv.sampling import Template, apply_template
 
 TOL = 1e-12
 
-# No counts_evaluator: the kernel answers through Query.counts_answer's
+# Not additive: the kernel answers through Query.counts_answer's
 # fallback, which rebuilds the sample from the counts.
 MAX_QUERY = Query("max", max, monotone=True)
 QUERIES = (sum_query(), count_query(), mean_query(), MAX_QUERY)
@@ -98,46 +102,220 @@ def test_kernel_matches_ordered_enumeration(model, q):
     assert_same_law(pushforward(db, q), ordered_law(db, tuple(range(1, db.n + 1)), q))
 
 
+U = 2.0**-53
+
+
+def chain_bound(db, j):
+    """The lattice chain's error bound (see lattice_laws): relative and
+    absolute parts for the laws of db with entry j fixed."""
+    free = [e for i, e in enumerate(db.entries, 1) if i != j]
+    k = max((len(e.support) for e in free), default=1)
+    m = len(free)
+    return (2 * k * m + 3) * U, k * m * 2.0**-1074
+
+
+def assert_chain_matches_the_kernel(db, j, q):
+    """Chain and multiset kernel on db with entry j fixed to each value: the
+    same answer floats bit for bit, masses within the chain's bound (twice
+    it, for the kernel's own roundoff and merges), and worst-pair curves
+    within what those masses allow: delta(eps) moves by at most the mass
+    errors of mu plus e^eps times those of nu, plus its own rounding."""
+    chain = lattice_laws(db, j, q)
+    kernel = {w: pushforward(condition(db, j, w), q) for w in db.outcome_grid}
+    assert chain.keys() == kernel.keys()
+    rel, floor = chain_bound(db, j)
+    for w, law in kernel.items():
+        assert [a.hex() for a in chain[w].outcomes] == [a.hex() for a in law.outcomes]
+        for got, want in zip(chain[w].weights, law.weights):
+            assert abs(got - want) <= 2 * rel * want + floor, (w, got, want)
+    grid = default_eps_grid()
+    cells = max(len(law.outcomes) for law in kernel.values())
+    for got, want in zip(worst_pairs(chain, grid).values(), worst_pairs(kernel, grid).values()):
+        for eps, a, b in zip(grid, got, want):
+            scale = 1.0 + math.exp(eps)
+            assert abs(a - b) <= (2 * rel + cells * floor) * scale + 4 * U, (eps, a, b)
+
+
 def test_mean_curve_beyond_ordered_enumeration_matches_the_kernel():
-    # Mean takes the Binomial fast path on 0/1 entries; the kernel enumerates
-    # 1100 multisets per conditioned model where ordered enumeration would
-    # need 2^1099 states. Its multinomial coefficients exceed the float range.
+    # The chain builds the mean's laws over 1099 free entries; the multiset
+    # kernel enumerates 1100 multisets per conditioned model where ordered
+    # enumeration would need 2^1099 states. Its multinomial coefficients
+    # exceed the float range.
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 1100)
     grid = default_eps_grid()
     q = mean_query()
     mean = privacy_curve(db, q, grid)
     kernel = {w: pushforward(condition(db, 1, w), q) for w in db.outcome_grid}
     assert mean.values[0] > 0.01
-    assert mean.values == tuple(max(col) for col in zip(*worst_pairs(kernel, grid).values()))
+    want = tuple(max(col) for col in zip(*worst_pairs(kernel, grid).values()))
+    assert max(abs(a - b) for a, b in zip(mean.values, want)) <= TOL
+    assert_chain_matches_the_kernel(db, 1, q)
 
 
 TWO_VALUED_OUTCOMES = (-2.5, -0.7, -0.3, -0.1, 0.0, 0.1, 0.2, 0.3, 1.0, 2.7)
+# Three values whose scores share a small lattice; two values always do.
+LATTICE_OUTCOMES = (-2.0, -0.5, 0.0, 0.25, 1.0, 3.0)
+
+
+@st.composite
+def lattice_models(draw):
+    """Models of 1-12 entries on two decimal or three lattice outcomes,
+    i.i.d. or drawn from two pmfs, with the position to fix."""
+    if draw(st.booleans()):
+        outcomes = draw(st.lists(st.sampled_from(TWO_VALUED_OUTCOMES), min_size=2, max_size=2, unique=True))
+    else:
+        outcomes = draw(st.lists(st.sampled_from(LATTICE_OUTCOMES), min_size=3, max_size=3, unique=True))
+    outcomes.sort()
+
+    def entry():
+        raw = draw(st.lists(st.sampled_from((0, 1, 3, 5, 7)), min_size=len(outcomes), max_size=len(outcomes)))
+        if not any(raw):
+            raw[0] = 1
+        return Pmf(tuple(outcomes), tuple(r / sum(raw) for r in raw))
+
+    pool = [entry(), entry()]
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        db = DatabaseModel.iid(pool[0], n)
+    else:
+        db = DatabaseModel(tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+    return db, draw(st.integers(1, n))
 
 
 @settings(max_examples=300)
-@given(
-    st.lists(st.sampled_from(TWO_VALUED_OUTCOMES), min_size=2, max_size=2, unique=True),
-    st.sampled_from((0.3, 0.5, 0.7)),
-    st.integers(1, 12),
-    st.sampled_from((sum_query(), count_query(), mean_query())),
+@given(lattice_models(), st.sampled_from((sum_query(), count_query(), mean_query())))
+def test_lattice_chain_matches_the_kernel(model, q):
+    db, j = model
+    assert_chain_matches_the_kernel(db, j, q)
+
+
+def test_lattice_chain_needs_an_additive_query_within_the_budget():
+    three = DatabaseModel.iid(Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), 4)
+    assert lattice_laws(three, 1, MAX_QUERY) is None
+    # 3 free entries of span 2 build 2 * (1 + 2 + 3) + 3 = 15 cells.
+    assert set(lattice_laws(three, 1, sum_query(), budget=15)) == {0.0, 1.0, 2.0}
+    assert lattice_laws(three, 1, sum_query(), budget=14) is None
+    # Count scores 0, 1, 1: span 1 and 1 + 2 + 3 + 3 = 9 cells.
+    assert lattice_laws(three, 1, count_query(), budget=9) is not None
+    assert lattice_laws(three, 1, count_query(), budget=8) is None
+    unlike = DatabaseModel((Pmf.bernoulli(0.3), Pmf.bernoulli(0.6)))
+    assert lattice_laws(unlike, 2, sum_query())[1.0].as_dict == pytest.approx({1.0: 0.7, 2.0: 0.3})
+    # Decimal scores with gcd 1 span about 7e15 lattice steps.
+    decimal = DatabaseModel.iid(Pmf((0.1, 0.2, 0.3), (0.5, 0.25, 0.25)), 3)
+    assert lattice_laws(decimal, 1, sum_query()) is None
+    assert lattice_laws(DatabaseModel.iid(Pmf.point(2.0), 3), 1, mean_query())[2.0] == Pmf.point(2.0)
+
+
+def test_lattice_chain_extends_its_last_law_bit_for_bit():
+    # Sizes 1, 2, ... extend one chain by one entry each; the laws must be
+    # the ones a rebuild from scratch gives, and only one law is held.
+    entry = Pmf((0.0, 1.0, 3.0), (0.3, 0.6, 0.1))
+    for q in (sum_query(), mean_query()):
+        extended = [lattice_laws(DatabaseModel.iid(entry, m), 1, q) for m in range(1, 40)]
+        assert len(dist._chain_memo) == 1
+        for m, laws in enumerate(extended, 1):
+            dist._chain_memo.clear()
+            rebuilt = lattice_laws(DatabaseModel.iid(entry, m), 1, q)
+            assert {w: bits(law) for w, law in laws.items()} == {w: bits(law) for w, law in rebuilt.items()}
+    # a different entry, or fewer entries, starts again
+    other = lattice_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 5), 1, sum_query())
+    dist._chain_memo.clear()
+    assert other == lattice_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 5), 1, sum_query())
+    assert lattice_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 3), 1, sum_query()) == lattice_laws(
+        DatabaseModel.iid(Pmf.bernoulli(0.3), 3), 1, sum_query()
+    )
+
+
+def exact_lattice_law(weights, m):
+    """Exact law of the sum of m draws of values 0..k-1 with these float
+    weights divided by their rational sum: integer coefficients of
+    (sum of numerators x^i)^m over (sum of numerators)^m."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = max(d for _, d in ratios)
+    nums = [n * (den // d) for n, d in ratios]
+    law = [1]
+    for _ in range(m):
+        out = [0] * (len(law) + len(nums) - 1)
+        for i, c in enumerate(law):
+            for s, w in enumerate(nums):
+                out[i + s] += c * w
+        law = out
+    total = sum(nums) ** m
+    return [Fraction(c, total) for c in law]
+
+
+@pytest.mark.parametrize(
+    "weights, m",
+    [
+        ((0.1, 0.9), 200),
+        ((0.3, 0.7), 200),
+        ((0.5, 0.5), 200),
+        ((0.7, 0.3), 200),
+        ((0.1, 0.9), 400),  # masses down to 1e-400: the subnormal floor
+        ((0.1, 0.3, 0.6), 200),
+        ((0.7, 0.2, 0.1), 200),
+        ((0.25, 0.5, 0.25), 200),
+        ((0.125, 0.375, 0.5), 150),
+    ],
 )
-def test_binomial_fast_path_equals_the_kernel_bit_for_bit(outcomes, p, n, q):
-    # p goes to the first drawn outcome, the lower or the higher one; the
-    # fast path must answer with the query's own floats, as the kernel does.
-    first, second = outcomes
-    db = DatabaseModel.iid(Pmf.from_pairs([(first, p), (second, 1.0 - p)]), n)
-    grid = default_eps_grid()
-    fast = binomial_laws(db, q)
-    kernel = {w: pushforward(condition(db, 1, w), q) for w in db.outcome_grid}
-    assert worst_pairs(fast, grid) == worst_pairs(kernel, grid)
-    assert {w: bits(law) for w, law in fast.items()} == {w: bits(law) for w, law in kernel.items()}
+def test_lattice_chain_is_within_its_stated_bound_of_the_exact_law(weights, m):
+    # Values 0..k-1: each total is one sum, so each mass is one lattice cell.
+    entry = Pmf(tuple(map(float, range(len(weights)))), weights)
+    db = DatabaseModel.iid(entry, m + 1)
+    law = lattice_laws(db, 1, sum_query())[0.0]
+    rel, floor = chain_bound(db, 1)
+    exact = exact_lattice_law(weights, m)
+    assert len(law.outcomes) == len(exact)
+    for got, want in zip(law.weights, exact):
+        assert abs(Fraction(got) - want) <= rel * want + Fraction(floor), (got, float(want))
 
 
-def test_binomial_fast_path_needs_two_values_iid_and_a_symmetric_query():
-    assert binomial_laws(DatabaseModel.iid(Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), 3), sum_query()) is None
-    assert binomial_laws(DatabaseModel((Pmf.bernoulli(0.3), Pmf.bernoulli(0.6))), sum_query()) is None
-    assert set(binomial_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 3), mean_query())) == {0.0, 1.0}
-    assert set(binomial_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 3), MAX_QUERY)) == {0.0, 1.0}
+@pytest.mark.parametrize("weights", [(0.7, 0.3), (0.1, 0.9)])
+def test_lattice_chain_normalizes_weights_that_sum_to_one_only_after_rounding(weights):
+    # (0.7, 0.3) sums to 1 - 2^-54 as rationals and (0.1, 0.9) to 1 + 2^-55:
+    # undivided, 20000 draws of the first drift by 1.1e-12, past WEIGHT_TOL,
+    # and the chain would build 2e8 cells. Lowering the second weight by
+    # 2^-44 makes the drift about 2^-44 per draw, so 41 entries (40 free)
+    # drift 2.3e-12 undivided; (0.5, 0.5 - 2^-43) does so in 20 draws.
+    for entry, n in (
+        (Pmf((0.0, 1.0), (weights[0], weights[1] - 2.0**-44)), 41),
+        (Pmf((0.0, 1.0), (0.5, 0.5 - 2.0**-43)), 21),
+    ):
+        for q in (sum_query(), count_query(), mean_query()):
+            for law in lattice_laws(DatabaseModel.iid(entry, n), 1, q).values():
+                assert abs(math.fsum(law.weights) - 1.0) <= WEIGHT_TOL / 10
+
+
+@st.composite
+def lattice_values(draw):
+    """2-3 integer or decimal values, each optionally shifted by about 1e11,
+    with positive dyadic weights."""
+    base = draw(st.sets(st.sampled_from((0, 1, 2, 5, 0.1, 0.2, 0.3, 0.5, 2.7, -0.7, -3)), min_size=2, max_size=3))
+    shift = draw(st.sampled_from((0.0, 1e11, 1e11 + 1, 123456789012.5)))
+    values = sorted({float(v) + shift for v in base})
+    weights = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(values), max_size=len(values)))
+    return Pmf(tuple(values), tuple(w / sum(weights) for w in weights))
+
+
+@settings(max_examples=200)
+@given(lattice_values(), st.integers(1, 6), st.sampled_from((sum_query(), count_query(), mean_query())))
+def test_every_count_vector_with_one_lattice_total_gives_the_chains_float(entry, m, q):
+    # The declaration answers from (size, total score); the released query
+    # answers the sample. Every sample with one total must give one float,
+    # and the chain's law of m free draws plus a fixed value has exactly
+    # those floats as outcomes when it fits the budget.
+    values = entry.outcomes
+    scores, _ = q.additive(values)
+    laws = lattice_laws(DatabaseModel.iid(entry, m + 1), 1, q, budget=10**6)
+    for v in values:
+        by_total = {}
+        for combo in itertools.combinations_with_replacement(range(len(values)), m):
+            sample = (v, *(values[i] for i in combo))
+            total = scores[values.index(v)] + sum(scores[i] for i in combo)
+            by_total.setdefault(total, set()).add(q.answer(sample))
+        assert all(len(answers) == 1 for answers in by_total.values()), by_total
+        if laws is not None:
+            assert set(laws[v].outcomes) == {a for (a,) in by_total.values()}
 
 
 @st.composite
@@ -223,8 +401,9 @@ def test_binomial_pmf_is_exact_to_roundoff_at_any_n():
 
 def test_entry_weights_that_sum_to_one_only_after_rounding_do_not_drift():
     # bern(0.3) stores (0.7, 0.3), 1 - 2^-54 as rationals; 20000 draws of the
-    # undivided weights total 1 - 1.1e-12, which Pmf refuses. The count takes
-    # the Binomial fast path, the mean the multiset kernel.
+    # undivided weights total 1 - 1.1e-12, which Pmf refuses. The lattice
+    # chain would build 2e8 cells here, over the default budget, so count
+    # and mean both take the multiset kernel.
     db = DatabaseModel.iid(Pmf.bernoulli(0.3), 20000)
     grid = (0.0, 0.05, 0.5)
     count = privacy_curve(db, count_query(), grid)

@@ -12,7 +12,8 @@ from statpriv.cli import (
     parse_technique,
     read_config,
 )
-from statpriv.dist import DatabaseModel, condition, sum_query
+from statpriv.dist import DatabaseModel, condition, lattice_laws, pushforward, sum_query
+from statpriv.divergence import worst_pairs
 from statpriv.oracle import brute_force_divergence
 from statpriv.sampling import TemplateDistribution
 
@@ -170,6 +171,44 @@ def test_budget_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "needs 1830 states" in capsys.readouterr().err
+
+
+def kernel_curve(entry, n, grid):
+    """The sum's curve from multiset-kernel pushforwards, as floats."""
+    db = DatabaseModel.iid(parse_entry(entry), n)
+    laws = {w: pushforward(condition(db, 1, w), sum_query()) for w in db.outcome_grid}
+    return [max(col) for col in zip(*worst_pairs(laws, grid).values())]
+
+
+def curve_values(capsys, *argv):
+    assert main(["curve", "--query", "sum", "--eps", "0,0.5,1", *argv]) == 0
+    return [float(row.split(",")[1]) for row in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_decimal_entry_beyond_the_lattice_budget_takes_the_multiset_kernel(capsys):
+    # 0.1, 0.2 and 0.3 are integers over 2^55 whose differences have gcd 1,
+    # so the lattice chain would need about 7e15 cells per entry.
+    entry = "discrete:0.1@0.5,0.2@0.25,0.3@0.25"
+    assert lattice_laws(DatabaseModel.iid(parse_entry(entry), 8), 1, sum_query()) is None
+    got = curve_values(capsys, "--entry", entry, "--n", "8")
+    assert got == kernel_curve(entry, 8, (0.0, 0.5, 1.0))
+
+
+def test_budget_takes_the_chain_then_the_multiset_kernel_then_refuses(capsys):
+    # n = 10 on three values: the chain over 9 free entries of span 2 builds
+    # 2 * 45 + 9 = 99 cells; the multiset kernel enumerates C(11, 2) = 55
+    # count vectors per conditioned law.
+    entry = "discrete:0@0.25,1@0.5,2@0.25"
+    argv = ("--entry", entry, "--n", "10")
+    chain = curve_values(capsys, *argv, "--budget", "99")
+    kernel = curve_values(capsys, *argv, "--budget", "98")
+    assert kernel == curve_values(capsys, *argv, "--budget", "55")
+    assert kernel == kernel_curve(entry, 10, (0.0, 0.5, 1.0))
+    assert max(abs(a - b) for a, b in zip(chain, kernel)) <= 1e-12
+    assert main(["curve", "--query", "sum", "--eps", "0", *argv, "--budget", "54"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: enumeration needs 55 states but the budget is 54")
+    assert err.count("\n") == 1
 
 
 def test_usage_exit_code(tmp_path):

@@ -143,18 +143,18 @@ def test_privacy_curve_bernoulli_three():
 
 
 def test_privacy_curve_fast_path_matches_generic():
-    # counting fast path must agree with the generic product enumeration
+    # On 0/1 entries count, sum and mean tell the same samples apart (the
+    # mean is the sum over n), so their curves, each built on the lattice
+    # chain, must agree.
     grid = (0.0, 0.3, 1.0)
     for n in (2, 5, 8):
         for p in (0.3, 0.5):
             db = DatabaseModel.iid(Pmf.bernoulli(p), n)
             fast = privacy_curve(db, count_query(), grid)
             slow = privacy_curve(db, mean_query(), grid)
-            # mean has no fast path; count equals n * mean scaled answers, so
-            # compare count against sum instead, which also bypasses via the
-            # same convolution route only on two-valued entries
             direct = privacy_curve(db, sum_query(), grid)
             assert all(abs(x - y) <= TOL for x, y in zip(fast.values, direct.values))
+            assert all(abs(x - y) <= TOL for x, y in zip(slow.values, direct.values))
             assert slow.grid == grid
 
 
