@@ -30,7 +30,6 @@ from .sampling import (
     TemplateDistribution,
     apply_template,
     matched_coupling,
-    sampling_curve,
     sampling_curve_max,
 )
 
@@ -117,10 +116,7 @@ def without_replacement_bound(
     grid = as_grid(grid)
     rate = m / n
     values = _sampled_curve_values(db, q, n, m, grid, budget)
-    return tuple(
-        AmplifiedParams(shrink_epsilon(e, rate), rate * v)
-        for e, v in zip(grid, values)
-    )
+    return tuple(dp_subsample(e, v, rate) for e, v in zip(grid, values))
 
 
 def viability_ratio(
@@ -232,10 +228,13 @@ def with_replacement_bound(
     Needs a monotone query and the samplability precondition certified by
     _check_half_line_scope (half-line choosability on same-template pairs,
     the coupled mean value inequality on cross pairs); a failure raises
-    NotSamplableError with the witness. eps' shrinks by the probability
-    1 - (1 - 1/n)^m that the sensitive entry is drawn at all; delta' mixes
-    sampled curves conditioned on its exact draw count k with
-    Binomial(m, 1/n) weights.
+    NotSamplableError with the witness. Past the gate, each pair is
+    dp_subsample of the drawn-view curve (sampling_curve_max over the
+    templates that draw the sensitive entry) at the rate P(K >= 1), K ~
+    Binomial(m, 1/n) the entry's draw count: each template class carries
+    its exact worst-pair divergence, so the mixture over draw counts,
+    sum over k of P(K = k) E[worst | K = k], is P(K >= 1) E[worst | K >= 1],
+    the shape of the without-replacement bound.
     """
     _check_model(db, n)
     if m < 1:
@@ -244,28 +243,13 @@ def with_replacement_bound(
         raise ValueError("the with-replacement bound needs a monotone query")
     grid = as_grid(grid)
     technique = TemplateDistribution.with_replacement(n, m, budget)
-    positions = scan_positions(db, technique.exchangeable)
-    _check_half_line_scope(db, q, technique, positions, grid, budget)
-    weights = occurrence_weights(n, m)
-    per_k: list[tuple[float, tuple[float, ...]]] = []
-    for k in range(1, m + 1):
-        if weights[k] == 0.0:
-            continue
-        curves = [
-            sampling_curve(db, q, technique.given_count(j, k), j, grid, budget).values
-            for j in positions
-        ]
-        per_k.append((weights[k], tuple(max(col) for col in zip(*curves))))
-    stay_out = 1.0 - 1.0 / n
-    drawn_rate = 1.0 - stay_out ** m
-    out = []
-    for gi, e in enumerate(grid):
-        delta = math.fsum(wk * vals[gi] for wk, vals in per_k)
-        out.append(AmplifiedParams(shrink_epsilon(e, drawn_rate), min(1.0, delta)))
-    return tuple(out)
+    _check_half_line_scope(db, q, technique, grid, budget)
+    values = sampling_curve_max(db, q, technique, grid, budget).values
+    drawn = min(1.0, math.fsum(occurrence_weights(n, m)[1:]))
+    return tuple(dp_subsample(e, v, drawn) for e, v in zip(grid, values))
 
 
-def _check_half_line_scope(db, q, technique, positions, grid, budget):
+def _check_half_line_scope(db, q, technique, grid, budget):
     """Samplability precondition over every answer pair the proof compares.
 
     Per position j, two families are certified on the epsilon grid:
@@ -292,7 +276,7 @@ def _check_half_line_scope(db, q, technique, positions, grid, budget):
     ("half_line" or "coupled") on the first failure.
     """
     outcomes = db.outcome_grid
-    for j in positions:
+    for j in scan_positions(db, technique.exchangeable):
         drawn = technique.given_drawn(j)
         conditioned = [condition(db, j, w) for w in outcomes]
         laws: dict[tuple, Pmf] = {}

@@ -107,6 +107,8 @@ def _parse_one_eps(token: str) -> float:
         value = math.log(x)
     else:
         value = _parse_float(token, "--eps")
+    if not math.isfinite(value):
+        raise UsageError(f"--eps: epsilon must be finite, got {value}")
     if value < 0.0:
         raise UsageError(f"--eps: epsilon must be nonnegative, got {value}")
     return value
@@ -121,6 +123,8 @@ def parse_eps(token: str) -> tuple[float, ...]:
         start = _parse_float(parts[0], "--eps start")
         stop = _parse_float(parts[1], "--eps stop")
         step = _parse_float(parts[2], "--eps step")
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"--eps: grid needs finite start, stop and step, got {token!r}")
         if step <= 0.0 or stop < start or start < 0.0:
             raise UsageError(f"--eps: bad grid {token!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -354,7 +358,10 @@ def cmd_figures(args) -> int:
             rows = []
             for lam in _lambda_grid():
                 m = min(n, max(1, round(lam * n)))
-                rows.append((lam, viability_ratio(entry, q, n, m, eps, budget)))
+                try:
+                    rows.append((lam, viability_ratio(entry, q, n, m, eps, budget)))
+                except ZeroDivisionError as exc:
+                    raise UsageError(str(exc)) from None
             _write_csv(_eps_file(stem, eps), ("lambda", "ratio"), rows)
         return 0
     n = _parse_int(pick("n", "20"), "--n")
@@ -375,6 +382,7 @@ def cmd_verify(args) -> int:
     max_n = _parse_int(args.max_n, "--max-n", minimum=2) if args.max_n else 3
     budget = _parse_int(args.budget, "--budget") if args.budget else DEFAULT_BUDGET
     q = sum_query()
+    grid = (0.0, 0.5, 1.0)
     agreement_tol = 1e-12
     dominance_tol = 1e-10
     rows = []
@@ -395,21 +403,21 @@ def cmd_verify(args) -> int:
         entry = Pmf.bernoulli(p)
         for n in range(2, max_n + 1):
             db = DatabaseModel.iid(entry, n)
-            techniques = [
-                (f"wor n={n} m={m}", TemplateDistribution.without_replacement(n, m))
+            techniques = {
+                f"wor n={n} m={m}": TemplateDistribution.without_replacement(n, m)
                 for m in range(1, n + 1)
-            ]
-            techniques.append((f"poisson n={n} rate=0.5", TemplateDistribution.poisson(n, 0.5)))
-            techniques.extend(
+            }
+            techniques[f"poisson n={n} rate=0.5"] = TemplateDistribution.poisson(n, 0.5)
+            techniques.update(
                 (f"wr n={n} m={m}", TemplateDistribution.with_replacement(n, m))
                 for m in range(1, 3)
             )
             high = condition(db, 1, 1.0)
             low = condition(db, 1, 0.0)
-            for label, technique in techniques:
+            for label, technique in techniques.items():
                 answers_high = sampled_pushforward(high, technique, q, budget)
                 answers_low = sampled_pushforward(low, technique, q, budget)
-                for eps in (0.0, 0.5, 1.0):
+                for eps in grid:
                     pipe = hockey_stick_divergence(answers_high, answers_low, eps)
                     if faulty:
                         pipe = -pipe
@@ -425,54 +433,47 @@ def cmd_verify(args) -> int:
                         abs(pipe - reference) <= agreement_tol,
                     )
 
-            def direct_delta(technique, eps):
-                forward = brute_force_divergence(high, low, technique, q, eps, budget)
-                backward = brute_force_divergence(low, high, technique, q, eps, budget)
-                return max(forward, backward)
+            def dominance(label, quantity, bounds):
+                # The oracle's delta of the sampled model at each bound's
+                # eps' must not exceed its delta'.
+                technique = techniques[label]
+                for eps, (eps_prime, bound) in zip(grid, bounds):
+                    direct = max(
+                        brute_force_divergence(high, low, technique, q, eps_prime, budget),
+                        brute_force_divergence(low, high, technique, q, eps_prime, budget),
+                    )
+                    record(
+                        f"{label} p={p} eps={_fmt(eps)}",
+                        quantity,
+                        bound,
+                        direct,
+                        direct <= bound + dominance_tol,
+                    )
 
             for m in range(1, n + 1):
-                technique = TemplateDistribution.without_replacement(n, m)
-                for eps, bound in zip(
-                    (0.0, 0.5, 1.0),
-                    without_replacement_bound(db, q, n, m, (0.0, 0.5, 1.0), budget),
-                ):
-                    direct = direct_delta(technique, bound.eps_prime)
-                    record(
-                        f"wor n={n} m={m} p={p} eps={_fmt(eps)}",
-                        "wor_dominance",
-                        bound.delta_prime,
-                        direct,
-                        direct <= bound.delta_prime + dominance_tol,
-                    )
-            technique = TemplateDistribution.poisson(n, 0.5)
-            curve = poisson_bound(db, q, n, 0.5, (0.0, 0.5, 1.0), budget)
-            for eps, star in zip(curve.grid, curve.values):
-                direct = direct_delta(technique, eps)
-                record(
-                    f"poisson n={n} rate=0.5 p={p} eps={_fmt(eps)}",
-                    "poisson_dominance",
-                    star,
-                    direct,
-                    direct <= star + dominance_tol,
+                bounds = without_replacement_bound(db, q, n, m, grid, budget)
+                dominance(
+                    f"wor n={n} m={m}",
+                    "wor_dominance",
+                    [(b.eps_prime, b.delta_prime) for b in bounds],
                 )
+            curve = poisson_bound(db, q, n, 0.5, grid, budget)
+            dominance(
+                f"poisson n={n} rate=0.5", "poisson_dominance", zip(curve.grid, curve.values)
+            )
             for m in range(1, 3):
-                technique = TemplateDistribution.with_replacement(n, m)
                 wr_cases += 1
                 try:
-                    bounds = with_replacement_bound(db, q, n, m, (0.0, 0.5, 1.0), budget)
+                    bounds = with_replacement_bound(db, q, n, m, grid, budget)
                 except NotSamplableError as exc:
                     # The gate refused this model; nothing to compare.
                     refused[exc.family] += 1
                     continue
-                for eps, bound in zip((0.0, 0.5, 1.0), bounds):
-                    direct = direct_delta(technique, bound.eps_prime)
-                    record(
-                        f"wr n={n} m={m} p={p} eps={_fmt(eps)}",
-                        "wr_dominance",
-                        bound.delta_prime,
-                        direct,
-                        direct <= bound.delta_prime + dominance_tol,
-                    )
+                dominance(
+                    f"wr n={n} m={m}",
+                    "wr_dominance",
+                    [(b.eps_prime, b.delta_prime) for b in bounds],
+                )
     _write_csv(
         args.out,
         ("case", "quantity", "pipeline", "oracle", "abs_diff", "pass"),

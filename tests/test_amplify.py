@@ -1,6 +1,7 @@
 """Amplification bounds, the samplability gate, and the DP-style helpers."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,11 +19,18 @@ from statpriv.amplify import (
 )
 import statpriv.amplify
 import statpriv.sampling
-from statpriv.dist import DatabaseModel, Pmf, condition, count_query, sum_query
+from statpriv.dist import (
+    DatabaseModel,
+    Pmf,
+    condition,
+    count_query,
+    scan_positions,
+    sum_query,
+)
 from statpriv.divergence import PrivacyCurve
 from statpriv.errors import NotSamplableError
 from statpriv.oracle import brute_force_divergence
-from statpriv.sampling import TemplateDistribution
+from statpriv.sampling import TemplateDistribution, sampling_curve
 
 TOL = 1e-12
 DOM_TOL = 1e-10
@@ -218,7 +226,7 @@ def answer_laws_built(monkeypatch):
 def test_with_replacement_bound_enumerates_each_answer_law_once(answer_laws_built):
     # On 32 i.i.d. entries the 1024 templates of two draws have 10 distinct
     # conditioned answer laws: 4 for the gate's drawn templates, 2 for their
-    # partners, 4 for the draw-count curves, which enumerate again.
+    # partners, 4 for the drawn-view curve, which enumerates them again.
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 32)
     with_replacement_bound(db, sum_query(), 32, 2)
     assert len(answer_laws_built) <= 10
@@ -234,6 +242,47 @@ def test_with_replacement_bound_scales_with_classes_not_templates(answer_laws_bu
     points = with_replacement_bound(db, sum_query(), n, 2, (0.0, 1.0))
     assert len(answer_laws_built) <= 10
     assert all(abs(p.delta_prime - 1 / n) <= TOL / n for p in points)
+
+
+def draw_count_mixture(db, q, n, m, grid):
+    """delta' as the mixture over the sensitive entry's draw count k:
+    sum over k of P(K = k) times the curve of templates drawing it exactly
+    k times, maximized over positions."""
+    technique = TemplateDistribution.with_replacement(n, m)
+    weights = occurrence_weights(n, m)
+    terms = []
+    for k in range(1, m + 1):
+        if weights[k] == 0.0:
+            continue  # no template draws the entry k times
+        curves = [
+            sampling_curve(db, q, technique.given_count(j, k), j, grid).values
+            for j in scan_positions(db, technique.exchangeable)
+        ]
+        terms.append([weights[k] * max(col) for col in zip(*curves)])
+    return [min(1.0, math.fsum(col)) for col in zip(*terms)]
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (5, 2), (32, 2), (1000, 2), (1, 3)])
+def test_with_replacement_bound_is_the_draw_count_mixture(n, m):
+    # Every class has its exact worst-pair divergence, so P(K >= 1) times
+    # the drawn-view curve is the mixture over draw counts up to roundoff.
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
+    grid = (0.0, 0.25, 0.5, 1.0, 2.0)
+    points = with_replacement_bound(db, sum_query(), n, m, grid)
+    want = draw_count_mixture(db, sum_query(), n, m, grid)
+    assert all(w > 0.0 for w in want)
+    for p, w in zip(points, want):
+        assert abs(p.delta_prime - w) <= 4 * math.ulp(w)
+
+
+def test_with_replacement_eps_prime_shrinks_by_the_exact_drawn_rate():
+    n = 10000
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
+    drawn = float(1 - Fraction(n - 1, n) ** 2)
+    grid = (0.5, 1.0, 2.0)
+    for e, p in zip(grid, with_replacement_bound(db, sum_query(), n, 2, grid)):
+        want = math.log1p(drawn * math.expm1(e))
+        assert abs(p.eps_prime - want) <= 1e-14 * want
 
 
 def test_with_replacement_gate_passes_symmetric_two_of_two():

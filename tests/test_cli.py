@@ -81,6 +81,9 @@ def test_parse_eps():
         parse_eps("1,0.5")  # must increase
     with pytest.raises(Exception):
         parse_eps("0:1:0")
+    for bad in ("0:inf:1", "0:1:nan", "nan:1:0.5", "inf:inf:1", "inf", "nan", "0,nan", "lninf"):
+        with pytest.raises(UsageError, match="--eps"):
+            parse_eps(bad)
 
 
 def test_parse_technique():
@@ -267,6 +270,20 @@ def test_figures_fig2_small(tmp_path):
     assert len(lines) == 11
     last = lines[-1].split(",")
     assert last[0] == "1" and float(last[1]) == 1.0
+
+
+@pytest.mark.parametrize("which", ["fig2", "fig3"])
+def test_figures_ratio_on_a_flat_curve_exits_1(tmp_path, capsys, which):
+    # A point entry has delta 0 at every eps, so the ratio is undefined.
+    code = run(
+        tmp_path,
+        "figures", which, "--entry", "point:1", "--query", "count",
+        "--n", "10", "--out", str(tmp_path / "f.csv"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: unsampled curve is 0 at eps=0.025; ratio undefined\n"
+    )
 
 
 def test_verify_clean_and_faulty(tmp_path):
