@@ -131,7 +131,7 @@ class Query:
     total. Answer laws merge two answers exactly when they are the same
     float, so a declaration that rounded differently would split or merge
     answers the released query does not. Additive queries take the lattice
-    chain (lattice_laws) in privacy curves, and counts_answer derives from
+    chain (lattice_chain) in privacy curves, and counts_answer derives from
     the declaration; other queries answer from a rebuilt sample.
     """
 
@@ -283,8 +283,10 @@ def scan_positions(db: DatabaseModel, exchangeable: bool) -> tuple[int, ...]:
     fixed = {j for j, _ in db.fixed}
     free = [j for j in range(1, db.n + 1) if j not in fixed]
     if exchangeable:
-        free = {db.entries[j - 1]: j for j in reversed(free)}.values()
-        return tuple(sorted(free))
+        # A run of one pmf object, as in an i.i.d. model, is hashed once.
+        runs = groupby(free, key=lambda j: id(db.entries[j - 1]))
+        first = {db.entries[j - 1]: j for j in reversed([next(run) for _, run in runs])}
+        return tuple(sorted(first.values()))
     return tuple(free)
 
 
@@ -498,20 +500,32 @@ def answer_pmf(q: Query, pairs: Iterable[tuple[float, float]]) -> Pmf:
 def lattice_laws(
     db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUDGET
 ) -> dict[float, Pmf] | None:
-    """The lattice chain: conditioning value v -> answer law of q on db with
-    entry j fixed to v, for an additive q (see Query); None when q is not
-    additive or the chain would build more than `budget` cells, for the
-    multiset kernel (answer_law) to take over.
+    """Value v -> law of q on db with entry j fixed to v, from lattice_chain
+    (None when it is): the answers on the reachable cells shifted by v's
+    step. As q is nondecreasing in the total, equal answers are adjacent
+    runs and merge in total order: answer_law's outcomes, bit for bit."""
+    chain = lattice_chain(db, j, q, budget)
+    if chain is None:
+        return None
+    steps, weights, reachable, answers = chain
+    masses = [weights[i] for i in reachable]
+    laws = ([answers[s + i] for i in reachable] for s in steps)
+    return {v: _run_law(a, masses) for v, a in zip(db.outcome_grid, laws)}
+
+
+def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUDGET):
+    """The lattice chain of an additive q (see Query) with entry j fixed:
+    (steps, weights, reachable, answers); None when q is not additive or the
+    chain would build over `budget` cells, for answer_law to take over.
 
     Scores lie on a lattice of step g, the gcd of the grid's score
-    differences. The m free entries (all but j) are convolved in floats one
-    at a time, law(i) = law(i - 1) * entry i, on i * span + 1 cells, so
-    span * m(m + 1)/2 + m cells in all: what `budget` counts. Dividing by
-    the fsum keeps weights that sum to 1 only after rounding, such as
-    (0.7, 0.3), from drifting. Fixing j to v shifts every total by v's
-    score; q's float for a reachable total is its answer, and as q is
-    nondecreasing in the total, equal answers are adjacent runs and merge in
-    total order: the outcomes of answer_law, bit for bit.
+    differences; `steps` are the grid's scores in steps above the lowest.
+    The m free entries (all but j) are convolved in floats one at a time,
+    law(i) = law(i - 1) * entry i, on i * span + 1 cells, so
+    span * m(m + 1)/2 + m cells in all: what `budget` counts. `weights` is
+    the law divided by its fsum, so weights that sum to 1 only after
+    rounding, such as (0.7, 0.3), do not drift. Fixing j to v shifts the
+    `reachable` cells by v's step; `answers` maps each to q's float.
 
     Error: every term is nonnegative, so each mass is within (2km + 3)u
     relative of the exact law (the entries' weights divided by their
@@ -520,8 +534,7 @@ def lattice_laws(
     """
     if q.additive is None:
         return None
-    grid = db.outcome_grid
-    scores, answer = q.additive(grid)
+    scores, answer = q.additive(db.outcome_grid)
     low = min(scores)
     g = math.gcd(*(s - low for s in scores)) or 1
     steps = tuple((s - low) // g for s in scores)
@@ -532,17 +545,13 @@ def lattice_laws(
     law, reach = _free_law(free, steps)
     total = math.fsum(law)
     reachable = [i for i, bit in enumerate(bin(reach)[:1:-1]) if bit == "1"]
-    weights = [law[i] / total for i in reachable]
-    laws = {}
-    for v, s in zip(grid, scores):
-        shift = m * low + s
-        try:
-            # + 0.0 makes -0.0 the outcome 0.0, as Pmf.from_pairs does
-            answers = [answer(m + 1, shift + g * i) + 0.0 for i in reachable]
-        except OverflowError:
-            raise _overflow(q) from None
-        laws[v] = _run_law(answers, weights)
-    return laws
+    cells = sorted({s + i for s in set(steps) for i in reachable})
+    try:
+        # + 0.0 makes -0.0 the outcome 0.0, as Pmf.from_pairs does
+        answers = {c: answer(m + 1, (m + 1) * low + g * c) + 0.0 for c in cells}
+    except OverflowError:
+        raise _overflow(q) from None
+    return steps, [x / total for x in law], reachable, answers
 
 
 # The one law _free_law remembers: steps -> (entries, law, reachable cells).

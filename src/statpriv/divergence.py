@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import combinations
+from operator import lt
 
 from .dist import (
     DEFAULT_BUDGET,
@@ -12,6 +14,7 @@ from .dist import (
     Pmf,
     Query,
     condition,
+    lattice_chain,
     lattice_laws,
     pushforward,
     scan_positions,
@@ -59,30 +62,40 @@ def hockey_stick_divergence(mu: Pmf, nu: Pmf, eps: float) -> float:
 
 
 def hockey_stick_curve(mu: Pmf, nu: Pmf, grid: tuple[float, ...]) -> tuple[float, ...]:
-    """hockey_stick_divergence(mu, nu, eps) for every eps of `grid`, in order.
+    """hockey_stick_divergence(mu, nu, eps) per eps of `grid`: the pair kernel's first half."""
+    return _pair_curves(*_aligned(mu, nu), grid, backward=False)[0]
 
-    The outcomes mu puts mass on are sorted once by nu(a) / mu(a) (0 off
-    nu's support); those with mu(a) - e^eps nu(a) > 0 form a prefix of that
-    order. fsum is exactly rounded, so the order of the terms does not matter.
-    """
-    nud = nu.as_dict
-    pairs = sorted(
-        (nud.get(a, 0.0) / wa, wa, nud.get(a, 0.0))
-        for a, wa in zip(mu.outcomes, mu.weights)
-        if wa > 0.0
-    )
-    ratios = [r for r, _, _ in pairs]
-    out = []
+
+def _aligned(mu: Pmf, nu: Pmf) -> tuple[list[float], list[float]]:
+    """The weights of mu and nu on the union of their outcomes."""
+    mud, nud = mu.as_dict, nu.as_dict
+    union = mud.keys() | nud.keys()
+    return [mud.get(x, 0.0) for x in union], [nud.get(x, 0.0) for x in union]
+
+
+def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...], backward=True):
+    """The pair kernel: per eps of `grid`, min(1, sum of (a - e^eps b)+) and,
+    if `backward`, min(1, sum of (b - e^eps a)+), for weights a, b on one
+    outcome list. Sorted once by b / a (inf where a = 0), the positive terms
+    of the first sum form a prefix and those of the second a suffix; fsum is
+    exactly rounded, so the order of the terms does not matter."""
+    rows = sorted((y / x if x else math.inf, x, y) for x, y in zip(a, b) if x or y)
+    ratios = [r for r, _, _ in rows]
+    fwd, bwd = [], []
     for eps in grid:
         if eps < 0.0 or not math.isfinite(eps):
             raise ValueError(f"eps must be finite and nonnegative, got {eps}")
         scale = math.exp(eps)
-        # wa - scale * wb > 0 implies wb / wa < 1 / scale; the slack covers
-        # the rounding of both sides, and the exact test decides.
+        # x - scale * y > 0 implies y / x < 1 / scale, y - scale * x > 0 that
+        # y / x > scale; the slack covers rounding, the exact test decides.
         k = bisect_right(ratios, (1.0 + 1e-9) / scale)
-        terms = [d for _, wa, wb in pairs[:k] if (d := wa - scale * wb) > 0.0]
-        out.append(min(1.0, math.fsum(terms)))
-    return tuple(out)
+        terms = [d for _, x, y in rows[:k] if (d := x - scale * y) > 0.0]
+        fwd.append(min(1.0, math.fsum(terms)))
+        if backward:
+            k = bisect_left(ratios, scale * (1.0 - 1e-9))
+            terms = [d for _, x, y in rows[k:] if (d := y - scale * x) > 0.0]
+            bwd.append(min(1.0, math.fsum(terms)))
+    return tuple(fwd), tuple(bwd)
 
 
 @dataclass(frozen=True)
@@ -148,12 +161,13 @@ def worst_pairs(
 ) -> dict[float, tuple[float, ...]]:
     """The one worst-pair scan: conditioning value v -> per grid epsilon, the
     maximum over w != v of hockey_stick_divergence(pmfs[v], pmfs[w], eps),
-    0.0 when there is no other value.
-    """
-    rows = {}
-    for v, mu in pmfs.items():
-        curves = [hockey_stick_curve(mu, nu, grid) for w, nu in pmfs.items() if w != v]
-        rows[v] = tuple(max(col) for col in zip((0.0,) * len(grid), *curves))
+    0.0 when there is no other value; one pair kernel call per unordered
+    pair gives both its directions."""
+    rows = dict.fromkeys(pmfs, (0.0,) * len(grid))
+    for (v, mu), (w, nu) in combinations(pmfs.items(), 2):
+        forward, backward = _pair_curves(*_aligned(mu, nu), grid)
+        rows[v] = tuple(map(max, rows[v], forward))
+        rows[w] = tuple(map(max, rows[w], backward))
     return rows
 
 
@@ -170,22 +184,28 @@ def privacy_curve(
     over positions j and ordered pairs (v, w) from the outcome grid, scanning
     the positions of scan_positions.
 
-    For an additive query (sum, count, mean) the laws of a position come
-    from one lattice chain over the other entries, shifted per conditioning
-    value (dist.lattice_laws). Consecutive calls on i.i.d. models of sizes
-    m, m + 1, ... extend that chain by one entry each, which is how the
-    Poisson size mixture builds its laws. Other queries, and chains that
-    would build more cells than `budget`, enumerate conditioned pushforwards
-    once per (j, w) with the multiset kernel.
+    For sum, count and mean a position's laws are one lattice chain's
+    weights shifted by each value's step (dist.lattice_chain): if q's
+    answers strictly increase over its cells, one pair kernel call per
+    distinct step difference scans both orders of its pairs; if they merge
+    (values 1e11 and 1e11 + 2^-16, say), worst_pairs scans lattice_laws.
+    Other queries, and chains over `budget` cells, take the multiset kernel.
     """
     grid = as_grid(grid)
     if db.fixed:
         raise ValueError("privacy_curve needs a pure product model, got fixed positions")
-    rows = []
+    rows = [(0.0,) * len(grid)]
     for j in scan_positions(db, exchangeable=True):
-        pmfs = lattice_laws(db, j, q, budget)
-        if pmfs is None:
+        chain = lattice_chain(db, j, q, budget)
+        if chain is None:
             pmfs = {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
+        elif all(map(lt, answers := list(chain[3].values()), answers[1:])):
+            steps, weights = chain[:2]
+            for d in {abs(s - t) for s in steps for t in steps} - {0}:
+                rows.extend(_pair_curves(weights + [0.0] * d, [0.0] * d + weights, grid))
+            continue
+        else:
+            pmfs = lattice_laws(db, j, q, budget)
         rows.extend(worst_pairs(pmfs, grid).values())
     return PrivacyCurve(grid, tuple(max(col) for col in zip(*rows)))
 

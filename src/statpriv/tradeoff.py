@@ -66,8 +66,9 @@ class TradeoffFn:
         return ys[lo] + t * (ys[hi] - ys[lo])
 
 
-def _lower_hull(points, tol=HULL_TOL):
-    """Lower convex hull of x-sorted points, by monotone chain."""
+def _lower_hull(points):
+    """Lower convex hull of x-sorted points, by monotone chain; a tolerance
+    would drop true vertices where values are small, so none is used."""
     cleaned = []
     for x, y in points:
         if cleaned and x == cleaned[-1][0]:
@@ -80,7 +81,7 @@ def _lower_hull(points, tol=HULL_TOL):
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
             cross = (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0)
-            if cross <= tol:
+            if cross <= 0.0:
                 hull.pop()
             else:
                 break

@@ -8,6 +8,7 @@ import pytest
 from statpriv.dist import DatabaseModel, Pmf, condition, count_query, mean_query, sum_query
 from statpriv.divergence import (
     PrivacyCurve,
+    _pair_curves,
     default_eps_grid,
     half_line_check,
     hockey_stick_curve,
@@ -75,6 +76,57 @@ def test_hockey_stick_curve_keeps_outcomes_at_the_ratio_boundary():
     values = hockey_stick_curve(a, b, tuple(grid))
     assert values == tuple(max(0.0, 0.5 - math.exp(e) * 0.25) for e in grid)
     assert any(0.0 < v < 1e-15 for v in values) and values[-1] == 0.0
+
+
+def naive_pair(a, b, eps):
+    """min(1, fsum of (a - e^eps b)+) per outcome, the definition."""
+    scale = math.exp(eps)
+    return min(1.0, math.fsum(max(0.0, x - scale * y) for x, y in zip(a, b)))
+
+
+TINY = 5e-324  # the least subnormal
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        pytest.param([0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75], id="disjoint"),
+        pytest.param([0.5, 0.0, 0.5, 0.0], [0.25, 0.0, 0.0, 0.75], id="zero-weights"),
+        pytest.param(
+            [1.0 - 3 * TINY, 3 * TINY, 2 * TINY, 0.0],
+            [1.0 - 5 * TINY, TINY, 3 * TINY, TINY],
+            id="subnormal",
+        ),
+        # Three outcomes share the ratio b / a = 1/2, which e^eps crosses
+        # at eps = ln 2, and three the ratio 2 for the other direction.
+        pytest.param(
+            [0.25, 0.125, 0.0625, 0.03125, 0.0625, 0.09375, 0.375],
+            [0.125, 0.0625, 0.03125, 0.0625, 0.125, 0.1875, 0.40625],
+            id="equal-ratios",
+        ),
+    ],
+)
+def test_pair_kernel_gives_both_directions_of_the_definition_bit_for_bit(a, b):
+    grid = [0.0, 0.5, 1.0, 3.0]
+    near = [LN2]
+    for _ in range(4):
+        near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], 1.0)]
+    grid = tuple(grid + near)
+    forward, backward = _pair_curves(a, b, grid)
+    assert [x.hex() for x in forward] == [naive_pair(a, b, e).hex() for e in grid]
+    assert [x.hex() for x in backward] == [naive_pair(b, a, e).hex() for e in grid]
+    # The kernel's order of outcomes does not matter.
+    flipped = _pair_curves(a[::-1], b[::-1], grid)
+    assert flipped == (forward, backward)
+    assert _pair_curves(b, a, grid) == (backward, forward)
+
+
+@pytest.mark.parametrize("eps", [-0.1, -math.inf, math.inf, math.nan])
+def test_pair_kernel_refuses_a_negative_or_non_finite_eps(eps):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        _pair_curves([0.5, 0.5], [0.25, 0.75], (0.0, eps))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        hockey_stick_curve(pmf({0.0: 1.0}), pmf({1.0: 1.0}), (eps,))
 
 
 def test_hockey_stick_asymmetry():

@@ -4,17 +4,32 @@ hockey-stick kernel against its definition, and of the trade-off round trips.
 Random small models (2-3 outcomes in -2..3, n <= 4, sum or count) are drawn
 by hypothesis under the derandomized profile of conftest.py. The oracle
 enumerates the joint law of template and database from scratch, so it shares
-no aggregation code with the pipeline.
+no aggregation code with the pipeline. Lattice models of up to 9 entries
+check privacy_curve's shift scan against the per-value scan of its laws.
 """
 
 import math
+from operator import lt
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statpriv import divergence
 from statpriv.amplify import poisson_bound, with_replacement_bound, without_replacement_bound
-from statpriv.dist import DatabaseModel, Pmf, condition, count_query, sum_query
-from statpriv.divergence import PrivacyCurve, hockey_stick_curve, privacy_curve
+from statpriv.dist import (
+    DatabaseModel,
+    Pmf,
+    condition,
+    count_query,
+    lattice_chain,
+    lattice_laws,
+    mean_query,
+    scan_positions,
+    sum_query,
+)
+from statpriv.divergence import PrivacyCurve, hockey_stick_curve, privacy_curve, worst_pairs
 from statpriv.errors import NotSamplableError
 from statpriv.oracle import brute_force_divergence
 from statpriv.sampling import Template, TemplateDistribution
@@ -95,6 +110,70 @@ def test_amplification_bounds_dominate_the_oracle(db, q, rate):
         technique = TemplateDistribution.with_replacement(n, m)
         for p in points:
             assert_dominates(db, technique, q, p.eps_prime, p.delta_prime)
+
+
+@st.composite
+def lattice_models(draw):
+    """2-3 values on a lattice: small integers and halves, or values 0 to 4
+    ulps above 1e11, an ulp being 2^-16 there, so that sums and means of
+    them merge. The model is i.i.d. or mixes two pmfs on one grid in any
+    arrangement, so the positions scanned vary."""
+    ulp = 2.0**-16
+    picks, shift = draw(
+        st.sampled_from((((-1.0, 0.0, 0.5, 1.0, 3.0), 0.0), ((0.0, ulp, 2 * ulp, 4 * ulp), 1e11)))
+    )
+    outcomes = tuple(sorted(draw(st.sets(st.sampled_from(picks), min_size=2, max_size=3))))
+    outcomes = tuple(shift + v for v in outcomes)
+
+    def entry():
+        raw = draw(st.lists(st.integers(0, 4), min_size=len(outcomes), max_size=len(outcomes)))
+        if not any(raw):
+            raw[-1] = 1
+        return Pmf(outcomes, tuple(r / sum(raw) for r in raw))
+
+    n = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        return DatabaseModel.iid(entry(), n)
+    pool = entry(), entry()
+    return DatabaseModel(tuple(pool[draw(st.integers(0, 1))] for _ in range(n)))
+
+
+def shift_scan_against_laws(db, q, grid):
+    """privacy_curve against the per-value scan of every position's laws,
+    bit for bit; returns whether privacy_curve fell back to those laws,
+    which it must do exactly when two cells of a chain share an answer."""
+    rows = [(0.0,) * len(grid)]
+    merges = False
+    for j in scan_positions(db, exchangeable=True):
+        rows.extend(worst_pairs(lattice_laws(db, j, q), grid).values())
+        answers = list(lattice_chain(db, j, q)[3].values())
+        merges |= not all(map(lt, answers, answers[1:]))
+    want = [max(col) for col in zip(*rows)]
+    with mock.patch.object(divergence, "lattice_laws", wraps=lattice_laws) as fallback:
+        got = privacy_curve(db, q, grid).values
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert fallback.called == merges
+    return merges
+
+
+@settings(max_examples=300)
+@given(
+    lattice_models(),
+    st.sampled_from((sum_query(), count_query(), mean_query())),
+    st.sets(st.floats(0.0, 3.0), min_size=1, max_size=6).map(sorted).map(tuple),
+)
+def test_shift_scan_is_the_per_value_scan_bit_for_bit(db, q, grid):
+    shift_scan_against_laws(db, q, grid)
+
+
+@pytest.mark.parametrize("q", [sum_query(), mean_query()], ids=["sum", "mean"])
+def test_merging_answers_take_the_per_value_fallback(q):
+    grid = (0.0, 0.5, 1.0)
+    merging = Pmf((1e11, 1e11 + 2.0**-16, 1e11 + 2.0**-15), (0.25, 0.5, 0.25))
+    assert shift_scan_against_laws(DatabaseModel.iid(merging, 6), q, grid)
+    # Sums and means of 0 and 1e11 stay distinct floats: the shift scan runs.
+    exact = Pmf((0.0, 1e11), (0.1, 0.9))
+    assert not shift_scan_against_laws(DatabaseModel.iid(exact, 30), q, grid)
 
 
 # Raw masses before normalization: zeros, masses near 1e-300 (one of them

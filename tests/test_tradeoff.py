@@ -1,11 +1,12 @@
 """Trade-off curves: construction, conjugation, inversion, subsampling."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from statpriv.dist import DatabaseModel, Pmf, sum_query
+from statpriv.dist import DatabaseModel, Pmf, lattice_laws, sum_query
 from statpriv.divergence import PrivacyCurve, hockey_stick_divergence, privacy_curve
 from statpriv.tradeoff import (
     TradeoffFn,
@@ -155,6 +156,27 @@ def test_subsampled_tradeoff_matches_operator_at_rate():
     assert st.xs == op.xs and st.ys == op.ys
     with pytest.raises(ValueError):
         subsampled_tradeoff(fn, 2, 3)
+
+
+@pytest.mark.parametrize("n, m", [(10, 5), (100, 50), (100, 10)])
+@pytest.mark.parametrize(
+    "entry",
+    [Pmf.bernoulli(0.5), Pmf.bernoulli(0.3), Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25))],
+    ids=["bern0.5", "bern0.3", "three-valued"],
+)
+def test_subsampling_operator_lies_below_both_sampled_curves(entry, n, m):
+    # The operator is the convex closure of min(f_p, f_p^-1). A hull that
+    # dropped vertices by an absolute tolerance put chords up to 4.6e-7
+    # above that minimum where the values are small (bern(0.3), n = 100,
+    # m = 50).
+    laws = lattice_laws(DatabaseModel.iid(entry, m), 1, sum_query())
+    for v, w in itertools.permutations(laws, 2):
+        fn = tradeoff_from_pmfs(laws[v], laws[w])
+        mixed = p_sample(fn, m / n)
+        inv = inverse(mixed)
+        op = subsampled_tradeoff(fn, n, m)
+        for x in set(mixed.xs) | set(inv.xs):
+            assert op(x) <= min(mixed(x), inv(x)), (v, w, x)
 
 
 def test_curve_to_tradeoff_round_trip():
