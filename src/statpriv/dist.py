@@ -505,8 +505,11 @@ def lattice_laws(
     step. As q is nondecreasing in the total, equal answers are adjacent
     runs and merge in total order: answer_law's outcomes, bit for bit."""
     chain = lattice_chain(db, j, q, budget)
-    if chain is None:
-        return None
+    return None if chain is None else _chain_laws(db, chain)
+
+
+def _chain_laws(db: DatabaseModel, chain) -> dict[float, Pmf]:
+    """lattice_laws of a chain lattice_chain has built."""
     steps, weights, reachable, answers = chain
     masses = [weights[i] for i in reachable]
     laws = ([answers[s + i] for i in reachable] for s in steps)

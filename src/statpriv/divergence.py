@@ -13,9 +13,9 @@ from .dist import (
     DatabaseModel,
     Pmf,
     Query,
+    _chain_laws,
     condition,
     lattice_chain,
-    lattice_laws,
     pushforward,
     scan_positions,
 )
@@ -188,7 +188,8 @@ def privacy_curve(
     weights shifted by each value's step (dist.lattice_chain): if q's
     answers strictly increase over its cells, one pair kernel call per
     distinct step difference scans both orders of its pairs; if they merge
-    (values 1e11 and 1e11 + 2^-16, say), worst_pairs scans lattice_laws.
+    (values 1e11 and 1e11 + 2^-16, say), worst_pairs scans the chain's
+    per-value laws (dist.lattice_laws).
     Other queries, and chains over `budget` cells, take the multiset kernel.
     """
     grid = as_grid(grid)
@@ -205,7 +206,7 @@ def privacy_curve(
                 rows.extend(_pair_curves(weights + [0.0] * d, [0.0] * d + weights, grid))
             continue
         else:
-            pmfs = lattice_laws(db, j, q, budget)
+            pmfs = _chain_laws(db, chain)
         rows.extend(worst_pairs(pmfs, grid).values())
     return PrivacyCurve(grid, tuple(max(col) for col in zip(*rows)))
 

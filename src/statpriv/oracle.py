@@ -1,9 +1,11 @@
 """Brute-force reference implementations used to validate the pipeline.
 
 Everything here recomputes results from first principles: joint enumeration
-over template and database realizations, compensated summation and an
-exhaustive rejection-set search. No aggregation code is shared with the
-sampling pipeline, so agreement between the two is meaningful evidence.
+over templates and the database realizations of positive probability
+(each entry's value from its support, so a fixed entry takes one value;
+`budget` counts the pairs), compensated summation and an exhaustive
+rejection-set search. No aggregation code is shared with the sampling
+pipeline, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -61,24 +63,29 @@ def _templates(technique):
 @functools.lru_cache(maxsize=32)  # verify asks again for the same laws
 def _answer_law(db, technique, q, budget):
     """Joint enumeration of (template, database realization) pairs, as
-    (answer, mass) pairs in increasing answer order."""
-    grid = db.outcome_grid
+    (answer, mass) pairs in increasing answer order. Realizations take
+    each entry's value from its support, so all have positive probability;
+    the budget counts templates times realizations. Template by template,
+    in product order, each answer adds its weights to one Kahan sum."""
     count, templates = _templates(technique)
-    states = count * len(grid) ** db.n
+    supports = [e.support for e in db.entries]
+    states = count * math.prod(map(len, supports))
     if states > budget:
         raise EnumerationBudgetError(states, budget)
+    rows = [(row, tuple(map(Pmf.prob, db.entries, row))) for row in itertools.product(*supports)]
     acc: dict[float, _Kahan] = {}
     for indices, pt in templates:
-        for row in itertools.product(grid, repeat=db.n):
-            weight = pt
-            for entry, value in zip(db.entries, row):
-                weight *= entry.prob(value)
+        picks = [i - 1 for i in indices]
+        for row, probs in rows:
             # An answer is the float the query returns; equal floats merge.
-            if indices:
-                a = float(q.evaluator(tuple(row[i - 1] for i in indices)))
+            if picks:
+                a = float(q.evaluator(tuple(row[i] for i in picks)))
             else:
                 a = float(q.empty_answer)
-            acc.setdefault(a, _Kahan()).add(weight)
+            k = acc.get(a)
+            if k is None:
+                k = acc[a] = _Kahan()
+            k.add(math.prod(probs, start=pt))  # pt * p1 * p2 ..., left to right
     return tuple(sorted((a, k.total) for a, k in acc.items()))
 
 

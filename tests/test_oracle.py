@@ -1,10 +1,14 @@
 """Brute-force reference computations used to validate the pipeline."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from statpriv.dist import DatabaseModel, Pmf, condition, sum_query
+from statpriv import oracle
+from statpriv.dist import DatabaseModel, Pmf, condition, count_query, mean_query, sum_query
 from statpriv.divergence import hockey_stick_divergence
 from statpriv.errors import EnumerationBudgetError
 from statpriv.oracle import brute_force_divergence, brute_force_tradeoff
@@ -47,6 +51,110 @@ def test_brute_force_divergence_budget():
         brute_force_divergence(
             condition(db, 1, 1.0), condition(db, 1, 0.0), tech, sum_query(), 0.0, budget=4
         )
+
+
+def test_brute_force_divergence_budget_counts_realizations_of_positive_probability():
+    # Entry 1 fixed: 8 Poisson templates times 1 * 2 * 2 realizations, where
+    # the whole outcome grid would give 8 * 2^3.
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
+    hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
+    tech = TemplateDistribution.poisson(3, 0.5)
+    assert brute_force_divergence(hi, lo, tech, sum_query(), 0.0, budget=32) > 0.0
+    with pytest.raises(EnumerationBudgetError, match="needs 32 states") as err:
+        brute_force_divergence(hi, lo, tech, sum_query(), 0.0, budget=31)
+    assert (err.value.states, err.value.budget) == (32, 31)
+
+
+def grid_answer_law(db, technique, q):
+    """The oracle's joint law over the whole outcome grid: every template
+    against every row, rows of probability 0 included."""
+    acc = {}
+    for indices, pt in oracle._templates(technique)[1]:
+        for row in itertools.product(db.outcome_grid, repeat=db.n):
+            weight = pt
+            for entry, value in zip(db.entries, row):
+                weight *= entry.prob(value)
+            if indices:
+                a = float(q.evaluator(tuple(row[i - 1] for i in indices)))
+            else:
+                a = float(q.empty_answer)
+            acc.setdefault(a, oracle._Kahan()).add(weight)
+    return tuple(sorted((a, k.total) for a, k in acc.items()))
+
+
+def grid_divergence(law_a, law_b, eps):
+    """brute_force_divergence's formula on two given laws."""
+    law_b = dict(law_b)
+    acc = oracle._Kahan()
+    for a, wa in law_a:
+        wb = law_b.get(a, 0.0)
+        diff = wa if wb == 0.0 else wa - math.exp(eps) * wb
+        if diff > 0.0:
+            acc.add(diff)
+    return min(1.0, acc.total)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Two models of 1-5 entries on one grid of 2-3 values, each i.i.d. or
+    mixing two pmfs, some with a fixed entry, under a named technique or
+    explicit items; zero weights put rows of probability 0 on the grid."""
+    values = st.sampled_from((-2.0, -1.0, 0.0, 0.5, 1.0, 3.0))
+    outcomes = tuple(sorted(draw(st.sets(values, min_size=2, max_size=3))))
+    n = draw(st.integers(1, 5))
+
+    def entry():
+        raw = draw(st.lists(st.integers(0, 4), min_size=len(outcomes), max_size=len(outcomes)))
+        if not any(raw):
+            raw[0] = 1
+        return Pmf(outcomes, tuple(r / sum(raw) for r in raw))
+
+    def model():
+        pool = entry(), entry()
+        if draw(st.booleans()):
+            db = DatabaseModel.iid(pool[0], n)
+        else:
+            db = DatabaseModel(tuple(pool[draw(st.integers(0, 1))] for _ in range(n)))
+        if draw(st.booleans()):
+            db = condition(db, draw(st.integers(1, n)), draw(st.sampled_from(outcomes)))
+        return db
+
+    kind = draw(st.sampled_from(("wor", "poisson", "wr", "explicit")))
+    if kind == "wor":
+        tech = TemplateDistribution.without_replacement(n, draw(st.integers(1, n)))
+    elif kind == "poisson":
+        tech = TemplateDistribution.poisson(n, draw(st.sampled_from((0.3, 0.5, 0.7, 1.0))))
+    elif kind == "wr":
+        tech = TemplateDistribution.with_replacement(n, draw(st.integers(1, 2)))
+    else:
+        picks = st.lists(st.integers(1, n), max_size=3).map(lambda t: Template(tuple(t)))
+        templates = draw(st.lists(picks, min_size=1, max_size=3))
+        tech = TemplateDistribution("explicit", n, [(t, 1 / len(templates)) for t in templates])
+    q = draw(st.sampled_from((sum_query(), count_query(), mean_query())))
+    return model(), model(), tech, q
+
+
+@settings(max_examples=200)
+@given(oracle_cases())
+def test_answer_law_is_the_grid_enumeration(case):
+    db_a, db_b, tech, q = case
+    laws = []
+    for db in (db_a, db_b):
+        got = oracle._answer_law(db, tech, q, oracle.DEFAULT_ORACLE_BUDGET)
+        reference = grid_answer_law(db, tech, q)
+        want = [(a, w) for a, w in reference if w > 0.0]
+        assert [a for a, _ in got] == [a for a, _ in want]
+        if all(w > 0.0 for e in db.entries for w in e.weights):
+            # No row of probability 0: the same adds in the same order.
+            assert [w.hex() for _, w in got] == [w.hex() for _, w in want]
+        else:
+            # The grid's Kahan also added zeros, which moves its compensation.
+            for (_, g), (_, w) in zip(got, want):
+                assert abs(g - w) <= 2 * math.ulp(w)
+        laws.append(reference)
+    for eps in (0.0, 0.5, 1.0):
+        got = brute_force_divergence(db_a, db_b, tech, q, eps)
+        assert abs(got - grid_divergence(*laws, eps)) <= 1e-15
 
 
 def test_brute_force_divergence_takes_explicit_views_not_named_ones():

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statpriv import divergence
+from statpriv import dist, divergence
 from statpriv.amplify import poisson_bound, with_replacement_bound, without_replacement_bound
 from statpriv.dist import (
     DatabaseModel,
     Pmf,
+    _chain_laws,
     condition,
     count_query,
     lattice_chain,
@@ -149,10 +150,18 @@ def shift_scan_against_laws(db, q, grid):
         answers = list(lattice_chain(db, j, q)[3].values())
         merges |= not all(map(lt, answers, answers[1:]))
     want = [max(col) for col in zip(*rows)]
-    with mock.patch.object(divergence, "lattice_laws", wraps=lattice_laws) as fallback:
+    # One counter for lattice_chain under both of its names.
+    chains = mock.Mock(wraps=lattice_chain)
+    with (
+        mock.patch.object(dist, "lattice_chain", chains),
+        mock.patch.object(divergence, "lattice_chain", chains),
+        mock.patch.object(divergence, "_chain_laws", wraps=_chain_laws) as fallback,
+    ):
         got = privacy_curve(db, q, grid).values
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert fallback.called == merges
+    # The fallback takes the chain the scan has built: one per position.
+    assert chains.call_count == len(scan_positions(db, exchangeable=True))
     return merges
 
 
