@@ -30,7 +30,6 @@ from .divergence import (
     half_line_check,
     hockey_stick_divergence,
     privacy_curve,
-    privacy_loss,
 )
 from .errors import (
     AlreadyFixedError,

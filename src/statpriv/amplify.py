@@ -164,7 +164,9 @@ def poisson_bound(
     delta = 1 (see _size_mixture). The output curve is indexed by the input
     epsilon. On an i.i.d. model with an additive query each size's curve is
     one privacy_curve call, and as the sizes come in increasing order each
-    call extends the lattice chain of the last by one entry.
+    call extends the lattice chain of the last by one entry. A two-valued
+    entry of equal weights gives palindromic chains, which privacy_curve's
+    mirror rule scans in one direction.
     """
     _check_model(db, n)
     rate = float(rate)

@@ -1,4 +1,4 @@
-"""Hockey-stick divergence, privacy loss and exact privacy curves."""
+"""Hockey-stick divergence and exact privacy curves."""
 
 from __future__ import annotations
 
@@ -33,26 +33,6 @@ def as_grid(grid: tuple[float, ...] | None) -> tuple[float, ...]:
     return default_eps_grid() if grid is None else tuple(float(e) for e in grid)
 
 
-def privacy_loss(mu: Pmf, nu: Pmf, a: float) -> float:
-    """Log likelihood ratio log(mu(a) / nu(a)) with the usual conventions.
-
-    0/0 is 0, positive/0 is +inf, 0/positive is -inf. Outcomes listed by
-    neither pmf are rejected.
-    """
-    a = float(a)
-    if a not in mu.as_dict and a not in nu.as_dict:
-        raise ValueError(f"outcome {a} is outside both outcome grids")
-    pa = mu.prob(a)
-    qa = nu.prob(a)
-    if pa == 0.0 and qa == 0.0:
-        return 0.0
-    if qa == 0.0:
-        return math.inf
-    if pa == 0.0:
-        return -math.inf
-    return math.log(pa / qa)
-
-
 def hockey_stick_divergence(mu: Pmf, nu: Pmf, eps: float) -> float:
     """sum over outcomes of max(0, mu(a) - e^eps nu(a)), capped at 1.
 
@@ -77,8 +57,10 @@ def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...], backwa
     """The pair kernel: per eps of `grid`, min(1, sum of (a - e^eps b)+) and,
     if `backward`, min(1, sum of (b - e^eps a)+), for weights a, b on one
     outcome list. Sorted once by b / a (inf where a = 0), the positive terms
-    of the first sum form a prefix and those of the second a suffix; fsum is
-    exactly rounded, so the order of the terms does not matter."""
+    of the first sum form a prefix and those of the second a suffix. fsum is
+    exactly rounded, so the order of the terms sets only its speed: read
+    backwards, the prefix of a unimodal chain runs from its mode to its tail,
+    the order in which fsum keeps few partials (see dist.lattice_chain)."""
     rows = sorted((y / x if x else math.inf, x, y) for x, y in zip(a, b) if x or y)
     ratios = [r for r, _, _ in rows]
     fwd, bwd = [], []
@@ -89,7 +71,7 @@ def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...], backwa
         # x - scale * y > 0 implies y / x < 1 / scale, y - scale * x > 0 that
         # y / x > scale; the slack covers rounding, the exact test decides.
         k = bisect_right(ratios, (1.0 + 1e-9) / scale)
-        terms = [d for _, x, y in rows[:k] if (d := x - scale * y) > 0.0]
+        terms = [d for _, x, y in reversed(rows[:k]) if (d := x - scale * y) > 0.0]
         fwd.append(min(1.0, math.fsum(terms)))
         if backward:
             k = bisect_left(ratios, scale * (1.0 - 1e-9))
@@ -187,10 +169,13 @@ def privacy_curve(
     For sum, count and mean a position's laws are one lattice chain's
     weights shifted by each value's step (dist.lattice_chain): if q's
     answers strictly increase over its cells, one pair kernel call per
-    distinct step difference scans both orders of its pairs; if they merge
+    distinct step difference d scans both orders of its pairs; if they merge
     (values 1e11 and 1e11 + 2^-16, say), worst_pairs scans the chain's
     per-value laws (dist.lattice_laws).
     Other queries, and chains over `budget` cells, take the multiset kernel.
+    Mirror rule: if the chain's weights W equal W[::-1], the backward terms of
+    (W 0^d, 0^d W) are the forward ones mirrored; fsum rounds exactly, so one
+    direction is scanned, and gives both bit for bit.
     """
     grid = as_grid(grid)
     if db.fixed:
@@ -202,8 +187,10 @@ def privacy_curve(
             pmfs = {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
         elif all(map(lt, answers := list(chain[3].values()), answers[1:])):
             steps, weights = chain[:2]
+            mirror = weights == weights[::-1]
             for d in {abs(s - t) for s in steps for t in steps} - {0}:
-                rows.extend(_pair_curves(weights + [0.0] * d, [0.0] * d + weights, grid))
+                pair = _pair_curves(weights + [0.0] * d, [0.0] * d + weights, grid, not mirror)
+                rows.extend(pair[:1] if mirror else pair)
             continue
         else:
             pmfs = _chain_laws(db, chain)

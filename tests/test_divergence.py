@@ -1,4 +1,4 @@
-"""Privacy loss, hockey-stick divergence, privacy curves, half-line checker."""
+"""Hockey-stick divergence, privacy curves, half-line checker."""
 
 import math
 import random
@@ -14,7 +14,6 @@ from statpriv.divergence import (
     hockey_stick_curve,
     hockey_stick_divergence,
     privacy_curve,
-    privacy_loss,
 )
 from statpriv.sampling import TemplateDistribution, sampled_pushforward
 
@@ -24,23 +23,6 @@ LN2 = math.log(2.0)
 
 def pmf(d):
     return Pmf.from_pairs(d.items())
-
-
-def test_privacy_loss_values():
-    a = pmf({0.0: 0.5, 1.0: 0.5})
-    b = pmf({0.0: 0.25, 1.0: 0.75})
-    assert abs(privacy_loss(a, b, 0.0) - LN2) <= TOL
-    assert abs(privacy_loss(a, b, 1.0) - math.log(0.5 / 0.75)) <= TOL
-
-
-def test_privacy_loss_conventions():
-    a = pmf({0.0: 0.5, 1.0: 0.5})
-    b = pmf({0.0: 1.0})
-    assert privacy_loss(a, b, 1.0) == math.inf
-    assert privacy_loss(b, a, 1.0) == -math.inf
-    assert privacy_loss(a, b, 0.0) == math.log(0.5 / 1.0)
-    with pytest.raises(ValueError):
-        privacy_loss(a, b, 7.0)  # off both supports
 
 
 def test_hockey_stick_hand_values():

@@ -1,5 +1,6 @@
 """Property tests of the pipeline against the brute-force oracle, of the
-hockey-stick kernel against its definition, and of the trade-off round trips.
+hockey-stick kernel against its definition, of the trade-off round trips and
+of the subsampling operator against the sampled curves it closes.
 
 Random small models (2-3 outcomes in -2..3, n <= 4, sum or count) are drawn
 by hypothesis under the derandomized profile of conftest.py. The oracle
@@ -8,6 +9,7 @@ no aggregation code with the pipeline. Lattice models of up to 9 entries
 check privacy_curve's shift scan against the per-value scan of its laws.
 """
 
+import inspect
 import math
 from operator import lt
 from unittest import mock
@@ -30,11 +32,26 @@ from statpriv.dist import (
     scan_positions,
     sum_query,
 )
-from statpriv.divergence import PrivacyCurve, hockey_stick_curve, privacy_curve, worst_pairs
+from statpriv.divergence import (
+    PrivacyCurve,
+    _pair_curves,
+    default_eps_grid,
+    hockey_stick_curve,
+    privacy_curve,
+    worst_pairs,
+)
 from statpriv.errors import NotSamplableError
 from statpriv.oracle import brute_force_divergence
 from statpriv.sampling import Template, TemplateDistribution
-from statpriv.tradeoff import conjugate, curve_to_tradeoff, tradeoff_from_pmfs, tradeoff_to_delta
+from statpriv.tradeoff import (
+    conjugate,
+    curve_to_tradeoff,
+    inverse,
+    p_sample,
+    subsampling_operator,
+    tradeoff_from_pmfs,
+    tradeoff_to_delta,
+)
 
 AGREEMENT_TOL = 1e-12
 DOMINANCE_TOL = 1e-10
@@ -141,14 +158,25 @@ def lattice_models(draw):
 
 def shift_scan_against_laws(db, q, grid):
     """privacy_curve against the per-value scan of every position's laws,
-    bit for bit; returns whether privacy_curve fell back to those laws,
-    which it must do exactly when two cells of a chain share an answer."""
+    bit for bit. Returns whether privacy_curve fell back to those laws,
+    which it must do exactly when two cells of a chain share an answer, and
+    the `backward` flag of each pair kernel call: a shift scan skips the
+    backward direction exactly when the chain's weights are a palindrome,
+    and the fallback always takes it."""
     rows = [(0.0,) * len(grid)]
     merges = False
+    want_backward = []
     for j in scan_positions(db, exchangeable=True):
-        rows.extend(worst_pairs(lattice_laws(db, j, q), grid).values())
-        answers = list(lattice_chain(db, j, q)[3].values())
-        merges |= not all(map(lt, answers, answers[1:]))
+        laws = lattice_laws(db, j, q)
+        rows.extend(worst_pairs(laws, grid).values())
+        steps, weights, _, answers = lattice_chain(db, j, q)
+        answers = list(answers.values())
+        if all(map(lt, answers, answers[1:])):
+            shifts = {abs(s - t) for s in steps for t in steps} - {0}
+            want_backward += [weights != weights[::-1]] * len(shifts)
+        else:
+            merges = True
+            want_backward += [True] * math.comb(len(laws), 2)
     want = [max(col) for col in zip(*rows)]
     # One counter for lattice_chain under both of its names.
     chains = mock.Mock(wraps=lattice_chain)
@@ -156,13 +184,21 @@ def shift_scan_against_laws(db, q, grid):
         mock.patch.object(dist, "lattice_chain", chains),
         mock.patch.object(divergence, "lattice_chain", chains),
         mock.patch.object(divergence, "_chain_laws", wraps=_chain_laws) as fallback,
+        mock.patch.object(divergence, "_pair_curves", wraps=_pair_curves) as kernel,
     ):
         got = privacy_curve(db, q, grid).values
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert fallback.called == merges
     # The fallback takes the chain the scan has built: one per position.
     assert chains.call_count == len(scan_positions(db, exchangeable=True))
-    return merges
+    kernel_args = inspect.signature(_pair_curves).bind
+    backward = []
+    for call in kernel.call_args_list:
+        bound = kernel_args(*call.args, **call.kwargs)
+        bound.apply_defaults()
+        backward.append(bound.arguments["backward"])
+    assert backward == want_backward
+    return merges, backward
 
 
 @settings(max_examples=300)
@@ -179,10 +215,29 @@ def test_shift_scan_is_the_per_value_scan_bit_for_bit(db, q, grid):
 def test_merging_answers_take_the_per_value_fallback(q):
     grid = (0.0, 0.5, 1.0)
     merging = Pmf((1e11, 1e11 + 2.0**-16, 1e11 + 2.0**-15), (0.25, 0.5, 0.25))
-    assert shift_scan_against_laws(DatabaseModel.iid(merging, 6), q, grid)
+    assert shift_scan_against_laws(DatabaseModel.iid(merging, 6), q, grid)[0]
     # Sums and means of 0 and 1e11 stay distinct floats: the shift scan runs.
     exact = Pmf((0.0, 1e11), (0.1, 0.9))
-    assert not shift_scan_against_laws(DatabaseModel.iid(exact, 30), q, grid)
+    assert not shift_scan_against_laws(DatabaseModel.iid(exact, 30), q, grid)[0]
+
+
+@pytest.mark.parametrize(
+    "entry, q, n, backward",
+    [
+        # Two values of equal weight: the chain is a palindrome at every n.
+        (Pmf.bernoulli(0.5), count_query(), 1000, [False]),
+        (Pmf((-1.0, 1.0), (0.5, 0.5)), sum_query(), 200, [False]),
+        (Pmf.bernoulli(0.3), count_query(), 200, [True]),
+        # The entry is a palindrome, but its chain at n = 300 is not: float
+        # addition does not associate, and the two shifts scan both ways.
+        (Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), sum_query(), 300, [True, True]),
+    ],
+    ids=["bern0.5-count", "pm1-sum", "bern0.3-count", "three-valued-sum"],
+)
+def test_palindromic_chains_scan_one_direction(entry, q, n, backward):
+    merges, got = shift_scan_against_laws(DatabaseModel.iid(entry, n), q, default_eps_grid())
+    assert not merges
+    assert got == backward
 
 
 # Raw masses before normalization: zeros, masses near 1e-300 (one of them
@@ -238,3 +293,16 @@ def test_tradeoff_round_trips_bound_the_curve(pair):
     envelope = curve_to_tradeoff(PrivacyCurve(grid, values))
     for eps, delta in zip(grid, values):
         assert tradeoff_to_delta(envelope, eps) <= delta, (eps, delta)
+
+
+@settings(max_examples=300)
+@given(pmf_pairs(), st.floats(0.0, 1.0))
+def test_subsampling_operator_lies_below_both_sampled_curves(pair, p):
+    # The operator is the convex closure of min(f_p, f_p^-1), f_p the
+    # p-sampled curve: on or below both at every breakpoint of the three.
+    fn = tradeoff_from_pmfs(*pair)
+    mixed = p_sample(fn, p)
+    inv = inverse(mixed)
+    op = subsampling_operator(fn, p)
+    for x in set(mixed.xs) | set(inv.xs) | set(op.xs):
+        assert op(x) <= min(mixed(x), inv(x)), (p, x)
