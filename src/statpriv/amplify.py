@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .dist import (
     DEFAULT_BUDGET,
     DatabaseModel,
     Pmf,
     Query,
+    _Value,
     binomial_pmf,
     condition,
     law_key,
@@ -43,21 +43,19 @@ PARAM_TOL = 1e-12
 NEGLIGIBLE_SIZE_WEIGHT = 2.0 ** -256
 
 
-@dataclass(frozen=True)
-class AmplifiedParams:
+class AmplifiedParams(_Value):
     """A single (eps', delta') point produced by an amplification bound."""
 
     eps_prime: float
     delta_prime: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.eps_prime) and self.eps_prime >= 0.0):
-            raise ValueError(f"invalid eps' {self.eps_prime}")
-        if not -PARAM_TOL <= self.delta_prime <= 1.0 + PARAM_TOL:
-            raise ValueError(f"delta' {self.delta_prime} outside [0, 1]")
-        object.__setattr__(
-            self, "delta_prime", min(1.0, max(0.0, float(self.delta_prime)))
-        )
+    def __init__(self, eps_prime: float, delta_prime: float):
+        if not (math.isfinite(eps_prime) and eps_prime >= 0.0):
+            raise ValueError(f"invalid eps' {eps_prime}")
+        if not -PARAM_TOL <= delta_prime <= 1.0 + PARAM_TOL:
+            raise ValueError(f"delta' {delta_prime} outside [0, 1]")
+        delta_prime = min(1.0, max(0.0, float(delta_prime)))
+        self.__dict__.update(eps_prime=eps_prime, delta_prime=delta_prime)
 
 
 def shrink_epsilon(eps: float, rate: float) -> float:

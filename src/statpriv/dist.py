@@ -7,11 +7,10 @@ matching the convention used by sampling templates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import groupby, product
+from collections.abc import Callable, Iterable, Sequence
+from itertools import groupby, product, repeat
 from functools import cached_property, reduce
 from operator import add, itemgetter, lt, mul, or_
-from typing import Callable, Iterable, Sequence
 
 from .errors import AlreadyFixedError, EnumerationBudgetError
 
@@ -19,8 +18,39 @@ DEFAULT_BUDGET = 10_000_000
 WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Pmf:
+class _Value:
+    """Base of the frozen value classes, in place of frozen dataclasses,
+    whose import (inspect and ast with it) every CLI start would pay. The
+    annotated fields, which __init__ puts in self.__dict__, show in repr;
+    == (within one class) and the hash, computed once, go by _key()."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__annotations__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash(self._key())
+        return self.__dict__["_hash"]
+
+    def __getstate__(self):  # the hash of a str or None differs between processes
+        return {f: v for f, v in self.__dict__.items() if f != "_hash"}
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__annotations__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Pmf(_Value):
     """Probability mass function on a finite, strictly increasing outcome grid.
 
     Zero weights are allowed so that a conditioned entry can stay on the
@@ -31,13 +61,12 @@ class Pmf:
     outcomes: tuple[float, ...]
     weights: tuple[float, ...]
 
-    def __post_init__(self):
+    def __init__(self, outcomes: Sequence[float], weights: Sequence[float]):
         # Every check iterates in C (map, all, min): a sampling bound builds
         # hundreds of laws, each checked here.
-        outcomes = tuple(map(float, self.outcomes))
-        weights = tuple(map(float, self.weights))
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "weights", weights)
+        outcomes = tuple(map(float, outcomes))
+        weights = tuple(map(float, weights))
+        self.__dict__.update(outcomes=outcomes, weights=weights)
         if len(outcomes) != len(weights):
             raise ValueError("outcomes and weights must have equal length")
         if not outcomes:
@@ -52,6 +81,9 @@ class Pmf:
         total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
+
+    def _key(self) -> tuple:  # spelled out: pmfs key the answer-law caches
+        return self.outcomes, self.weights
 
     @cached_property
     def as_dict(self) -> dict[float, float]:
@@ -114,8 +146,7 @@ class Pmf:
         return Pmf.from_pairs(pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class Query:
+class Query(_Value):
     """Numeric query over a tuple of entry values.
 
     The evaluator may assume a nonempty input and must not depend on the
@@ -132,17 +163,25 @@ class Query:
     float, so a declaration that rounded differently would split or merge
     answers the released query does not. Additive queries take the lattice
     chain (lattice_chain) in privacy curves, and counts_answer derives from
-    the declaration; other queries answer from a rebuilt sample.
+    the declaration; other queries answer from a rebuilt sample. Queries
+    compare by identity.
     """
 
     name: str
     evaluator: Callable[[tuple[float, ...]], float]
     monotone: bool
-    empty_answer: float = 0.0
+    empty_answer: float
     additive: (
         Callable[[tuple[float, ...]], tuple[Sequence[int], Callable[[int, int], float]]]
         | None
-    ) = None
+    )
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name, evaluator, monotone, empty_answer=0.0, additive=None):
+        self.__dict__.update(name=name, evaluator=evaluator, monotone=monotone)
+        self.__dict__.update(empty_answer=empty_answer, additive=additive)
 
     def answer(self, values: tuple[float, ...]) -> float:
         if not values:
@@ -216,8 +255,7 @@ def query_by_name(name: str) -> Query:
         raise ValueError(f"unknown query {name!r}; available: {sorted(_QUERIES)}") from None
 
 
-@dataclass(frozen=True)
-class DatabaseModel:
+class DatabaseModel(_Value):
     """Product distribution over independent entries with a shared outcome grid.
 
     `fixed` records positions already conditioned to a value. Those entries
@@ -226,19 +264,18 @@ class DatabaseModel:
     """
 
     entries: tuple[Pmf, ...]
-    fixed: tuple[tuple[int, float], ...] = ()
+    fixed: tuple[tuple[int, float], ...]
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Sequence[Pmf], fixed: Iterable[tuple[int, float]] = ()):
+        entries = tuple(entries)
         if not entries:
             raise ValueError("a model needs at least one entry")
         grid = entries[0].outcomes
         for e in entries[1:]:
             if e.outcomes != grid:
                 raise ValueError("all entries must share one outcome grid")
-        fixed = tuple(sorted((int(j), float(w)) for j, w in self.fixed))
-        object.__setattr__(self, "fixed", fixed)
+        fixed = tuple(sorted((int(j), float(w)) for j, w in fixed))
+        self.__dict__.update(entries=entries, fixed=fixed)
         seen = set()
         for j, w in fixed:
             if not 1 <= j <= len(entries):
@@ -248,6 +285,9 @@ class DatabaseModel:
             seen.add(j)
             if entries[j - 1].prob(w) != 1.0:
                 raise ValueError(f"entry {j} is not concentrated on its fixed value {w}")
+
+    def _key(self) -> tuple:  # spelled out: models key the oracle's caches
+        return self.entries, self.fixed
 
     @property
     def n(self) -> int:
@@ -512,16 +552,18 @@ def lattice_laws(
 
 def _chain_laws(db: DatabaseModel, chain) -> dict[float, Pmf]:
     """lattice_laws of a chain lattice_chain has built."""
-    steps, weights, reachable, answers = chain
+    steps, weights, reachable, cells, answers = chain
     masses = [weights[i] for i in reachable]
-    laws = ([answers[s + i] for i in reachable] for s in steps)
+    at = dict(zip(cells, answers))
+    # + 0.0 makes -0.0 the outcome 0.0, as Pmf.from_pairs does
+    laws = ([at[s + i] + 0.0 for i in reachable] for s in steps)
     return {v: _run_law(a, masses) for v, a in zip(db.outcome_grid, laws)}
 
 
 def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUDGET):
     """The lattice chain of an additive q (see Query) with entry j fixed:
-    (steps, weights, reachable, answers); None when q is not additive or the
-    chain would build over `budget` cells, for answer_law to take over.
+    (steps, weights, reachable, cells, answers); None when q is not additive
+    or the chain would build over `budget` cells, for answer_law to take over.
 
     Scores lie on a lattice of step g, the gcd of the grid's score
     differences; `steps` are the grid's scores in steps above the lowest.
@@ -530,7 +572,8 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     span * m(m + 1)/2 + m cells in all: what `budget` counts. `weights` is
     the law divided by its fsum, so weights that sum to 1 only after
     rounding, such as (0.7, 0.3), do not drift. Fixing j to v shifts the
-    `reachable` cells by v's step; `answers` maps each to q's float.
+    `reachable` cells by v's step into `cells`, increasing, where `answers`
+    are q's floats.
 
     Error: every term is nonnegative, so each mass is within (2km + 3)u
     relative of the exact law (the entries' weights divided by their
@@ -553,12 +596,14 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     total = math.fsum(sorted(law, reverse=True))
     reachable = _set_bits(reach)
     cells = _set_bits(reduce(or_, [reach << s for s in steps]))
+    base = (m + 1) * low  # the total score on cell c is base + g * c
+    dense = isinstance(cells, range)
+    totals = range(base, base + g * len(cells), g) if dense else [base + g * c for c in cells]
     try:
-        # + 0.0 makes -0.0 the outcome 0.0, as Pmf.from_pairs does
-        answers = {c: answer(m + 1, (m + 1) * low + g * c) + 0.0 for c in cells}
+        answers = list(map(answer, repeat(m + 1), totals))
     except OverflowError:
         raise _overflow(q) from None
-    return steps, [x / total for x in law], reachable, answers
+    return steps, [x / total for x in law], reachable, cells, answers
 
 
 # The one law _free_law remembers: steps -> (entries, law, reachable cells).

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import combinations
 from operator import lt
 
@@ -13,6 +12,7 @@ from .dist import (
     DatabaseModel,
     Pmf,
     Query,
+    _Value,
     _chain_laws,
     condition,
     lattice_chain,
@@ -80,30 +80,30 @@ def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...], backwa
     return tuple(fwd), tuple(bwd)
 
 
-@dataclass(frozen=True)
-class PrivacyCurve:
+class PrivacyCurve(_Value):
     """Delta values of a privacy curve on an increasing epsilon grid."""
 
     grid: tuple[float, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(e) for e in self.grid))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.grid) != len(self.values):
+    def __init__(self, grid: tuple[float, ...], values: tuple[float, ...]):
+        grid = tuple(float(e) for e in grid)
+        values = tuple(float(v) for v in values)
+        self.__dict__.update(grid=grid, values=values)
+        if len(grid) != len(values):
             raise ValueError("grid and values must have equal length")
-        if not self.grid:
+        if not grid:
             raise ValueError("a curve needs at least one grid point")
-        for e in self.grid:
+        for e in grid:
             if not (math.isfinite(e) and e >= 0.0):
                 raise ValueError(f"invalid grid epsilon {e}")
-        for prev, nxt in zip(self.grid, self.grid[1:]):
+        for prev, nxt in zip(grid, grid[1:]):
             if not nxt > prev:
                 raise ValueError("epsilon grid must be strictly increasing")
-        for v in self.values:
+        for v in values:
             if not (-CURVE_TOL <= v <= 1.0 + CURVE_TOL):
                 raise ValueError(f"delta value {v} outside [0, 1]")
-        for prev, nxt in zip(self.values, self.values[1:]):
+        for prev, nxt in zip(values, values[1:]):
             if nxt > prev + CURVE_TOL:
                 raise ValueError("delta values must be nonincreasing in epsilon")
 
@@ -185,7 +185,7 @@ def privacy_curve(
         chain = lattice_chain(db, j, q, budget)
         if chain is None:
             pmfs = {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
-        elif all(map(lt, answers := list(chain[3].values()), answers[1:])):
+        elif all(map(lt, answers := chain[4], answers[1:])):
             steps, weights = chain[:2]
             mirror = weights == weights[::-1]
             for d in {abs(s - t) for s in steps for t in steps} - {0}:
@@ -198,13 +198,15 @@ def privacy_curve(
     return PrivacyCurve(grid, tuple(max(col) for col in zip(*rows)))
 
 
-@dataclass(frozen=True)
-class HalfLineResult:
+class HalfLineResult(_Value):
     """Outcome of a half-line check; falsy with a witness on failure."""
 
     ok: bool
-    eps: float | None = None
-    outcome: float | None = None
+    eps: float | None
+    outcome: float | None
+
+    def __init__(self, ok: bool, eps: float | None = None, outcome: float | None = None):
+        self.__dict__.update(ok=ok, eps=eps, outcome=outcome)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .dist import (
@@ -18,6 +17,7 @@ from .dist import (
     DatabaseModel,
     Pmf,
     Query,
+    _Value,
     answer_law,
     answer_pmf,
     binomial_pmf,
@@ -31,12 +31,14 @@ from .errors import EnumerationBudgetError, ZeroProbabilityError
 PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(_Value):
     """Index sequence naming which entries to draw; TemplateDistribution
     and law_key check that the indices lie in 1..n."""
 
     indices: tuple[int, ...]
+
+    def __init__(self, indices: tuple[int, ...]):
+        self.__dict__["indices"] = indices
 
     @property
     def length(self) -> int:
@@ -50,8 +52,7 @@ class Template:
         return tuple(sorted(set(self.indices)))
 
 
-@dataclass(frozen=True)
-class TemplateDistribution:
+class TemplateDistribution(_Value):
     """Distribution over templates drawing from entries 1..n, held as
     (representative template, mass) per class of templates.
 
@@ -63,22 +64,25 @@ class TemplateDistribution:
     `given` (a view's conditions (j, lo, hi): entry j drawn lo to hi times,
     or for j = 0 a length in lo..hi) and `budget`, which their views get.
     `exchangeable` marks distributions invariant under relabeling entries;
-    the named constructors set it, conditioned views clear it.
+    the named constructors set it, conditioned views clear it. Equality and
+    the hash ignore `budget`.
     """
 
     kind: str
     n: int
     items: tuple[tuple[Template, float], ...]
-    exchangeable: bool = False
-    param: float | None = field(default=None, init=False)
-    given: tuple[tuple[int, int, float], ...] = field(default=(), init=False)
-    budget: int = field(default=DEFAULT_BUDGET, init=False, compare=False)
+    exchangeable: bool
+    param: float | None = None  # these three only _named sets
+    given: tuple[tuple[int, int, float], ...] = ()
+    budget: int = DEFAULT_BUDGET
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        items = tuple((t, float(p)) for t, p in self.items)
-        object.__setattr__(self, "items", items)
+    def __init__(
+        self, kind: str, n: int, items: tuple[tuple[Template, float], ...], exchangeable: bool = False
+    ):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        items = tuple((t, float(p)) for t, p in items)
+        self.__dict__.update(kind=kind, n=n, items=items, exchangeable=exchangeable)
         if not items:
             raise ValueError("a technique needs at least one template")
         for t, p in items:
@@ -86,11 +90,14 @@ class TemplateDistribution:
                 raise ValueError(f"expected Template, got {type(t).__name__}")
             if not p > 0.0:
                 raise ValueError(f"template probability {p} must be positive")
-            if t.indices and not 1 <= min(t.indices) <= max(t.indices) <= self.n:
-                raise ValueError(f"template {t.indices} leaves the indices 1..{self.n}")
+            if t.indices and not 1 <= min(t.indices) <= max(t.indices) <= n:
+                raise ValueError(f"template {t.indices} leaves the indices 1..{n}")
         total = math.fsum(p for _, p in items)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"template probabilities sum to {total}, not 1")
+
+    def _key(self) -> tuple:
+        return self.kind, self.n, self.items, self.exchangeable, self.param, self.given
 
     @staticmethod
     def without_replacement(n: int, m: int, budget: int = DEFAULT_BUDGET) -> "TemplateDistribution":
@@ -120,8 +127,7 @@ class TemplateDistribution:
         if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
         out = TemplateDistribution(kind, n, items, not given)
-        for name, value in (("param", param), ("given", given), ("budget", budget)):
-            object.__setattr__(out, name, value)
+        out.__dict__.update(param=param, given=given, budget=budget)
         return out
 
     def classes(
@@ -405,14 +411,16 @@ def matched_coupling(
             raise EnumerationBudgetError(f"more than {budget}", budget)
     return tuple(pairs)
 
-@dataclass(frozen=True)
-class CouplingSplit:
+class CouplingSplit(_Value):
     """Total variation split mu = (1 - tv) common + tv mu_excess, same for nu."""
 
     tv: float
     common: Pmf
     mu_excess: Pmf
     nu_excess: Pmf
+
+    def __init__(self, tv: float, common: Pmf, mu_excess: Pmf, nu_excess: Pmf):
+        self.__dict__.update(tv=tv, common=common, mu_excess=mu_excess, nu_excess=nu_excess)
 
 
 def maximal_coupling_split(mu: Pmf, nu: Pmf) -> CouplingSplit:

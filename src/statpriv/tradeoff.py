@@ -8,25 +8,22 @@ piecewise linear, convex and nonincreasing on [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .dist import Pmf
+from .dist import Pmf, _Value
 from .divergence import PrivacyCurve
 
 HULL_TOL = 1e-12
 INVERSE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TradeoffFn:
+class TradeoffFn(_Value):
     """Piecewise-linear trade-off curve given by its breakpoints."""
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
-        object.__setattr__(self, "ys", tuple(float(y) for y in self.ys))
+    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...]):
+        self.__dict__.update(xs=tuple(float(x) for x in xs), ys=tuple(float(y) for y in ys))
         if len(self.xs) != len(self.ys):
             raise ValueError("xs and ys must have equal length")
         if len(self.xs) < 2:

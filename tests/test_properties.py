@@ -169,8 +169,7 @@ def shift_scan_against_laws(db, q, grid):
     for j in scan_positions(db, exchangeable=True):
         laws = lattice_laws(db, j, q)
         rows.extend(worst_pairs(laws, grid).values())
-        steps, weights, _, answers = lattice_chain(db, j, q)
-        answers = list(answers.values())
+        steps, weights, _, _, answers = lattice_chain(db, j, q)
         if all(map(lt, answers, answers[1:])):
             shifts = {abs(s - t) for s in steps for t in steps} - {0}
             want_backward += [weights != weights[::-1]] * len(shifts)
