@@ -12,7 +12,6 @@ from .dist import (
     Query,
     _Value,
     binomial_pmf,
-    condition,
     law_key,
     scan_positions,
 )
@@ -23,12 +22,13 @@ from .divergence import (
     hockey_stick_curve,
     hockey_stick_divergence,
     privacy_curve,
-    worst_pairs,
 )
 from .errors import NotSamplableError, ZeroProbabilityError
 from .sampling import (
     TemplateDistribution,
     apply_template,
+    drawn_classes,
+    drawn_curve,
     matched_coupling,
     sampling_curve_max,
 )
@@ -226,15 +226,16 @@ def with_replacement_bound(
     """Amplified (eps', delta') pairs for m uniform draws with replacement.
 
     Needs a monotone query and the samplability precondition certified by
-    _check_half_line_scope (half-line choosability on same-template pairs,
-    the coupled mean value inequality on cross pairs); a failure raises
-    NotSamplableError with the witness. Past the gate, each pair is
-    dp_subsample of the drawn-view curve (sampling_curve_max over the
-    templates that draw the sensitive entry) at the rate P(K >= 1), K ~
-    Binomial(m, 1/n) the entry's draw count: each template class carries
-    its exact worst-pair divergence, so the mixture over draw counts,
-    sum over k of P(K = k) E[worst | K = k], is P(K >= 1) E[worst | K >= 1],
-    the shape of the without-replacement bound.
+    _gated_drawn_curve (half-line choosability on same-template pairs, the
+    coupled mean value inequality on cross pairs); a failure raises
+    NotSamplableError with the witness. The gate and the drawn-view curve
+    (sampling_curve_max over the templates that draw the sensitive entry)
+    are one walk over the drawn classes: the gate sums the laws and rows it
+    checked. Each pair is dp_subsample of that curve at the rate P(K >= 1),
+    K ~ Binomial(m, 1/n) the entry's draw count: each template class
+    carries its exact worst-pair divergence, so the mixture over draw
+    counts, sum over k of P(K = k) E[worst | K = k], is
+    P(K >= 1) E[worst | K >= 1], the shape of the without-replacement bound.
     """
     _check_model(db, n)
     if m < 1:
@@ -243,16 +244,18 @@ def with_replacement_bound(
         raise ValueError("the with-replacement bound needs a monotone query")
     grid = as_grid(grid)
     technique = TemplateDistribution.with_replacement(n, m, budget)
-    _check_half_line_scope(db, q, technique, grid, budget)
-    values = sampling_curve_max(db, q, technique, grid, budget).values
+    values = _gated_drawn_curve(db, q, technique, grid, budget)
     drawn = min(1.0, math.fsum(occurrence_weights(n, m)[1:]))
     return tuple(dp_subsample(e, v, drawn) for e, v in zip(grid, values))
 
 
-def _check_half_line_scope(db, q, technique, grid, budget):
-    """Samplability precondition over every answer pair the proof compares.
+def _gated_drawn_curve(db, q, technique, grid, budget):
+    """The drawn-view curve, sampling_curve_max's values, behind the
+    samplability precondition over every answer pair the proof compares.
 
-    Per position j, two families are certified on the epsilon grid:
+    Per position j, one drawn_classes pass over the given_drawn(j) view
+    gives each class's conditioned laws and worst_pairs rows, and two
+    families are certified on the epsilon grid:
 
     Same-template pairs: for each template drawing j and ordered
     conditioning values (v, w), some maximizing set of the divergence must
@@ -260,43 +263,28 @@ def _check_half_line_scope(db, q, technique, grid, budget):
     differences count as free to include).
 
     Coupled cross pairs: for each (template with j, partner without j) pair
-    from the matched coupling and each value v, the mean value inequality
-    divergence(conditioned v through the template, unconditioned through the
-    partner) <= max over w != v of the same-template divergence (row v of
-    worst_pairs) is verified directly. The literal half-line condition
-    routinely fails on these pairs for interleaved answer supports even
-    though the inequality the proof actually uses holds, so the inequality
-    itself is checked. Both families run over classes of templates
-    (TemplateDistribution.classes) and class pairs (matched_coupling), in
-    the enumeration order of the templates; the classes of a technique's
-    drawn view already have distinct law keys, and class pairs with equal
-    law keys compare the same laws, so each is checked once.
+    from the matched coupling of the same view and each value v, the mean
+    value inequality divergence(conditioned v through the template,
+    unconditioned through the partner) <= max over w != v of the
+    same-template divergence (the template's row v) is verified directly.
+    The literal half-line condition routinely fails on these pairs for
+    interleaved answer supports even though the inequality the proof
+    actually uses holds, so the inequality itself is checked. Both families
+    run over classes of templates and class pairs (matched_coupling), in
+    the enumeration order of the templates; class pairs with equal law keys
+    compare the same laws, so each is checked once.
 
     Raises NotSamplableError with a witness and the refused family
     ("half_line" or "coupled") on the first failure.
     """
     outcomes = db.outcome_grid
+    curves = []
     for j in scan_positions(db, technique.exchangeable):
         drawn = technique.given_drawn(j)
-        conditioned = [condition(db, j, w) for w in outcomes]
-        laws: dict[tuple, Pmf] = {}
-
-        def law(model, t):
-            key = law_key(model, t.indices)
-            if key not in laws:
-                laws[key] = apply_template(model, t, q, budget)
-            return laws[key]
-
-        def keys_in(t):
-            return tuple(law_key(cond, t.indices) for cond in conditioned)
-
-        def answers(t):
-            return {w: law(cond, t) for w, cond in zip(outcomes, conditioned)}
-
-        for t, _ in drawn.classes(db, budget):
-            pmfs = answers(t)
+        classes = []
+        for t, p, keys, laws, rows in drawn_classes(db, q, drawn, j, grid, budget):
             for v, w in itertools.permutations(outcomes, 2):
-                res = half_line_check(pmfs[v], pmfs[w], grid, strict=False)
+                res = half_line_check(laws[v], laws[w], grid, strict=False)
                 if not res:
                     raise NotSamplableError(
                         res.eps,
@@ -304,26 +292,28 @@ def _check_half_line_scope(db, q, technique, grid, budget):
                         "half_line",
                         context=f"j={j}, template={t.indices}, pair=({v}, {w})",
                     )
+            classes.append((t, p, keys, laws, rows))
+        curves.append(drawn_curve(classes, grid).values)
         try:
             avoided = technique.given_not_drawn(j)
         except ZeroProbabilityError:
             continue
-        ceilings: dict[tuple, dict[float, tuple[float, ...]]] = {}
+        by_template = {t: (keys, laws, rows) for t, _, keys, laws, rows in classes}
+        partners: dict[tuple, Pmf] = {}
         checked = set()
         for t_in, t_out, _ in matched_coupling(drawn, avoided, j, db, budget):
-            key_in = keys_in(t_in)
-            pair = key_in, law_key(db, t_out.indices)
-            if pair in checked:
+            keys, lefts, ceilings = by_template[t_in]
+            key_out = law_key(db, t_out.indices)
+            if (keys, key_out) in checked:
                 continue
-            checked.add(pair)
-            lefts = answers(t_in)
-            if key_in not in ceilings:
-                ceilings[key_in] = worst_pairs(lefts, grid)
-            right = law(db, t_out)
+            checked.add((keys, key_out))
+            if key_out not in partners:
+                partners[key_out] = apply_template(db, t_out, q, budget)
+            right = partners[key_out]
             for v in outcomes:
                 left = lefts[v]
                 crosses = hockey_stick_curve(left, right, grid)
-                for eps, cross, ceiling in zip(grid, crosses, ceilings[key_in][v]):
+                for eps, cross, ceiling in zip(grid, crosses, ceilings[v]):
                     if cross > ceiling + PARAM_TOL:
                         witness = max(
                             left.outcomes,
@@ -340,6 +330,7 @@ def _check_half_line_scope(db, q, technique, grid, budget):
                                 f"exceeds the same-template ceiling {ceiling}"
                             ),
                         )
+    return tuple(max(col) for col in zip(*curves))
 
 
 def dp_subsample(eps: float, delta: float, rate: float) -> AmplifiedParams:

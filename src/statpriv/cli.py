@@ -287,6 +287,11 @@ def _common_inputs(pick, *, need_entry=True):
     return entry, q, budget
 
 
+def _check_size(pick, n: int) -> None:
+    if pick("n") is not None and _parse_int(pick("n"), "--n") != n:
+        raise UsageError(f"--n disagrees with the technique size {n}")
+
+
 def cmd_curve(args) -> int:
     pick = _picker(args)
     entry, q, budget = _common_inputs(pick)
@@ -311,8 +316,7 @@ def cmd_amplify(args) -> int:
     if technique[0] == "none":
         raise UsageError("amplify needs a sampling technique, not none")
     kind, n, param = technique
-    if pick("n") is not None and _parse_int(pick("n"), "--n") != n:
-        raise UsageError(f"--n disagrees with the technique size {n}")
+    _check_size(pick, n)
     grid = parse_eps(pick("eps")) if pick("eps") else default_eps_grid()
     db = DatabaseModel.iid(entry, n)
     if kind == "wor":
@@ -341,6 +345,8 @@ def _eps_file(stem: str, eps: float) -> str:
 def cmd_figures(args) -> int:
     pick = _picker(args)
     entry, q, budget = _common_inputs(pick)
+    if parse_technique(pick("technique", "none"))[0] != "none":
+        raise UsageError("figures sets its own sampling; use amplify for techniques")
     stem = _require(pick("out"), "--out")
     if args.which == "fig1":
         eps_list = parse_eps(pick("eps")) if pick("eps") else (0.1, 0.3, 1.0)
@@ -500,6 +506,7 @@ def cmd_compare(args) -> int:
     if technique[0] != "poisson":
         raise UsageError("compare needs --technique poisson:n,rate")
     _, n, rate = technique
+    _check_size(pick, n)
     eps_list = parse_eps(pick("eps")) if pick("eps") else default_eps_grid()
     db = DatabaseModel.iid(entry, n)
     needed = set()

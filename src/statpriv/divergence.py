@@ -237,13 +237,10 @@ def half_line_check(
     if eps_grid is None:
         eps_grid = default_eps_grid()
     union = sorted(set(mu.support) | set(nu.support))
+    probs = [(mu.prob(a), nu.prob(a)) for a in union]
     for eps in eps_grid:
         scale = math.exp(float(eps))
-        diffs = []
-        for a in union:
-            pa = mu.prob(a)
-            qa = nu.prob(a)
-            diffs.append(pa if qa == 0.0 else pa - scale * qa)
+        diffs = [pa if qa == 0.0 else pa - scale * qa for pa, qa in probs]
         if strict:
             failure = _strict_violation(union, diffs)
         else:

@@ -58,11 +58,11 @@ class TemplateDistribution(_Value):
 
     A distribution built from explicit `items` is its own list of classes.
     The named techniques (without_replacement, poisson, with_replacement)
-    and their given_* views are built in closed form: their `items` are the
-    classes when all entries are alike, `classes` those one model tells
-    apart. Only these set `param` (m, or the rate for poisson),
-    `given` (a view's conditions (j, lo, hi): entry j drawn lo to hi times,
-    or for j = 0 a length in lo..hi) and `budget`, which their views get.
+    and their views given_drawn and given_not_drawn are built in closed form:
+    their `items` are the classes when all entries are alike, `classes` those
+    one model tells apart. Only these set `param` (m, or the rate for
+    poisson), `given` (a view's conditions (j, lo, hi): entry j drawn 1 to
+    inf, or 0 to 0 times) and `budget`, which their views get.
     `exchangeable` marks distributions invariant under relabeling entries;
     the named constructors set it, conditioned views clear it. Equality and
     the hash ignore `budget`.
@@ -162,12 +162,6 @@ class TemplateDistribution(_Value):
             raise ZeroProbabilityError(f"no templates with {label}")
         return TemplateDistribution(self.kind, self.n, items)
 
-    def given_size(self, m: int) -> "TemplateDistribution":
-        return self._view(0, m, m, f"length {m}")
-
-    def given_count(self, j: int, k: int) -> "TemplateDistribution":
-        return self._view(j, k, k, f"index {j} drawn {k} times")
-
     def given_drawn(self, j: int) -> "TemplateDistribution":
         return self._view(j, 1, math.inf, f"index {j} drawn")
 
@@ -190,10 +184,7 @@ def _groups(n, db, given):
 def _conditioned(items, given):
     """The (template, mass) pairs meeting the conditions of `given`,
     renormalized."""
-    kept = [
-        (t, p) for t, p in items
-        if all(lo <= (t.count(j) if j else t.length) <= hi for j, lo, hi in given)
-    ]
+    kept = [(t, p) for t, p in items if all(lo <= t.count(j) <= hi for j, lo, hi in given)]
     total = math.fsum(p for _, p in kept)
     return tuple((t, p / total) for t, p in kept) if given else tuple(kept)
 
@@ -302,6 +293,32 @@ def sampled_pushforward(
     return answer_pmf(q, pairs())
 
 
+def drawn_classes(db, q, view, j, grid, budget):
+    """(template, mass, law keys, value -> law, value -> worst row) per class
+    of `view`, a technique's given_drawn(j), in enumeration order: the
+    template's laws on db with entry j conditioned to each outcome grid
+    value, their law_keys, and worst_pairs of the laws on `grid`. Classes
+    with equal key tuples share one law set and one row set."""
+    conditioned = {w: condition(db, j, w) for w in db.outcome_grid}
+    shared: dict[tuple, tuple] = {}
+    for t, p in view.classes(db, budget):
+        keys = tuple(law_key(cond, t.indices) for cond in conditioned.values())
+        if keys not in shared:
+            laws = {w: apply_template(cond, t, q, budget) for w, cond in conditioned.items()}
+            shared[keys] = laws, worst_pairs(laws, grid)
+        yield (t, p, keys, *shared[keys])
+
+
+def drawn_curve(classes, grid) -> PrivacyCurve:
+    """Per grid epsilon, the mass-weighted sum over drawn_classes items of
+    their worst row entry (the max over conditioning values)."""
+    terms: list[list[float]] = [[] for _ in grid]
+    for _, p, _, _, rows in classes:
+        for ts, d in zip(terms, (max(col) for col in zip(*rows.values()))):
+            ts.append(p * d)
+    return PrivacyCurve(grid, tuple(min(1.0, max(0.0, math.fsum(ts))) for ts in terms))
+
+
 def sampling_curve(
     db: DatabaseModel,
     q: Query,
@@ -315,24 +332,11 @@ def sampling_curve(
     For each epsilon this averages, over the classes of the technique
     conditioned on entry j being drawn, the maximal hockey-stick divergence
     between template answer distributions of the model conditioned to j = v
-    versus j = w, maximized over ordered pairs (v, w).
+    versus j = w, maximized over ordered pairs (v, w): drawn_curve of
+    drawn_classes.
     """
     grid = as_grid(grid)
-    view = technique.given_drawn(j)
-    conditioned = {w: condition(db, j, w) for w in db.outcome_grid}
-    cache: dict[tuple, tuple[float, ...]] = {}
-    terms: list[list[float]] = [[] for _ in grid]
-    for t, p in view.classes(db, budget):
-        key = tuple(law_key(cond, t.indices) for cond in conditioned.values())
-        worst = cache.get(key)
-        if worst is None:
-            pmfs = {w: apply_template(cond, t, q, budget) for w, cond in conditioned.items()}
-            worst = tuple(max(col) for col in zip(*worst_pairs(pmfs, grid).values()))
-            cache[key] = worst
-        for ts, d in zip(terms, worst):
-            ts.append(p * d)
-    values = tuple(min(1.0, max(0.0, math.fsum(ts))) for ts in terms)
-    return PrivacyCurve(grid, values)
+    return drawn_curve(drawn_classes(db, q, technique.given_drawn(j), j, grid, budget), grid)
 
 
 def sampling_curve_max(

@@ -224,24 +224,33 @@ def answer_laws_built(monkeypatch):
 
 
 def test_with_replacement_bound_enumerates_each_answer_law_once(answer_laws_built):
-    # On 32 i.i.d. entries the 1024 templates of two draws have 10 distinct
-    # conditioned answer laws: 4 for the gate's drawn templates, 2 for their
-    # partners, 4 for the drawn-view curve, which enumerates them again.
+    # On 32 i.i.d. entries the 1024 templates of two draws have 6 distinct
+    # answer laws: 4 for the drawn classes (1, 1) and (1, 2) with entry 1
+    # conditioned to 0 and to 1, which the gate checks and the drawn-view
+    # curve sums in one walk, and 2 for their partners (2, 2) and (2, 3).
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 32)
     with_replacement_bound(db, sum_query(), 32, 2)
-    assert len(answer_laws_built) <= 10
+    assert len(answer_laws_built) == 6
 
 
 def test_with_replacement_bound_scales_with_classes_not_templates(answer_laws_built):
     # 10^8 templates of two draws from 10000 entries, past the default
     # budget when listed one by one; as classes there are a handful, with
-    # the same 10 answer laws as at n = 32. Entry 1 drawn once gives delta
+    # the same 6 answer laws as at n = 32. Entry 1 drawn once gives delta
     # 1/2 at every eps, twice delta 1, so delta' = (1/n)(1 - 1/n) + 1/n^2.
     n = 10000
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
     points = with_replacement_bound(db, sum_query(), n, 2, (0.0, 1.0))
-    assert len(answer_laws_built) <= 10
+    assert len(answer_laws_built) == 6
     assert all(abs(p.delta_prime - 1 / n) <= TOL / n for p in points)
+
+
+def drawn_exactly(technique, j, k, db):
+    """The classes of technique.given_drawn(j) that draw entry j exactly k
+    times, renormalized into an explicit distribution."""
+    kept = [(t, p) for t, p in technique.given_drawn(j).classes(db) if t.count(j) == k]
+    total = math.fsum(p for _, p in kept)
+    return TemplateDistribution("drawn_exactly", technique.n, [(t, p / total) for t, p in kept])
 
 
 def draw_count_mixture(db, q, n, m, grid):
@@ -255,7 +264,7 @@ def draw_count_mixture(db, q, n, m, grid):
         if weights[k] == 0.0:
             continue  # no template draws the entry k times
         curves = [
-            sampling_curve(db, q, technique.given_count(j, k), j, grid).values
+            sampling_curve(db, q, drawn_exactly(technique, j, k, db), j, grid).values
             for j in scan_positions(db, technique.exchangeable)
         ]
         terms.append([weights[k] * max(col) for col in zip(*curves)])

@@ -378,6 +378,32 @@ def test_compare_poisson(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("command", ["amplify", "compare"])
+def test_n_must_match_the_technique_size(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    code = run(
+        tmp_path,
+        command, "--entry", "bern:0.5", "--n", "7", "--query", "sum",
+        "--technique", "poisson:3,0.5", "--eps", "0.5", "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --n disagrees with the technique size 3\n"
+    assert not out.exists()
+
+
+def test_figures_rejects_sampling_technique(tmp_path, capsys):
+    # A figure sets its own sampling fractions; a technique is refused, not ignored.
+    argv = ("figures", "fig1", "--entry", "bern:0.5", "--query", "count", "--eps", "0.3")
+    stem = str(tmp_path / "f.csv")
+    assert run(tmp_path, *argv, "--technique", "wr:3,2", "--out", stem) == 1
+    assert capsys.readouterr().err == (
+        "error: figures sets its own sampling; use amplify for techniques\n"
+    )
+    assert not list(tmp_path.glob("f_eps*.csv"))
+    assert run(tmp_path, *argv, "--technique", "none", "--out", stem) == 0
+    assert [p.name for p in tmp_path.glob("f_eps*.csv")] == ["f_eps0.3.csv"]
+
+
 @pytest.mark.parametrize("argv", [
     ("curve", "--entry", "bern:0.5", "--n", "3", "--query", "sum",
      "--eps", "0:1:0.25"),

@@ -19,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statpriv import dist, divergence
-from statpriv.amplify import poisson_bound, with_replacement_bound, without_replacement_bound
+from statpriv.amplify import (
+    dp_subsample,
+    occurrence_weights,
+    poisson_bound,
+    with_replacement_bound,
+    without_replacement_bound,
+)
 from statpriv.dist import (
     DatabaseModel,
     Pmf,
@@ -42,7 +48,7 @@ from statpriv.divergence import (
 )
 from statpriv.errors import NotSamplableError
 from statpriv.oracle import brute_force_divergence
-from statpriv.sampling import Template, TemplateDistribution
+from statpriv.sampling import Template, TemplateDistribution, sampling_curve_max
 from statpriv.tradeoff import (
     conjugate,
     curve_to_tradeoff,
@@ -128,6 +134,24 @@ def test_amplification_bounds_dominate_the_oracle(db, q, rate):
         technique = TemplateDistribution.with_replacement(n, m)
         for p in points:
             assert_dominates(db, technique, q, p.eps_prime, p.delta_prime)
+
+
+@settings(max_examples=100)
+@given(models(iid=True), QUERIES, st.integers(1, 3))
+def test_with_replacement_bound_is_dp_subsampling_of_the_drawn_view_curve(db, q, m):
+    # The gate sums the laws and rows it has checked into the drawn-view
+    # curve; that must be sampling_curve_max's curve, bit for bit.
+    n = db.n
+    try:
+        points = with_replacement_bound(db, q, n, m, GRID)
+    except NotSamplableError:
+        return  # refused by the gate: there is no bound to compare
+    curve = sampling_curve_max(db, q, TemplateDistribution.with_replacement(n, m), GRID)
+    drawn = min(1.0, math.fsum(occurrence_weights(n, m)[1:]))
+    want = [dp_subsample(e, v, drawn) for e, v in zip(GRID, curve.values)]
+    assert [(p.eps_prime.hex(), p.delta_prime.hex()) for p in points] == [
+        (p.eps_prime.hex(), p.delta_prime.hex()) for p in want
+    ]
 
 
 @st.composite

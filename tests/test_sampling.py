@@ -57,11 +57,11 @@ def explicit_templates(technique):
 
 
 def explicit_view(technique, given):
-    """explicit_templates conditioned on `given`, a list of (j, lo, hi) with
-    j = 0 for the length, renormalized exactly."""
+    """explicit_templates conditioned on `given`, a list of (j, lo, hi):
+    entry j drawn lo to hi times, renormalized exactly."""
     kept = [
         (t, p) for t, p in explicit_templates(technique)
-        if all(lo <= (t.count(j) if j else len(t)) <= hi for j, lo, hi in given)
+        if all(lo <= t.count(j) <= hi for j, lo, hi in given)
     ]
     total = sum(p for _, p in kept)
     return [(t, p / total) for t, p in kept]
@@ -176,16 +176,14 @@ def test_given_drawn_and_not_drawn():
     full = TemplateDistribution.without_replacement(2, 2)
     with pytest.raises(ZeroProbabilityError):
         full.given_not_drawn(1)
-
-
-def test_given_count():
-    t = TemplateDistribution.with_replacement(2, 2)
-    one = t.given_count(1, 1)
-    assert [(tt.indices, w) for tt, w in one.items] == [((1, 2), 1.0)]
-    two = t.given_count(1, 2)
-    assert [(tt.indices, w) for tt, w in two.items] == [((1, 1), 1.0)]
-    with pytest.raises(ZeroProbabilityError):
-        t.given_count(1, 3)
+    # With replacement the drawn view keeps the repeats: of the three
+    # sequences drawing entry 1, (1, 1) is one and (1, 2), (2, 1) the other.
+    wr = TemplateDistribution.with_replacement(2, 2)
+    assert [(tt.indices, w) for tt, w in wr.given_drawn(1).items] == [
+        ((1, 1), 1 / 3),
+        ((1, 2), 2 / 3),
+    ]
+    assert [(tt.indices, w) for tt, w in wr.given_not_drawn(1).items] == [((2, 2), 1.0)]
 
 
 def test_explicit_items_are_their_own_classes():
@@ -195,7 +193,7 @@ def test_explicit_items_are_their_own_classes():
     assert t.classes(db) == items
     assert t.given_drawn(1).items == ((Template((2, 1)), 0.5), (Template((1, 2)), 0.5))
     with pytest.raises(ZeroProbabilityError):
-        t.given_count(1, 2)
+        t.given_drawn(1).given_not_drawn(1)
     # Only the named constructors set the closed-form rule.
     assert t.param is None and t.given == ()
     with pytest.raises(TypeError):
@@ -235,7 +233,7 @@ def test_views_keep_the_budget_of_their_technique():
     assert len(view.items) == 7
 
 
-VIEWS = st.sampled_from(("size", "count", "drawn", "not_drawn"))
+VIEWS = st.sampled_from(("drawn", "not_drawn"))
 
 
 @st.composite
@@ -256,22 +254,13 @@ def technique_cases(draw):
     given = []
     for view in draw(st.lists(VIEWS, max_size=2)):
         j = draw(st.integers(1, n))
-        k = draw(st.integers(0, 3))
-        conditions = {"size": (0, k, k), "count": (j, k, k), "drawn": (j, 1, math.inf)}
-        given.append(conditions.get(view, (j, 0, 0)))
+        given.append((j, 1, math.inf) if view == "drawn" else (j, 0, 0))
     return db, technique, given
 
 
 def apply_views(technique, given):
-    for j, lo, hi in given:
-        if j == 0:
-            technique = technique.given_size(lo)
-        elif hi == math.inf:
-            technique = technique.given_drawn(j)
-        elif hi == 0:
-            technique = technique.given_not_drawn(j)
-        else:
-            technique = technique.given_count(j, lo)
+    for j, _, hi in given:
+        technique = technique.given_drawn(j) if hi else technique.given_not_drawn(j)
     return technique
 
 

@@ -147,8 +147,8 @@ def test_template_distribution_budget_is_not_compared():
     b = TemplateDistribution.poisson(4, 0.5, budget=10**6)
     assert (a.budget, b.budget) == (100, 10**6)
     assert a == b and hash(a) == hash(b)
-    assert a.given_count(1, 1) == b.given_count(1, 1)
-    assert a.given_count(1, 1).budget == 100
+    assert a.given_drawn(1) == b.given_drawn(1)
+    assert a.given_drawn(1).budget == 100
 
 
 def test_queries_compare_by_identity():
