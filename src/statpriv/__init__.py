@@ -49,16 +49,21 @@ from .sampling import (
     sampling_curve,
     sampling_curve_max,
 )
-from .tradeoff import (
-    TradeoffFn,
-    conjugate,
-    curve_to_tradeoff,
-    inverse,
-    p_sample,
-    subsampled_tradeoff,
-    subsampling_operator,
-    tradeoff_from_pmfs,
-    tradeoff_to_delta,
-)
+
+# No command of the CLI converts trade-off functions, so `tradeoff` is loaded
+# on first use of one of its names rather than on every start.
+_TRADEOFF = {
+    "TradeoffFn", "conjugate", "curve_to_tradeoff", "inverse", "p_sample", "subsampled_tradeoff",
+    "subsampling_operator", "tradeoff_from_pmfs", "tradeoff_to_delta",
+}
+
+
+def __getattr__(name):
+    if name in _TRADEOFF:
+        from . import tradeoff
+
+        return getattr(tradeoff, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

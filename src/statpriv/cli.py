@@ -6,7 +6,6 @@ exceeded, 3 verification or samplability failures.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import sys
@@ -36,13 +35,6 @@ from .sampling import TemplateDistribution, sampled_pushforward
 
 class UsageError(Exception):
     """Bad flags, bad config or malformed parameter syntax."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on its own; 2 is reserved for budget
-    # overruns here, so errors are converted and mapped to exit 1 in main.
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _parse_float(token: str, what: str) -> float:
@@ -127,7 +119,10 @@ def parse_eps(token: str) -> tuple[float, ...]:
             raise UsageError(f"--eps: grid needs finite start, stop and step, got {token!r}")
         if step <= 0.0 or stop < start or start < 0.0:
             raise UsageError(f"--eps: bad grid {token!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        points = (stop - start) / step + 1e-9
+        if not math.isfinite(points):
+            raise UsageError(f"--eps: grid {token!r} has no finite number of points")
+        count = int(math.floor(points)) + 1
         # 12 significant digits print the grid as typed (0.3, not
         # 0.30000000000000004); a display choice, not a merge of answers.
         return tuple(float(f"{start + i * step:.12g}") for i in range(count))
@@ -161,7 +156,19 @@ def parse_technique(token: str):
     raise UsageError(f"unknown technique {name!r}; use none, wor, poisson or wr")
 
 
-_CONFIG_KEYS = ("entry", "n", "query", "technique", "eps", "out", "budget")
+# The flags of curve, amplify, figures and compare (flag -> help); every one
+# but --config is also a config key.
+_COMMON = {
+    "entry": "entry pmf: bern:p, point:v, discrete:v@w,...",
+    "n": "number of database entries",
+    "query": "query name: count, sum or mean",
+    "technique": "none, wor:n,m, poisson:n,rate or wr:n,m",
+    "eps": "epsilon: value, comma list or start:stop:step",
+    "out": "output CSV path (default stdout)",
+    "budget": "enumeration budget: multiset states or lattice cells",
+    "config": "key=value config file; flags win",
+}
+_CONFIG_KEYS = tuple(key for key in _COMMON if key != "config")
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -191,22 +198,10 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _picker(args):
-    cfg = read_config(args.config) if getattr(args, "config", None) else {}
-
-    def pick(key, default=None):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            return value
-        return cfg.get(key, default)
-
-    return pick
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise UsageError(f"missing required option {flag}")
-    return value
+def _require(opts, key: str):
+    if opts.get(key) is None:
+        raise UsageError(f"missing required option --{key}")
+    return opts[key]
 
 
 def _fmt(value) -> str:
@@ -236,88 +231,42 @@ def _write_csv(path, header, rows):
         emit(sys.stdout)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--entry", help="entry pmf: bern:p, point:v, discrete:v@w,...")
-    p.add_argument("--n", help="number of database entries")
-    p.add_argument("--query", help="query name: count, sum or mean")
-    p.add_argument("--technique", help="none, wor:n,m, poisson:n,rate or wr:n,m")
-    p.add_argument("--eps", help="epsilon: value, comma list or start:stop:step")
-    p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--budget", help="enumeration budget: multiset states or lattice cells")
-    p.add_argument("--config", help="key=value config file; flags win")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="statpriv", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("curve", help="exact privacy curve of an i.i.d. model")
-    _add_common(p)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("amplify", help="subsampling amplification bounds")
-    _add_common(p)
-    p.set_defaults(func=cmd_amplify)
-
-    p = sub.add_parser("figures", help="reproduce the figure data as CSV")
-    p.add_argument("which", choices=("fig1", "fig2", "fig3"))
-    _add_common(p)
-    p.set_defaults(func=cmd_figures)
-
-    p = sub.add_parser("verify", help="cross-check the pipeline against the oracle")
-    p.add_argument("--max-n", dest="max_n", help="largest model size (default 3)")
-    p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--budget", help="enumeration budget: multiset states or lattice cells")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("compare", help="classic against size-decomposed Poisson route")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
-    return parser
-
-
-def _common_inputs(pick, *, need_entry=True):
-    entry = parse_entry(_require(pick("entry"), "--entry")) if need_entry else None
-    q = query_by_name(pick("query", "count"))
-    budget = (
-        _parse_int(pick("budget"), "--budget") if pick("budget") else DEFAULT_BUDGET
-    )
+def _common_inputs(opts):
+    entry = parse_entry(_require(opts, "entry"))
+    q = query_by_name(opts.get("query", "count"))
+    budget = _parse_int(opts["budget"], "--budget") if opts.get("budget") else DEFAULT_BUDGET
     return entry, q, budget
 
 
-def _check_size(pick, n: int) -> None:
-    if pick("n") is not None and _parse_int(pick("n"), "--n") != n:
+def _check_size(opts, n: int) -> None:
+    if opts.get("n") is not None and _parse_int(opts.get("n"), "--n") != n:
         raise UsageError(f"--n disagrees with the technique size {n}")
 
 
-def cmd_curve(args) -> int:
-    pick = _picker(args)
-    entry, q, budget = _common_inputs(pick)
-    n = _parse_int(_require(pick("n"), "--n"), "--n")
-    technique = parse_technique(pick("technique", "none"))
+def cmd_curve(opts) -> int:
+    entry, q, budget = _common_inputs(opts)
+    n = _parse_int(_require(opts, "n"), "--n")
+    technique = parse_technique(opts.get("technique", "none"))
     if technique[0] != "none":
         raise UsageError("curve computes the raw curve; use amplify for techniques")
-    grid = parse_eps(pick("eps")) if pick("eps") else default_eps_grid()
+    grid = parse_eps(opts.get("eps")) if opts.get("eps") else default_eps_grid()
     curve = privacy_curve(DatabaseModel.iid(entry, n), q, grid, budget)
     _write_csv(
-        pick("out"),
+        opts.get("out"),
         ("epsilon", "delta"),
         list(zip(curve.grid, curve.values)),
     )
     return 0
 
 
-def cmd_amplify(args) -> int:
-    pick = _picker(args)
-    entry, q, budget = _common_inputs(pick)
-    technique = parse_technique(_require(pick("technique"), "--technique"))
+def cmd_amplify(opts) -> int:
+    entry, q, budget = _common_inputs(opts)
+    technique = parse_technique(_require(opts, "technique"))
     if technique[0] == "none":
         raise UsageError("amplify needs a sampling technique, not none")
     kind, n, param = technique
-    _check_size(pick, n)
-    grid = parse_eps(pick("eps")) if pick("eps") else default_eps_grid()
+    _check_size(opts, n)
+    grid = parse_eps(opts.get("eps")) if opts.get("eps") else default_eps_grid()
     db = DatabaseModel.iid(entry, n)
     if kind == "wor":
         params = without_replacement_bound(db, q, n, param, grid, budget)
@@ -328,7 +277,7 @@ def cmd_amplify(args) -> int:
     else:
         curve = poisson_bound(db, q, n, param, grid, budget)
         rows = [(e, e, d) for e, d in zip(curve.grid, curve.values)]
-    _write_csv(pick("out"), ("epsilon", "eps_prime", "delta_prime"), rows)
+    _write_csv(opts.get("out"), ("epsilon", "eps_prime", "delta_prime"), rows)
     return 0
 
 
@@ -342,14 +291,13 @@ def _eps_file(stem: str, eps: float) -> str:
     return f"{stem}_eps{_fmt(eps)}.csv"
 
 
-def cmd_figures(args) -> int:
-    pick = _picker(args)
-    entry, q, budget = _common_inputs(pick)
-    if parse_technique(pick("technique", "none"))[0] != "none":
+def cmd_figures(opts) -> int:
+    entry, q, budget = _common_inputs(opts)
+    if parse_technique(opts.get("technique", "none"))[0] != "none":
         raise UsageError("figures sets its own sampling; use amplify for techniques")
-    stem = _require(pick("out"), "--out")
-    if args.which == "fig1":
-        eps_list = parse_eps(pick("eps")) if pick("eps") else (0.1, 0.3, 1.0)
+    stem = _require(opts, "out")
+    if opts["which"] == "fig1":
+        eps_list = parse_eps(opts.get("eps")) if opts.get("eps") else (0.1, 0.3, 1.0)
         for eps in eps_list:
             rows = []
             for n in range(10, 201, 10):
@@ -357,9 +305,9 @@ def cmd_figures(args) -> int:
                 rows.append((n, curve.values[0]))
             _write_csv(_eps_file(stem, eps), ("n", "delta"), rows)
         return 0
-    eps_list = parse_eps(pick("eps")) if pick("eps") else (0.025, 0.05, 0.075, 0.1)
-    if args.which == "fig2":
-        n = _parse_int(pick("n", "100"), "--n")
+    eps_list = parse_eps(opts.get("eps")) if opts.get("eps") else (0.025, 0.05, 0.075, 0.1)
+    if opts["which"] == "fig2":
+        n = _parse_int(opts.get("n", "100"), "--n")
         for eps in eps_list:
             rows = []
             for lam in _lambda_grid():
@@ -370,7 +318,7 @@ def cmd_figures(args) -> int:
                     raise UsageError(str(exc)) from None
             _write_csv(_eps_file(stem, eps), ("lambda", "ratio"), rows)
         return 0
-    n = _parse_int(pick("n", "20"), "--n")
+    n = _parse_int(opts.get("n", "20"), "--n")
     db = DatabaseModel.iid(entry, n)
     for eps in eps_list:
         base = privacy_curve(db, q, (eps,), budget).values[0]
@@ -384,16 +332,16 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    max_n = _parse_int(args.max_n, "--max-n", minimum=2) if args.max_n else 3
-    budget = _parse_int(args.budget, "--budget") if args.budget else DEFAULT_BUDGET
+def cmd_verify(opts) -> int:
+    max_n = _parse_int(opts["max-n"], "--max-n", minimum=2) if opts.get("max-n") else 3
+    budget = _parse_int(opts["budget"], "--budget") if opts.get("budget") else DEFAULT_BUDGET
     q = sum_query()
     grid = (0.0, 0.5, 1.0)
     agreement_tol = 1e-12
     dominance_tol = 1e-10
     rows = []
     failures = 0
-    faulty = bool(args.inject_fault)
+    faulty = "inject-fault" in opts
     refused = {"half_line": 0, "coupled": 0}
     wr_cases = 0
 
@@ -481,7 +429,7 @@ def cmd_verify(args) -> int:
                     [(b.eps_prime, b.delta_prime) for b in bounds],
                 )
     _write_csv(
-        args.out,
+        opts.get("out"),
         ("case", "quantity", "pipeline", "oracle", "abs_diff", "pass"),
         rows,
     )
@@ -494,20 +442,19 @@ def cmd_verify(args) -> int:
     return 3 if failures else 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(opts) -> int:
     """Classic rate-scaled route against the size-decomposed route.
 
     Both are applied to the same unsampled delta curve, so the difference
     isolates the decomposition by realized sample size.
     """
-    pick = _picker(args)
-    entry, q, budget = _common_inputs(pick)
-    technique = parse_technique(_require(pick("technique"), "--technique"))
+    entry, q, budget = _common_inputs(opts)
+    technique = parse_technique(_require(opts, "technique"))
     if technique[0] != "poisson":
         raise UsageError("compare needs --technique poisson:n,rate")
     _, n, rate = technique
-    _check_size(pick, n)
-    eps_list = parse_eps(pick("eps")) if pick("eps") else default_eps_grid()
+    _check_size(opts, n)
+    eps_list = parse_eps(opts.get("eps")) if opts.get("eps") else default_eps_grid()
     db = DatabaseModel.iid(entry, n)
     needed = set()
     for eps in eps_list:
@@ -520,15 +467,84 @@ def cmd_compare(args) -> int:
         classic = dp_subsample(matched, curve.value_at(matched), rate).delta_prime
         sized = dp_poisson_bound(curve, n, rate, eps)
         rows.append((eps, classic, sized))
-    _write_csv(pick("out"), ("epsilon", "delta_classic", "delta_sized"), rows)
+    _write_csv(opts.get("out"), ("epsilon", "delta_classic", "delta_sized"), rows)
     return 0
 
 
+# command -> (handler, one-line help, flag -> help, choices of its one
+# positional); a flag whose help is None is a hidden switch without a value.
+_COMMANDS = {
+    "curve": (cmd_curve, "exact privacy curve of an i.i.d. model", _COMMON, ()),
+    "amplify": (cmd_amplify, "subsampling amplification bounds", _COMMON, ()),
+    "figures": (cmd_figures, "reproduce the figure data as CSV", _COMMON, ("fig1", "fig2", "fig3")),
+    "verify": (
+        cmd_verify,
+        "cross-check the pipeline against the oracle",
+        {
+            "max-n": "largest model size (default 3)",
+            "out": _COMMON["out"],
+            "budget": _COMMON["budget"],
+            "inject-fault": None,
+        },
+        (),
+    ),
+    "compare": (cmd_compare, "classic against size-decomposed Poisson route", _COMMON, ()),
+}
+
+
+def _print_usage(opts) -> int:
+    lines = ["usage: statpriv COMMAND [--flag value | --flag=value ...]", "", __doc__ or ""]
+    for name in opts["commands"]:
+        _, text, flags, choices = _COMMANDS[name]
+        lines.append(f"statpriv {name} {'|'.join(choices)}".rstrip() + f": {text}")
+        lines += [f"  --{flag:<10} {help}" for flag, help in flags.items() if help]
+    print("\n".join(lines))
+    return 0
+
+
+def parse_args(argv) -> tuple:
+    """(handler, options) of argv: `--flag value` or `--flag=value`, flag
+    names in full, the last of a repeated flag winning over earlier ones and
+    over the --config file; -h or --help anywhere gives the usage printer."""
+    if not argv:
+        raise UsageError(f"missing command; use one of {', '.join(_COMMANDS)}")
+    if argv[0] in ("-h", "--help"):
+        return _print_usage, {"commands": tuple(_COMMANDS)}
+    name = argv[0]
+    if name not in _COMMANDS:
+        raise UsageError(f"unknown command {name!r}; use one of {', '.join(_COMMANDS)}")
+    handler, _, flags, choices = _COMMANDS[name]
+    opts = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _print_usage, {"commands": (name,)}
+        flag, eq, value = token.partition("=")
+        if token in choices and "which" not in opts:
+            opts["which"] = token
+        elif not flag.startswith("--"):
+            raise UsageError(f"{name}: unexpected argument {token!r}")
+        elif flag[2:] not in flags:
+            raise UsageError(f"{name}: unknown flag {flag}")
+        elif flags[flag[2:]] is None:
+            if eq:
+                raise UsageError(f"{name}: {flag} takes no value")
+            opts[flag[2:]] = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("--"):
+                    raise UsageError(f"{name}: {flag} needs a value")
+            opts[flag[2:]] = value
+    if choices and "which" not in opts:
+        raise UsageError(f"{name} needs one of {', '.join(choices)}")
+    return handler, {**read_config(opts["config"]), **opts} if opts.get("config") else opts
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        handler, opts = parse_args(sys.argv[1:] if argv is None else argv)
+        return handler(opts)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -538,7 +554,7 @@ def main(argv=None) -> int:
     except NotSamplableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

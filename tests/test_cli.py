@@ -420,3 +420,101 @@ def test_byte_determinism(tmp_path, argv):
     assert run(tmp_path, *argv, "--out", str(a)) == 0
     assert run(tmp_path, *argv, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+COMMON_FLAGS = ("--entry", "--n", "--query", "--technique", "--eps", "--out", "--budget", "--config")
+FLAGS = {
+    "curve": COMMON_FLAGS,
+    "amplify": COMMON_FLAGS,
+    "figures": COMMON_FLAGS,
+    "verify": ("--max-n", "--out", "--budget"),
+    "compare": COMMON_FLAGS,
+}
+
+
+def test_help_lists_every_flag_of_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for command, flags in FLAGS.items():
+        section = out[out.index(f"statpriv {command}"):]
+        assert all(flag in section for flag in flags)
+    assert "--inject-fault" not in out
+
+
+@pytest.mark.parametrize("command", FLAGS)
+@pytest.mark.parametrize("switch", ["-h", "--help"])
+def test_command_help_lists_its_flags(capsys, command, switch):
+    assert main([command, "--out", "never.csv", switch]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: statpriv")
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("  --")] == list(
+        FLAGS[command]
+    )
+
+
+def test_flag_equals_value_is_the_same_flag(tmp_path, capsys):
+    argv = ("curve", "--entry", "bern:0.3", "--n", "3", "--query", "sum")
+    assert main([*argv, "--eps", "0.5"]) == 0
+    spaced = capsys.readouterr().out
+    assert main([*argv, "--eps=0.5"]) == 0
+    assert capsys.readouterr().out == spaced == "epsilon,delta\n0.5,0.49\n"
+    # only the first '=' splits: the value may hold more
+    assert main(["curve", "--entry=bern:0.5", "--n=2", "--eps=0", f"--out={tmp_path}/a=b.csv"]) == 0
+    assert (tmp_path / "a=b.csv").read_text() == "epsilon,delta\n0,0.5\n"
+
+
+def test_a_repeated_flag_takes_its_last_value(capsys):
+    assert main(["curve", "--entry", "bern:2", "--n", "2", "--entry", "bern:0.5", "--eps", "9",
+                 "--eps=0,1"]) == 0
+    assert capsys.readouterr().out == "epsilon,delta\n0,0.5\n1,0.5\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("curve", "--entry", "bern:0.5", "--n", "2", "--bogus", "1"), "curve: unknown flag --bogus"),
+    (("curve", "--n", "2", "--entry"), "curve: --entry needs a value"),
+    (("curve", "--entry", "--n", "2"), "curve: --entry needs a value"),
+    (("frobnicate",), "unknown command 'frobnicate'"),
+    ((), "missing command"),
+    (("figures", "--entry", "bern:0.5", "--out", "f.csv"), "figures needs one of fig1, fig2, fig3"),
+    (("figures", "fig4", "--entry", "bern:0.5", "--out", "f.csv"), "unexpected argument 'fig4'"),
+    (("figures", "fig1", "fig2", "--entry", "bern:0.5"), "unexpected argument 'fig2'"),
+    (("curve", "--ent", "bern:0.5", "--n", "2"), "curve: unknown flag --ent"),
+    (("curve", "--entry", "bern:0.5", "--n", "2", "--inject-fault"), "unknown flag --inject-fault"),
+    (("verify", "--max-n", "2", "--inject-fault=1"), "--inject-fault takes no value"),
+    (("verify", "2"), "verify: unexpected argument '2'"),
+])
+def test_usage_errors_exit_1_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    # The console script calls main() with no arguments.
+    monkeypatch.setattr("sys.argv", ["statpriv", "curve", "--entry", "bern:0.5", "--n", "2",
+                                     "--eps", "0"])
+    assert main() == 0
+    assert capsys.readouterr().out == "epsilon,delta\n0,0.5\n"
+    monkeypatch.setattr("sys.argv", ["statpriv"])
+    assert main() == 1
+
+
+def test_eps_grid_without_a_finite_point_count_exits_1(capsys):
+    # (1e308 - 0) / 1e-308 is inf: the grid is refused before it is built.
+    argv = ["curve", "--entry", "bern:0.5", "--n", "2", "--eps", "0:1e308:1e-308"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: --eps: grid '0:1e308:1e-308' has no finite number of points\n"
+    )
+    with pytest.raises(UsageError, match="no finite number of points"):
+        parse_eps("0:1:1e-320")
+
+
+def test_n_beyond_the_index_range_exits_1_with_one_line(capsys):
+    assert main(["curve", "--entry", "bern:0.5", "--n", "99999999999999999999"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -93,6 +93,27 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert not {"dataclasses", "inspect", "typing"} & loaded
 
 
+def test_running_a_cli_command_loads_no_argument_parser_nor_tradeoff():
+    # The CLI walks its command line against its own flag table: argparse
+    # (with gettext and locale) and the unused trade-off module stay unloaded
+    # through the import and through a whole `curve` call. The module lists
+    # go to stderr, the curve to stdout.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import statpriv.cli; "
+        "print(*sys.modules, file=sys.stderr); "
+        "code = statpriv.cli.main(['curve', '--entry', 'bern:0.5', '--n', '2', '--eps', '0,1']); "
+        "print(code, *sys.modules, file=sys.stderr)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "epsilon,delta\n0,0.5\n1,0.5\n"
+    imported, (code, *ran) = (line.split() for line in out.stderr.splitlines())
+    assert code == "0" and "statpriv.cli" in imported
+    unwanted = {"argparse", "gettext", "locale", "statpriv.tradeoff"}
+    assert not unwanted & set(imported) and not unwanted & set(ran)
+
+
 @values
 def test_equal_fields_make_equal_values_with_equal_hashes(case):
     make, other, _ = case
