@@ -23,7 +23,7 @@ from .divergence import (
     hockey_stick_divergence,
     privacy_curve,
 )
-from .errors import NotSamplableError, ZeroProbabilityError
+from .errors import NotSamplableError
 from .sampling import (
     TemplateDistribution,
     apply_template,
@@ -259,8 +259,8 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
 
     Same-template pairs: for each template drawing j and ordered
     conditioning values (v, w), some maximizing set of the divergence must
-    be choosable as a half line (half_line_check with strict=False; zero
-    differences count as free to include).
+    be choosable as a half line (half_line_check; zero differences count as
+    free to include).
 
     Coupled cross pairs: for each (template with j, partner without j) pair
     from the matched coupling of the same view and each value v, the mean
@@ -284,7 +284,7 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
         classes = []
         for t, p, keys, laws, rows in drawn_classes(db, q, drawn, j, grid, budget):
             for v, w in itertools.permutations(outcomes, 2):
-                res = half_line_check(laws[v], laws[w], grid, strict=False)
+                res = half_line_check(laws[v], laws[w], grid)
                 if not res:
                     raise NotSamplableError(
                         res.eps,
@@ -294,14 +294,12 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
                     )
             classes.append((t, p, keys, laws, rows))
         curves.append(drawn_curve(classes, grid).values)
-        try:
-            avoided = technique.given_not_drawn(j)
-        except ZeroProbabilityError:
+        if db.n < 2:  # no template avoids j: no cross pairs
             continue
         by_template = {t: (keys, laws, rows) for t, _, keys, laws, rows in classes}
         partners: dict[tuple, Pmf] = {}
         checked = set()
-        for t_in, t_out, _ in matched_coupling(drawn, avoided, j, db, budget):
+        for t_in, t_out, _ in matched_coupling(drawn, j, db, budget):
             keys, lefts, ceilings = by_template[t_in]
             key_out = law_key(db, t_out.indices)
             if (keys, key_out) in checked:

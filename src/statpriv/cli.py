@@ -37,6 +37,10 @@ class UsageError(Exception):
     """Bad flags, bad config or malformed parameter syntax."""
 
 
+class OverBudget(Exception):
+    """A model size or a grid larger than --budget, refused before it is built."""
+
+
 def _parse_float(token: str, what: str) -> float:
     try:
         return float(token)
@@ -108,6 +112,12 @@ def _parse_one_eps(token: str) -> float:
 
 def parse_eps(token: str) -> tuple[float, ...]:
     """Single value, comma list, start:stop:step grid; ln<x> for log values."""
+    return _parse_eps(token, DEFAULT_BUDGET)
+
+
+def _parse_eps(token: str, budget: int) -> tuple[float, ...]:
+    """parse_eps, refusing a start:stop:step grid of more than `budget`
+    points before it is built."""
     if ":" in token:
         parts = token.split(":")
         if len(parts) != 3:
@@ -122,7 +132,7 @@ def parse_eps(token: str) -> tuple[float, ...]:
         points = (stop - start) / step + 1e-9
         if not math.isfinite(points):
             raise UsageError(f"--eps: grid {token!r} has no finite number of points")
-        count = int(math.floor(points)) + 1
+        count = _within_budget(int(math.floor(points)) + 1, "--eps", "grid points", budget)
         # 12 significant digits print the grid as typed (0.3, not
         # 0.30000000000000004); a display choice, not a merge of answers.
         return tuple(float(f"{start + i * step:.12g}") for i in range(count))
@@ -165,7 +175,7 @@ _COMMON = {
     "technique": "none, wor:n,m, poisson:n,rate or wr:n,m",
     "eps": "epsilon: value, comma list or start:stop:step",
     "out": "output CSV path (default stdout)",
-    "budget": "enumeration budget: multiset states or lattice cells",
+    "budget": "enumeration budget: states, lattice cells, model entries, grid points",
     "config": "key=value config file; flags win",
 }
 _CONFIG_KEYS = tuple(key for key in _COMMON if key != "config")
@@ -238,18 +248,31 @@ def _common_inputs(opts):
     return entry, q, budget
 
 
-def _check_size(opts, n: int) -> None:
+def _within_budget(count: int, what: str, unit: str, budget: int) -> int:
+    """count, refused before anything of that size is built: past the index
+    range as a usage error (exit 1), past the budget as OverBudget (exit 2)."""
+    if count > sys.maxsize:
+        raise UsageError(f"{what}: {count} {unit} are beyond the index range")
+    if count > budget:
+        raise OverBudget(
+            f"{what}: {count} {unit}, more than the budget {budget}; pass a larger --budget"
+        )
+    return count
+
+
+def _check_size(opts, n: int, budget: int) -> None:
+    _within_budget(n, "--technique", "entries", budget)
     if opts.get("n") is not None and _parse_int(opts.get("n"), "--n") != n:
         raise UsageError(f"--n disagrees with the technique size {n}")
 
 
 def cmd_curve(opts) -> int:
     entry, q, budget = _common_inputs(opts)
-    n = _parse_int(_require(opts, "n"), "--n")
+    n = _within_budget(_parse_int(_require(opts, "n"), "--n"), "--n", "entries", budget)
     technique = parse_technique(opts.get("technique", "none"))
     if technique[0] != "none":
         raise UsageError("curve computes the raw curve; use amplify for techniques")
-    grid = parse_eps(opts.get("eps")) if opts.get("eps") else default_eps_grid()
+    grid = _parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
     curve = privacy_curve(DatabaseModel.iid(entry, n), q, grid, budget)
     _write_csv(
         opts.get("out"),
@@ -265,8 +288,10 @@ def cmd_amplify(opts) -> int:
     if technique[0] == "none":
         raise UsageError("amplify needs a sampling technique, not none")
     kind, n, param = technique
-    _check_size(opts, n)
-    grid = parse_eps(opts.get("eps")) if opts.get("eps") else default_eps_grid()
+    if kind == "wr":
+        _within_budget(param, "--technique", "draws", budget)
+    _check_size(opts, n, budget)
+    grid = _parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
     db = DatabaseModel.iid(entry, n)
     if kind == "wor":
         params = without_replacement_bound(db, q, n, param, grid, budget)
@@ -297,7 +322,7 @@ def cmd_figures(opts) -> int:
         raise UsageError("figures sets its own sampling; use amplify for techniques")
     stem = _require(opts, "out")
     if opts["which"] == "fig1":
-        eps_list = parse_eps(opts.get("eps")) if opts.get("eps") else (0.1, 0.3, 1.0)
+        eps_list = _parse_eps(opts["eps"], budget) if opts.get("eps") else (0.1, 0.3, 1.0)
         for eps in eps_list:
             rows = []
             for n in range(10, 201, 10):
@@ -305,9 +330,9 @@ def cmd_figures(opts) -> int:
                 rows.append((n, curve.values[0]))
             _write_csv(_eps_file(stem, eps), ("n", "delta"), rows)
         return 0
-    eps_list = parse_eps(opts.get("eps")) if opts.get("eps") else (0.025, 0.05, 0.075, 0.1)
+    eps_list = _parse_eps(opts["eps"], budget) if opts.get("eps") else (0.025, 0.05, 0.075, 0.1)
     if opts["which"] == "fig2":
-        n = _parse_int(opts.get("n", "100"), "--n")
+        n = _within_budget(_parse_int(opts.get("n", "100"), "--n"), "--n", "entries", budget)
         for eps in eps_list:
             rows = []
             for lam in _lambda_grid():
@@ -318,7 +343,7 @@ def cmd_figures(opts) -> int:
                     raise UsageError(str(exc)) from None
             _write_csv(_eps_file(stem, eps), ("lambda", "ratio"), rows)
         return 0
-    n = _parse_int(opts.get("n", "20"), "--n")
+    n = _within_budget(_parse_int(opts.get("n", "20"), "--n"), "--n", "entries", budget)
     db = DatabaseModel.iid(entry, n)
     for eps in eps_list:
         base = privacy_curve(db, q, (eps,), budget).values[0]
@@ -453,8 +478,9 @@ def cmd_compare(opts) -> int:
     if technique[0] != "poisson":
         raise UsageError("compare needs --technique poisson:n,rate")
     _, n, rate = technique
-    _check_size(opts, n)
-    eps_list = parse_eps(opts.get("eps")) if opts.get("eps") else default_eps_grid()
+    _check_size(opts, n, budget)
+    eps_list = _parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
+    _within_budget((n + 1) * len(eps_list), "--technique and --eps", "stretched points", budget)
     db = DatabaseModel.iid(entry, n)
     needed = set()
     for eps in eps_list:
@@ -548,7 +574,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except EnumerationBudgetError as exc:
+    except (EnumerationBudgetError, OverBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotSamplableError as exc:

@@ -212,57 +212,30 @@ class HalfLineResult(_Value):
         return self.ok
 
 
-def half_line_check(
-    mu: Pmf,
-    nu: Pmf,
-    eps_grid: tuple[float, ...] | None = None,
-    strict: bool = True,
-) -> HalfLineResult:
-    """Check that every optimal distinguishing set is a half line.
+def half_line_check(mu: Pmf, nu: Pmf, eps_grid: tuple[float, ...] | None = None) -> HalfLineResult:
+    """Check that some optimal distinguishing set is a half line.
 
     For each epsilon on the grid, the outcomes with mu(a) - e^eps nu(a) > 0,
     taken in increasing order over the union support, must form a prefix, a
-    suffix or the empty set. With strict=False, outcomes where the
-    difference is exactly 0 may be absorbed into the chosen half line, so
-    only the order of strictly positive and strictly negative outcomes
-    matters; that weaker condition is the one the with-replacement bound
-    needs, since a maximizing set only has to be choosable as a half line.
+    suffix or the empty set once the outcomes where the difference is
+    exactly 0 may be absorbed into it: only the order of strictly positive
+    and strictly negative outcomes matters. That is the condition the
+    with-replacement bound needs, since a maximizing set only has to be
+    choosable as a half line.
 
     The first violation is returned as a witness: its epsilon and the
-    outcome completing the second sign change (strict mode: the outcome
-    opening the second positive run, or the run start when a single interior
-    run touches neither end). The check is grid-limited; epsilons between
-    grid points are not examined.
+    outcome completing the second sign change. The check is grid-limited;
+    epsilons between grid points are not examined.
     """
-    if eps_grid is None:
-        eps_grid = default_eps_grid()
     union = sorted(set(mu.support) | set(nu.support))
     probs = [(mu.prob(a), nu.prob(a)) for a in union]
-    for eps in eps_grid:
-        scale = math.exp(float(eps))
+    for eps in as_grid(eps_grid):
+        scale = math.exp(eps)
         diffs = [pa if qa == 0.0 else pa - scale * qa for pa, qa in probs]
-        if strict:
-            failure = _strict_violation(union, diffs)
-        else:
-            failure = _sign_change_violation(union, diffs)
+        failure = _sign_change_violation(union, diffs)
         if failure is not None:
-            return HalfLineResult(False, float(eps), failure)
+            return HalfLineResult(False, eps, failure)
     return HalfLineResult(True)
-
-
-def _strict_violation(union, diffs):
-    """Witness outcome if the positive set is no prefix or suffix, else None."""
-    positive = [i for i, d in enumerate(diffs) if d > 0.0]
-    if not positive:
-        return None
-    first, last = positive[0], positive[-1]
-    contiguous = last - first + 1 == len(positive)
-    if contiguous and (first == 0 or last == len(union) - 1):
-        return None
-    for cur, nxt in zip(positive, positive[1:]):
-        if nxt > cur + 1:
-            return union[nxt]
-    return union[first]
 
 
 def _sign_change_violation(union, diffs):

@@ -19,6 +19,7 @@ from .errors import EnumerationBudgetError
 from .sampling import TemplateDistribution
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
+TRADEOFF_MAX_SUPPORT = 12  # brute_force_tradeoff scans 2^12 rejection sets at most
 
 
 class _Kahan:
@@ -115,19 +116,19 @@ def brute_force_divergence(
     return min(1.0, acc.total)
 
 
-def brute_force_tradeoff(mu: Pmf, nu: Pmf, alpha: float, max_support: int = 12) -> float:
+def brute_force_tradeoff(mu: Pmf, nu: Pmf, alpha: float) -> float:
     """Optimal type II error at type I level alpha, by exhaustive search.
 
-    Scans every rejection subset of the union support, collects the
-    achievable (type I, type II) pairs and evaluates their lower convex
-    envelope at alpha; the envelope accounts for randomized tests.
+    Scans every rejection subset of the union support (TRADEOFF_MAX_SUPPORT
+    outcomes at most), collects the achievable (type I, type II) pairs and
+    evaluates at alpha their lower convex envelope, which randomized tests reach.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     union = sorted(set(mu.support) | set(nu.support))
-    if len(union) > max_support:
-        raise EnumerationBudgetError(2 ** len(union), 2 ** max_support)
+    if len(union) > TRADEOFF_MAX_SUPPORT:
+        raise EnumerationBudgetError(2 ** len(union), 2 ** TRADEOFF_MAX_SUPPORT)
     points = []
     for bits in range(2 ** len(union)):
         type1 = _Kahan()

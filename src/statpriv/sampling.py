@@ -61,28 +61,23 @@ class TemplateDistribution(_Value):
     and their views given_drawn and given_not_drawn are built in closed form:
     their `items` are the classes when all entries are alike, `classes` those
     one model tells apart. Only these set `param` (m, or the rate for
-    poisson), `given` (a view's conditions (j, lo, hi): entry j drawn 1 to
-    inf, or 0 to 0 times) and `budget`, which their views get.
-    `exchangeable` marks distributions invariant under relabeling entries;
-    the named constructors set it, conditioned views clear it. Equality and
-    the hash ignore `budget`.
+    poisson), `given` (a view's conditions (j, drawn): entry j drawn at
+    least once, or not at all) and `budget`, which their views get.
+    Equality and the hash ignore `budget`.
     """
 
     kind: str
     n: int
     items: tuple[tuple[Template, float], ...]
-    exchangeable: bool
     param: float | None = None  # these three only _named sets
-    given: tuple[tuple[int, int, float], ...] = ()
+    given: tuple[tuple[int, bool], ...] = ()
     budget: int = DEFAULT_BUDGET
 
-    def __init__(
-        self, kind: str, n: int, items: tuple[tuple[Template, float], ...], exchangeable: bool = False
-    ):
+    def __init__(self, kind: str, n: int, items: tuple[tuple[Template, float], ...]):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         items = tuple((t, float(p)) for t, p in items)
-        self.__dict__.update(kind=kind, n=n, items=items, exchangeable=exchangeable)
+        self.__dict__.update(kind=kind, n=n, items=items)
         if not items:
             raise ValueError("a technique needs at least one template")
         for t, p in items:
@@ -97,7 +92,12 @@ class TemplateDistribution(_Value):
             raise ValueError(f"template probabilities sum to {total}, not 1")
 
     def _key(self) -> tuple:
-        return self.kind, self.n, self.items, self.exchangeable, self.param, self.given
+        return self.kind, self.n, self.items, self.param, self.given
+
+    @property
+    def exchangeable(self) -> bool:
+        """Invariant under relabeling entries: a whole named technique."""
+        return self.param is not None and not self.given
 
     @staticmethod
     def without_replacement(n: int, m: int, budget: int = DEFAULT_BUDGET) -> "TemplateDistribution":
@@ -126,7 +126,7 @@ class TemplateDistribution(_Value):
         items = _classes(kind, n, param, _groups(n, None, given), given, budget)
         if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
-        out = TemplateDistribution(kind, n, items, not given)
+        out = TemplateDistribution(kind, n, items)
         out.__dict__.update(param=param, given=given, budget=budget)
         return out
 
@@ -142,7 +142,7 @@ class TemplateDistribution(_Value):
         templates (hypergeometric or multinomial over the group sizes), with
         the Binomial size weight for poisson; its representative is its
         first template in itertools order. Raises EnumerationBudgetError
-        past `budget` classes.
+        past `budget` classes. Keeps the last model's classes, as Pmf keeps as_dict.
         """
         if self.n != db.n:
             raise ValueError(f"technique over 1..{self.n} does not match model size {db.n}")
@@ -150,30 +150,33 @@ class TemplateDistribution(_Value):
             return self.items
         if db.is_iid and len(self.items) <= budget:
             return self.items  # built over these very groups
-        groups = _groups(self.n, db, self.given)
-        return _classes(self.kind, self.n, self.param, groups, self.given, budget)
+        if self.__dict__.get("_last_classes", ())[:2] != (db, budget):
+            groups = _groups(self.n, db, self.given)
+            classes = _classes(self.kind, self.n, self.param, groups, self.given, budget)
+            self.__dict__["_last_classes"] = db, budget, classes
+        return self.__dict__["_last_classes"][2]
 
-    def _view(self, j, lo, hi, label) -> "TemplateDistribution":
+    def _view(self, j, drawn, label) -> "TemplateDistribution":
         if self.param is not None:
-            given = (*self.given, (j, lo, hi))
+            given = (*self.given, (j, drawn))
             return self._named(self.kind, self.n, self.param, self.budget, given, label)
-        items = _conditioned(self.items, ((j, lo, hi),))
+        items = _conditioned(self.items, ((j, drawn),))
         if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
         return TemplateDistribution(self.kind, self.n, items)
 
     def given_drawn(self, j: int) -> "TemplateDistribution":
-        return self._view(j, 1, math.inf, f"index {j} drawn")
+        return self._view(j, True, f"index {j} drawn")
 
     def given_not_drawn(self, j: int) -> "TemplateDistribution":
-        return self._view(j, 0, 0, f"index {j} not drawn")
+        return self._view(j, False, f"index {j} not drawn")
 
 
 def _groups(n, db, given):
     """Positions 1..n grouped by entry pmf of db (all alike without db or on
     an i.i.d. db), each position named in `given` alone; groups in order of
     their first position."""
-    singled = {j for j, _, _ in given}
+    singled = {j for j, _ in given}
     entries = db.entries if db is not None and not db.is_iid else (None,) * n
     groups: dict[object, list[int]] = {}
     for i, entry in enumerate(entries, 1):
@@ -184,7 +187,7 @@ def _groups(n, db, given):
 def _conditioned(items, given):
     """The (template, mass) pairs meeting the conditions of `given`,
     renormalized."""
-    kept = [(t, p) for t, p in items if all(lo <= t.count(j) <= hi for j, lo, hi in given)]
+    kept = [(t, p) for t, p in items if all((j in t.indices) == drawn for j, drawn in given)]
     total = math.fsum(p for _, p in kept)
     return tuple((t, p / total) for t, p in kept) if given else tuple(kept)
 
@@ -355,7 +358,6 @@ def sampling_curve_max(
 
 def matched_coupling(
     drawn: TemplateDistribution,
-    not_drawn: TemplateDistribution,
     j: int,
     db: DatabaseModel,
     budget: int = DEFAULT_BUDGET,
@@ -371,14 +373,13 @@ def matched_coupling(
     partners alike up to relabeling entries within a group (see
     TemplateDistribution.classes) and is the first of them in product
     order. The first marginal is the classes of `drawn`; the partners the
-    pairs stand for have the law of `not_drawn` after sorting their indices
-    (injective case) or directly. Both inputs must put all mass on one
-    template length; mixed lengths (Poisson views) are rejected.
+    pairs stand for have the law of the technique's given_not_drawn(j) view
+    after sorting their indices (injective case) or directly. `drawn` must
+    put all mass on one template length; mixed lengths (Poisson views) are
+    rejected.
     """
-    if drawn.n != not_drawn.n:
-        raise ValueError("coupled techniques must share n")
     n = drawn.n
-    lengths = {t.length for t, _ in drawn.items + not_drawn.items}
+    lengths = {t.length for t, _ in drawn.items}
     if len(lengths) != 1:
         raise ValueError(
             f"coupling needs one common template length, got {sorted(lengths)}"
@@ -386,13 +387,10 @@ def matched_coupling(
     for t, _ in drawn.items:
         if t.count(j) == 0:
             raise ValueError(f"template {t.indices} does not draw {j}")
-    for t, _ in not_drawn.items:
-        if t.count(j) > 0:
-            raise ValueError(f"template {t.indices} draws {j}")
     if n < 2:
         raise ValueError("coupling needs a second index to swap in")
     injective = all(len(t.distinct) == t.length for t, _ in drawn.items)
-    groups = _groups(n, db, (*drawn.given, (j, 1, math.inf)))
+    groups = _groups(n, db, (*drawn.given, (j, True)))
     pairs = []
     for t, p in drawn.classes(db, budget):
         # The j slots are a with-replacement draw from the other indices:

@@ -14,6 +14,7 @@ from .divergence import PrivacyCurve
 
 HULL_TOL = 1e-12
 INVERSE_TOL = 1e-9
+ALPHA_GRID_SIZE = 1024  # the alphas curve_to_tradeoff samples
 
 
 class TradeoffFn(_Value):
@@ -175,21 +176,19 @@ def subsampling_operator(fn: TradeoffFn, p: float) -> TradeoffFn:
     return TradeoffFn(tuple(p_[0] for p_ in hull), tuple(p_[1] for p_ in hull))
 
 
-def curve_to_tradeoff(curve: PrivacyCurve, grid_size: int = 1024) -> TradeoffFn:
+def curve_to_tradeoff(curve: PrivacyCurve) -> TradeoffFn:
     """Trade-off lower envelope implied by a privacy curve.
 
     Takes the maximum of the supporting lines of every (eps, delta) point
-    over a uniform alpha grid, then convexifies. Grid sampling can only
-    lower the envelope, so the result stays a valid bound.
+    over a uniform grid of ALPHA_GRID_SIZE alphas, then convexifies. Grid
+    sampling can only lower the envelope, so the result stays a valid bound.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     lines = [
         (math.exp(e), math.exp(-e), d) for e, d in zip(curve.grid, curve.values)
     ]
     pts = []
-    for i in range(grid_size):
-        a = i / (grid_size - 1)
+    for i in range(ALPHA_GRID_SIZE):
+        a = i / (ALPHA_GRID_SIZE - 1)
         best = 0.0
         for grow, shrink, d in lines:
             t1 = 1.0 - d - grow * a

@@ -245,6 +245,29 @@ def test_with_replacement_bound_scales_with_classes_not_templates(answer_laws_bu
     assert all(abs(p.delta_prime - 1 / n) <= TOL / n for p in points)
 
 
+@pytest.mark.parametrize("m, built", [(1, 7), (2, 6)])
+def test_with_replacement_gate_builds_each_drawn_views_classes_once(monkeypatch, m, built):
+    # 40 alternating bern(0.3) and bern(0.6) entries: positions 1 and 2 are
+    # scanned. Besides the whole technique, each position builds its drawn
+    # view, the view's classes on the model once for the curve's walk and
+    # the coupling both, and one partner draw per drawn class (1 at m = 1,
+    # 3 at m = 2). At m = 2 the gate refuses position 1's cross pairs.
+    calls = []
+    original = statpriv.sampling._classes
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(statpriv.sampling, "_classes", counted)
+    db = DatabaseModel((Pmf.bernoulli(0.3), Pmf.bernoulli(0.6)) * 20)
+    try:
+        with_replacement_bound(db, sum_query(), 40, m, (0.0, 0.5, 1.0))
+    except NotSamplableError as exc:
+        assert (m, exc.family) == (2, "coupled")
+    assert len(calls) == built
+
+
 def drawn_exactly(technique, j, k, db):
     """The classes of technique.given_drawn(j) that draw entry j exactly k
     times, renormalized into an explicit distribution."""

@@ -1,6 +1,9 @@
 """Command line interface: parsing, outputs, exit codes, determinism."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -512,6 +515,67 @@ def test_eps_grid_without_a_finite_point_count_exits_1(capsys):
     )
     with pytest.raises(UsageError, match="no finite number of points"):
         parse_eps("0:1:1e-320")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# main in a child process whose address space is capped at 1 GiB, so a size
+# that is built before it is counted fails there, not on the machine.
+LIMITED_MAIN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "sys.path.insert(0, sys.argv[1]); from statpriv.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+BUDGET = "more than the budget 10000000; pass a larger --budget\n"
+
+SIZE_REFUSALS = {
+    "entries": (("curve", "--n", "1000000000"), "--n: 1000000000 entries"),
+    "grid": (
+        ("curve", "--n", "3", "--eps", "0:1e15:1e-3"),
+        "--eps: 1000000000000000001 grid points",
+    ),
+    "stretched": (
+        ("compare", "--technique", "poisson:1000000,0.1"),
+        "--technique and --eps: 61000061 stretched points",
+    ),
+    "technique": (
+        ("amplify", "--technique", "poisson:1000000000,0.1"),
+        "--technique: 1000000000 entries",
+    ),
+    "draws": (("amplify", "--technique", "wr:2,1000000000"), "--technique: 1000000000 draws"),
+    "figures": (("figures", "fig3", "--n", "1000000000", "--out", "x"), "--n: 1000000000 entries"),
+}
+
+
+@pytest.mark.parametrize("argv, what", SIZE_REFUSALS.values(), ids=SIZE_REFUSALS)
+def test_sizes_past_the_budget_are_refused_before_they_are_built(argv, what):
+    # Built first, each of these exhausts memory or runs for hours.
+    command, *rest = argv
+    out = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, str(SRC), command, "--entry", "bern:0.5", *rest],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {what}, {BUDGET}")
+
+
+def test_sizes_are_counted_against_the_given_budget(capsys):
+    base = ("--entry", "bern:0.5", "--budget", "100")
+    cases = (
+        (("curve", "--n", "101"), "--n: 101 entries"),
+        (("curve", "--n", "2", "--eps", "0:1:0.01"), "--eps: 101 grid points"),
+        (
+            ("compare", "--technique", "poisson:10,0.5", "--eps", "0:1:0.1"),
+            "--technique and --eps: 121 stretched points",
+        ),
+        (("amplify", "--technique", "wr:2,101"), "--technique: 101 draws"),
+    )
+    for (command, *rest), what in cases:
+        assert main([command, *base, *rest]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {what}, more than the budget 100; pass a larger --budget\n"
+    # At the budget itself the runs go through.
+    assert main(["curve", *base, "--n", "100", "--eps", "0:0.99:0.01"]) == 0
+    assert main(["compare", *base, "--technique", "poisson:9,0.5", "--eps", "0:0.9:0.1"]) == 0
 
 
 def test_n_beyond_the_index_range_exits_1_with_one_line(capsys):

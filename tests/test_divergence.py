@@ -208,14 +208,11 @@ def test_half_line_check_strict_vs_relaxed():
     b = pmf({0.0: 0.5, 2.0: 0.5})
     # at eps 0 the difference is 0,+,- : strictly-positive set is interior,
     # but the zero at outcome 0 lets a half line be chosen
-    strict = half_line_check(a, b, (0.0,))
-    assert not strict.ok
-    assert strict.eps == 0.0 and strict.outcome == 1.0
-    relaxed = half_line_check(a, b, (0.0,), strict=False)
+    relaxed = half_line_check(a, b, (0.0,))
     assert relaxed.ok
     assert relaxed.eps is None and relaxed.outcome is None
     # at eps 1 the difference is -,+,- : genuinely not a half line
-    relaxed1 = half_line_check(a, b, (1.0,), strict=False)
+    relaxed1 = half_line_check(a, b, (1.0,))
     assert not relaxed1.ok
     assert relaxed1.eps == 1.0 and relaxed1.outcome == 2.0
 

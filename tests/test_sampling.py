@@ -347,11 +347,11 @@ def test_sampling_curve_max_scans_every_position_of_a_conditioned_view():
 def test_matched_coupling_injective():
     t = TemplateDistribution.without_replacement(3, 2)
     iid = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
-    triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, iid)
+    triples = matched_coupling(t.given_drawn(1), 1, iid)
     assert [(a.indices, b.indices, w) for a, b, w in triples] == [((1, 2), (3, 2), 1.0)]
     # Entries 2 and 3 unlike: each template is its own class.
     db = DatabaseModel((Pmf.bernoulli(0.5),) * 2 + (Pmf.bernoulli(0.25),))
-    triples = matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, db)
+    triples = matched_coupling(t.given_drawn(1), 1, db)
     assert [(a.indices, b.indices, w) for a, b, w in triples] == [
         ((1, 2), (3, 2), 0.5),
         ((1, 3), (2, 3), 0.5),
@@ -404,7 +404,7 @@ def assert_coupling_matches_the_templates(technique):
     for entries, j in product(COUPLING_MODELS, range(1, n + 1)):
         db = DatabaseModel(entries[:n])
         drawn, avoided = technique.given_drawn(j), technique.given_not_drawn(j)
-        triples = matched_coupling(drawn, avoided, j, db)
+        triples = matched_coupling(drawn, j, db)
         explicit = explicit_coupling(explicit_view(technique, [(j, 1, math.inf)]), j, n)
         got, want = {}, {}
         for a, b, w in triples:
@@ -432,17 +432,17 @@ def test_matched_coupling_budget_counts_class_pairs():
     # partner classes each.
     t = TemplateDistribution.with_replacement(32, 2)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 32)
-    drawn, avoided = t.given_drawn(1), t.given_not_drawn(1)
-    assert len(matched_coupling(drawn, avoided, 1, db, budget=4)) == 4
+    drawn = t.given_drawn(1)
+    assert len(matched_coupling(drawn, 1, db, budget=4)) == 4
     with pytest.raises(EnumerationBudgetError):
-        matched_coupling(drawn, avoided, 1, db, budget=3)
+        matched_coupling(drawn, 1, db, budget=3)
 
 
 def test_matched_coupling_rejects_mixed_lengths():
     t = TemplateDistribution.poisson(3, 0.5)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
     with pytest.raises(ValueError):
-        matched_coupling(t.given_drawn(1), t.given_not_drawn(1), 1, db)
+        matched_coupling(t.given_drawn(1), 1, db)
 
 
 def test_maximal_coupling_split():

@@ -53,13 +53,13 @@ CASES = {
         lambda: TemplateDistribution.without_replacement(3, 2, budget=1000),
         lambda: TemplateDistribution.without_replacement(3, 1, budget=1000),
         "TemplateDistribution(kind='without_replacement', n=3, items=((Template(indices=(1, 2)), 1.0),),"
-        " exchangeable=True, param=2, given=(), budget=1000)",
+        " param=2, given=(), budget=1000)",
     ),
     "TemplateDistribution.explicit": (
         lambda: TemplateDistribution("explicit", 2, ((Template((1,)), 0.5), (Template((2,)), 0.5))),
-        lambda: TemplateDistribution("explicit", 2, ((Template((1,)), 0.5), (Template((2,)), 0.5)), True),
+        lambda: TemplateDistribution("explicit", 2, ((Template((1,)), 0.25), (Template((2,)), 0.75))),
         "TemplateDistribution(kind='explicit', n=2, items=((Template(indices=(1,)), 0.5),"
-        " (Template(indices=(2,)), 0.5)), exchangeable=False, param=None, given=(), budget=10000000)",
+        " (Template(indices=(2,)), 0.5)), param=None, given=(), budget=10000000)",
     ),
     "CouplingSplit": (
         lambda: CouplingSplit(0.5, *(Pmf((0.0, 1.0), (0.25, 0.75)),) * 3),
