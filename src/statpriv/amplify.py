@@ -297,7 +297,6 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
         if db.n < 2:  # no template avoids j: no cross pairs
             continue
         by_template = {t: (keys, laws, rows) for t, _, keys, laws, rows in classes}
-        partners: dict[tuple, Pmf] = {}
         checked = set()
         for t_in, t_out, _ in matched_coupling(drawn, j, db, budget):
             keys, lefts, ceilings = by_template[t_in]
@@ -305,9 +304,7 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
             if (keys, key_out) in checked:
                 continue
             checked.add((keys, key_out))
-            if key_out not in partners:
-                partners[key_out] = apply_template(db, t_out, q, budget)
-            right = partners[key_out]
+            right = apply_template(db, t_out, q, budget)
             for v in outcomes:
                 left = lefts[v]
                 crosses = hockey_stick_curve(left, right, grid)

@@ -577,6 +577,9 @@ def main(argv=None) -> int:
     except (EnumerationBudgetError, OverBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a size --budget admits but the machine cannot hold
+        print("error: out of memory; pass a lower --budget", file=sys.stderr)
+        return 2
     except NotSamplableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

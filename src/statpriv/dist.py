@@ -65,6 +65,9 @@ class Pmf(_Value):
         # Every check iterates in C (map, all, min): a sampling bound builds
         # hundreds of laws, each checked here.
         outcomes = tuple(map(float, outcomes))
+        if 0.0 in outcomes:  # -0.0 is the outcome 0.0, so equal pmfs are one law
+            i = outcomes.index(0.0)
+            outcomes = (*outcomes[:i], 0.0, *outcomes[i + 1 :])
         weights = tuple(map(float, weights))
         self.__dict__.update(outcomes=outcomes, weights=weights)
         if len(outcomes) != len(weights):
@@ -82,7 +85,7 @@ class Pmf(_Value):
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
 
-    def _key(self) -> tuple:  # spelled out: pmfs key the answer-law caches
+    def _key(self) -> tuple:  # spelled out: pmfs key the answer-law memo
         return self.outcomes, self.weights
 
     @cached_property
@@ -106,7 +109,6 @@ class Pmf(_Value):
         """
         acc: dict[float, float] = {}
         for a, w in pairs:
-            a += 0.0
             acc[a] = acc.get(a, 0.0) + w
         items = sorted(acc.items())
         if drop_zero:
@@ -117,7 +119,7 @@ class Pmf(_Value):
 
     @staticmethod
     def point(value: float) -> "Pmf":
-        return Pmf((float(value) + 0.0,), (1.0,))
+        return Pmf((value,), (1.0,))
 
     @staticmethod
     def point_on(value: float, outcomes: Sequence[float]) -> "Pmf":
@@ -494,7 +496,9 @@ def answer_law(
     enumerating when the product over classes exceeds `budget`, and
     ValueError when an answer overflows the float range. The law is built by
     answer_pmf, so answers merge only when they are the same float. An empty
-    sample yields the query's declared empty answer.
+    sample yields the query's declared empty answer. Past the budget check
+    a law is looked up by (law_key, q) in one process-wide memo (see
+    MEMO_OUTCOMES) and enumerated only when it is not there.
     """
     key = law_key(db, indices)
     if not indices:
@@ -504,6 +508,33 @@ def answer_law(
         states *= _class_states(pmf, c)
         if states > budget:
             raise EnumerationBudgetError(states, budget)
+    law = _law_memo.get((key, q))
+    if law is None:
+        law = _enumerate_law(key, q)
+        _remember((key, q), law)
+    return law
+
+
+# answer_law's memo: (law_key, query) -> law, oldest first, holding at most
+# MEMO_OUTCOMES outcomes in all (_memo_outcomes); a larger law is not kept.
+# Equal keys give bit-identical laws, so a hit is the law a rebuild gives.
+MEMO_OUTCOMES = 1 << 15
+_law_memo: dict[tuple, Pmf] = {}
+_memo_outcomes = 0
+
+
+def _remember(key: tuple, law: Pmf) -> None:
+    global _memo_outcomes
+    size = len(law.outcomes)
+    if size <= MEMO_OUTCOMES:
+        while _memo_outcomes + size > MEMO_OUTCOMES:
+            _memo_outcomes -= len(_law_memo.pop(next(iter(_law_memo))).outcomes)
+        _law_memo[key] = law
+        _memo_outcomes += size
+
+
+def _enumerate_law(key: tuple, q: Query) -> Pmf:
+    """answer_law's multiset kernel on a nonempty law_key."""
     options = [_multiset_options(pmf, r, c) for pmf, r, c in key]
     join = _add_counts
     evaluate = q.counts_answer(key[0][0].outcomes)
@@ -555,8 +586,7 @@ def _chain_laws(db: DatabaseModel, chain) -> dict[float, Pmf]:
     steps, weights, reachable, cells, answers = chain
     masses = [weights[i] for i in reachable]
     at = dict(zip(cells, answers))
-    # + 0.0 makes -0.0 the outcome 0.0, as Pmf.from_pairs does
-    laws = ([at[s + i] + 0.0 for i in reachable] for s in steps)
+    laws = ([at[s + i] for i in reachable] for s in steps)
     return {v: _run_law(a, masses) for v, a in zip(db.outcome_grid, laws)}
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from .dist import DatabaseModel, Pmf, Query
 from .errors import EnumerationBudgetError
@@ -74,19 +75,20 @@ def _answer_law(db, technique, q, budget):
     if states > budget:
         raise EnumerationBudgetError(states, budget)
     rows = [(row, tuple(map(Pmf.prob, db.entries, row))) for row in itertools.product(*supports)]
+    evaluate, empty, prod = q.evaluator, float(q.empty_answer), math.prod
     acc: dict[float, _Kahan] = {}
     for indices, pt in templates:
         picks = [i - 1 for i in indices]
+        if len(picks) == 1:  # a sample is a tuple: slice the one index
+            picks = [slice(picks[0], picks[0] + 1)]
+        pick = operator.itemgetter(*picks) if picks else None
         for row, probs in rows:
             # An answer is the float the query returns; equal floats merge.
-            if picks:
-                a = float(q.evaluator(tuple(row[i] for i in picks)))
-            else:
-                a = float(q.empty_answer)
+            a = float(evaluate(pick(row))) if picks else empty
             k = acc.get(a)
             if k is None:
                 k = acc[a] = _Kahan()
-            k.add(math.prod(probs, start=pt))  # pt * p1 * p2 ..., left to right
+            k.add(prod(probs, start=pt))  # pt * p1 * p2 ..., left to right
     return tuple(sorted((a, k.total) for a, k in acc.items()))
 
 

@@ -268,9 +268,9 @@ def apply_template(
     """Answer distribution of q over the entries a template draws.
 
     This is answer_law on the template: repeated indices share one draw,
-    and a state is a multiset of the drawn values (see answer_law). Templates with equal law_key give equal laws, which is
-    what every cache of answer laws is keyed by. An empty template yields the
-    query's declared empty answer.
+    and a state is a multiset of the drawn values (see answer_law).
+    Templates with equal law_key give equal laws, which answer_law's memo
+    is keyed by. An empty template yields the query's declared empty answer.
     """
     return answer_law(db, t.indices, q, budget)
 
@@ -282,14 +282,10 @@ def sampled_pushforward(
     budget: int = DEFAULT_BUDGET,
 ) -> Pmf:
     """Mixture of per-class answer distributions under the technique."""
-    cache: dict[tuple, Pmf] = {}
 
     def pairs():
         for t, p in technique.classes(db, budget):
-            key = law_key(db, t.indices)
-            sub = cache.get(key)
-            if sub is None:
-                sub = cache[key] = apply_template(db, t, q, budget)
+            sub = apply_template(db, t, q, budget)
             for a, w in zip(sub.outcomes, sub.weights):
                 yield a, p * w
 

@@ -18,6 +18,7 @@ from statpriv.amplify import (
     without_replacement_bound,
 )
 import statpriv.amplify
+import statpriv.dist
 import statpriv.sampling
 from statpriv.dist import (
     DatabaseModel,
@@ -209,17 +210,16 @@ def test_with_replacement_gate_refusals_are_frozen(entry, q, n, m, grid, family,
 
 
 @pytest.fixture
-def answer_laws_built(monkeypatch):
-    """The templates apply_template is called on, as they are called."""
+def answer_laws_built(monkeypatch, empty_law_memo):
+    """The law keys answer_law enumerates, from an empty memo, in order."""
     calls = []
-    original = statpriv.sampling.apply_template
+    original = statpriv.dist._enumerate_law
 
-    def counted(*args, **kwargs):
-        calls.append(args[1].indices)
-        return original(*args, **kwargs)
+    def counted(key, q):
+        calls.append(key)
+        return original(key, q)
 
-    monkeypatch.setattr(statpriv.amplify, "apply_template", counted)
-    monkeypatch.setattr(statpriv.sampling, "apply_template", counted)
+    monkeypatch.setattr(statpriv.dist, "_enumerate_law", counted)
     return calls
 
 

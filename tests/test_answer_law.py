@@ -35,6 +35,7 @@ from statpriv.dist import (
 )
 from statpriv import dist
 from statpriv.divergence import PrivacyCurve, default_eps_grid, privacy_curve, worst_pairs
+from statpriv.errors import EnumerationBudgetError
 from statpriv.sampling import Template, apply_template
 
 TOL = 1e-12
@@ -467,6 +468,12 @@ def bits(law):
     return [(a.hex(), w.hex()) for a, w in zip(law.outcomes, law.weights)]
 
 
+def enumerated(db, indices, q):
+    """answer_law's law built anew from the template's key, past the memo."""
+    key = law_key(db, indices)
+    return dist._enumerate_law(key, q) if key else answer_law(db, indices, q)
+
+
 @st.composite
 def template_pairs(draw):
     """A model and a template as in models(), plus a second template: the
@@ -496,7 +503,7 @@ def test_equal_law_keys_give_bit_identical_laws(pair, q):
         # the same law by definition, so the key must be shared
         assert key_a == key_b
     if key_a == key_b:
-        assert bits(answer_law(db, a, q)) == bits(answer_law(db, b, q))
+        assert bits(answer_law(db, a, q)) == bits(enumerated(db, b, q))
 
 
 def test_law_key_shares_positions_with_equal_entries():
@@ -515,7 +522,7 @@ def test_law_key_shares_positions_with_equal_entries():
     a, b = (3, 3, 1, 1, 2), (2, 1, 1, 3, 3)
     assert law_key(db, a) == law_key(db, b)
     for q in (sum_query(), mean_query()):
-        assert bits(answer_law(db, a, q)) == bits(answer_law(db, b, q))
+        assert bits(answer_law(db, a, q)) == bits(enumerated(db, b, q))
 
 
 @pytest.mark.parametrize(
@@ -526,3 +533,81 @@ def test_an_answer_beyond_the_float_range_is_a_value_error_naming_the_query(q, i
     db = DatabaseModel.iid(Pmf((0.0, 1e308), (0.5, 0.5)), 3)
     with pytest.raises(ValueError, match=f"query '{q.name}' overflows"):
         answer_law(db, indices, q)
+
+
+@settings(max_examples=200)
+@given(models(), st.sampled_from(QUERIES))
+def test_a_memoized_law_is_a_fresh_enumeration_bit_for_bit(model, q):
+    db, indices = model
+    law = answer_law(db, indices, q)
+    again = answer_law(db, indices, q)
+    if indices:
+        assert again is law  # held: these laws are far below the bound
+        assert dist._law_memo[law_key(db, indices), q] is law
+    assert bits(again) == bits(enumerated(db, indices, q))
+
+
+def test_equal_keys_share_one_memo_entry_across_models(empty_law_memo):
+    q = sum_query()
+    law = answer_law(DatabaseModel.iid(Pmf.bernoulli(0.3), 32), (1, 2), q)
+    assert answer_law(DatabaseModel.iid(Pmf.bernoulli(0.3), 3), (3, 1), q) is law
+    assert len(empty_law_memo) == 1
+
+
+def test_a_negative_zero_outcome_is_zero_so_equal_keys_are_one_law(empty_law_memo):
+    # -0.0 == 0.0, so the two grids give equal keys; a query that tells the
+    # signs apart must still see the same sample on both.
+    sign = Query("sign", lambda values: math.copysign(1.0, values[0]), monotone=False)
+    laws = [
+        answer_law(DatabaseModel.iid(Pmf((zero, 1.0), (0.5, 0.5)), 2), (1,), sign)
+        for zero in (-0.0, 0.0)
+    ]
+    assert laws[0] is laws[1]
+    assert laws[0].outcomes == (1.0,)
+
+
+def test_a_smaller_budget_still_raises_when_the_memo_holds_the_law(empty_law_memo):
+    db = DatabaseModel.iid(Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), 4)
+    q = sum_query()
+    law = pushforward(db, q)  # C(6, 2) = 15 states
+    assert (law_key(db, range(1, 5)), q) in empty_law_memo
+    with pytest.raises(EnumerationBudgetError) as err:
+        pushforward(db, q, budget=14)
+    assert (err.value.states, err.value.budget) == (15, 14)
+    assert pushforward(db, q, budget=15) is law
+
+
+def test_queries_never_share_a_memo_entry(empty_law_memo):
+    # Queries compare by identity: two sum queries are two entries, and a
+    # query named "sum" that answers otherwise does not see their law.
+    db = DatabaseModel.iid(Pmf((0.0, 0.5, 1.0), (0.25, 0.5, 0.25)), 3)
+    total, count, other = sum_query(), count_query(), sum_query()
+    impostor = Query("sum", max, monotone=True)
+    laws = [answer_law(db, (1, 2), q) for q in (total, count, other, impostor)]
+    assert len(empty_law_memo) == 4
+    assert laws[0].outcomes == (0.0, 0.5, 1.0, 1.5, 2.0)
+    assert laws[1].outcomes == (0.0, 1.0, 2.0)
+    assert laws[2] is not laws[0] and bits(laws[2]) == bits(laws[0])
+    assert laws[3].outcomes == (0.0, 0.5, 1.0)
+
+
+def test_the_memo_holds_at_most_its_bound_oldest_first(monkeypatch, empty_law_memo):
+    monkeypatch.setattr(dist, "MEMO_OUTCOMES", 10)
+    q = sum_query()
+    entry = Pmf.bernoulli(0.5)
+
+    def held():
+        sizes = [len(law.outcomes) for law in empty_law_memo.values()]
+        assert dist._memo_outcomes == sum(sizes) <= 10
+        return sizes
+
+    for n in (1, 2, 3):  # laws of n + 1 outcomes
+        pushforward(DatabaseModel.iid(entry, n), q)
+    assert held() == [2, 3, 4]
+    pushforward(DatabaseModel.iid(entry, 4), q)
+    assert held() == [4, 5]  # the oldest two made room
+    big = pushforward(DatabaseModel.iid(entry, 10), q)
+    assert len(big.outcomes) == 11 and held() == [4, 5]  # returned, not kept
+    for n in range(1, 13):
+        pushforward(DatabaseModel.iid(entry, n), q)
+        held()

@@ -558,6 +558,18 @@ def test_sizes_past_the_budget_are_refused_before_they_are_built(argv, what):
     assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {what}, {BUDGET}")
 
 
+def test_a_size_the_budget_admits_but_memory_does_not_exits_2_with_one_line():
+    # 2e9 entries are within this --budget; under the 1 GiB cap the model's
+    # entry tuple cannot be allocated.
+    argv = ("curve", "--entry", "bern:0.5", "--n", "2000000000", "--budget", "10000000000")
+    out = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, str(SRC), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: out of memory; pass a lower --budget\n"
+
+
 def test_sizes_are_counted_against_the_given_budget(capsys):
     base = ("--entry", "bern:0.5", "--budget", "100")
     cases = (

@@ -1,7 +1,9 @@
 """Brute-force reference computations used to validate the pipeline."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,61 @@ def test_answer_law_is_the_grid_enumeration(case):
     for eps in (0.0, 0.5, 1.0):
         got = brute_force_divergence(db_a, db_b, tech, q, eps)
         assert abs(got - grid_divergence(*laws, eps)) <= 1e-15
+
+
+def loop_answer_law(db, technique, q):
+    """The oracle's joint law in its plain form: one generator expression
+    and one Kahan add per (template, realization) pair."""
+    count, templates = oracle._templates(technique)
+    supports = [e.support for e in db.entries]
+    rows = [(row, tuple(map(Pmf.prob, db.entries, row))) for row in itertools.product(*supports)]
+    acc = {}
+    for indices, pt in templates:
+        picks = [i - 1 for i in indices]
+        for row, probs in rows:
+            if picks:
+                a = float(q.evaluator(tuple(row[i] for i in picks)))
+            else:
+                a = float(q.empty_answer)
+            k = acc.get(a)
+            if k is None:
+                k = acc[a] = oracle._Kahan()
+            k.add(math.prod(probs, start=pt))
+    return tuple(sorted((a, k.total) for a, k in acc.items()))
+
+
+@settings(max_examples=200)
+@given(oracle_cases())
+def test_answer_law_is_the_plain_loop_bit_for_bit(case):
+    db_a, db_b, tech, q = case
+    for db in (db_a, db_b):
+        got = oracle._answer_law.__wrapped__(db, tech, q, oracle.DEFAULT_ORACLE_BUDGET)
+        want = loop_answer_law(db, tech, q)
+        assert [(a.hex(), w.hex()) for a, w in got] == [(a.hex(), w.hex()) for a, w in want]
+
+
+PIPELINE_KERNELS = {
+    "answer_law", "law_key", "MEMO_OUTCOMES", "_law_memo", "_memo_outcomes", "_remember",
+    "_enumerate_law", "worst_pairs", "_pair_curves",
+}
+
+
+def test_the_oracle_uses_none_of_the_pipelines_kernels():
+    # Its independence is the evidence: agreement with the pipeline means
+    # something only if no answer law, memo or pair scan is shared.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    shared = {name for name in names if name in PIPELINE_KERNELS or name.startswith("lattice_")}
+    assert shared == set()
+    # The scan sees the names the oracle does use.
+    assert {"_templates", "_Kahan", "TemplateDistribution", "itemgetter"} <= names
 
 
 def test_brute_force_divergence_takes_explicit_views_not_named_ones():
