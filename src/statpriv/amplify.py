@@ -70,10 +70,27 @@ def shrink_epsilon(eps: float, rate: float) -> float:
 
 def stretch_epsilon(eps: float, factor: float) -> float:
     """log(1 + factor (e^eps - 1)), the inverse of shrink_epsilon at rate
-    1/factor; factor 1 returns eps unchanged. The package's only stretch."""
+    1/factor; factor 1 returns eps unchanged. The package's only stretch;
+    _stretcher applies it to a whole grid."""
     if factor == 1.0:
         return float(eps)
     return math.log1p(factor * math.expm1(float(eps)))
+
+
+def _stretcher(grid: tuple[float, ...]):
+    """factor -> stretch_epsilon(e, factor) per e of `grid`, bit for bit,
+    with expm1 taken once per eps, at the first factor other than 1; factor
+    1 returns `grid` itself."""
+    bases = []
+
+    def stretch(factor):
+        if factor == 1.0:
+            return grid
+        if not bases:
+            bases.extend(map(math.expm1, grid))
+        return tuple([math.log1p(factor * x) for x in bases])
+
+    return stretch
 
 
 def _check_model(db: DatabaseModel, n: int) -> None:
@@ -180,9 +197,10 @@ def poisson_bound(
 
 def _size_mixture(n, rate, grid, sized_values):
     """Sum over sizes m of the Binomial(n, rate) weight of m times m/n times
-    sized_values(m, stretched grid), per grid epsilon, capped at 1. Sizes
-    go in increasing order, so a sized_values that extends the last size's
-    law (privacy_curve's lattice chain) holds one law at a time.
+    sized_values(m, stretched grid), per eps of the float tuple `grid`,
+    capped at 1; _stretcher gives each stretched grid, `grid` itself at m = n.
+    Sizes go in increasing order, so a sized_values that extends the last
+    size's law (privacy_curve's lattice chain) holds one law at a time.
 
     A size whose weight is below NEGLIGIBLE_SIZE_WEIGHT is not evaluated and
     is charged delta = 1, the most it can contribute, so the sum stays an
@@ -190,6 +208,7 @@ def _size_mixture(n, rate, grid, sized_values):
     """
     terms: list[list[float]] = [[] for _ in grid]
     charged = []
+    stretch = _stretcher(grid)
     weights = binomial_pmf(n, rate)
     for m in range(1, n + 1):
         weight = weights[m]
@@ -197,7 +216,7 @@ def _size_mixture(n, rate, grid, sized_values):
         if weight < NEGLIGIBLE_SIZE_WEIGHT:
             charged.append(factor)
             continue
-        values = sized_values(m, tuple(stretch_epsilon(e, n / m) for e in grid))
+        values = sized_values(m, stretch(n / m))
         for ts, v in zip(terms, values):
             ts.append(factor * v)
     tail = math.fsum(charged)

@@ -273,9 +273,11 @@ class DatabaseModel(_Value):
         if not entries:
             raise ValueError("a model needs at least one entry")
         grid = entries[0].outcomes
-        for e in entries[1:]:
-            if e.outcomes != grid:
-                raise ValueError("all entries must share one outcome grid")
+        # One C call with an identity fast path when every entry is one pmf.
+        if entries.count(entries[0]) != len(entries):
+            for e in entries[1:]:
+                if e.outcomes != grid:
+                    raise ValueError("all entries must share one outcome grid")
         fixed = tuple(sorted((int(j), float(w)) for j, w in fixed))
         self.__dict__.update(entries=entries, fixed=fixed)
         seen = set()
@@ -301,7 +303,7 @@ class DatabaseModel(_Value):
 
     @cached_property
     def is_iid(self) -> bool:
-        return not self.fixed and all(e == self.entries[0] for e in self.entries)
+        return not self.fixed and self.entries.count(self.entries[0]) == self.n
 
     def entry(self, j: int) -> Pmf:
         if not 1 <= j <= self.n:
@@ -322,13 +324,15 @@ def scan_positions(db: DatabaseModel, exchangeable: bool) -> tuple[int, ...]:
     """Positions a worst-pair scan must visit: every position not fixed, or
     with an exchangeable technique the first of each distinct entry pmf, as
     positions with one pmf are then alike."""
+    if exchangeable and db.is_iid:
+        return (1,)
     fixed = {j for j, _ in db.fixed}
     free = zip(range(1, db.n + 1), db.entries)
     if fixed:
         free = [(j, pmf) for j, pmf in free if j not in fixed]
     if not exchangeable:
         return tuple(j for j, _ in free)
-    # A run of equal pmfs, as in an i.i.d. model, is hashed once.
+    # A run of equal pmfs, as in a model built in blocks, is hashed once.
     runs = groupby(free, key=itemgetter(1))
     first = {pmf: j for j, pmf in reversed([next(run) for _, run in runs])}
     return tuple(sorted(first.values()))

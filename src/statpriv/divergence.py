@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import combinations
-from operator import lt
+from itertools import combinations, repeat
+from operator import add, gt, lt
 
 from .dist import (
     DEFAULT_BUDGET,
@@ -30,7 +30,7 @@ def default_eps_grid() -> tuple[float, ...]:
 
 def as_grid(grid: tuple[float, ...] | None) -> tuple[float, ...]:
     """`grid` as a tuple of floats; None gives default_eps_grid()."""
-    return default_eps_grid() if grid is None else tuple(float(e) for e in grid)
+    return default_eps_grid() if grid is None else tuple(map(float, grid))
 
 
 def hockey_stick_divergence(mu: Pmf, nu: Pmf, eps: float) -> float:
@@ -60,24 +60,26 @@ def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...], backwa
     of the first sum form a prefix and those of the second a suffix. fsum is
     exactly rounded, so the order of the terms sets only its speed: read
     backwards, the prefix of a unimodal chain runs from its mode to its tail,
-    the order in which fsum keeps few partials (see dist.lattice_chain)."""
-    rows = sorted((y / x if x else math.inf, x, y) for x, y in zip(a, b) if x or y)
-    ratios = [r for r, _, _ in rows]
-    fwd, bwd = [], []
-    for eps in grid:
-        if eps < 0.0 or not math.isfinite(eps):
-            raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-        scale = math.exp(eps)
-        # x - scale * y > 0 implies y / x < 1 / scale, y - scale * x > 0 that
-        # y / x > scale; the slack covers rounding, the exact test decides.
-        k = bisect_right(ratios, (1.0 + 1e-9) / scale)
-        terms = [d for _, x, y in reversed(rows[:k]) if (d := x - scale * y) > 0.0]
-        fwd.append(min(1.0, math.fsum(terms)))
-        if backward:
-            k = bisect_left(ratios, scale * (1.0 - 1e-9))
-            terms = [d for _, x, y in rows[k:] if (d := y - scale * x) > 0.0]
-            bwd.append(min(1.0, math.fsum(terms)))
-    return tuple(fwd), tuple(bwd)
+    the order in which fsum keeps few partials (see dist.lattice_chain).
+    One pass per direction: the grid is checked and exponentiated once, and
+    the prefix of length k read backwards is the suffix tail[n - k:]."""
+    if not all(map(math.isfinite, grid)) or min(grid, default=0.0) < 0.0:
+        bad = next(eps for eps in grid if not 0.0 <= eps < math.inf)
+        raise ValueError(f"eps must be finite and nonnegative, got {bad}")
+    scales = list(map(math.exp, grid))
+    # A row with a = b = 0 sorts last (ratio inf) and adds no term to either sum.
+    ratios = [y / x if x else math.inf for x, y in zip(a, b)]
+    rows = sorted(zip(ratios, a, b))
+    ratios.sort()
+    tail, n, fsum = rows[::-1], len(rows), math.fsum
+    # x - s * y > 0 implies y / x < 1 / s, y - s * x > 0 that y / x > s; the
+    # slack covers rounding, the exact test decides.
+    fwd = tuple([min(1.0, fsum([d for _, x, y in tail[n - bisect_right(ratios, (1.0 + 1e-9) / s):]
+                                if (d := x - s * y) > 0.0])) for s in scales])
+    if not backward:
+        return fwd, ()
+    return fwd, tuple([min(1.0, fsum([d for _, x, y in rows[bisect_left(ratios, s * (1.0 - 1e-9)):]
+                                      if (d := y - s * x) > 0.0])) for s in scales])
 
 
 class PrivacyCurve(_Value):
@@ -87,25 +89,24 @@ class PrivacyCurve(_Value):
     values: tuple[float, ...]
 
     def __init__(self, grid: tuple[float, ...], values: tuple[float, ...]):
-        grid = tuple(float(e) for e in grid)
-        values = tuple(float(v) for v in values)
+        grid = tuple(map(float, grid))
+        values = tuple(map(float, values))
         self.__dict__.update(grid=grid, values=values)
         if len(grid) != len(values):
             raise ValueError("grid and values must have equal length")
         if not grid:
             raise ValueError("a curve needs at least one grid point")
-        for e in grid:
-            if not (math.isfinite(e) and e >= 0.0):
-                raise ValueError(f"invalid grid epsilon {e}")
-        for prev, nxt in zip(grid, grid[1:]):
-            if not nxt > prev:
-                raise ValueError("epsilon grid must be strictly increasing")
-        for v in values:
-            if not (-CURVE_TOL <= v <= 1.0 + CURVE_TOL):
-                raise ValueError(f"delta value {v} outside [0, 1]")
-        for prev, nxt in zip(values, values[1:]):
-            if nxt > prev + CURVE_TOL:
-                raise ValueError("delta values must be nonincreasing in epsilon")
+        if not (all(map(math.isfinite, grid)) and min(grid) >= 0.0):
+            bad = next(e for e in grid if not 0.0 <= e < math.inf)
+            raise ValueError(f"invalid grid epsilon {bad}")
+        if not all(map(lt, grid, grid[1:])):
+            raise ValueError("epsilon grid must be strictly increasing")
+        low, high = -CURVE_TOL, 1.0 + CURVE_TOL
+        if not (all(map(math.isfinite, values)) and low <= min(values) and max(values) <= high):
+            bad = next(v for v in values if not low <= v <= high)
+            raise ValueError(f"delta value {bad} outside [0, 1]")
+        if any(map(gt, values[1:], map(add, values, repeat(CURVE_TOL)))):
+            raise ValueError("delta values must be nonincreasing in epsilon")
 
     def value_at(self, eps: float, extrapolate: bool = False) -> float:
         """Interpolation on the grid, linear in e^eps.
@@ -180,7 +181,7 @@ def privacy_curve(
     grid = as_grid(grid)
     if db.fixed:
         raise ValueError("privacy_curve needs a pure product model, got fixed positions")
-    rows = [(0.0,) * len(grid)]
+    rows = []
     for j in scan_positions(db, exchangeable=True):
         chain = lattice_chain(db, j, q, budget)
         if chain is None:
@@ -195,7 +196,9 @@ def privacy_curve(
         else:
             pmfs = _chain_laws(db, chain)
         rows.extend(worst_pairs(pmfs, grid).values())
-    return PrivacyCurve(grid, tuple(max(col) for col in zip(*rows)))
+    # Rows are never below 0.0, which is also the curve with no pair to scan.
+    rows = rows or [(0.0,) * len(grid)]
+    return PrivacyCurve(grid, rows[0] if len(rows) == 1 else tuple(map(max, zip(*rows))))
 
 
 class HalfLineResult(_Value):

@@ -106,6 +106,56 @@ def test_poisson_bound_known_point():
     assert abs(direct - 0.375) <= TOL  # tight at eps 0 for this model
 
 
+# The benchmark's poisson-large grid: 0, then 0.05 i + 0.0125 for i = 1..60.
+SHIFTED_GRID = (0.0,) + tuple(round(0.05 * i + 0.0125, 10) for i in range(1, 61))
+
+
+def bits(values):
+    return [float.hex(v) for v in values]
+
+
+@pytest.mark.parametrize("n, rate, sizes", [(1000, 0.1, 314), (40, 1.0, 1)])
+def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, sizes):
+    # Each evaluated size m gets stretch_epsilon(e, n / m) per eps, bit for
+    # bit, from one privacy_curve call; at rate 1 only m = n is evaluated
+    # and its grid is the input grid unchanged.
+    seen, curves = [], []
+    sampled, curve = statpriv.amplify._sampled_curve_values, statpriv.amplify.privacy_curve
+
+    def record(db, q, n, m, grid, budget):
+        seen.append((m, grid))
+        return sampled(db, q, n, m, grid, budget)
+
+    def counted(*args):
+        curves.append(args[0].n)
+        return curve(*args)
+
+    monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
+    monkeypatch.setattr(statpriv.amplify, "privacy_curve", counted)
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
+    poisson_bound(db, count_query(), n, rate, SHIFTED_GRID)
+    assert len(seen) == sizes
+    assert curves == [m for m, _ in seen]
+    for m, grid in seen:
+        assert bits(grid) == bits(stretch_epsilon(e, n / m) for e in SHIFTED_GRID), m
+    if rate == 1.0:
+        assert seen == [(n, SHIFTED_GRID)]
+
+
+def test_stretcher_is_stretch_epsilon_and_passes_the_grid_at_factor_one():
+    grid = SHIFTED_GRID + (800.0,)
+    stretch = statpriv.amplify._stretcher(grid)
+    assert stretch(1.0) is grid  # no expm1 taken: e^800 would overflow
+    stretch = statpriv.amplify._stretcher(SHIFTED_GRID)
+    for factor in (1000 / 314, 2.0, 1.0 + 2.0 ** -52, 0.5):
+        want = [math.log1p(factor * math.expm1(e)) for e in SHIFTED_GRID]
+        assert bits(stretch(factor)) == bits(want)
+        assert bits(stretch_epsilon(e, factor) for e in SHIFTED_GRID) == bits(want)
+    assert stretch_epsilon(800.0, 1.0) == 800.0
+    with pytest.raises(OverflowError):
+        stretch_epsilon(800.0, 2.0)
+
+
 @pytest.mark.parametrize("rate", [0.25, 0.5, 0.75, 1.0])
 def test_poisson_dominates_oracle(rate):
     q = sum_query()

@@ -13,6 +13,7 @@ from statpriv.dist import (
     mean_query,
     pushforward,
     query_by_name,
+    scan_positions,
     sum_query,
 )
 from statpriv.errors import AlreadyFixedError, EnumerationBudgetError
@@ -93,8 +94,34 @@ def test_database_model_iid():
 
 
 def test_database_model_mixed_grid_rejected():
-    with pytest.raises(ValueError):
-        DatabaseModel((Pmf.bernoulli(0.5), Pmf.from_pairs([(0.0, 0.5), (2.0, 0.5)])))
+    odd = Pmf.from_pairs([(0.0, 0.5), (2.0, 0.5)])
+    same = [Pmf.bernoulli(0.5)] * 3
+    # The odd grid first, where the other entries all equal each other, or last.
+    for entries in ([same[0], odd], [odd] + same, same + [odd]):
+        with pytest.raises(ValueError, match="one outcome grid"):
+            DatabaseModel(entries)
+
+
+def test_scan_positions_of_equal_but_distinct_pmfs():
+    entries = [Pmf.bernoulli(0.3) for _ in range(5)]
+    assert entries[0] is not entries[1] and entries[0] == entries[1]
+    db = DatabaseModel(entries)
+    assert db.is_iid
+    assert scan_positions(db, True) == (1,)
+    assert scan_positions(db, False) == (1, 2, 3, 4, 5)
+
+
+def test_scan_positions_of_a_second_pmf_or_a_fixed_position():
+    p, r = Pmf.bernoulli(0.3), Pmf.bernoulli(0.6)
+    mixed = DatabaseModel([p, p, r, p, r])
+    assert not mixed.is_iid
+    assert scan_positions(mixed, True) == (1, 3)
+    assert scan_positions(DatabaseModel([r, p, p]), True) == (1, 2)
+    iid = DatabaseModel.iid(p, 4)
+    assert scan_positions(condition(iid, 1, 1.0), True) == (2,)
+    assert scan_positions(condition(iid, 3, 0.0), True) == (1,)
+    assert scan_positions(condition(iid, 3, 0.0), False) == (1, 2, 4)
+    assert not condition(iid, 3, 0.0).is_iid
 
 
 def test_condition():

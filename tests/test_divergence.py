@@ -2,10 +2,19 @@
 
 import math
 import random
+import re
 
 import pytest
 
-from statpriv.dist import DatabaseModel, Pmf, condition, count_query, mean_query, sum_query
+from statpriv.dist import (
+    DatabaseModel,
+    Pmf,
+    Query,
+    condition,
+    count_query,
+    mean_query,
+    sum_query,
+)
 from statpriv.divergence import (
     PrivacyCurve,
     _pair_curves,
@@ -105,10 +114,54 @@ def test_pair_kernel_gives_both_directions_of_the_definition_bit_for_bit(a, b):
 
 @pytest.mark.parametrize("eps", [-0.1, -math.inf, math.inf, math.nan])
 def test_pair_kernel_refuses_a_negative_or_non_finite_eps(eps):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        _pair_curves([0.5, 0.5], [0.25, 0.75], (0.0, eps))
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        hockey_stick_curve(pmf({0.0: 1.0}), pmf({1.0: 1.0}), (eps,))
+    # The bad eps first, in the middle and last of the grid; with a second
+    # bad eps (-2.0) after it, the message still names the first.
+    grids = [(eps,), (eps, 0.5, 1.0), (0.0, eps, 1.0), (0.0, 0.5, eps), (0.0, eps, -2.0)]
+    named = rf"finite and nonnegative, got {re.escape(str(eps))}$"
+    for grid in grids:
+        for backward in (True, False):
+            with pytest.raises(ValueError, match=named):
+                _pair_curves([0.5, 0.5], [0.25, 0.75], grid, backward)
+        with pytest.raises(ValueError, match=named):
+            hockey_stick_curve(pmf({0.0: 1.0}), pmf({1.0: 1.0}), grid)
+    with pytest.raises(ValueError, match=r"got -2\.0$"):
+        _pair_curves([0.5, 0.5], [0.25, 0.75], (0.0, -2.0, eps))
+
+
+@pytest.mark.parametrize(
+    "grid, values, message",
+    [
+        ((0.0, -1.0, math.nan), (0.5, 0.4, 0.3), "invalid grid epsilon -1.0"),
+        ((0.0, math.nan, -1.0), (0.5, 0.4, 0.3), "invalid grid epsilon nan"),
+        ((0.0, math.inf), (0.5, 0.4), "invalid grid epsilon inf"),
+        ((0.0, 2.0, 1.0), (0.5, 0.4, 0.3), "strictly increasing"),
+        ((0.0, 1.0, 1.0), (0.5, 0.4, 0.3), "strictly increasing"),
+        ((0.0, 1.0, 2.0), (0.5, math.nan, 2.0), "delta value nan outside"),
+        ((0.0, 1.0, 2.0), (0.5, 2.0, math.nan), "delta value 2.0 outside"),
+        ((0.0, 1.0), (1.0 + 2e-12, 0.5), "outside [0, 1]"),
+        ((0.0, 1.0), (-math.inf, -math.inf), "delta value -inf outside"),
+        ((0.0, 1.0), (0.5, -2e-12), "delta value -2e-12 outside"),
+        ((0.0, 1.0, 2.0), (0.5, 0.4, 0.4 + 2e-12), "nonincreasing"),
+    ],
+)
+def test_privacy_curve_names_its_first_fault(grid, values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PrivacyCurve(grid, values)
+
+
+def test_privacy_curve_takes_values_within_its_tolerance():
+    values = (1.0 + 5e-13, 1.0 + 5e-13, 0.4, 0.4 + 5e-13, -5e-13)
+    c = PrivacyCurve((0, 1, 2, 3, 4), values)
+    assert c.values == values and c.grid == (0.0, 1.0, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "q", [sum_query(), Query("max", max, monotone=True)], ids=["chain", "multiset"]
+)
+def test_privacy_curve_of_a_one_outcome_entry_is_zero(q):
+    # No pair of distinct values to scan: the curve is 0.0 at every eps.
+    curve = privacy_curve(DatabaseModel.iid(Pmf.point(1.0), 3), q, (0.0, 0.5, 1.0))
+    assert [v.hex() for v in curve.values] == [(0.0).hex()] * 3
 
 
 def test_hockey_stick_asymmetry():

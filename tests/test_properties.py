@@ -1,6 +1,7 @@
 """Property tests of the pipeline against the brute-force oracle, of the
-hockey-stick kernel against its definition, of the trade-off round trips and
-of the subsampling operator against the sampled curves it closes.
+hockey-stick kernel against its definition, of scan_positions against a
+groupby reference, of the trade-off round trips and of the subsampling
+operator against the sampled curves it closes.
 
 Random small models (2-3 outcomes in -2..3, n <= 4, sum or count) are drawn
 by hypothesis under the derandomized profile of conftest.py. The oracle
@@ -11,7 +12,8 @@ check privacy_curve's shift scan against the per-value scan of its laws.
 
 import inspect
 import math
-from operator import lt
+from itertools import groupby
+from operator import itemgetter, lt
 from unittest import mock
 
 import pytest
@@ -155,6 +157,37 @@ def test_with_replacement_bound_is_dp_subsampling_of_the_drawn_view_curve(db, q,
 
 
 @st.composite
+def pooled_models(draw):
+    """1-8 entries from a pool of two equal but distinct pmfs and a third,
+    with any set of positions fixed to a value."""
+    pool = (Pmf.bernoulli(0.3), Pmf.bernoulli(0.3), Pmf.bernoulli(0.6))
+    n = draw(st.integers(1, 8))
+    db = DatabaseModel(tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+    for j in draw(st.sets(st.integers(1, n), max_size=n)):
+        db = condition(db, j, draw(st.sampled_from(db.outcome_grid)))
+    return db
+
+
+def scan_by_groupby(db, exchangeable):
+    """The free positions, or with `exchangeable` the first of each group of
+    equal pmfs (equal weights on the shared grid)."""
+    fixed = {j for j, _ in db.fixed}
+    free = [(db.entry(j).weights, j) for j in range(1, db.n + 1) if j not in fixed]
+    if not exchangeable:
+        return tuple(j for _, j in free)
+    groups = groupby(sorted(free), key=itemgetter(0))
+    return tuple(sorted(min(j for _, j in group) for _, group in groups))
+
+
+@settings(max_examples=300)
+@given(pooled_models())
+def test_scan_positions_is_the_groupby_reference(db):
+    for exchangeable in (True, False):
+        assert scan_positions(db, exchangeable) == scan_by_groupby(db, exchangeable)
+    assert db.is_iid == (not db.fixed and len({e.weights for e in db.entries}) == 1)
+
+
+@st.composite
 def lattice_models(draw):
     """2-3 values on a lattice: small integers and halves, or values 0 to 4
     ulps above 1e11, an ulp being 2^-16 there, so that sums and means of
@@ -293,9 +326,10 @@ def hockey_stick_by_definition(mu, nu, eps):
 
 
 @settings(max_examples=400)
-@given(pmf_pairs(), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
+@given(pmf_pairs(), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=61))
 def test_hockey_stick_curve_is_the_definition_bit_for_bit(pair, grid):
-    # The grid is unsorted and may repeat an epsilon.
+    # The grid is unsorted and may repeat an epsilon; up to 61 points, the
+    # length of the default grid, all scanned in one pass per direction.
     mu, nu = pair
     want = tuple(hockey_stick_by_definition(mu, nu, eps) for eps in grid)
     assert hockey_stick_curve(mu, nu, tuple(grid)) == want
