@@ -4,8 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statpriv.amplify import (
+    NEGLIGIBLE_SIZE_WEIGHT,
     AmplifiedParams,
     dp_poisson_bound,
     dp_subsample,
@@ -23,12 +26,14 @@ import statpriv.sampling
 from statpriv.dist import (
     DatabaseModel,
     Pmf,
+    binomial_pmf,
     condition,
     count_query,
+    mean_query,
     scan_positions,
     sum_query,
 )
-from statpriv.divergence import PrivacyCurve
+from statpriv.divergence import PrivacyCurve, as_grid, privacy_curve
 from statpriv.errors import NotSamplableError
 from statpriv.oracle import brute_force_divergence
 from statpriv.sampling import TemplateDistribution, sampling_curve
@@ -114,11 +119,13 @@ def bits(values):
     return [float.hex(v) for v in values]
 
 
-@pytest.mark.parametrize("n, rate, sizes", [(1000, 0.1, 314), (40, 1.0, 1)])
+@pytest.mark.parametrize("n, rate, sizes", [(1000, 0.1, 260), (40, 1.0, 1)])
 def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, sizes):
     # Each evaluated size m gets stretch_epsilon(e, n / m) per eps, bit for
-    # bit, from one privacy_curve call; at rate 1 only m = n is evaluated
-    # and its grid is the input grid unchanged.
+    # bit, from one privacy_curve call, on a suffix of the grid: at n = 1000,
+    # rate 0.1 the share rule evaluates 260 of the 314 sizes the weight rule
+    # admits, and closes eps from the low end only. At rate 1 only m = n is
+    # evaluated and its grid is the input grid unchanged.
     seen, curves = [], []
     sampled, curve = statpriv.amplify._sampled_curve_values, statpriv.amplify.privacy_curve
 
@@ -136,10 +143,129 @@ def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, siz
     poisson_bound(db, count_query(), n, rate, SHIFTED_GRID)
     assert len(seen) == sizes
     assert curves == [m for m, _ in seen]
+    lengths = [len(grid) for _, grid in seen]
+    assert lengths == sorted(lengths, reverse=True) and lengths[-1] >= 1
     for m, grid in seen:
-        assert bits(grid) == bits(stretch_epsilon(e, n / m) for e in SHIFTED_GRID), m
+        suffix = SHIFTED_GRID[len(SHIFTED_GRID) - len(grid):]
+        assert bits(grid) == bits(stretch_epsilon(e, n / m) for e in suffix), m
     if rate == 1.0:
         assert seen == [(n, SHIFTED_GRID)]
+
+
+def weight_rule(n, rate):
+    """size -> weight times m/n for the sizes of weight at least
+    NEGLIGIBLE_SIZE_WEIGHT, and the fsum of it over the lighter sizes: the
+    weight charge."""
+    weights = binomial_pmf(n, rate)
+    factors = {m: weights[m] * m / n for m in range(1, n + 1)}
+    kept = {m: f for m, f in factors.items() if weights[m] >= NEGLIGIBLE_SIZE_WEIGHT}
+    return kept, math.fsum(f for m, f in factors.items() if m not in kept)
+
+
+def reference_poisson(entry, q, n, rate, grid):
+    """poisson_bound without the share rule: privacy_curve on every size of
+    weight at least NEGLIGIBLE_SIZE_WEIGHT, on its whole stretched grid, and
+    the lighter sizes charged delta = 1 at every eps, summed as
+    _size_mixture sums them."""
+    kept, tail = weight_rule(n, rate)
+    terms = [[] for _ in grid]
+    for m, factor in kept.items():
+        stretched = tuple(stretch_epsilon(e, n / m) for e in grid)
+        for ts, v in zip(terms, privacy_curve(DatabaseModel.iid(entry, m), q, stretched).values):
+            ts.append(factor * v)
+    return tuple(min(1.0, math.fsum(ts) + tail) for ts in terms)
+
+
+@pytest.mark.parametrize(
+    "entry, q, n, rate, grid",
+    [
+        (Pmf.bernoulli(0.5), count_query(), 1000, 0.1, SHIFTED_GRID),
+        (Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), sum_query(), 300, 0.1, None),
+        (Pmf.bernoulli(0.3), mean_query(), 300, 0.2, None),
+    ],
+    ids=["bern-count-1000", "three-valued-sum-300", "bern-mean-300"],
+)
+def test_share_rule_leaves_poisson_bound_bit_for_bit(monkeypatch, entry, q, n, rate, grid):
+    # The share rule skips sizes (fewer are evaluated than the reference's),
+    # yet every value is bit for bit the reference's.
+    evaluated = []
+    sampled = statpriv.amplify._sampled_curve_values
+
+    def record(db, q, n, m, grid, budget):
+        evaluated.append(m)
+        return sampled(db, q, n, m, grid, budget)
+
+    monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
+    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, grid).values
+    want = reference_poisson(entry, q, n, rate, as_grid(grid))
+    assert bits(got) == bits(want)
+    assert len(evaluated) < len(weight_rule(n, rate)[0])
+
+
+def test_size_mixture_never_closes_an_eps_whose_sum_is_zero():
+    # Sized values of 0 leave every sum at 0: every size of weight at least
+    # NEGLIGIBLE_SIZE_WEIGHT is evaluated on the whole grid, and the result
+    # is the weight charge alone.
+    n, rate, seen = 1000, 0.1, []
+
+    def zeros(m, stretched):
+        seen.append((m, len(stretched)))
+        return (0.0,) * len(stretched)
+
+    got = statpriv.amplify._size_mixture(n, rate, SHIFTED_GRID, zeros)
+    kept, tail = weight_rule(n, rate)
+    assert seen == [(m, len(SHIFTED_GRID)) for m in kept]
+    assert tail > 0.0
+    assert got == (tail,) * len(SHIFTED_GRID)
+
+
+def test_share_rule_charges_the_sizes_it_skips(monkeypatch):
+    # At a share of 2^-8 the charge shows: each size skipped at an eps adds
+    # its weight times m/n there, delta = 1, and the bound stays above the
+    # reference.
+    monkeypatch.setattr(statpriv.amplify, "NEGLIGIBLE_TAIL_SHARE", 2.0 ** -8)
+    entry, q, n, rate = Pmf.bernoulli(0.5), count_query(), 300, 0.1
+    evaluated = {}
+    sampled = statpriv.amplify._sampled_curve_values
+
+    def record(db, q, n, m, grid, budget):
+        evaluated[m] = values = sampled(db, q, n, m, grid, budget)
+        return values
+
+    monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
+    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, SHIFTED_GRID).values
+    kept, tail = weight_rule(n, rate)
+    want = reference_poisson(entry, q, n, rate, SHIFTED_GRID)
+    assert len(evaluated) < len(kept) and got[0] > want[0]
+    for k, (g, ref) in enumerate(zip(got, want)):
+        terms = []
+        for m, factor in kept.items():
+            values = evaluated.get(m, ())
+            skip = len(SHIFTED_GRID) - len(values)
+            terms.append(factor if k < skip else factor * values[k - skip])
+        assert g == min(1.0, math.fsum(terms) + tail) >= ref
+
+
+@st.composite
+def small_iid_cases(draw):
+    """A 2- or 3-valued entry, a query, n <= 300 and a sampling rate."""
+    outcomes = sorted(draw(st.sets(st.integers(-2, 3), min_size=2, max_size=3)))
+    raw = draw(st.lists(st.integers(1, 4), min_size=len(outcomes), max_size=len(outcomes)))
+    entry = Pmf(tuple(map(float, outcomes)), tuple(w / sum(raw) for w in raw))
+    q = draw(st.sampled_from((sum_query(), count_query(), mean_query())))
+    n = draw(st.integers(20, 300))
+    rate = draw(st.sampled_from((0.02, 0.1, 0.3, 0.5, 0.9, 1.0)))
+    return entry, q, n, rate
+
+
+@settings(max_examples=60)
+@given(small_iid_cases())
+def test_share_rule_is_the_reference_or_one_ulp_above(case):
+    entry, q, n, rate = case
+    grid = (0.0, 0.3, 1.0, 2.5)
+    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, grid).values
+    for g, w in zip(got, reference_poisson(entry, q, n, rate, grid)):
+        assert g in (w, math.nextafter(w, math.inf)), (g, w)
 
 
 def test_stretcher_is_stretch_epsilon_and_passes_the_grid_at_factor_one():

@@ -15,8 +15,18 @@ from statpriv.cli import (
     parse_technique,
     read_config,
 )
-from statpriv.dist import DatabaseModel, condition, lattice_laws, pushforward, sum_query
-from statpriv.divergence import worst_pairs
+from statpriv.amplify import stretch_epsilon
+from statpriv.dist import (
+    DatabaseModel,
+    Pmf,
+    binomial_pmf,
+    condition,
+    count_query,
+    lattice_laws,
+    pushforward,
+    sum_query,
+)
+from statpriv.divergence import privacy_curve, worst_pairs
 from statpriv.oracle import brute_force_divergence
 from statpriv.sampling import TemplateDistribution
 
@@ -379,6 +389,25 @@ def test_compare_poisson(tmp_path):
         "compare", "--entry", "bern:0.5", "--n", "2", "--query", "sum",
         "--technique", "wor:2,1", "--eps", "0.5", "--out", str(out),
     ) == 1
+
+
+def test_compare_sums_every_size(capsys):
+    # delta_sized charges no size by weight: it is the fsum over every size
+    # of its Binomial weight times m/n times the curve at its stretched eps,
+    # far below the 2^-256 weight charge (about 1.96e-78 here).
+    n, rate, eps = 1000, 0.1, 0.5
+    assert main([
+        "compare", "--entry", "bern:0.5", "--n", str(n), "--query", "count",
+        "--technique", f"poisson:{n},{rate}", "--eps", str(eps),
+    ]) == 0
+    delta_sized = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+    stretched = [stretch_epsilon(eps, n / m) for m in range(1, n + 1)]
+    grid = tuple(sorted({*stretched, stretch_epsilon(eps, 1 / rate)}))
+    curve = privacy_curve(DatabaseModel.iid(Pmf.bernoulli(0.5), n), count_query(), grid)
+    weights = binomial_pmf(n, rate)
+    want = math.fsum(weights[m] * m / n * curve.value_at(s) for m, s in enumerate(stretched, 1))
+    assert delta_sized == want
+    assert 0.0 < want < 1e-100
 
 
 @pytest.mark.parametrize("command", ["amplify", "compare"])
