@@ -4,9 +4,7 @@ from .amplify import (
     AmplifiedParams,
     dp_poisson_bound,
     dp_subsample,
-    occurrence_weights,
     poisson_bound,
-    shrink_epsilon,
     viability_ratio,
     with_replacement_bound,
     without_replacement_bound,

@@ -62,29 +62,10 @@ class AmplifiedParams(_Value):
         self.__dict__.update(eps_prime=eps_prime, delta_prime=delta_prime)
 
 
-def shrink_epsilon(eps: float, rate: float) -> float:
-    """log(1 + rate (e^eps - 1)); rate 1 returns eps unchanged."""
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    return stretch_epsilon(eps, rate)
-
-
-def stretch_epsilon(eps: float, factor: float) -> float:
-    """log(1 + factor (e^eps - 1)), the inverse of shrink_epsilon at rate
-    1/factor; factor 1 returns eps unchanged. The package's only stretch;
-    _stretcher applies it to a whole grid."""
-    if factor == 1.0:
-        return float(eps)
-    return math.log1p(factor * math.expm1(float(eps)))
-
-
 def _stretcher(grid: tuple[float, ...]):
-    """factor -> stretch_epsilon(e, factor) per e of `grid`, bit for bit,
-    with expm1 taken once per eps, at the first factor other than 1; factor
-    1 returns `grid` itself."""
+    """factor -> log(1 + factor (e^eps - 1)) per eps of `grid`, the package's
+    one eps stretch (factor below 1 shrinks); expm1 is taken once per eps, at
+    the first factor other than 1, and factor 1 returns `grid` itself."""
     bases = []
 
     def stretch(factor):
@@ -95,6 +76,12 @@ def _stretcher(grid: tuple[float, ...]):
         return tuple([math.log1p(factor * x) for x in bases])
 
     return stretch
+
+
+def _check_eps(grid) -> None:
+    bad = next((e for e in grid if not 0.0 <= e < math.inf), None)
+    if bad is not None:
+        raise ValueError(f"eps must be finite and nonnegative, got {bad}")
 
 
 def _check_model(db: DatabaseModel, n: int) -> None:
@@ -133,9 +120,7 @@ def without_replacement_bound(
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     grid = as_grid(grid)
-    rate = m / n
-    values = _sampled_curve_values(db, q, n, m, grid, budget)
-    return tuple(dp_subsample(e, v, rate) for e, v in zip(grid, values))
+    return dp_subsample(grid, _sampled_curve_values(db, q, n, m, grid, budget), m / n)
 
 
 def viability_ratio(
@@ -156,13 +141,12 @@ def viability_ratio(
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     eps = float(eps)
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    _check_eps((eps,))
     base = privacy_curve(DatabaseModel.iid(entry, n), q, (eps,), budget).values[0]
     if base == 0.0:
         raise ZeroDivisionError(f"unsampled curve is 0 at eps={eps}; ratio undefined")
-    stretched = stretch_epsilon(eps, n / m)
-    top = privacy_curve(DatabaseModel.iid(entry, m), q, (stretched,), budget).values[0]
+    stretched = _stretcher((eps,))(n / m)
+    top = privacy_curve(DatabaseModel.iid(entry, m), q, stretched, budget).values[0]
     return (m / n) * top / base
 
 
@@ -238,17 +222,6 @@ def _size_mixture(n, rate, grid, sized_values, charge=True):
     return tuple(min(1.0, math.fsum(ts) + tail) for ts in terms)
 
 
-def occurrence_weights(n: int, m: int) -> tuple[float, ...]:
-    """P(K = k) for k = 0..m with K ~ Binomial(m, 1/n).
-
-    K is how often one fixed entry appears in m uniform draws with
-    replacement from n entries.
-    """
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    return tuple(binomial_pmf(m, 1.0 / n))
-
-
 def with_replacement_bound(
     db: DatabaseModel,
     q: Query,
@@ -279,8 +252,7 @@ def with_replacement_bound(
     grid = as_grid(grid)
     technique = TemplateDistribution.with_replacement(n, m, budget)
     values = _gated_drawn_curve(db, q, technique, grid, budget)
-    drawn = min(1.0, math.fsum(occurrence_weights(n, m)[1:]))
-    return tuple(dp_subsample(e, v, drawn) for e, v in zip(grid, values))
+    return dp_subsample(grid, values, min(1.0, math.fsum(binomial_pmf(m, 1.0 / n)[1:])))
 
 
 def _gated_drawn_curve(db, q, technique, grid, budget):
@@ -362,39 +334,44 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
     return tuple(max(col) for col in zip(*curves))
 
 
-def dp_subsample(eps: float, delta: float, rate: float) -> AmplifiedParams:
-    """Classic DP subsampling: (log(1 + rate (e^eps - 1)), rate delta)."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta {delta} outside [0, 1]")
-    return AmplifiedParams(shrink_epsilon(eps, rate), rate * float(delta))
+def dp_subsample(grid, deltas, rate: float) -> tuple[AmplifiedParams, ...]:
+    """Classic DP subsampling per eps of `grid` and its delta:
+    (log(1 + rate (e^eps - 1)), rate delta)."""
+    grid, deltas = tuple(map(float, grid)), tuple(map(float, deltas))
+    _check_eps(grid)
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    if len(deltas) != len(grid):
+        raise ValueError("grid and deltas must have equal length")
+    bad = next((d for d in deltas if not 0.0 <= d <= 1.0), None)
+    if bad is not None:
+        raise ValueError(f"delta {bad} outside [0, 1]")
+    return tuple(map(AmplifiedParams, _stretcher(grid)(rate), [rate * d for d in deltas]))
 
 
 def dp_poisson_bound(
     curve: PrivacyCurve,
     n: int,
     rate: float,
-    eps: float,
-    extrapolate: bool = False,
-) -> float:
-    """Size-decomposed Poisson bound applied to an arbitrary delta curve.
+    grid: tuple[float, ...],
+) -> tuple[float, ...]:
+    """Size-decomposed Poisson bound applied to an arbitrary delta curve, per
+    eps of `grid`.
 
     Evaluates the curve at the stretched epsilons with value_at, whose
     chord in e^eps bounds a delta curve from above between grid points, at
     every size: a lookup costs too little to charge any size instead.
-    Stretches beyond the grid raise unless `extrapolate` is set, which
-    extends the curve as value_at does: an upper bound above the grid,
-    where delta is nonincreasing, and below it.
+    Stretches beyond the curve's grid raise.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rate = float(rate)
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    grid = tuple(map(float, grid))
+    _check_eps(grid)
 
     def value_at(m, stretched):
-        return (curve.value_at(stretched[0], extrapolate=extrapolate),)
+        return [curve.value_at(e) for e in stretched]
 
-    return _size_mixture(n, rate, (eps,), value_at, charge=False)[0]
+    return _size_mixture(n, rate, grid, value_at, charge=False)

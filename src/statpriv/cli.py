@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import sys
 
 from .amplify import (
+    _stretcher,
     dp_poisson_bound,
     dp_subsample,
     poisson_bound,
-    stretch_epsilon,
     viability_ratio,
     with_replacement_bound,
     without_replacement_bound,
@@ -110,14 +111,10 @@ def _parse_one_eps(token: str) -> float:
     return value
 
 
-def parse_eps(token: str) -> tuple[float, ...]:
-    """Single value, comma list, start:stop:step grid; ln<x> for log values."""
-    return _parse_eps(token, DEFAULT_BUDGET)
-
-
-def _parse_eps(token: str, budget: int) -> tuple[float, ...]:
-    """parse_eps, refusing a start:stop:step grid of more than `budget`
-    points before it is built."""
+def parse_eps(token: str, budget: int) -> tuple[float, ...]:
+    """Single value, comma list, start:stop:step grid; ln<x> for log values.
+    A start:stop:step grid of more than `budget` points is refused before it
+    is built; any grid must strictly increase once its values are rounded."""
     if ":" in token:
         parts = token.split(":")
         if len(parts) != 3:
@@ -135,11 +132,11 @@ def _parse_eps(token: str, budget: int) -> tuple[float, ...]:
         count = _within_budget(int(math.floor(points)) + 1, "--eps", "grid points", budget)
         # 12 significant digits print the grid as typed (0.3, not
         # 0.30000000000000004); a display choice, not a merge of answers.
-        return tuple(float(f"{start + i * step:.12g}") for i in range(count))
-    values = tuple(_parse_one_eps(part) for part in token.split(","))
-    for prev, nxt in zip(values, values[1:]):
-        if nxt <= prev:
-            raise UsageError("--eps: grid values must be strictly increasing")
+        values = tuple(float(f"{start + i * step:.12g}") for i in range(count))
+    else:
+        values = tuple(_parse_one_eps(part) for part in token.split(","))
+    if not all(map(operator.lt, values, values[1:])):
+        raise UsageError("--eps: grid values must be strictly increasing")
     return values
 
 
@@ -272,7 +269,7 @@ def cmd_curve(opts) -> int:
     technique = parse_technique(opts.get("technique", "none"))
     if technique[0] != "none":
         raise UsageError("curve computes the raw curve; use amplify for techniques")
-    grid = _parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
+    grid = parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
     curve = privacy_curve(DatabaseModel.iid(entry, n), q, grid, budget)
     _write_csv(
         opts.get("out"),
@@ -291,7 +288,7 @@ def cmd_amplify(opts) -> int:
     if kind == "wr":
         _within_budget(param, "--technique", "draws", budget)
     _check_size(opts, n, budget)
-    grid = _parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
+    grid = parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
     db = DatabaseModel.iid(entry, n)
     if kind == "wor":
         params = without_replacement_bound(db, q, n, param, grid, budget)
@@ -322,7 +319,7 @@ def cmd_figures(opts) -> int:
         raise UsageError("figures sets its own sampling; use amplify for techniques")
     stem = _require(opts, "out")
     if opts["which"] == "fig1":
-        eps_list = _parse_eps(opts["eps"], budget) if opts.get("eps") else (0.1, 0.3, 1.0)
+        eps_list = parse_eps(opts["eps"], budget) if opts.get("eps") else (0.1, 0.3, 1.0)
         for eps in eps_list:
             rows = []
             for n in range(10, 201, 10):
@@ -330,7 +327,7 @@ def cmd_figures(opts) -> int:
                 rows.append((n, curve.values[0]))
             _write_csv(_eps_file(stem, eps), ("n", "delta"), rows)
         return 0
-    eps_list = _parse_eps(opts["eps"], budget) if opts.get("eps") else (0.025, 0.05, 0.075, 0.1)
+    eps_list = parse_eps(opts["eps"], budget) if opts.get("eps") else (0.025, 0.05, 0.075, 0.1)
     if opts["which"] == "fig2":
         n = _within_budget(_parse_int(opts.get("n", "100"), "--n"), "--n", "entries", budget)
         for eps in eps_list:
@@ -479,20 +476,18 @@ def cmd_compare(opts) -> int:
         raise UsageError("compare needs --technique poisson:n,rate")
     _, n, rate = technique
     _check_size(opts, n, budget)
-    eps_list = _parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
+    eps_list = parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
     _within_budget((n + 1) * len(eps_list), "--technique and --eps", "stretched points", budget)
     db = DatabaseModel.iid(entry, n)
-    needed = set()
-    for eps in eps_list:
-        needed.add(stretch_epsilon(eps, 1.0 / rate))
-        needed.update(stretch_epsilon(eps, n / m) for m in range(1, n + 1))
+    # dp_poisson_bound stretches eps_list with a stretcher over the same grid,
+    # so the curve's grid holds every eps it looks up, bit for bit.
+    stretch = _stretcher(eps_list)
+    matched = stretch(1.0 / rate)
+    needed = set(matched).union(*(stretch(n / m) for m in range(1, n + 1)))
     curve = privacy_curve(db, q, tuple(sorted(needed)), budget)
-    rows = []
-    for eps in eps_list:
-        matched = stretch_epsilon(eps, 1.0 / rate)
-        classic = dp_subsample(matched, curve.value_at(matched), rate).delta_prime
-        sized = dp_poisson_bound(curve, n, rate, eps)
-        rows.append((eps, classic, sized))
+    classic = dp_subsample(matched, [curve.value_at(e) for e in matched], rate)
+    sized = dp_poisson_bound(curve, n, rate, eps_list)
+    rows = [(e, c.delta_prime, s) for e, c, s in zip(eps_list, classic, sized)]
     _write_csv(opts.get("out"), ("epsilon", "delta_classic", "delta_sized"), rows)
     return 0
 

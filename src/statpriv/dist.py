@@ -305,11 +305,6 @@ class DatabaseModel(_Value):
     def is_iid(self) -> bool:
         return not self.fixed and self.entries.count(self.entries[0]) == self.n
 
-    def entry(self, j: int) -> Pmf:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"position {j} out of range 1..{self.n}")
-        return self.entries[j - 1]
-
     def is_fixed(self, j: int) -> bool:
         return any(j == pos for pos, _ in self.fixed)
 

@@ -108,28 +108,17 @@ class PrivacyCurve(_Value):
         if any(map(gt, values[1:], map(add, values, repeat(CURVE_TOL)))):
             raise ValueError("delta values must be nonincreasing in epsilon")
 
-    def value_at(self, eps: float, extrapolate: bool = False) -> float:
-        """Interpolation on the grid, linear in e^eps.
+    def value_at(self, eps: float) -> float:
+        """Interpolation on the grid, linear in e^eps; epsilons outside the
+        grid raise.
 
         delta is a supremum of the functions mu(S) - e^eps nu(S), so it is
         convex in e^eps and this chord bounds it from above; a chord in eps
-        would not. Epsilons outside the grid raise unless `extrapolate` is
-        set. Then above the grid the last value is returned, a bound as
-        delta is nonincreasing; below it, min(1, values[0] + e^g0 - e^eps)
-        for g0 = grid[0], a bound as from eps to g0 each mu(S) - e^eps nu(S)
-        drops by (e^g0 - e^eps) nu(S) <= e^g0 - e^eps.
+        would not.
         """
         eps = float(eps)
         if eps < self.grid[0] or eps > self.grid[-1]:
-            if not extrapolate:
-                raise ValueError(
-                    f"eps={eps} outside the curve grid "
-                    f"[{self.grid[0]}, {self.grid[-1]}]; "
-                    "pass extrapolate=True to extend the curve"
-                )
-            if eps > self.grid[-1]:
-                return self.values[-1]
-            return min(1.0, self.values[0] + math.exp(self.grid[0]) - math.exp(eps))
+            raise ValueError(f"eps={eps} outside the curve grid [{self.grid[0]}, {self.grid[-1]}]")
         i = bisect_left(self.grid, eps)
         if i < len(self.grid) and self.grid[i] == eps:
             return self.values[i]

@@ -44,9 +44,6 @@ class Template(_Value):
     def length(self) -> int:
         return len(self.indices)
 
-    def count(self, j: int) -> int:
-        return self.indices.count(j)
-
     @cached_property
     def distinct(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.indices)))
@@ -58,11 +55,11 @@ class TemplateDistribution(_Value):
 
     A distribution built from explicit `items` is its own list of classes.
     The named techniques (without_replacement, poisson, with_replacement)
-    and their views given_drawn and given_not_drawn are built in closed form:
-    their `items` are the classes when all entries are alike, `classes` those
-    one model tells apart. Only these set `param` (m, or the rate for
-    poisson), `given` (a view's conditions (j, drawn): entry j drawn at
-    least once, or not at all) and `budget`, which their views get.
+    and their given_drawn views are built in closed form: their `items` are
+    the classes when all entries are alike, `classes` those one model tells
+    apart. Only these set `param` (m, or the rate for poisson), `given` (the
+    positions a view conditions on being drawn at least once) and `budget`,
+    which their views get.
     Equality and the hash ignore `budget`.
     """
 
@@ -70,7 +67,7 @@ class TemplateDistribution(_Value):
     n: int
     items: tuple[tuple[Template, float], ...]
     param: float | None = None  # these three only _named sets
-    given: tuple[tuple[int, bool], ...] = ()
+    given: tuple[int, ...] = ()
     budget: int = DEFAULT_BUDGET
 
     def __init__(self, kind: str, n: int, items: tuple[tuple[Template, float], ...]):
@@ -156,27 +153,22 @@ class TemplateDistribution(_Value):
             self.__dict__["_last_classes"] = db, budget, classes
         return self.__dict__["_last_classes"][2]
 
-    def _view(self, j, drawn, label) -> "TemplateDistribution":
+    def given_drawn(self, j: int) -> "TemplateDistribution":
+        """The view of the templates that draw entry j at least once."""
+        label = f"index {j} drawn"
         if self.param is not None:
-            given = (*self.given, (j, drawn))
-            return self._named(self.kind, self.n, self.param, self.budget, given, label)
-        items = _conditioned(self.items, ((j, drawn),))
+            return self._named(self.kind, self.n, self.param, self.budget, (*self.given, j), label)
+        items = _conditioned(self.items, (j,))
         if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
         return TemplateDistribution(self.kind, self.n, items)
-
-    def given_drawn(self, j: int) -> "TemplateDistribution":
-        return self._view(j, True, f"index {j} drawn")
-
-    def given_not_drawn(self, j: int) -> "TemplateDistribution":
-        return self._view(j, False, f"index {j} not drawn")
 
 
 def _groups(n, db, given):
     """Positions 1..n grouped by entry pmf of db (all alike without db or on
     an i.i.d. db), each position named in `given` alone; groups in order of
     their first position."""
-    singled = {j for j, _ in given}
+    singled = set(given)
     entries = db.entries if db is not None and not db.is_iid else (None,) * n
     groups: dict[object, list[int]] = {}
     for i, entry in enumerate(entries, 1):
@@ -185,9 +177,9 @@ def _groups(n, db, given):
 
 
 def _conditioned(items, given):
-    """The (template, mass) pairs meeting the conditions of `given`,
+    """The (template, mass) pairs drawing every position of `given`,
     renormalized."""
-    kept = [(t, p) for t, p in items if all((j in t.indices) == drawn for j, drawn in given)]
+    kept = [(t, p) for t, p in items if all(j in t.indices for j in given)]
     total = math.fsum(p for _, p in kept)
     return tuple((t, p / total) for t, p in kept) if given else tuple(kept)
 
@@ -369,10 +361,10 @@ def matched_coupling(
     partners alike up to relabeling entries within a group (see
     TemplateDistribution.classes) and is the first of them in product
     order. The first marginal is the classes of `drawn`; the partners the
-    pairs stand for have the law of the technique's given_not_drawn(j) view
-    after sorting their indices (injective case) or directly. `drawn` must
-    put all mass on one template length; mixed lengths (Poisson views) are
-    rejected.
+    pairs stand for have the law of the technique's templates that avoid j
+    (conditioned as `drawn` is at its other positions), after sorting their
+    indices (injective case) or directly. `drawn` must put all mass on one
+    template length; mixed lengths (Poisson views) are rejected.
     """
     n = drawn.n
     lengths = {t.length for t, _ in drawn.items}
@@ -381,12 +373,12 @@ def matched_coupling(
             f"coupling needs one common template length, got {sorted(lengths)}"
         )
     for t, _ in drawn.items:
-        if t.count(j) == 0:
+        if j not in t.indices:
             raise ValueError(f"template {t.indices} does not draw {j}")
     if n < 2:
         raise ValueError("coupling needs a second index to swap in")
     injective = all(len(t.distinct) == t.length for t, _ in drawn.items)
-    groups = _groups(n, db, (*drawn.given, (j, True)))
+    groups = _groups(n, db, (*drawn.given, j))
     pairs = []
     for t, p in drawn.classes(db, budget):
         # The j slots are a with-replacement draw from the other indices:

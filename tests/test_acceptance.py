@@ -13,13 +13,12 @@ from itertools import product
 import pytest
 
 from statpriv.amplify import (
-    occurrence_weights,
     poisson_bound,
     viability_ratio,
     with_replacement_bound,
     without_replacement_bound,
 )
-from statpriv.dist import DatabaseModel, Pmf, condition, count_query, sum_query
+from statpriv.dist import DatabaseModel, Pmf, binomial_pmf, condition, count_query, sum_query
 from statpriv.divergence import hockey_stick_divergence, privacy_curve
 from statpriv.errors import NotSamplableError
 from statpriv.oracle import brute_force_divergence, brute_force_tradeoff
@@ -172,7 +171,7 @@ def test_criterion_04_with_replacement_dominance():
                 pytest.fail(
                     f"wr n={n} m={m} p={p} eps={eps}: direct {direct} exceeds "
                     f"bound {pt.delta_prime}; draw-count weights over m draws "
-                    f"{occurrence_weights(n, m)} vs the n-indexed alternative {alt}"
+                    f"{binomial_pmf(m, 1.0 / n)} vs the n-indexed alternative {alt}"
                 )
     # the single-entry and single-draw columns pass the gate and are the
     # decisive cases: with n-indexed weights the n=1, m>1 bound would be 0

@@ -12,10 +12,7 @@ from statpriv.amplify import (
     AmplifiedParams,
     dp_poisson_bound,
     dp_subsample,
-    occurrence_weights,
     poisson_bound,
-    shrink_epsilon,
-    stretch_epsilon,
     viability_ratio,
     with_replacement_bound,
     without_replacement_bound,
@@ -43,19 +40,10 @@ DOM_TOL = 1e-10
 LN2 = math.log(2.0)
 
 
-def test_shrink_epsilon():
-    assert shrink_epsilon(0.7, 1.0) == 0.7
-    assert shrink_epsilon(0.0, 0.5) == 0.0
-    got = shrink_epsilon(1.0, 0.5)
-    assert abs(got - math.log(1.0 + 0.5 * (math.e - 1.0))) <= TOL
-    # one formula: shrinking at rate r is stretching by r, bit for bit
-    for eps, rate in ((1.0, 0.5), (0.05, 0.1), (3.0, 0.999)):
-        assert shrink_epsilon(eps, rate) == stretch_epsilon(eps, rate)
-        assert shrink_epsilon(eps, rate) == math.log1p(rate * math.expm1(eps))
-    with pytest.raises(ValueError):
-        shrink_epsilon(-1.0, 0.5)
-    with pytest.raises(ValueError):
-        shrink_epsilon(1.0, 0.0)
+def stretch(eps, factor):
+    """The eps stretch log(1 + factor (e^eps - 1)) written out; factor 1
+    leaves eps as it is."""
+    return eps if factor == 1.0 else math.log1p(factor * math.expm1(eps))
 
 
 def test_amplified_params_validation():
@@ -121,7 +109,7 @@ def bits(values):
 
 @pytest.mark.parametrize("n, rate, sizes", [(1000, 0.1, 260), (40, 1.0, 1)])
 def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, sizes):
-    # Each evaluated size m gets stretch_epsilon(e, n / m) per eps, bit for
+    # Each evaluated size m gets stretch(e, n / m) per eps, bit for
     # bit, from one privacy_curve call, on a suffix of the grid: at n = 1000,
     # rate 0.1 the share rule evaluates 260 of the 314 sizes the weight rule
     # admits, and closes eps from the low end only. At rate 1 only m = n is
@@ -147,7 +135,7 @@ def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, siz
     assert lengths == sorted(lengths, reverse=True) and lengths[-1] >= 1
     for m, grid in seen:
         suffix = SHIFTED_GRID[len(SHIFTED_GRID) - len(grid):]
-        assert bits(grid) == bits(stretch_epsilon(e, n / m) for e in suffix), m
+        assert bits(grid) == bits(stretch(e, n / m) for e in suffix), m
     if rate == 1.0:
         assert seen == [(n, SHIFTED_GRID)]
 
@@ -170,7 +158,7 @@ def reference_poisson(entry, q, n, rate, grid):
     kept, tail = weight_rule(n, rate)
     terms = [[] for _ in grid]
     for m, factor in kept.items():
-        stretched = tuple(stretch_epsilon(e, n / m) for e in grid)
+        stretched = tuple(stretch(e, n / m) for e in grid)
         for ts, v in zip(terms, privacy_curve(DatabaseModel.iid(entry, m), q, stretched).values):
             ts.append(factor * v)
     return tuple(min(1.0, math.fsum(ts) + tail) for ts in terms)
@@ -268,18 +256,16 @@ def test_share_rule_is_the_reference_or_one_ulp_above(case):
         assert g in (w, math.nextafter(w, math.inf)), (g, w)
 
 
-def test_stretcher_is_stretch_epsilon_and_passes_the_grid_at_factor_one():
+def test_stretcher_is_the_formula_and_passes_the_grid_at_factor_one():
     grid = SHIFTED_GRID + (800.0,)
-    stretch = statpriv.amplify._stretcher(grid)
-    assert stretch(1.0) is grid  # no expm1 taken: e^800 would overflow
-    stretch = statpriv.amplify._stretcher(SHIFTED_GRID)
+    stretcher = statpriv.amplify._stretcher(grid)
+    assert stretcher(1.0) is grid  # no expm1 taken: e^800 would overflow
+    with pytest.raises(OverflowError):
+        stretcher(2.0)
+    stretcher = statpriv.amplify._stretcher(SHIFTED_GRID)
     for factor in (1000 / 314, 2.0, 1.0 + 2.0 ** -52, 0.5):
         want = [math.log1p(factor * math.expm1(e)) for e in SHIFTED_GRID]
-        assert bits(stretch(factor)) == bits(want)
-        assert bits(stretch_epsilon(e, factor) for e in SHIFTED_GRID) == bits(want)
-    assert stretch_epsilon(800.0, 1.0) == 800.0
-    with pytest.raises(OverflowError):
-        stretch_epsilon(800.0, 2.0)
+        assert bits(stretcher(factor)) == bits(want)
 
 
 @pytest.mark.parametrize("rate", [0.25, 0.5, 0.75, 1.0])
@@ -296,19 +282,6 @@ def test_poisson_dominates_oracle(rate):
                 brute_force_divergence(lo, hi, tech, q, eps),
             )
             assert direct <= star + DOM_TOL
-
-
-def test_occurrence_weights():
-    assert occurrence_weights(2, 2) == (0.25, 0.5, 0.25)
-    got = occurrence_weights(3, 2)
-    want = (4.0 / 9.0, 4.0 / 9.0, 1.0 / 9.0)
-    assert all(abs(a - b) <= TOL for a, b in zip(got, want))
-    for n, m in ((2, 3), (4, 1), (3, 5)):
-        ws = occurrence_weights(n, m)
-        assert len(ws) == m + 1
-        assert abs(math.fsum(ws) - 1.0) <= TOL
-        assert all(abs(w - math.comb(m, k) * (1 / n) ** k * (1 - 1 / n) ** (m - k)) <= TOL
-                   for k, w in enumerate(ws))
 
 
 def test_with_replacement_single_draw_equals_without():
@@ -447,7 +420,7 @@ def test_with_replacement_gate_builds_each_drawn_views_classes_once(monkeypatch,
 def drawn_exactly(technique, j, k, db):
     """The classes of technique.given_drawn(j) that draw entry j exactly k
     times, renormalized into an explicit distribution."""
-    kept = [(t, p) for t, p in technique.given_drawn(j).classes(db) if t.count(j) == k]
+    kept = [(t, p) for t, p in technique.given_drawn(j).classes(db) if t.indices.count(j) == k]
     total = math.fsum(p for _, p in kept)
     return TemplateDistribution("drawn_exactly", technique.n, [(t, p / total) for t, p in kept])
 
@@ -457,7 +430,7 @@ def draw_count_mixture(db, q, n, m, grid):
     sum over k of P(K = k) times the curve of templates drawing it exactly
     k times, maximized over positions."""
     technique = TemplateDistribution.with_replacement(n, m)
-    weights = occurrence_weights(n, m)
+    weights = binomial_pmf(m, 1.0 / n)
     terms = []
     for k in range(1, m + 1):
         if weights[k] == 0.0:
@@ -545,18 +518,34 @@ def test_viability_ratio_zero_denominator():
 
 
 def test_dp_subsample():
-    amp = dp_subsample(0.5, 0.1, 0.5)
+    (amp,) = dp_subsample((0.5,), (0.1,), 0.5)
     assert abs(amp.eps_prime - math.log(1.0 + 0.5 * (math.exp(0.5) - 1.0))) <= TOL
     assert abs(amp.delta_prime - 0.05) <= TOL
-    ident = dp_subsample(0.5, 0.1, 1.0)
+    (ident,) = dp_subsample((0.5,), (0.1,), 1.0)
     assert ident.eps_prime == 0.5 and abs(ident.delta_prime - 0.1) <= TOL
+    # Shrinking at rate r is the one stretch at factor r, bit for bit.
+    grid = (0.0, 0.05, 0.7, 1.0, 3.0)
+    for rate in (0.5, 0.1, 0.999, 1.0):
+        got = dp_subsample(grid, (0.25,) * len(grid), rate)
+        assert bits(a.eps_prime for a in got) == bits(stretch(e, rate) for e in grid)
+        assert [a.delta_prime for a in got] == [rate * 0.25] * len(grid)
+    for grid, deltas, rate in (
+        ((-1.0,), (0.1,), 0.5),
+        ((math.inf,), (0.1,), 0.5),
+        ((1.0,), (0.1,), 0.0),
+        ((1.0,), (1.5,), 0.5),
+        ((1.0, 2.0), (0.1,), 0.5),
+    ):
+        with pytest.raises(ValueError):
+            dp_subsample(grid, deltas, rate)
 
 
 def test_dp_poisson_bound_grid_discipline():
     c = PrivacyCurve((0.0, 1.0, 2.0), (0.5, 0.2, 0.1))
-    got = dp_poisson_bound(c, 4, 0.5, 0.5)
+    (got,) = dp_poisson_bound(c, 4, 0.5, (0.5,))
     assert 0.0 < got < 0.5
+    assert dp_poisson_bound(c, 4, 0.5, (0.0, 0.5)) == (dp_poisson_bound(c, 4, 0.5, (0.0,))[0], got)
     with pytest.raises(ValueError):
-        dp_poisson_bound(c, 4, 0.25, 1.9)  # stretched eps leaves the grid
-    clamped = dp_poisson_bound(c, 4, 0.25, 1.9, extrapolate=True)
-    assert 0.0 < clamped < 0.5
+        dp_poisson_bound(c, 4, 0.25, (1.9,))  # stretched eps leaves the grid
+    with pytest.raises(ValueError):
+        dp_poisson_bound(c, 4, 0.5, (-0.5,))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statpriv.amplify import dp_poisson_bound, occurrence_weights
+from statpriv.amplify import dp_poisson_bound
 from statpriv.dist import (
     DatabaseModel,
     Pmf,
@@ -50,7 +50,7 @@ def ordered_law(db, indices, q):
     """Answer law by enumerating every ordered tuple of the drawn entries."""
     distinct = sorted(set(indices))
     supports = [
-        [(a, w) for a, w in zip(db.entry(i).outcomes, db.entry(i).weights) if w > 0.0]
+        [(a, w) for a, w in zip(db.entries[i - 1].outcomes, db.entries[i - 1].weights) if w > 0.0]
         for i in distinct
     ]
     acc = {}
@@ -417,7 +417,7 @@ def test_entry_weights_that_sum_to_one_only_after_rounding_do_not_drift():
 def test_binomial_pmf_sums_to_one_beyond_float_coefficients():
     for n, p in ((1100, 0.5), (2000, 0.01), (1031, 0.3)):
         assert abs(math.fsum(binomial_pmf(n, p)) - 1.0) <= 1e-13
-    ws = occurrence_weights(2, 1100)
+    ws = binomial_pmf(1100, 0.5)
     assert len(ws) == 1101
     assert abs(math.fsum(ws) - 1.0) <= 1e-13
 
@@ -459,8 +459,9 @@ def test_symmetric_kernel_answers_from_counts():
 
 
 def test_dp_poisson_bound_beyond_float_coefficients():
-    curve = PrivacyCurve((0.0, 1.0, 2.0), (0.5, 0.2, 0.1))
-    got = dp_poisson_bound(curve, 1100, 0.5, 0.5, extrapolate=True)
+    # Every size's stretch of eps 0.5, up to 6.57 at m = 1, lies on the grid.
+    curve = PrivacyCurve((0.0, 1.0, 2.0, 8.0), (0.5, 0.2, 0.1, 0.0))
+    (got,) = dp_poisson_bound(curve, 1100, 0.5, (0.5,))
     assert 0.0 < got <= 0.5
 
 
@@ -484,7 +485,7 @@ def template_pairs(draw):
         # permute positions within each group of equal entries
         target = {}
         for k in range(1, db.n + 1):
-            alike = [i for i in range(1, db.n + 1) if db.entry(i) == db.entry(k)]
+            alike = [i for i in range(1, db.n + 1) if db.entries[i - 1] == db.entries[k - 1]]
             if k == alike[0]:
                 target.update(zip(alike, draw(st.permutations(alike))))
         other = tuple(target[i] for i in indices)

@@ -15,8 +15,8 @@ from statpriv.cli import (
     parse_technique,
     read_config,
 )
-from statpriv.amplify import stretch_epsilon
 from statpriv.dist import (
+    DEFAULT_BUDGET,
     DatabaseModel,
     Pmf,
     binomial_pmf,
@@ -86,17 +86,17 @@ def test_poisson_amplify_beyond_float_binomials(tmp_path):
 
 
 def test_parse_eps():
-    assert parse_eps("0.5") == (0.5,)
-    assert parse_eps("0:1:0.5") == (0.0, 0.5, 1.0)
-    assert parse_eps("0,0.25,1") == (0.0, 0.25, 1.0)
-    assert parse_eps("ln2") == (math.log(2.0),)
+    assert parse_eps("0.5", DEFAULT_BUDGET) == (0.5,)
+    assert parse_eps("0:1:0.5", DEFAULT_BUDGET) == (0.0, 0.5, 1.0)
+    assert parse_eps("0,0.25,1", DEFAULT_BUDGET) == (0.0, 0.25, 1.0)
+    assert parse_eps("ln2", DEFAULT_BUDGET) == (math.log(2.0),)
     with pytest.raises(Exception):
-        parse_eps("1,0.5")  # must increase
+        parse_eps("1,0.5", DEFAULT_BUDGET)  # must increase
     with pytest.raises(Exception):
-        parse_eps("0:1:0")
+        parse_eps("0:1:0", DEFAULT_BUDGET)
     for bad in ("0:inf:1", "0:1:nan", "nan:1:0.5", "inf:inf:1", "inf", "nan", "0,nan", "lninf"):
         with pytest.raises(UsageError, match="--eps"):
-            parse_eps(bad)
+            parse_eps(bad, DEFAULT_BUDGET)
 
 
 def test_parse_technique():
@@ -401,8 +401,8 @@ def test_compare_sums_every_size(capsys):
         "--technique", f"poisson:{n},{rate}", "--eps", str(eps),
     ]) == 0
     delta_sized = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
-    stretched = [stretch_epsilon(eps, n / m) for m in range(1, n + 1)]
-    grid = tuple(sorted({*stretched, stretch_epsilon(eps, 1 / rate)}))
+    stretched = [math.log1p(n / m * math.expm1(eps)) if m < n else eps for m in range(1, n + 1)]
+    grid = tuple(sorted({*stretched, math.log1p(1 / rate * math.expm1(eps))}))
     curve = privacy_curve(DatabaseModel.iid(Pmf.bernoulli(0.5), n), count_query(), grid)
     weights = binomial_pmf(n, rate)
     want = math.fsum(weights[m] * m / n * curve.value_at(s) for m, s in enumerate(stretched, 1))
@@ -535,6 +535,25 @@ def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     assert main() == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--entry", "bern:0.5", "--n", "2"],
+        ["amplify", "--entry", "bern:0.5", "--technique", "wor:2,1"],
+        ["figures", "fig1", "--entry", "bern:0.5", "--out", "f.csv"],
+    ],
+    ids=["curve", "amplify", "figures"],
+)
+def test_eps_grid_whose_points_collapse_exits_1(argv, tmp_path, monkeypatch, capsys):
+    # The ten points of this grid all round to 0.1: refused like a comma
+    # list that does not increase, before figures writes any file.
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--eps", "0.1:0.1000000000001:1e-14"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --eps: grid values must be strictly increasing\n"
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
 def test_eps_grid_without_a_finite_point_count_exits_1(capsys):
     # (1e308 - 0) / 1e-308 is inf: the grid is refused before it is built.
     argv = ["curve", "--entry", "bern:0.5", "--n", "2", "--eps", "0:1e308:1e-308"]
@@ -543,7 +562,7 @@ def test_eps_grid_without_a_finite_point_count_exits_1(capsys):
         "error: --eps: grid '0:1e308:1e-308' has no finite number of points\n"
     )
     with pytest.raises(UsageError, match="no finite number of points"):
-        parse_eps("0:1:1e-320")
+        parse_eps("0:1:1e-320", DEFAULT_BUDGET)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -86,11 +86,7 @@ def test_database_model_iid():
     assert db.n == 3
     assert db.outcome_grid == (0.0, 1.0)
     assert db.is_iid
-    assert db.entry(2).as_dict == {0.0: 0.5, 1.0: 0.5}
-    with pytest.raises(ValueError):
-        db.entry(0)
-    with pytest.raises(ValueError):
-        db.entry(4)
+    assert db.entries[1].as_dict == {0.0: 0.5, 1.0: 0.5}
 
 
 def test_database_model_mixed_grid_rejected():
@@ -129,7 +125,7 @@ def test_condition():
     fixed = condition(db, 1, 1.0)
     assert fixed.is_fixed(1)
     assert not fixed.is_fixed(2)
-    assert fixed.entry(1).weights == (0.0, 1.0)
+    assert fixed.entries[0].weights == (0.0, 1.0)
     # the grid survives conditioning, so the model stays a product model
     assert fixed.outcome_grid == db.outcome_grid
     with pytest.raises(AlreadyFixedError):

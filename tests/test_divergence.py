@@ -184,9 +184,11 @@ def test_privacy_curve_object():
     # chord in e^eps: 0.5 - 0.3 (sqrt(e) - 1) / (e - 1), above the eps chord 0.35
     want = 0.5 - 0.3 * (math.sqrt(math.e) - 1.0) / (math.e - 1.0)
     assert abs(c.value_at(0.5) - want) <= TOL
+    for outside in (3.0, -0.5):
+        with pytest.raises(ValueError, match="outside the curve grid"):
+            c.value_at(outside)
     with pytest.raises(ValueError):
-        c.value_at(3.0)
-    assert c.value_at(3.0, extrapolate=True) == 0.1
+        PrivacyCurve((0.5, 1.0), (0.7, 0.2)).value_at(0.0)
     with pytest.raises(ValueError):
         PrivacyCurve((0.0, 1.0), (0.2, 0.5))  # must be nonincreasing
     with pytest.raises(ValueError):
@@ -204,23 +206,6 @@ def test_value_at_bounds_the_curve_between_grid_points():
     dense = privacy_curve(db, count_query(), tuple(round(0.01 * i, 10) for i in range(301)))
     for eps, exact in zip(dense.grid, dense.values):
         assert coarse.value_at(eps) >= exact - 1e-15, eps
-
-
-def test_value_at_below_the_grid_is_an_upper_bound():
-    # delta(0) = 0.8, but delta(0.5) = 0.9 - 0.1 e^0.5 = 0.7351: the first
-    # grid value is no bound below the grid. From eps to 0.5 delta drops by
-    # at most e^0.5 - e^eps.
-    mu, nu = pmf({0.0: 0.9, 1.0: 0.1}), pmf({0.0: 0.1, 1.0: 0.9})
-    grid = (0.5, 1.0, 2.0)
-    c = PrivacyCurve(grid, tuple(hockey_stick_divergence(mu, nu, e) for e in grid))
-    assert abs(hockey_stick_divergence(mu, nu, 0.0) - 0.8) <= TOL
-    assert c.value_at(0.0, extrapolate=True) == 1.0
-    for eps in (0.0, 0.2, 0.45, 0.49):
-        got = c.value_at(eps, extrapolate=True)
-        assert got == min(1.0, c.values[0] + math.exp(0.5) - math.exp(eps))
-        assert got >= hockey_stick_divergence(mu, nu, eps), eps
-    with pytest.raises(ValueError):
-        c.value_at(0.0)
 
 
 def test_privacy_curve_bernoulli_three():

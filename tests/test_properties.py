@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from statpriv import dist, divergence
 from statpriv.amplify import (
     dp_subsample,
-    occurrence_weights,
     poisson_bound,
     with_replacement_bound,
     without_replacement_bound,
@@ -32,6 +31,7 @@ from statpriv.dist import (
     DatabaseModel,
     Pmf,
     _chain_laws,
+    binomial_pmf,
     condition,
     count_query,
     lattice_chain,
@@ -149,8 +149,8 @@ def test_with_replacement_bound_is_dp_subsampling_of_the_drawn_view_curve(db, q,
     except NotSamplableError:
         return  # refused by the gate: there is no bound to compare
     curve = sampling_curve_max(db, q, TemplateDistribution.with_replacement(n, m), GRID)
-    drawn = min(1.0, math.fsum(occurrence_weights(n, m)[1:]))
-    want = [dp_subsample(e, v, drawn) for e, v in zip(GRID, curve.values)]
+    drawn = min(1.0, math.fsum(binomial_pmf(m, 1.0 / n)[1:]))
+    want = dp_subsample(GRID, curve.values, drawn)
     assert [(p.eps_prime.hex(), p.delta_prime.hex()) for p in points] == [
         (p.eps_prime.hex(), p.delta_prime.hex()) for p in want
     ]
@@ -172,7 +172,7 @@ def scan_by_groupby(db, exchangeable):
     """The free positions, or with `exchangeable` the first of each group of
     equal pmfs (equal weights on the shared grid)."""
     fixed = {j for j, _ in db.fixed}
-    free = [(db.entry(j).weights, j) for j in range(1, db.n + 1) if j not in fixed]
+    free = [(db.entries[j - 1].weights, j) for j in range(1, db.n + 1) if j not in fixed]
     if not exchangeable:
         return tuple(j for _, j in free)
     groups = groupby(sorted(free), key=itemgetter(0))

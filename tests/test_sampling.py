@@ -105,7 +105,6 @@ def assert_classes_match_the_templates(technique, given, db):
 def test_template_basics():
     t = Template((2, 1, 2))
     assert t.length == 3
-    assert t.count(2) == 2
     assert t.distinct == (1, 2)
     for bad in ((0, 1), (1, 3)):
         with pytest.raises(ValueError):
@@ -166,16 +165,15 @@ def test_weights_sum_to_one():
         assert abs(math.fsum(w for _, w in t.classes(db)) - 1.0) <= TOL
 
 
-def test_given_drawn_and_not_drawn():
+def test_given_drawn():
     t = TemplateDistribution.without_replacement(3, 2)
     drawn = t.given_drawn(1)
     assert [(tt.indices, w) for tt, w in drawn.items] == [((1, 2), 1.0)]
     assert not drawn.exchangeable
-    out = t.given_not_drawn(1)
-    assert [(tt.indices, w) for tt, w in out.items] == [((2, 3), 1.0)]
-    full = TemplateDistribution.without_replacement(2, 2)
+    assert drawn.given == (1,) and drawn.given_drawn(3).given == (1, 3)
+    # One draw never holds entries 1 and 2 both.
     with pytest.raises(ZeroProbabilityError):
-        full.given_not_drawn(1)
+        TemplateDistribution.without_replacement(3, 1).given_drawn(1).given_drawn(2)
     # With replacement the drawn view keeps the repeats: of the three
     # sequences drawing entry 1, (1, 1) is one and (1, 2), (2, 1) the other.
     wr = TemplateDistribution.with_replacement(2, 2)
@@ -183,7 +181,6 @@ def test_given_drawn_and_not_drawn():
         ((1, 1), 1 / 3),
         ((1, 2), 2 / 3),
     ]
-    assert [(tt.indices, w) for tt, w in wr.given_not_drawn(1).items] == [((2, 2), 1.0)]
 
 
 def test_explicit_items_are_their_own_classes():
@@ -193,7 +190,7 @@ def test_explicit_items_are_their_own_classes():
     assert t.classes(db) == items
     assert t.given_drawn(1).items == ((Template((2, 1)), 0.5), (Template((1, 2)), 0.5))
     with pytest.raises(ZeroProbabilityError):
-        t.given_drawn(1).given_not_drawn(1)
+        t.given_drawn(1).given_drawn(3)
     # Only the named constructors set the closed-form rule.
     assert t.param is None and t.given == ()
     with pytest.raises(TypeError):
@@ -233,13 +230,10 @@ def test_views_keep_the_budget_of_their_technique():
     assert len(view.items) == 7
 
 
-VIEWS = st.sampled_from(("drawn", "not_drawn"))
-
-
 @st.composite
 def technique_cases(draw):
     """A model of 1-6 entries drawn from 1-3 pmfs, a named technique over
-    it and up to two conditions for a view."""
+    it and up to two positions a view conditions on being drawn."""
     ps = draw(st.lists(st.sampled_from((0.25, 0.5, 0.7)), min_size=1, max_size=3))
     pool = [Pmf.bernoulli(p) for p in ps]
     n = draw(st.integers(1, 6))
@@ -251,16 +245,13 @@ def technique_cases(draw):
         technique = TemplateDistribution.poisson(n, draw(st.sampled_from((0.25, 0.3, 0.5, 1.0))))
     else:
         technique = TemplateDistribution.with_replacement(n, draw(st.integers(1, 3)))
-    given = []
-    for view in draw(st.lists(VIEWS, max_size=2)):
-        j = draw(st.integers(1, n))
-        given.append((j, 1, math.inf) if view == "drawn" else (j, 0, 0))
+    given = [(j, 1, math.inf) for j in draw(st.lists(st.integers(1, n), max_size=2))]
     return db, technique, given
 
 
 def apply_views(technique, given):
-    for j, _, hi in given:
-        technique = technique.given_drawn(j) if hi else technique.given_not_drawn(j)
+    for j, _, _ in given:
+        technique = technique.given_drawn(j)
     return technique
 
 
@@ -397,13 +388,13 @@ def test_matched_coupling_marginals_with_replacement(n, m):
 def assert_coupling_matches_the_templates(technique):
     """Class pairs against the explicit coupling, on alike and unlike
     entries: equal joint mass per pair of law keys; the first marginal is
-    the classes of the drawn view, the second the classes of the avoiding
-    view, after sorting partners without replacement."""
+    the classes of the drawn view, the second the templates avoiding j of
+    the itertools enumeration, after sorting partners without replacement."""
     n = technique.n
     wr = technique.kind == "with_replacement"
     for entries, j in product(COUPLING_MODELS, range(1, n + 1)):
         db = DatabaseModel(entries[:n])
-        drawn, avoided = technique.given_drawn(j), technique.given_not_drawn(j)
+        drawn = technique.given_drawn(j)
         triples = matched_coupling(drawn, j, db)
         explicit = explicit_coupling(explicit_view(technique, [(j, 1, math.inf)]), j, n)
         got, want = {}, {}
@@ -422,8 +413,8 @@ def assert_coupling_matches_the_templates(technique):
         right = Counter()
         for _, b, w in triples:
             right[law_key(db, b.indices if wr else tuple(sorted(b.indices)))] += w
-        for t, w in avoided.classes(db):
-            right[law_key(db, t.indices)] -= w
+        for t, w in explicit_view(technique, [(j, 0, 0)]):
+            right[law_key(db, t)] -= w
         assert all(abs(v) <= TOL for v in right.values())
 
 
