@@ -517,13 +517,33 @@ def test_viability_ratio_zero_denominator():
         viability_ratio(entry, count_query(), 2, 1, 0.5)
 
 
+def test_shrink_epsilon():
+    # dp_subsample's eps' is eps shrunk at the sampling rate
+    (amp,) = dp_subsample((0.5,), (0.1,), 0.5)
+    assert abs(amp.eps_prime - math.log(1.0 + 0.5 * (math.exp(0.5) - 1.0))) <= TOL
+    (ident,) = dp_subsample((0.7,), (0.1,), 1.0)
+    assert ident.eps_prime == 0.7
+    (zero,) = dp_subsample((0.0,), (0.1,), 0.5)
+    assert zero.eps_prime == 0.0
+    # Shrinking at rate r is the one stretch at factor r, bit for bit.
+    grid = (0.0, 0.05, 0.7, 1.0, 3.0)
+    for rate in (0.5, 0.1, 0.999, 1.0):
+        got = dp_subsample(grid, (0.25,) * len(grid), rate)
+        assert bits(a.eps_prime for a in got) == bits(stretch(e, rate) for e in grid)
+        assert bits(a.eps_prime for a in got) == bits(
+            math.log1p(rate * math.expm1(e)) for e in grid
+        )
+    for eps, rate in ((-1.0, 0.5), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            dp_subsample((eps,), (0.1,), rate)
+
+
 def test_dp_subsample():
     (amp,) = dp_subsample((0.5,), (0.1,), 0.5)
     assert abs(amp.eps_prime - math.log(1.0 + 0.5 * (math.exp(0.5) - 1.0))) <= TOL
     assert abs(amp.delta_prime - 0.05) <= TOL
     (ident,) = dp_subsample((0.5,), (0.1,), 1.0)
     assert ident.eps_prime == 0.5 and abs(ident.delta_prime - 0.1) <= TOL
-    # Shrinking at rate r is the one stretch at factor r, bit for bit.
     grid = (0.0, 0.05, 0.7, 1.0, 3.0)
     for rate in (0.5, 0.1, 0.999, 1.0):
         got = dp_subsample(grid, (0.25,) * len(grid), rate)
