@@ -1,7 +1,6 @@
 """Exact privacy accounting for finite product distributions under subsampling."""
 
 from .amplify import (
-    AmplifiedParams,
     dp_poisson_bound,
     dp_subsample,
     poisson_bound,

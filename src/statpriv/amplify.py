@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .dist import (
     DEFAULT_BUDGET,
     DatabaseModel,
     Pmf,
     Query,
-    _Value,
     binomial_pmf,
     law_key,
     scan_positions,
@@ -47,21 +47,6 @@ NEGLIGIBLE_SIZE_WEIGHT = 2.0 ** -256
 NEGLIGIBLE_TAIL_SHARE = 2.0 ** -80
 
 
-class AmplifiedParams(_Value):
-    """A single (eps', delta') point produced by an amplification bound."""
-
-    eps_prime: float
-    delta_prime: float
-
-    def __init__(self, eps_prime: float, delta_prime: float):
-        if not (math.isfinite(eps_prime) and eps_prime >= 0.0):
-            raise ValueError(f"invalid eps' {eps_prime}")
-        if not -PARAM_TOL <= delta_prime <= 1.0 + PARAM_TOL:
-            raise ValueError(f"delta' {delta_prime} outside [0, 1]")
-        delta_prime = min(1.0, max(0.0, float(delta_prime)))
-        self.__dict__.update(eps_prime=eps_prime, delta_prime=delta_prime)
-
-
 def _stretcher(grid: tuple[float, ...]):
     """factor -> log(1 + factor (e^eps - 1)) per eps of `grid`, the package's
     one eps stretch (factor below 1 shrinks); expm1 is taken once per eps, at
@@ -78,10 +63,13 @@ def _stretcher(grid: tuple[float, ...]):
     return stretch
 
 
-def _check_eps(grid) -> None:
+def _check_grid(grid) -> None:
+    """Refuse, before any stretch, what PrivacyCurve would refuse at the end."""
     bad = next((e for e in grid if not 0.0 <= e < math.inf), None)
     if bad is not None:
         raise ValueError(f"eps must be finite and nonnegative, got {bad}")
+    if not all(map(operator.lt, grid, grid[1:])):
+        raise ValueError("epsilon grid must be strictly increasing")
 
 
 def _check_model(db: DatabaseModel, n: int) -> None:
@@ -92,15 +80,15 @@ def _check_model(db: DatabaseModel, n: int) -> None:
 
 
 def _sampled_curve_values(db, q, n, m, grid, budget):
-    """Sampled curve for m-of-n without replacement, as a value tuple.
+    """Sampled curve for m-of-n without replacement, maximized over positions.
 
     i.i.d. models collapse to the privacy curve of an m-entry model, which
     for an additive query is built on the lattice chain.
     """
     if db.is_iid:
-        return privacy_curve(DatabaseModel.iid(db.entries[0], m), q, grid, budget).values
+        return privacy_curve(DatabaseModel.iid(db.entries[0], m), q, grid, budget)
     technique = TemplateDistribution.without_replacement(n, m, budget)
-    return sampling_curve_max(db, q, technique, grid, budget).values
+    return sampling_curve_max(db, q, technique, grid, budget)
 
 
 def without_replacement_bound(
@@ -110,17 +98,17 @@ def without_replacement_bound(
     m: int,
     grid: tuple[float, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[AmplifiedParams, ...]:
-    """Amplified (eps', delta') pairs for m-of-n sampling without replacement.
+) -> PrivacyCurve:
+    """Amplified curve for m-of-n sampling without replacement, indexed by eps'.
 
-    For each grid epsilon, eps' = log(1 + (m/n)(e^eps - 1)) and delta' is m/n
+    Each grid epsilon gives eps' = log(1 + (m/n)(e^eps - 1)) and delta' = m/n
     times the sampled privacy curve at eps, maximized over positions.
     """
     _check_model(db, n)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     grid = as_grid(grid)
-    return dp_subsample(grid, _sampled_curve_values(db, q, n, m, grid, budget), m / n)
+    return dp_subsample(_sampled_curve_values(db, q, n, m, grid, budget), m / n)
 
 
 def viability_ratio(
@@ -128,26 +116,25 @@ def viability_ratio(
     q: Query,
     n: int,
     m: int,
-    eps: float,
+    grid: tuple[float, ...],
     budget: int = DEFAULT_BUDGET,
-) -> float:
-    """Bound delta at the matched epsilon over the unsampled delta.
+) -> tuple[float, ...]:
+    """Bound delta at the matched epsilon over the unsampled delta, per eps
+    of `grid`.
 
     The numerator evaluates the m-entry curve at log(1 + (n/m)(e^eps - 1)),
     the stretch that shrinks back to eps, and scales by m/n. Values below 1
     mean sampling m of n entries improves delta at level eps. Raises
-    ZeroDivisionError when the unsampled curve is 0 at eps.
+    ZeroDivisionError when the unsampled curve is 0 at some eps.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    eps = float(eps)
-    _check_eps((eps,))
-    base = privacy_curve(DatabaseModel.iid(entry, n), q, (eps,), budget).values[0]
-    if base == 0.0:
-        raise ZeroDivisionError(f"unsampled curve is 0 at eps={eps}; ratio undefined")
-    stretched = _stretcher((eps,))(n / m)
-    top = privacy_curve(DatabaseModel.iid(entry, m), q, stretched, budget).values[0]
-    return (m / n) * top / base
+    base = privacy_curve(DatabaseModel.iid(entry, n), q, grid, budget)
+    zero = next((e for e, d in zip(base.grid, base.values) if d == 0.0), None)
+    if zero is not None:
+        raise ZeroDivisionError(f"unsampled curve is 0 at eps={zero}; ratio undefined")
+    top = privacy_curve(DatabaseModel.iid(entry, m), q, _stretcher(base.grid)(n / m), budget)
+    return tuple((m / n) * t / b for t, b in zip(top.values, base.values))
 
 
 def poisson_bound(
@@ -176,9 +163,10 @@ def poisson_bound(
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     grid = as_grid(grid)
+    _check_grid(grid)
 
     def sized_values(m, stretched):
-        return _sampled_curve_values(db, q, n, m, stretched, budget)
+        return _sampled_curve_values(db, q, n, m, stretched, budget).values
 
     return PrivacyCurve(grid, _size_mixture(n, rate, grid, sized_values))
 
@@ -229,8 +217,8 @@ def with_replacement_bound(
     m: int,
     grid: tuple[float, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[AmplifiedParams, ...]:
-    """Amplified (eps', delta') pairs for m uniform draws with replacement.
+) -> PrivacyCurve:
+    """Amplified curve for m uniform draws with replacement, indexed by eps'.
 
     Needs a monotone query and the samplability precondition certified by
     _gated_drawn_curve (half-line choosability on same-template pairs, the
@@ -238,7 +226,7 @@ def with_replacement_bound(
     NotSamplableError with the witness. The gate and the drawn-view curve
     (sampling_curve_max over the templates that draw the sensitive entry)
     are one walk over the drawn classes: the gate sums the laws and rows it
-    checked. Each pair is dp_subsample of that curve at the rate P(K >= 1),
+    checked. The bound is dp_subsample of that curve at the rate P(K >= 1),
     K ~ Binomial(m, 1/n) the entry's draw count: each template class
     carries its exact worst-pair divergence, so the mixture over draw
     counts, sum over k of P(K = k) E[worst | K = k], is
@@ -251,12 +239,12 @@ def with_replacement_bound(
         raise ValueError("the with-replacement bound needs a monotone query")
     grid = as_grid(grid)
     technique = TemplateDistribution.with_replacement(n, m, budget)
-    values = _gated_drawn_curve(db, q, technique, grid, budget)
-    return dp_subsample(grid, values, min(1.0, math.fsum(binomial_pmf(m, 1.0 / n)[1:])))
+    curve = _gated_drawn_curve(db, q, technique, grid, budget)
+    return dp_subsample(curve, min(1.0, math.fsum(binomial_pmf(m, 1.0 / n)[1:])))
 
 
 def _gated_drawn_curve(db, q, technique, grid, budget):
-    """The drawn-view curve, sampling_curve_max's values, behind the
+    """The drawn-view curve, sampling_curve_max's, behind the
     samplability precondition over every answer pair the proof compares.
 
     Per position j, one drawn_classes pass over the given_drawn(j) view
@@ -331,22 +319,19 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
                                 f"exceeds the same-template ceiling {ceiling}"
                             ),
                         )
-    return tuple(max(col) for col in zip(*curves))
+    return PrivacyCurve(grid, [max(col) for col in zip(*curves)])
 
 
-def dp_subsample(grid, deltas, rate: float) -> tuple[AmplifiedParams, ...]:
-    """Classic DP subsampling per eps of `grid` and its delta:
-    (log(1 + rate (e^eps - 1)), rate delta)."""
-    grid, deltas = tuple(map(float, grid)), tuple(map(float, deltas))
-    _check_eps(grid)
+def dp_subsample(curve: PrivacyCurve, rate: float) -> PrivacyCurve:
+    """Classic DP subsampling of a delta curve: each (eps, delta) becomes
+    (log(1 + rate (e^eps - 1)), rate delta). Refuses a grid whose adjacent
+    eps (a few ulps apart) round to one eps'."""
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if len(deltas) != len(grid):
-        raise ValueError("grid and deltas must have equal length")
-    bad = next((d for d in deltas if not 0.0 <= d <= 1.0), None)
-    if bad is not None:
-        raise ValueError(f"delta {bad} outside [0, 1]")
-    return tuple(map(AmplifiedParams, _stretcher(grid)(rate), [rate * d for d in deltas]))
+    shrunk = _stretcher(curve.grid)(rate)
+    if not all(map(operator.lt, shrunk, shrunk[1:])):
+        raise ValueError(f"two eps of the grid shrink to one eps' at rate {rate}")
+    return PrivacyCurve(shrunk, [rate * d for d in curve.values])
 
 
 def dp_poisson_bound(
@@ -354,9 +339,9 @@ def dp_poisson_bound(
     n: int,
     rate: float,
     grid: tuple[float, ...],
-) -> tuple[float, ...]:
-    """Size-decomposed Poisson bound applied to an arbitrary delta curve, per
-    eps of `grid`.
+) -> PrivacyCurve:
+    """Size-decomposed Poisson bound applied to an arbitrary delta curve, on
+    `grid`.
 
     Evaluates the curve at the stretched epsilons with value_at, whose
     chord in e^eps bounds a delta curve from above between grid points, at
@@ -369,9 +354,9 @@ def dp_poisson_bound(
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     grid = tuple(map(float, grid))
-    _check_eps(grid)
+    _check_grid(grid)
 
     def value_at(m, stretched):
         return [curve.value_at(e) for e in stretched]
 
-    return _size_mixture(n, rate, grid, value_at, charge=False)
+    return PrivacyCurve(grid, _size_mixture(n, rate, grid, value_at, charge=False))

@@ -14,7 +14,6 @@ import sys
 from .amplify import (
     _stretcher,
     dp_poisson_bound,
-    dp_subsample,
     poisson_bound,
     viability_ratio,
     with_replacement_bound,
@@ -289,16 +288,9 @@ def cmd_amplify(opts) -> int:
         _within_budget(param, "--technique", "draws", budget)
     _check_size(opts, n, budget)
     grid = parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
-    db = DatabaseModel.iid(entry, n)
-    if kind == "wor":
-        params = without_replacement_bound(db, q, n, param, grid, budget)
-        rows = [(e, a.eps_prime, a.delta_prime) for e, a in zip(grid, params)]
-    elif kind == "wr":
-        params = with_replacement_bound(db, q, n, param, grid, budget)
-        rows = [(e, a.eps_prime, a.delta_prime) for e, a in zip(grid, params)]
-    else:
-        curve = poisson_bound(db, q, n, param, grid, budget)
-        rows = [(e, e, d) for e, d in zip(curve.grid, curve.values)]
+    bound = dict(wor=without_replacement_bound, poisson=poisson_bound, wr=with_replacement_bound)
+    curve = bound[kind](DatabaseModel.iid(entry, n), q, n, param, grid, budget)
+    rows = zip(grid, curve.grid, curve.values)  # Poisson keeps eps: eps' = eps
     _write_csv(opts.get("out"), ("epsilon", "eps_prime", "delta_prime"), rows)
     return 0
 
@@ -320,37 +312,35 @@ def cmd_figures(opts) -> int:
     stem = _require(opts, "out")
     if opts["which"] == "fig1":
         eps_list = parse_eps(opts["eps"], budget) if opts.get("eps") else (0.1, 0.3, 1.0)
-        for eps in eps_list:
-            rows = []
-            for n in range(10, 201, 10):
-                curve = privacy_curve(DatabaseModel.iid(entry, n), q, (eps,), budget)
-                rows.append((n, curve.values[0]))
-            _write_csv(_eps_file(stem, eps), ("n", "delta"), rows)
+        ns = range(10, 201, 10)
+        curves = [privacy_curve(DatabaseModel.iid(entry, n), q, eps_list, budget) for n in ns]
+        for eps, column in zip(eps_list, zip(*(c.values for c in curves))):
+            _write_csv(_eps_file(stem, eps), ("n", "delta"), zip(ns, column))
         return 0
     eps_list = parse_eps(opts["eps"], budget) if opts.get("eps") else (0.025, 0.05, 0.075, 0.1)
     if opts["which"] == "fig2":
         n = _within_budget(_parse_int(opts.get("n", "100"), "--n"), "--n", "entries", budget)
-        for eps in eps_list:
-            rows = []
-            for lam in _lambda_grid():
-                m = min(n, max(1, round(lam * n)))
-                try:
-                    rows.append((lam, viability_ratio(entry, q, n, m, eps, budget)))
-                except ZeroDivisionError as exc:
-                    raise UsageError(str(exc)) from None
-            _write_csv(_eps_file(stem, eps), ("lambda", "ratio"), rows)
-        return 0
-    n = _within_budget(_parse_int(opts.get("n", "20"), "--n"), "--n", "entries", budget)
-    db = DatabaseModel.iid(entry, n)
-    for eps in eps_list:
-        base = privacy_curve(db, q, (eps,), budget).values[0]
-        if base == 0.0:
+        try:
+            columns = [
+                viability_ratio(entry, q, n, min(n, max(1, round(lam * n))), eps_list, budget)
+                for lam in _lambda_grid()
+            ]
+        except ZeroDivisionError as exc:
+            raise UsageError(str(exc)) from None
+    else:
+        n = _within_budget(_parse_int(opts.get("n", "20"), "--n"), "--n", "entries", budget)
+        db = DatabaseModel.iid(entry, n)
+        base = privacy_curve(db, q, eps_list, budget).values
+        if 0.0 in base:
+            eps = eps_list[base.index(0.0)]
             raise UsageError(f"unsampled curve is 0 at eps={eps}; ratio undefined")
-        rows = []
-        for lam in _lambda_grid():
-            star = poisson_bound(db, q, n, lam, (eps,), budget).values[0]
-            rows.append((lam, star / base))
-        _write_csv(_eps_file(stem, eps), ("lambda", "ratio"), rows)
+        columns = [
+            map(operator.truediv, poisson_bound(db, q, n, lam, eps_list, budget).values, base)
+            for lam in _lambda_grid()
+        ]
+    # Every curve covers the whole eps list; a file per eps reads one column.
+    for eps, column in zip(eps_list, zip(*columns)):
+        _write_csv(_eps_file(stem, eps), ("lambda", "ratio"), zip(_lambda_grid(), column))
     return 0
 
 
@@ -409,11 +399,11 @@ def cmd_verify(opts) -> int:
                         abs(pipe - reference) <= agreement_tol,
                     )
 
-            def dominance(label, quantity, bounds):
-                # The oracle's delta of the sampled model at each bound's
-                # eps' must not exceed its delta'.
+            def dominance(label, quantity, curve):
+                # The oracle's delta of the sampled model at each eps' of
+                # the bound must not exceed its delta'.
                 technique = techniques[label]
-                for eps, (eps_prime, bound) in zip(grid, bounds):
+                for eps, eps_prime, bound in zip(grid, curve.grid, curve.values):
                     direct = max(
                         brute_force_divergence(high, low, technique, q, eps_prime, budget),
                         brute_force_divergence(low, high, technique, q, eps_prime, budget),
@@ -427,29 +417,19 @@ def cmd_verify(opts) -> int:
                     )
 
             for m in range(1, n + 1):
-                bounds = without_replacement_bound(db, q, n, m, grid, budget)
-                dominance(
-                    f"wor n={n} m={m}",
-                    "wor_dominance",
-                    [(b.eps_prime, b.delta_prime) for b in bounds],
-                )
+                curve = without_replacement_bound(db, q, n, m, grid, budget)
+                dominance(f"wor n={n} m={m}", "wor_dominance", curve)
             curve = poisson_bound(db, q, n, 0.5, grid, budget)
-            dominance(
-                f"poisson n={n} rate=0.5", "poisson_dominance", zip(curve.grid, curve.values)
-            )
+            dominance(f"poisson n={n} rate=0.5", "poisson_dominance", curve)
             for m in range(1, 3):
                 wr_cases += 1
                 try:
-                    bounds = with_replacement_bound(db, q, n, m, grid, budget)
+                    curve = with_replacement_bound(db, q, n, m, grid, budget)
                 except NotSamplableError as exc:
                     # The gate refused this model; nothing to compare.
                     refused[exc.family] += 1
                     continue
-                dominance(
-                    f"wr n={n} m={m}",
-                    "wr_dominance",
-                    [(b.eps_prime, b.delta_prime) for b in bounds],
-                )
+                dominance(f"wr n={n} m={m}", "wr_dominance", curve)
     _write_csv(
         opts.get("out"),
         ("case", "quantity", "pipeline", "oracle", "abs_diff", "pass"),
@@ -485,9 +465,11 @@ def cmd_compare(opts) -> int:
     matched = stretch(1.0 / rate)
     needed = set(matched).union(*(stretch(n / m) for m in range(1, n + 1)))
     curve = privacy_curve(db, q, tuple(sorted(needed)), budget)
-    classic = dp_subsample(matched, [curve.value_at(e) for e in matched], rate)
+    # The classic route: rate times the curve at each eps stretched by
+    # 1/rate, the eps that subsampling at the rate shrinks back to it.
+    classic = [rate * curve.value_at(e) for e in matched]
     sized = dp_poisson_bound(curve, n, rate, eps_list)
-    rows = [(e, c.delta_prime, s) for e, c, s in zip(eps_list, classic, sized)]
+    rows = zip(eps_list, classic, sized.values)
     _write_csv(opts.get("out"), ("epsilon", "delta_classic", "delta_sized"), rows)
     return 0
 

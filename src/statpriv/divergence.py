@@ -117,7 +117,7 @@ class PrivacyCurve(_Value):
         would not.
         """
         eps = float(eps)
-        if eps < self.grid[0] or eps > self.grid[-1]:
+        if not self.grid[0] <= eps <= self.grid[-1]:  # NaN included
             raise ValueError(f"eps={eps} outside the curve grid [{self.grid[0]}, {self.grid[-1]}]")
         i = bisect_left(self.grid, eps)
         if i < len(self.grid) and self.grid[i] == eps:

@@ -97,19 +97,19 @@ def test_criterion_02_without_replacement_dominance():
         hi, lo = _conditioned_pair(db)
         for m in range(1, n + 1):
             tech = TemplateDistribution.without_replacement(n, m)
-            bounds = without_replacement_bound(db, q, n, m, EPS4)
-            for eps, pt in zip(EPS4, bounds):
+            bound = without_replacement_bound(db, q, n, m, EPS4)
+            for eps, eps_prime, delta_prime in zip(EPS4, bound.grid, bound.values):
                 want = math.log1p((m / n) * math.expm1(eps))
-                assert abs(pt.eps_prime - want) <= AGREEMENT_TOL
+                assert abs(eps_prime - want) <= AGREEMENT_TOL
                 direct = max(
-                    brute_force_divergence(hi, lo, tech, q, pt.eps_prime),
-                    brute_force_divergence(lo, hi, tech, q, pt.eps_prime),
+                    brute_force_divergence(hi, lo, tech, q, eps_prime),
+                    brute_force_divergence(lo, hi, tech, q, eps_prime),
                 )
-                slack = direct - pt.delta_prime
+                slack = direct - delta_prime
                 worst = max(worst, slack)
                 assert slack <= DOMINANCE_TOL, (
                     f"wor n={n} m={m} p={p} eps={eps}: direct {direct} "
-                    f"exceeds bound {pt.delta_prime}"
+                    f"exceeds bound {delta_prime}"
                 )
     assert time.time() - started < 30.0
     _report(2, "without-replacement dominance", started, f"worst slack {worst:.2e}")
@@ -149,17 +149,17 @@ def test_criterion_04_with_replacement_dominance():
         hi, lo = _conditioned_pair(db)
         tech = TemplateDistribution.with_replacement(n, m)
         try:
-            bounds = with_replacement_bound(db, q, n, m, EPS4)
+            bound = with_replacement_bound(db, q, n, m, EPS4)
         except NotSamplableError as err:
             refused.append((p, n, m, err.eps, err.outcome))
             continue
         ran.append((p, n, m))
-        for eps, pt in zip(EPS4, bounds):
+        for eps, eps_prime, delta_prime in zip(EPS4, bound.grid, bound.values):
             direct = max(
-                brute_force_divergence(hi, lo, tech, q, pt.eps_prime),
-                brute_force_divergence(lo, hi, tech, q, pt.eps_prime),
+                brute_force_divergence(hi, lo, tech, q, eps_prime),
+                brute_force_divergence(lo, hi, tech, q, eps_prime),
             )
-            slack = direct - pt.delta_prime
+            slack = direct - delta_prime
             worst = max(worst, slack)
             if slack > DOMINANCE_TOL:
                 alt = tuple(
@@ -170,7 +170,7 @@ def test_criterion_04_with_replacement_dominance():
                 )
                 pytest.fail(
                     f"wr n={n} m={m} p={p} eps={eps}: direct {direct} exceeds "
-                    f"bound {pt.delta_prime}; draw-count weights over m draws "
+                    f"bound {delta_prime}; draw-count weights over m draws "
                     f"{binomial_pmf(m, 1.0 / n)} vs the n-indexed alternative {alt}"
                 )
     # the single-entry and single-draw columns pass the gate and are the
@@ -275,7 +275,7 @@ def test_criterion_08_figure2_trend():
         ratios = []
         for lam in lams:
             m = min(n, max(1, round(lam * n)))
-            ratios.append(viability_ratio(entry, q, n, m, eps))
+            ratios.append(viability_ratio(entry, q, n, m, (eps,))[0])
         rows[eps] = ratios
         assert all(r <= 1.0 + TREND_TOL for r in ratios)
         assert abs(ratios[-1] - 1.0) <= TREND_TOL  # identity at full rate
@@ -310,7 +310,7 @@ def test_criterion_10_viability_chain():
     q = count_query()
     for eps in (0.1, 0.5):
         for m in (25, 50, 75):
-            r = viability_ratio(entry, q, 100, m, eps)
+            (r,) = viability_ratio(entry, q, 100, m, (eps,))
             assert 0.0 < r < 1.0, f"m={m} eps={eps}: ratio {r} not below 1"
     assert time.time() - started < 30.0
     _report(10, "viability below one", started)

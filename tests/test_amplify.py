@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from statpriv.amplify import (
     NEGLIGIBLE_SIZE_WEIGHT,
-    AmplifiedParams,
     dp_poisson_bound,
     dp_subsample,
     poisson_bound,
@@ -46,31 +45,18 @@ def stretch(eps, factor):
     return eps if factor == 1.0 else math.log1p(factor * math.expm1(eps))
 
 
-def test_amplified_params_validation():
-    p = AmplifiedParams(0.5, 1.0 + 5e-13)
-    assert p.delta_prime == 1.0
-    with pytest.raises(ValueError):
-        AmplifiedParams(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        AmplifiedParams(0.5, 1.5)
-
-
 def test_without_replacement_two_of_one():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    pts = without_replacement_bound(db, sum_query(), 2, 1, (0.0, LN2))
-    assert [(p.eps_prime, p.delta_prime) for p in pts] == [
-        (0.0, 0.5),
-        (math.log(1.5), 0.5),
-    ]
+    c = without_replacement_bound(db, sum_query(), 2, 1, (0.0, LN2))
+    assert c == PrivacyCurve((0.0, math.log(1.5)), (0.5, 0.5))
 
 
 def test_without_replacement_full_sample_passthrough():
     # m = n: no amplification, eps' = eps and delta' = the model's own delta
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    pts = without_replacement_bound(db, sum_query(), 2, 2, (0.0, 0.5))
-    assert pts[0].eps_prime == 0.0
-    assert pts[1].eps_prime == 0.5
-    assert pts[0].delta_prime == 0.5
+    c = without_replacement_bound(db, sum_query(), 2, 2, (0.0, 0.5))
+    assert c.grid == (0.0, 0.5)
+    assert c.values[0] == 0.5
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5])
@@ -80,12 +66,13 @@ def test_without_replacement_dominates_oracle(p, n, m):
     q = sum_query()
     tech = TemplateDistribution.without_replacement(n, m)
     hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
-    for eps, pt in zip((0.0, 0.5, 1.0), without_replacement_bound(db, q, n, m, (0.0, 0.5, 1.0))):
+    c = without_replacement_bound(db, q, n, m, (0.0, 0.5, 1.0))
+    for eps_prime, delta_prime in zip(c.grid, c.values):
         direct = max(
-            brute_force_divergence(hi, lo, tech, q, pt.eps_prime),
-            brute_force_divergence(lo, hi, tech, q, pt.eps_prime),
+            brute_force_divergence(hi, lo, tech, q, eps_prime),
+            brute_force_divergence(lo, hi, tech, q, eps_prime),
         )
-        assert direct <= pt.delta_prime + DOM_TOL
+        assert direct <= delta_prime + DOM_TOL
 
 
 def test_poisson_bound_known_point():
@@ -217,8 +204,9 @@ def test_share_rule_charges_the_sizes_it_skips(monkeypatch):
     sampled = statpriv.amplify._sampled_curve_values
 
     def record(db, q, n, m, grid, budget):
-        evaluated[m] = values = sampled(db, q, n, m, grid, budget)
-        return values
+        curve = sampled(db, q, n, m, grid, budget)
+        evaluated[m] = curve.values
+        return curve
 
     monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
     got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, SHIFTED_GRID).values
@@ -268,6 +256,28 @@ def test_stretcher_is_the_formula_and_passes_the_grid_at_factor_one():
         assert bits(stretcher(factor)) == bits(want)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ((-0.5, 0.5), "eps must be finite and nonnegative, got -0.5"),
+        ((0.5, 0.0), "epsilon grid must be strictly increasing"),
+    ],
+)
+def test_poisson_bound_refuses_a_bad_grid_before_the_sweep(monkeypatch, grid, message):
+    # The wor bound's messages, and no sample size is evaluated first.
+    evaluated = []
+    monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", lambda *a: evaluated.append(a))
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 10)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        poisson_bound(db, sum_query(), 10, 0.3, grid)
+    assert evaluated == []
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dp_poisson_bound(PrivacyCurve((0.0, 1.0), (0.5, 0.2)), 10, 0.3, grid)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        without_replacement_bound(db, sum_query(), 10, 3, grid)
+
+
 @pytest.mark.parametrize("rate", [0.25, 0.5, 0.75, 1.0])
 def test_poisson_dominates_oracle(rate):
     q = sum_query()
@@ -282,6 +292,46 @@ def test_poisson_dominates_oracle(rate):
                 brute_force_divergence(lo, hi, tech, q, eps),
             )
             assert direct <= star + DOM_TOL
+
+
+def sampled_bounds(db, q, n, grid):
+    """(technique, bound curve) for wor at every m, Poisson at rate 0.5 and
+    wr at m = 1, 2 where the samplability gate passes."""
+    techniques = TemplateDistribution
+    bounds = [
+        (techniques.without_replacement(n, m), without_replacement_bound(db, q, n, m, grid))
+        for m in range(1, n + 1)
+    ]
+    bounds.append((techniques.poisson(n, 0.5), poisson_bound(db, q, n, 0.5, grid)))
+    for m in (1, 2):
+        try:
+            curve = with_replacement_bound(db, q, n, m, grid)
+        except NotSamplableError:
+            continue
+        bounds.append((techniques.with_replacement(n, m), curve))
+    return bounds
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+def test_interpolated_bound_values_dominate_the_oracle(p):
+    # Every delta a bound returns is an upper bound, value_at's between its
+    # eps' points too: delta is convex in e^eps, so the chord lies above it.
+    q, grid = sum_query(), (0.0, 0.5, 1.0, 2.0)
+    kinds = set()
+    for n in range(1, 5):
+        db = DatabaseModel.iid(Pmf.bernoulli(p), n)
+        hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
+        for tech, c in sampled_bounds(db, q, n, grid):
+            kinds.add(tech.kind)
+            for a, b in zip(c.grid, c.grid[1:]):
+                for t in (0.25, 0.5, 0.75):
+                    eps = a + t * (b - a)
+                    direct = max(
+                        brute_force_divergence(hi, lo, tech, q, eps),
+                        brute_force_divergence(lo, hi, tech, q, eps),
+                    )
+                    assert c.value_at(eps) >= direct - DOM_TOL, (tech.kind, n, eps)
+    assert kinds == {"without_replacement", "poisson", "with_replacement"}
 
 
 def test_with_replacement_single_draw_equals_without():
@@ -389,9 +439,9 @@ def test_with_replacement_bound_scales_with_classes_not_templates(answer_laws_bu
     # 1/2 at every eps, twice delta 1, so delta' = (1/n)(1 - 1/n) + 1/n^2.
     n = 10000
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
-    points = with_replacement_bound(db, sum_query(), n, 2, (0.0, 1.0))
+    c = with_replacement_bound(db, sum_query(), n, 2, (0.0, 1.0))
     assert len(answer_laws_built) == 6
-    assert all(abs(p.delta_prime - 1 / n) <= TOL / n for p in points)
+    assert all(abs(d - 1 / n) <= TOL / n for d in c.values)
 
 
 @pytest.mark.parametrize("m, built", [(1, 7), (2, 6)])
@@ -449,11 +499,11 @@ def test_with_replacement_bound_is_the_draw_count_mixture(n, m):
     # the drawn-view curve is the mixture over draw counts up to roundoff.
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
     grid = (0.0, 0.25, 0.5, 1.0, 2.0)
-    points = with_replacement_bound(db, sum_query(), n, m, grid)
+    c = with_replacement_bound(db, sum_query(), n, m, grid)
     want = draw_count_mixture(db, sum_query(), n, m, grid)
     assert all(w > 0.0 for w in want)
-    for p, w in zip(points, want):
-        assert abs(p.delta_prime - w) <= 4 * math.ulp(w)
+    for d, w in zip(c.values, want):
+        assert abs(d - w) <= 4 * math.ulp(w)
 
 
 def test_with_replacement_eps_prime_shrinks_by_the_exact_drawn_rate():
@@ -461,52 +511,51 @@ def test_with_replacement_eps_prime_shrinks_by_the_exact_drawn_rate():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
     drawn = float(1 - Fraction(n - 1, n) ** 2)
     grid = (0.5, 1.0, 2.0)
-    for e, p in zip(grid, with_replacement_bound(db, sum_query(), n, 2, grid)):
+    for e, eps_prime in zip(grid, with_replacement_bound(db, sum_query(), n, 2, grid).grid):
         want = math.log1p(drawn * math.expm1(e))
-        assert abs(p.eps_prime - want) <= 1e-14 * want
+        assert abs(eps_prime - want) <= 1e-14 * want
 
 
 def test_with_replacement_gate_passes_symmetric_two_of_two():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    pts = with_replacement_bound(db, sum_query(), 2, 2, (0.0, 0.5, 1.0))
+    c = with_replacement_bound(db, sum_query(), 2, 2, (0.0, 0.5, 1.0))
     q = sum_query()
     tech = TemplateDistribution.with_replacement(2, 2)
     hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
-    for pt in pts:
+    for eps_prime, delta_prime in zip(c.grid, c.values):
         direct = max(
-            brute_force_divergence(hi, lo, tech, q, pt.eps_prime),
-            brute_force_divergence(lo, hi, tech, q, pt.eps_prime),
+            brute_force_divergence(hi, lo, tech, q, eps_prime),
+            brute_force_divergence(lo, hi, tech, q, eps_prime),
         )
-        assert direct <= pt.delta_prime + DOM_TOL
+        assert direct <= delta_prime + DOM_TOL
 
 
 def test_with_replacement_single_entry_database():
     # n=1: the entry is drawn every time; answers are point masses m*v
     db = DatabaseModel.iid(Pmf.bernoulli(0.3), 1)
-    pts = with_replacement_bound(db, sum_query(), 1, 3, (0.0, 1.0))
-    assert [p.eps_prime for p in pts] == [0.0, 1.0]
-    assert [p.delta_prime for p in pts] == [1.0, 1.0]
+    c = with_replacement_bound(db, sum_query(), 1, 3, (0.0, 1.0))
+    assert c == PrivacyCurve((0.0, 1.0), (1.0, 1.0))
 
 
 def test_with_replacement_count_query():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    pts = with_replacement_bound(db, count_query(), 2, 2, (0.0, 0.5))
+    c = with_replacement_bound(db, count_query(), 2, 2, (0.0, 0.5))
     q = count_query()
     tech = TemplateDistribution.with_replacement(2, 2)
     hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
-    for pt in pts:
+    for eps_prime, delta_prime in zip(c.grid, c.values):
         direct = max(
-            brute_force_divergence(hi, lo, tech, q, pt.eps_prime),
-            brute_force_divergence(lo, hi, tech, q, pt.eps_prime),
+            brute_force_divergence(hi, lo, tech, q, eps_prime),
+            brute_force_divergence(lo, hi, tech, q, eps_prime),
         )
-        assert direct <= pt.delta_prime + DOM_TOL
+        assert direct <= delta_prime + DOM_TOL
 
 
 def test_viability_ratio():
     entry = Pmf.bernoulli(0.5)
     # m = n is the identity: ratio exactly 1
-    assert viability_ratio(entry, count_query(), 4, 4, 0.5) == 1.0
-    r = viability_ratio(entry, count_query(), 4, 2, 0.5)
+    assert viability_ratio(entry, count_query(), 4, 4, (0.5,)) == (1.0,)
+    (r,) = viability_ratio(entry, count_query(), 4, 2, (0.5,))
     assert 0.0 < r < 1.0
 
 
@@ -514,57 +563,63 @@ def test_viability_ratio_zero_denominator():
     # a single-outcome entry has a flat zero curve: ratio undefined
     entry = Pmf.from_pairs([(0.0, 1.0)])
     with pytest.raises(ZeroDivisionError):
-        viability_ratio(entry, count_query(), 2, 1, 0.5)
+        viability_ratio(entry, count_query(), 2, 1, (0.5,))
 
 
 def test_shrink_epsilon():
     # dp_subsample's eps' is eps shrunk at the sampling rate
-    (amp,) = dp_subsample((0.5,), (0.1,), 0.5)
-    assert abs(amp.eps_prime - math.log(1.0 + 0.5 * (math.exp(0.5) - 1.0))) <= TOL
-    (ident,) = dp_subsample((0.7,), (0.1,), 1.0)
-    assert ident.eps_prime == 0.7
-    (zero,) = dp_subsample((0.0,), (0.1,), 0.5)
-    assert zero.eps_prime == 0.0
+    (eps_prime,) = dp_subsample(PrivacyCurve((0.5,), (0.1,)), 0.5).grid
+    assert abs(eps_prime - math.log(1.0 + 0.5 * (math.exp(0.5) - 1.0))) <= TOL
+    assert dp_subsample(PrivacyCurve((0.7,), (0.1,)), 1.0).grid == (0.7,)
+    assert dp_subsample(PrivacyCurve((0.0,), (0.1,)), 0.5).grid == (0.0,)
     # Shrinking at rate r is the one stretch at factor r, bit for bit.
     grid = (0.0, 0.05, 0.7, 1.0, 3.0)
     for rate in (0.5, 0.1, 0.999, 1.0):
-        got = dp_subsample(grid, (0.25,) * len(grid), rate)
-        assert bits(a.eps_prime for a in got) == bits(stretch(e, rate) for e in grid)
-        assert bits(a.eps_prime for a in got) == bits(
-            math.log1p(rate * math.expm1(e)) for e in grid
-        )
-    for eps, rate in ((-1.0, 0.5), (1.0, 0.0)):
-        with pytest.raises(ValueError):
-            dp_subsample((eps,), (0.1,), rate)
+        got = dp_subsample(PrivacyCurve(grid, (0.25,) * len(grid)), rate).grid
+        assert bits(got) == bits(stretch(e, rate) for e in grid)
+        assert bits(got) == bits(math.log1p(rate * math.expm1(e)) for e in grid)
+    with pytest.raises(ValueError):
+        dp_subsample(PrivacyCurve((-1.0,), (0.1,)), 0.5)
+    with pytest.raises(ValueError):
+        dp_subsample(PrivacyCurve((1.0,), (0.1,)), 0.0)
 
 
 def test_dp_subsample():
-    (amp,) = dp_subsample((0.5,), (0.1,), 0.5)
-    assert abs(amp.eps_prime - math.log(1.0 + 0.5 * (math.exp(0.5) - 1.0))) <= TOL
-    assert abs(amp.delta_prime - 0.05) <= TOL
-    (ident,) = dp_subsample((0.5,), (0.1,), 1.0)
-    assert ident.eps_prime == 0.5 and abs(ident.delta_prime - 0.1) <= TOL
+    amp = dp_subsample(PrivacyCurve((0.5,), (0.1,)), 0.5)
+    assert abs(amp.grid[0] - math.log(1.0 + 0.5 * (math.exp(0.5) - 1.0))) <= TOL
+    assert abs(amp.values[0] - 0.05) <= TOL
+    ident = dp_subsample(PrivacyCurve((0.5,), (0.1,)), 1.0)
+    assert ident.grid == (0.5,) and abs(ident.values[0] - 0.1) <= TOL
     grid = (0.0, 0.05, 0.7, 1.0, 3.0)
     for rate in (0.5, 0.1, 0.999, 1.0):
-        got = dp_subsample(grid, (0.25,) * len(grid), rate)
-        assert bits(a.eps_prime for a in got) == bits(stretch(e, rate) for e in grid)
-        assert [a.delta_prime for a in got] == [rate * 0.25] * len(grid)
-    for grid, deltas, rate in (
-        ((-1.0,), (0.1,), 0.5),
-        ((math.inf,), (0.1,), 0.5),
-        ((1.0,), (0.1,), 0.0),
-        ((1.0,), (1.5,), 0.5),
-        ((1.0, 2.0), (0.1,), 0.5),
+        got = dp_subsample(PrivacyCurve(grid, (0.25,) * len(grid)), rate)
+        assert bits(got.grid) == bits(stretch(e, rate) for e in grid)
+        assert list(got.values) == [rate * 0.25] * len(grid)
+    # A bad grid or delta is refused by the curve itself; a bad rate by dp_subsample.
+    for grid, deltas in (
+        ((-1.0,), (0.1,)),
+        ((math.inf,), (0.1,)),
+        ((1.0,), (1.5,)),
+        ((1.0, 2.0), (0.1,)),
     ):
         with pytest.raises(ValueError):
-            dp_subsample(grid, deltas, rate)
+            dp_subsample(PrivacyCurve(grid, deltas), 0.5)
+    for rate in (0.0, 1.5, -0.5):
+        with pytest.raises(ValueError, match="rate must be in"):
+            dp_subsample(PrivacyCurve((1.0,), (0.1,)), rate)
+    # Adjacent floats whose eps' round to one float: no curve holds both.
+    with pytest.raises(ValueError, match="^two eps of the grid shrink to one eps' at rate 0.5$"):
+        dp_subsample(PrivacyCurve((0.5, 0.5000000000000001), (0.25, 0.25)), 0.5)
 
 
 def test_dp_poisson_bound_grid_discipline():
     c = PrivacyCurve((0.0, 1.0, 2.0), (0.5, 0.2, 0.1))
-    (got,) = dp_poisson_bound(c, 4, 0.5, (0.5,))
+    (got,) = dp_poisson_bound(c, 4, 0.5, (0.5,)).values
     assert 0.0 < got < 0.5
-    assert dp_poisson_bound(c, 4, 0.5, (0.0, 0.5)) == (dp_poisson_bound(c, 4, 0.5, (0.0,))[0], got)
+    assert dp_poisson_bound(c, 4, 0.5, (0.0, 0.5)).values == (
+        dp_poisson_bound(c, 4, 0.5, (0.0,)).values[0],
+        got,
+    )
     with pytest.raises(ValueError):
         dp_poisson_bound(c, 4, 0.25, (1.9,))  # stretched eps leaves the grid
     with pytest.raises(ValueError):

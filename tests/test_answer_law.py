@@ -461,7 +461,7 @@ def test_symmetric_kernel_answers_from_counts():
 def test_dp_poisson_bound_beyond_float_coefficients():
     # Every size's stretch of eps 0.5, up to 6.57 at m = 1, lies on the grid.
     curve = PrivacyCurve((0.0, 1.0, 2.0, 8.0), (0.5, 0.2, 0.1, 0.0))
-    (got,) = dp_poisson_bound(curve, 1100, 0.5, (0.5,))
+    (got,) = dp_poisson_bound(curve, 1100, 0.5, (0.5,)).values
     assert 0.0 < got <= 0.5
 
 

@@ -514,6 +514,8 @@ def test_a_repeated_flag_takes_its_last_value(capsys):
     (("curve", "--entry", "bern:0.5", "--n", "2", "--inject-fault"), "unknown flag --inject-fault"),
     (("verify", "--max-n", "2", "--inject-fault=1"), "--inject-fault takes no value"),
     (("verify", "2"), "verify: unexpected argument '2'"),
+    (("amplify", "--entry", "bern:0.5", "--technique", "wor:4,2", "--eps", "0.5,0.5000000000000001"),
+     "two eps of the grid shrink to one eps' at rate 0.5"),
 ])
 def test_usage_errors_exit_1_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -184,7 +184,7 @@ def test_privacy_curve_object():
     # chord in e^eps: 0.5 - 0.3 (sqrt(e) - 1) / (e - 1), above the eps chord 0.35
     want = 0.5 - 0.3 * (math.sqrt(math.e) - 1.0) / (math.e - 1.0)
     assert abs(c.value_at(0.5) - want) <= TOL
-    for outside in (3.0, -0.5):
+    for outside in (3.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="outside the curve grid"):
             c.value_at(outside)
     with pytest.raises(ValueError):

@@ -122,20 +122,21 @@ def test_amplification_bounds_dominate_the_oracle(db, q, rate):
     n = db.n
     for m in range(1, n + 1):
         technique = TemplateDistribution.without_replacement(n, m)
-        for p in without_replacement_bound(db, q, n, m, GRID):
-            assert_dominates(db, technique, q, p.eps_prime, p.delta_prime)
+        bound = without_replacement_bound(db, q, n, m, GRID)
+        for eps_prime, delta_prime in zip(bound.grid, bound.values):
+            assert_dominates(db, technique, q, eps_prime, delta_prime)
     technique = TemplateDistribution.poisson(n, rate)
     curve = poisson_bound(db, q, n, rate, GRID)
     for eps, delta in zip(curve.grid, curve.values):
         assert_dominates(db, technique, q, eps, delta)
     for m in (1, 2):
         try:
-            points = with_replacement_bound(db, q, n, m, GRID)
+            bound = with_replacement_bound(db, q, n, m, GRID)
         except NotSamplableError:
             continue  # refused by the gate: the theorem does not apply
         technique = TemplateDistribution.with_replacement(n, m)
-        for p in points:
-            assert_dominates(db, technique, q, p.eps_prime, p.delta_prime)
+        for eps_prime, delta_prime in zip(bound.grid, bound.values):
+            assert_dominates(db, technique, q, eps_prime, delta_prime)
 
 
 @settings(max_examples=100)
@@ -145,14 +146,14 @@ def test_with_replacement_bound_is_dp_subsampling_of_the_drawn_view_curve(db, q,
     # curve; that must be sampling_curve_max's curve, bit for bit.
     n = db.n
     try:
-        points = with_replacement_bound(db, q, n, m, GRID)
+        bound = with_replacement_bound(db, q, n, m, GRID)
     except NotSamplableError:
         return  # refused by the gate: there is no bound to compare
     curve = sampling_curve_max(db, q, TemplateDistribution.with_replacement(n, m), GRID)
     drawn = min(1.0, math.fsum(binomial_pmf(m, 1.0 / n)[1:]))
-    want = dp_subsample(GRID, curve.values, drawn)
-    assert [(p.eps_prime.hex(), p.delta_prime.hex()) for p in points] == [
-        (p.eps_prime.hex(), p.delta_prime.hex()) for p in want
+    want = dp_subsample(curve, drawn)
+    assert [x.hex() for x in bound.grid + bound.values] == [
+        x.hex() for x in want.grid + want.values
     ]
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from statpriv.amplify import AmplifiedParams
 from statpriv.dist import DatabaseModel, Pmf, Query, sum_query
 from statpriv.divergence import HalfLineResult, PrivacyCurve
 from statpriv.sampling import CouplingSplit, Template, TemplateDistribution
@@ -42,11 +41,6 @@ CASES = {
         lambda: HalfLineResult(False, 0.5, 1.0),
         lambda: HalfLineResult(True),
         "HalfLineResult(ok=False, eps=0.5, outcome=1.0)",
-    ),
-    "AmplifiedParams": (
-        lambda: AmplifiedParams(0.5, 0.125),
-        lambda: AmplifiedParams(0.5, 0.25),
-        "AmplifiedParams(eps_prime=0.5, delta_prime=0.125)",
     ),
     "Template": (lambda: Template((1, 2, 2)), lambda: Template((1, 2)), "Template(indices=(1, 2, 2))"),
     "TemplateDistribution": (
