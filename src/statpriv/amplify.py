@@ -18,6 +18,7 @@ from .dist import (
 from .divergence import (
     PrivacyCurve,
     as_grid,
+    check_grid,
     half_line_check,
     hockey_stick_curve,
     hockey_stick_divergence,
@@ -61,15 +62,6 @@ def _stretcher(grid: tuple[float, ...]):
         return tuple([math.log1p(factor * x) for x in bases])
 
     return stretch
-
-
-def _check_grid(grid) -> None:
-    """Refuse, before any stretch, what PrivacyCurve would refuse at the end."""
-    bad = next((e for e in grid if not 0.0 <= e < math.inf), None)
-    if bad is not None:
-        raise ValueError(f"eps must be finite and nonnegative, got {bad}")
-    if not all(map(operator.lt, grid, grid[1:])):
-        raise ValueError("epsilon grid must be strictly increasing")
 
 
 def _check_model(db: DatabaseModel, n: int) -> None:
@@ -118,6 +110,7 @@ def viability_ratio(
     m: int,
     grid: tuple[float, ...],
     budget: int = DEFAULT_BUDGET,
+    base: PrivacyCurve | None = None,
 ) -> tuple[float, ...]:
     """Bound delta at the matched epsilon over the unsampled delta, per eps
     of `grid`.
@@ -125,11 +118,13 @@ def viability_ratio(
     The numerator evaluates the m-entry curve at log(1 + (n/m)(e^eps - 1)),
     the stretch that shrinks back to eps, and scales by m/n. Values below 1
     mean sampling m of n entries improves delta at level eps. Raises
-    ZeroDivisionError when the unsampled curve is 0 at some eps.
+    ZeroDivisionError when the unsampled curve is 0 at some eps. `base` is
+    that curve on `grid` if the caller has built it.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    base = privacy_curve(DatabaseModel.iid(entry, n), q, grid, budget)
+    if base is None:
+        base = privacy_curve(DatabaseModel.iid(entry, n), q, grid, budget)
     zero = next((e for e, d in zip(base.grid, base.values) if d == 0.0), None)
     if zero is not None:
         raise ZeroDivisionError(f"unsampled curve is 0 at eps={zero}; ratio undefined")
@@ -163,7 +158,7 @@ def poisson_bound(
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     grid = as_grid(grid)
-    _check_grid(grid)
+    check_grid(grid)
 
     def sized_values(m, stretched):
         return _sampled_curve_values(db, q, n, m, stretched, budget).values
@@ -188,26 +183,38 @@ def _size_mixture(n, rate, grid, sized_values, charge=True):
     the low end, where delta is largest, so a size is evaluated on a suffix
     of its stretched grid, and the sweep stops when every eps is closed.
     With `charge` off every size is evaluated on the whole grid.
+    Each evaluated size keeps one row of values; only the lowest open eps
+    keeps its terms as the sweep goes, and each eps takes one fsum.
     """
     weights = binomial_pmf(n, rate)
     floor, share = (NEGLIGIBLE_SIZE_WEIGHT, NEGLIGIBLE_TAIL_SHARE) if charge else (0.0, 0.0)
     sized = [(m, weights[m] * m / n) for m in range(1, n + 1) if weights[m] >= floor]
     tail = math.fsum([weights[m] * m / n for m in range(1, n + 1) if weights[m] < floor])
+    factors = [f for _, f in sized]
     # The mass of sized[i:]; the close test's rounded sums only pick the eps.
-    left = list(itertools.accumulate([f for _, f in reversed(sized)]))[::-1]
-    terms: list[list[float]] = [[] for _ in grid]
+    left = list(itertools.accumulate(reversed(factors)))[::-1]
+    rows: list[tuple[float, ...]] = []  # per evaluated size, padded to the whole grid
+
+    def terms(k):  # the evaluated terms of eps k, size by size
+        return list(map(operator.mul, factors, map(operator.itemgetter(k), rows)))
+
+    sums, column = [], []  # column is terms(lo)
     stretch = _stretcher(grid)
     lo = 0
     for i, (m, factor) in enumerate(sized):
-        while lo < len(grid) and left[i] < share * sum(terms[lo]):
-            terms[lo].extend([f for _, f in sized[i:]])
+        while left[i] < share * sum(column):
+            sums.append(math.fsum(column + factors[i:]))
             lo += 1
+            if lo == len(grid):
+                break
+            column = terms(lo)
         if lo == len(grid):
             break
         values = sized_values(m, stretch(n / m)[lo:])
-        for ts, v in zip(terms[lo:], values):
-            ts.append(factor * v)
-    return tuple(min(1.0, math.fsum(ts) + tail) for ts in terms)
+        rows.append((0.0,) * lo + tuple(values))
+        column.append(factor * values[0])
+    sums += [math.fsum(terms(k)) for k in range(lo, len(grid))]
+    return tuple(min(1.0, s + tail) for s in sums)
 
 
 def with_replacement_bound(
@@ -354,7 +361,7 @@ def dp_poisson_bound(
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     grid = tuple(map(float, grid))
-    _check_grid(grid)
+    check_grid(grid)
 
     def value_at(m, stretched):
         return [curve.value_at(e) for e in stretched]

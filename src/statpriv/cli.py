@@ -7,6 +7,7 @@ exceeded, 3 verification or samplability failures.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import operator
 import sys
@@ -318,26 +319,21 @@ def cmd_figures(opts) -> int:
             _write_csv(_eps_file(stem, eps), ("n", "delta"), zip(ns, column))
         return 0
     eps_list = parse_eps(opts["eps"], budget) if opts.get("eps") else (0.025, 0.05, 0.075, 0.1)
-    if opts["which"] == "fig2":
-        n = _within_budget(_parse_int(opts.get("n", "100"), "--n"), "--n", "entries", budget)
-        try:
-            columns = [
-                viability_ratio(entry, q, n, min(n, max(1, round(lam * n))), eps_list, budget)
-                for lam in _lambda_grid()
-            ]
-        except ZeroDivisionError as exc:
-            raise UsageError(str(exc)) from None
+    fig2 = opts["which"] == "fig2"
+    n = _parse_int(opts.get("n", "100" if fig2 else "20"), "--n")
+    n = _within_budget(n, "--n", "entries", budget)
+    db = DatabaseModel.iid(entry, n)
+    # Both figures divide by the unsampled curve: built once, refused if 0.
+    base = privacy_curve(db, q, eps_list, budget)
+    if 0.0 in base.values:
+        eps = eps_list[base.values.index(0.0)]
+        raise UsageError(f"unsampled curve is 0 at eps={eps}; ratio undefined")
+    if fig2:
+        ms = [min(n, max(1, round(lam * n))) for lam in _lambda_grid()]
+        columns = [viability_ratio(entry, q, n, m, eps_list, budget, base) for m in ms]
     else:
-        n = _within_budget(_parse_int(opts.get("n", "20"), "--n"), "--n", "entries", budget)
-        db = DatabaseModel.iid(entry, n)
-        base = privacy_curve(db, q, eps_list, budget).values
-        if 0.0 in base:
-            eps = eps_list[base.index(0.0)]
-            raise UsageError(f"unsampled curve is 0 at eps={eps}; ratio undefined")
-        columns = [
-            map(operator.truediv, poisson_bound(db, q, n, lam, eps_list, budget).values, base)
-            for lam in _lambda_grid()
-        ]
+        bounds = [poisson_bound(db, q, n, lam, eps_list, budget) for lam in _lambda_grid()]
+        columns = [map(operator.truediv, bound.values, base.values) for bound in bounds]
     # Every curve covers the whole eps list; a file per eps reads one column.
     for eps, column in zip(eps_list, zip(*columns)):
         _write_csv(_eps_file(stem, eps), ("lambda", "ratio"), zip(_lambda_grid(), column))
@@ -564,6 +560,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+# Move the objects of the import into the permanent generation: a CLI call
+# then starts with an empty first generation, and whether a collection falls
+# inside main() depends on the command, not on the size of the modules.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

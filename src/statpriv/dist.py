@@ -10,7 +10,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from itertools import groupby, product, repeat
 from functools import cached_property, reduce
-from operator import add, itemgetter, lt, mul, or_
+from operator import add, itemgetter, lt, mul, or_, truediv
 
 from .errors import AlreadyFixedError, EnumerationBudgetError
 
@@ -158,25 +158,24 @@ class Query(_Value):
     trusted as declared.
 
     A query may declare itself `additive`: given the distinct values, it
-    returns an integer score per value and answer(size, total), the answer
-    on a sample of that size whose scores add up to `total`. The answer
-    must be the evaluator's float bit for bit and nondecreasing in the
-    total. Answer laws merge two answers exactly when they are the same
-    float, so a declaration that rounded differently would split or merge
-    answers the released query does not. Additive queries take the lattice
-    chain (lattice_chain) in privacy curves, and counts_answer derives from
-    the declaration; other queries answer from a rebuilt sample. Queries
-    compare by identity.
+    returns an integer score per value, answer(size, total), the answer
+    on a sample of that size whose scores add up to `total`, and
+    unit(size), the exact distance between the answers of two totals one
+    score apart before any rounding. The answer must be the evaluator's
+    float bit for bit, nondecreasing in the total, and that exact value
+    rounded at most twice. Answer laws merge two answers exactly when they
+    are the same float, so a declaration that rounded differently would
+    split or merge answers the released query does not. Additive queries
+    take the lattice chain (lattice_chain) in privacy curves, and
+    counts_answer derives from the declaration; other queries answer from
+    a rebuilt sample. Queries compare by identity.
     """
 
     name: str
     evaluator: Callable[[tuple[float, ...]], float]
     monotone: bool
     empty_answer: float
-    additive: (
-        Callable[[tuple[float, ...]], tuple[Sequence[int], Callable[[int, int], float]]]
-        | None
-    )
+    additive: Callable[[tuple[float, ...]], tuple[Sequence[int], Callable, Callable]] | None
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -194,7 +193,7 @@ class Query(_Value):
         """The answer on the multiset that holds values[i] counts[i] times,
         as a function of the counts (not all zero)."""
         if self.additive is not None:
-            scores, answer = self.additive(values)
+            scores, answer, _ = self.additive(values)
             return lambda counts: answer(sum(counts), sum(map(mul, counts, scores)))
         return lambda counts: self.answer(
             tuple(v for v, c in zip(values, counts) for _ in range(c))
@@ -211,16 +210,17 @@ def _numerators(values: tuple[float, ...]) -> tuple[list[int], int]:
 
 def _additive_sum(values):
     scores, den = _numerators(values)
-    return scores, lambda size, total: total / den
+    return scores, lambda size, total: total / den, lambda size: 1 / den
 
 
 def _additive_count(values):
-    return [int(v > 0.0) for v in values], lambda size, total: float(total)
+    return [int(v > 0.0) for v in values], lambda size, total: float(total), lambda size: 1.0
 
 
 def _additive_mean(values):
+    # Two roundings: the sum (fsum's), then its quotient by the size.
     scores, den = _numerators(values)
-    return scores, lambda size, total: total / den / size
+    return scores, lambda size, total: total / den / size, lambda size: 1 / den / size
 
 
 def sum_query() -> Query:
@@ -262,7 +262,8 @@ class DatabaseModel(_Value):
 
     `fixed` records positions already conditioned to a value. Those entries
     are one-hot pmfs on the common grid, so a conditioned model is still a
-    pure product and all operations apply unchanged.
+    pure product and all operations apply unchanged. `is_iid` says that
+    every entry is one pmf and no position is fixed.
     """
 
     entries: tuple[Pmf, ...]
@@ -274,12 +275,13 @@ class DatabaseModel(_Value):
             raise ValueError("a model needs at least one entry")
         grid = entries[0].outcomes
         # One C call with an identity fast path when every entry is one pmf.
-        if entries.count(entries[0]) != len(entries):
+        alike = entries.count(entries[0]) == len(entries)
+        if not alike:
             for e in entries[1:]:
                 if e.outcomes != grid:
                     raise ValueError("all entries must share one outcome grid")
         fixed = tuple(sorted((int(j), float(w)) for j, w in fixed))
-        self.__dict__.update(entries=entries, fixed=fixed)
+        self.__dict__.update(entries=entries, fixed=fixed, is_iid=alike and not fixed)
         seen = set()
         for j, w in fixed:
             if not 1 <= j <= len(entries):
@@ -300,10 +302,6 @@ class DatabaseModel(_Value):
     @property
     def outcome_grid(self) -> tuple[float, ...]:
         return self.entries[0].outcomes
-
-    @cached_property
-    def is_iid(self) -> bool:
-        return not self.fixed and self.entries.count(self.entries[0]) == self.n
 
     def is_fixed(self, j: int) -> bool:
         return any(j == pos for pos, _ in self.fixed)
@@ -582,17 +580,17 @@ def lattice_laws(
 
 def _chain_laws(db: DatabaseModel, chain) -> dict[float, Pmf]:
     """lattice_laws of a chain lattice_chain has built."""
-    steps, weights, reachable, cells, answers = chain
+    steps, weights, reachable, answers, _ = chain
     masses = [weights[i] for i in reachable]
-    at = dict(zip(cells, answers))
-    laws = ([at[s + i] for i in reachable] for s in steps)
+    laws = (answers([s + i for i in reachable]) for s in steps)
     return {v: _run_law(a, masses) for v, a in zip(db.outcome_grid, laws)}
 
 
 def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUDGET):
     """The lattice chain of an additive q (see Query) with entry j fixed:
-    (steps, weights, reachable, cells, answers); None when q is not additive
-    or the chain would build over `budget` cells, for answer_law to take over.
+    (steps, weights, reachable, answers, distinct); None when q is not
+    additive or the chain would build over `budget` cells, for answer_law to
+    take over.
 
     Scores lie on a lattice of step g, the gcd of the grid's score
     differences; `steps` are the grid's scores in steps above the lowest.
@@ -601,8 +599,17 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     span * m(m + 1)/2 + m cells in all: what `budget` counts. `weights` is
     the law divided by its fsum, so weights that sum to 1 only after
     rounding, such as (0.7, 0.3), do not drift. Fixing j to v shifts the
-    `reachable` cells by v's step into `cells`, increasing, where `answers`
-    are q's floats.
+    `reachable` cells by v's step; `answers` maps a list of cells to q's
+    floats on them.
+
+    `distinct` says that no two cells share an answer, so that each law is
+    the weights shifted. It is proved from the two end answers alone (one
+    beyond the float range raises there, as answers are monotone): adjacent
+    cells' answers are g * unit(m + 1) apart before rounding (see Query),
+    at most two roundings move each by 1.5 ulps of the larger end, and the
+    test asks for more than 4 ulps, which also covers rounding g * unit.
+    Short of a proof every cell's answer is compared. Other answers are
+    built only by _chain_laws, for the laws.
 
     Error: every term is nonnegative, so each mass is within (2km + 3)u
     relative of the exact law (the entries' weights divided by their
@@ -611,7 +618,7 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     """
     if q.additive is None:
         return None
-    scores, answer = q.additive(db.outcome_grid)
+    scores, answer, unit = q.additive(db.outcome_grid)
     low = min(scores)
     g = math.gcd(*(s - low for s in scores)) or 1
     steps = tuple((s - low) // g for s in scores)
@@ -626,13 +633,20 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     reachable = _set_bits(reach)
     cells = _set_bits(reduce(or_, [reach << s for s in steps]))
     base = (m + 1) * low  # the total score on cell c is base + g * c
-    dense = isinstance(cells, range)
-    totals = range(base, base + g * len(cells), g) if dense else [base + g * c for c in cells]
-    try:
-        answers = list(map(answer, repeat(m + 1), totals))
-    except OverflowError:
-        raise _overflow(q) from None
-    return steps, [x / total for x in law], reachable, cells, answers
+
+    def answers(at: Sequence[int]) -> list[float]:
+        try:
+            return list(map(answer, repeat(m + 1), [base + g * c for c in at]))
+        except OverflowError:
+            raise _overflow(q) from None
+
+    ends = answers([cells[0], cells[-1]])
+    # g is capped where a float holds it: a smaller g can only send the
+    # chain to the cell-by-cell comparison.
+    distinct = min(g, 1 << 1000) * unit(m + 1) > 4.0 * math.ulp(max(map(abs, ends)))
+    if not distinct:
+        distinct = all(map(lt, walk := answers(cells), walk[1:]))
+    return steps, list(map(truediv, law, repeat(total))), reachable, answers, distinct
 
 
 # The one law _free_law remembers: steps -> (entries, law, reachable cells).

@@ -303,16 +303,27 @@ def test_every_count_vector_with_one_lattice_total_gives_the_chains_float(entry,
     # The declaration answers from (size, total score); the released query
     # answers the sample. Every sample with one total must give one float,
     # and the chain's law of m free draws plus a fixed value has exactly
-    # those floats as outcomes when it fits the budget.
+    # those floats as outcomes when it fits the budget. The declared unit
+    # is the exact answer's change per score: exact for sum and count, and
+    # for mean as rounded once.
     values = entry.outcomes
-    scores, _ = q.additive(values)
+    scores, _, unit = q.additive(values)
     laws = lattice_laws(DatabaseModel.iid(entry, m + 1), 1, q, budget=10**6)
+    exact = {
+        "sum": lambda sample: sum(map(Fraction, sample)),
+        "count": lambda sample: Fraction(sum(x > 0.0 for x in sample)),
+        "mean": lambda sample: sum(map(Fraction, sample)) / len(sample),
+    }[q.name]
+    first = None
     for v in values:
         by_total = {}
         for combo in itertools.combinations_with_replacement(range(len(values)), m):
             sample = (v, *(values[i] for i in combo))
             total = scores[values.index(v)] + sum(scores[i] for i in combo)
             by_total.setdefault(total, set()).add(q.answer(sample))
+            first = first or (total, exact(sample))
+            step = (exact(sample) - first[1]) - (total - first[0]) * Fraction(unit(m + 1))
+            assert abs(step) <= (abs(exact(sample) - first[1]) * 2**-52 if q.name == "mean" else 0)
         assert all(len(answers) == 1 for answers in by_total.values()), by_total
         if laws is not None:
             assert set(laws[v].outcomes) == {a for (a,) in by_total.values()}

@@ -285,6 +285,21 @@ def test_figures_fig2_small(tmp_path):
     assert last[0] == "1" and float(last[1]) == 1.0
 
 
+def test_figures_fig2_builds_the_unsampled_curve_once(tmp_path, monkeypatch):
+    built = []
+
+    def counted(db, *args):
+        built.append(db.n)
+        return privacy_curve(db, *args)
+
+    monkeypatch.setattr("statpriv.cli.privacy_curve", counted)
+    monkeypatch.setattr("statpriv.amplify.privacy_curve", counted)
+    argv = ("figures", "fig2", "--entry", "bern:0.5", "--query", "count")
+    assert run(tmp_path, *argv, "--out", str(tmp_path / "fig2.csv")) == 0
+    # The n = 100 curve once for every fraction, then one per sampled size.
+    assert built == [100, *range(10, 101, 10)]
+
+
 @pytest.mark.parametrize("which", ["fig2", "fig3"])
 def test_figures_ratio_on_a_flat_curve_exits_1(tmp_path, capsys, which):
     # A point entry has delta 0 at every eps, so the ratio is undefined.
@@ -644,3 +659,17 @@ def test_n_beyond_the_index_range_exits_1_with_one_line(capsys):
     assert main(["curve", "--entry", "bern:0.5", "--n", "99999999999999999999"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_importing_the_cli_freezes_its_heap():
+    # The import's objects sit in the permanent generation, so no collection
+    # of them can fall inside main().
+    code = (
+        "import gc, sys; sys.path.insert(0, sys.argv[1]); import statpriv.cli; "
+        "print(gc.get_freeze_count(), gc.get_count()[0])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, timeout=60
+    )
+    frozen, young = map(int, out.stdout.split())
+    assert frozen > 0 and young < 100

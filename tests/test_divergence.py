@@ -131,9 +131,9 @@ def test_pair_kernel_refuses_a_negative_or_non_finite_eps(eps):
 @pytest.mark.parametrize(
     "grid, values, message",
     [
-        ((0.0, -1.0, math.nan), (0.5, 0.4, 0.3), "invalid grid epsilon -1.0"),
-        ((0.0, math.nan, -1.0), (0.5, 0.4, 0.3), "invalid grid epsilon nan"),
-        ((0.0, math.inf), (0.5, 0.4), "invalid grid epsilon inf"),
+        ((0.0, -1.0, math.nan), (0.5, 0.4, 0.3), "eps must be finite and nonnegative, got -1.0"),
+        ((0.0, math.nan, -1.0), (0.5, 0.4, 0.3), "eps must be finite and nonnegative, got nan"),
+        ((0.0, math.inf), (0.5, 0.4), "eps must be finite and nonnegative, got inf"),
         ((0.0, 2.0, 1.0), (0.5, 0.4, 0.3), "strictly increasing"),
         ((0.0, 1.0, 1.0), (0.5, 0.4, 0.3), "strictly increasing"),
         ((0.0, 1.0, 2.0), (0.5, math.nan, 2.0), "delta value nan outside"),
@@ -162,6 +162,25 @@ def test_privacy_curve_of_a_one_outcome_entry_is_zero(q):
     # No pair of distinct values to scan: the curve is 0.0 at every eps.
     curve = privacy_curve(DatabaseModel.iid(Pmf.point(1.0), 3), q, (0.0, 0.5, 1.0))
     assert [v.hex() for v in curve.values] == [(0.0).hex()] * 3
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ((-0.5, 0.0), "eps must be finite and nonnegative, got -0.5"),
+        ((0.0, math.nan), "eps must be finite and nonnegative, got nan"),
+        ((0.5, 0.0), "epsilon grid must be strictly increasing"),
+        ((), "a curve needs at least one grid point"),
+    ],
+)
+@pytest.mark.parametrize("entry", [Pmf.point(1.0), Pmf.bernoulli(0.5)], ids=["point", "bern"])
+def test_privacy_curve_words_a_bad_grid_one_way_with_or_without_pairs(entry, grid, message):
+    # A one-outcome entry scans no pair, bern(0.5) one: the grid is checked
+    # before either, as PrivacyCurve checks it.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        privacy_curve(DatabaseModel.iid(entry, 3), sum_query(), grid)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PrivacyCurve(grid, (0.0,) * len(grid))
 
 
 def test_hockey_stick_asymmetry():

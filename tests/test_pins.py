@@ -6,6 +6,14 @@ once (`amplify._stretcher`): the README's CLI lines, a `compare` on the
 default eps grid, and the three `figures`. These are regression pins, not
 evidence of correctness: they show that the output has not moved, not that
 it is right. The oracle and acceptance tests check the values themselves.
+
+`tests/data/golden_stdout.json` holds, in the same form, the output of the
+Poisson sweep and the lattice chain's answer paths as they were before the
+chain stopped building every cell's answer: a `poisson-large` benchmark row,
+the two- and three-valued Poisson bounds of the CI, `compare`'s sized sum,
+two `figures fig2` runs, a `curve` whose answers merge (means of values
+2^-16 apart at 1e11) and one whose sums are distinct only cell by cell
+(near 2^52).
 """
 
 import json
@@ -15,7 +23,9 @@ import pytest
 
 from statpriv.cli import main
 
-PINS = json.loads((Path(__file__).resolve().parent / "data" / "cli_pins.json").read_text())
+DATA = Path(__file__).resolve().parent / "data"
+PINS = json.loads((DATA / "cli_pins.json").read_text())
+GOLDEN = json.loads((DATA / "golden_stdout.json").read_text())
 
 
 def test_pins_cover_the_readme_compare_and_figures():
@@ -26,9 +36,18 @@ def test_pins_cover_the_readme_compare_and_figures():
     ]
 
 
-@pytest.mark.parametrize("pin", PINS, ids=[pin["name"] for pin in PINS])
-def test_cli_output_is_byte_identical_to_its_pin(pin, tmp_path, monkeypatch, capsys):
+def assert_pinned(pin, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(pin["argv"]) == 0
     assert capsys.readouterr().out == pin["stdout"]
     assert {p.name: p.read_text() for p in sorted(tmp_path.iterdir())} == pin["files"]
+
+
+@pytest.mark.parametrize("pin", PINS, ids=[pin["name"] for pin in PINS])
+def test_cli_output_is_byte_identical_to_its_pin(pin, tmp_path, monkeypatch, capsys):
+    assert_pinned(pin, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("pin", GOLDEN, ids=[pin["name"] for pin in GOLDEN])
+def test_cli_output_is_byte_identical_to_its_golden_output(pin, tmp_path, monkeypatch, capsys):
+    assert_pinned(pin, tmp_path, monkeypatch, capsys)

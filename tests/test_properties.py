@@ -13,7 +13,7 @@ check privacy_curve's shift scan against the per-value scan of its laws.
 import inspect
 import math
 from itertools import groupby
-from operator import itemgetter, lt
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -30,6 +30,7 @@ from statpriv.amplify import (
 from statpriv.dist import (
     DatabaseModel,
     Pmf,
+    Query,
     _chain_laws,
     binomial_pmf,
     condition,
@@ -192,11 +193,19 @@ def test_scan_positions_is_the_groupby_reference(db):
 def lattice_models(draw):
     """2-3 values on a lattice: small integers and halves, or values 0 to 4
     ulps above 1e11, an ulp being 2^-16 there, so that sums and means of
-    them merge. The model is i.i.d. or mixes two pmfs on one grid in any
-    arrangement, so the positions scanned vary."""
+    them merge; or integers above 2^51 and halves above 2^48, whose sums
+    and means at n <= 9 lie on both sides of the lattice chain's test that
+    answers are distinct (within 4 ulps of their step, and past it). The
+    model is i.i.d. or mixes two pmfs on one grid in any arrangement, so
+    the positions scanned vary."""
     ulp = 2.0**-16
     picks, shift = draw(
-        st.sampled_from((((-1.0, 0.0, 0.5, 1.0, 3.0), 0.0), ((0.0, ulp, 2 * ulp, 4 * ulp), 1e11)))
+        st.sampled_from((
+            ((-1.0, 0.0, 0.5, 1.0, 3.0), 0.0),
+            ((0.0, ulp, 2 * ulp, 4 * ulp), 1e11),
+            ((0.0, 1.0, 2.0, 3.0), 2.0**51),
+            ((0.0, 0.5, 1.0, 2.0), 2.0**48),
+        ))
     )
     outcomes = tuple(sorted(draw(st.sets(st.sampled_from(picks), min_size=2, max_size=3))))
     outcomes = tuple(shift + v for v in outcomes)
@@ -217,7 +226,8 @@ def lattice_models(draw):
 def shift_scan_against_laws(db, q, grid):
     """privacy_curve against the per-value scan of every position's laws,
     bit for bit. Returns whether privacy_curve fell back to those laws,
-    which it must do exactly when two cells of a chain share an answer, and
+    which it must do exactly when two cells of a chain share an answer (the
+    laws then have fewer outcomes in all than the chain has cells), and
     the `backward` flag of each pair kernel call: a shift scan skips the
     backward direction exactly when the chain's weights are a palindrome,
     and the fallback always takes it."""
@@ -227,8 +237,11 @@ def shift_scan_against_laws(db, q, grid):
     for j in scan_positions(db, exchangeable=True):
         laws = lattice_laws(db, j, q)
         rows.extend(worst_pairs(laws, grid).values())
-        steps, weights, _, _, answers = lattice_chain(db, j, q)
-        if all(map(lt, answers, answers[1:])):
+        steps, weights, reachable, _, distinct = lattice_chain(db, j, q)
+        cells = {s + i for s in steps for i in reachable}
+        answers = set().union(*(law.outcomes for law in laws.values()))
+        assert distinct == (len(answers) == len(cells))
+        if distinct:
             shifts = {abs(s - t) for s in steps for t in steps} - {0}
             want_backward += [weights != weights[::-1]] * len(shifts)
         else:
@@ -276,6 +289,70 @@ def test_merging_answers_take_the_per_value_fallback(q):
     # Sums and means of 0 and 1e11 stay distinct floats: the shift scan runs.
     exact = Pmf((0.0, 1e11), (0.1, 0.9))
     assert not shift_scan_against_laws(DatabaseModel.iid(exact, 30), q, grid)[0]
+
+
+def counting(q):
+    """q with its additive declaration's answer counted: the copy and the
+    list of (size, total) it has been asked."""
+    calls = []
+
+    def additive(values):
+        scores, answer, unit = q.additive(values)
+
+        def counted(size, total):
+            calls.append((size, total))
+            return answer(size, total)
+
+        return scores, counted, unit
+
+    return Query(q.name, q.evaluator, q.monotone, q.empty_answer, additive), calls
+
+
+@pytest.mark.parametrize(
+    "q, shift, n, path",
+    [
+        # Sums of shift and shift + 1: one unit apart before rounding.
+        (sum_query(), 2.0**48, 3, "proof"),  # below 2^50, 4 ulps are 0.5
+        (sum_query(), 2.0**48, 4, "walk"),  # 4 ulps are 1: distinct, not proved
+        (sum_query(), 2.0**51, 2, "walk"),  # integers below 2^53 are exact
+        (sum_query(), 2.0**51, 4, "fallback"),  # above 2^53 the ulp is 2
+        # Means: 1/n apart, against an ulp of 2^-4 at 2^48.
+        (mean_query(), 2.0**48, 3, "proof"),
+        (mean_query(), 2.0**48, 4, "walk"),
+        (mean_query(), 2.0**48, 32, "fallback"),
+    ],
+)
+def test_near_threshold_chains_take_the_proof_the_walk_or_the_fallback(q, shift, n, path):
+    db = DatabaseModel.iid(Pmf((shift, shift + 1.0), (0.5, 0.5)), n)
+    assert shift_scan_against_laws(db, q, GRID)[0] == (path == "fallback")
+    counted, calls = counting(q)
+    privacy_curve(db, counted, GRID)
+    # The proof evaluates the two end answers; the walk every one of the
+    # n + 1 cells; the fallback then each value's n cells again.
+    assert len(calls) == {"proof": 2, "walk": 2 + n + 1, "fallback": 2 + n + 1 + 2 * n}[path]
+
+
+def test_the_poisson_sweep_evaluates_two_answers_per_chain():
+    counted, calls = counting(count_query())
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 1000)
+    with mock.patch.object(divergence, "lattice_chain", wraps=lattice_chain) as chains:
+        poisson_bound(db, counted, 1000, 0.1, default_eps_grid())
+    assert chains.call_count == 260  # one chain per evaluated sample size
+    assert len(calls) <= 2 * chains.call_count
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(st.booleans().flatmap(models), lattice_models()),
+    st.sampled_from((sum_query(), count_query(), mean_query(), Query("max", max, True))),
+    st.sets(st.floats(0.0, 3.0), min_size=1, max_size=6).map(sorted).map(tuple),
+)
+def test_privacy_curve_is_the_curve_a_checked_build_gives(db, q, grid):
+    # privacy_curve builds its curve without PrivacyCurve's checks of the
+    # values; a checked build of the same values must pass and be equal.
+    curve = privacy_curve(db, q, grid)
+    assert PrivacyCurve(grid, curve.values) == curve
+    assert all(type(x) is float for x in curve.grid + curve.values)
 
 
 @pytest.mark.parametrize(
