@@ -104,30 +104,25 @@ def without_replacement_bound(
 
 
 def viability_ratio(
+    base: PrivacyCurve,
     entry: Pmf,
     q: Query,
     n: int,
     m: int,
-    grid: tuple[float, ...],
     budget: int = DEFAULT_BUDGET,
-    base: PrivacyCurve | None = None,
 ) -> tuple[float, ...]:
     """Bound delta at the matched epsilon over the unsampled delta, per eps
-    of `grid`.
+    of base.grid.
 
-    The numerator evaluates the m-entry curve at log(1 + (n/m)(e^eps - 1)),
-    the stretch that shrinks back to eps, and scales by m/n. Values below 1
-    mean sampling m of n entries improves delta at level eps. Raises
-    ZeroDivisionError when the unsampled curve is 0 at some eps. `base` is
-    that curve on `grid` if the caller has built it.
+    `base` is the unsampled curve, privacy_curve(DatabaseModel.iid(entry, n),
+    q, grid), built once by callers that take several m. The numerator
+    evaluates the m-entry curve at log(1 + (n/m)(e^eps - 1)), the stretch
+    that shrinks back to eps, and scales by m/n. Values below 1 mean
+    sampling m of n entries improves delta at level eps. Raises
+    ZeroDivisionError when `base` is 0 at some eps.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if base is None:
-        base = privacy_curve(DatabaseModel.iid(entry, n), q, grid, budget)
-    zero = next((e for e, d in zip(base.grid, base.values) if d == 0.0), None)
-    if zero is not None:
-        raise ZeroDivisionError(f"unsampled curve is 0 at eps={zero}; ratio undefined")
     top = privacy_curve(DatabaseModel.iid(entry, m), q, _stretcher(base.grid)(n / m), budget)
     return tuple((m / n) * t / b for t, b in zip(top.values, base.values))
 

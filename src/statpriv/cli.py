@@ -330,7 +330,7 @@ def cmd_figures(opts) -> int:
         raise UsageError(f"unsampled curve is 0 at eps={eps}; ratio undefined")
     if fig2:
         ms = [min(n, max(1, round(lam * n))) for lam in _lambda_grid()]
-        columns = [viability_ratio(entry, q, n, m, eps_list, budget, base) for m in ms]
+        columns = [viability_ratio(base, entry, q, n, m, budget) for m in ms]
     else:
         bounds = [poisson_bound(db, q, n, lam, eps_list, budget) for lam in _lambda_grid()]
         columns = [map(operator.truediv, bound.values, base.values) for bound in bounds]

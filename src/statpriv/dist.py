@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from itertools import groupby, product, repeat
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import add, itemgetter, lt, mul, or_, truediv
 
 from .errors import AlreadyFixedError, EnumerationBudgetError
@@ -608,8 +608,9 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     cells' answers are g * unit(m + 1) apart before rounding (see Query),
     at most two roundings move each by 1.5 ulps of the larger end, and the
     test asks for more than 4 ulps, which also covers rounding g * unit.
-    Short of a proof every cell's answer is compared. Other answers are
-    built only by _chain_laws, for the laws.
+    Short of a proof every cell's answer is compared, and when two are equal
+    `answers` reads the compared ones back. Otherwise it evaluates q, which
+    happens only when _chain_laws builds the laws.
 
     Error: every term is nonnegative, so each mass is within (2km + 3)u
     relative of the exact law (the entries' weights divided by their
@@ -646,6 +647,8 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     distinct = min(g, 1 << 1000) * unit(m + 1) > 4.0 * math.ulp(max(map(abs, ends)))
     if not distinct:
         distinct = all(map(lt, walk := answers(cells), walk[1:]))
+        if not distinct:  # the laws read the walk's answers: each cell is answered once
+            answers = partial(_read, dict(zip(cells, walk)))
     return steps, list(map(truediv, law, repeat(total))), reachable, answers, distinct
 
 
@@ -700,6 +703,10 @@ def _run_law(answers: list[float], weights: list[float]) -> Pmf:
         outcomes.append(a)
         masses.append(math.fsum(w for _, w in run))
     return Pmf(outcomes, masses)
+
+
+def _read(known: dict, at: Sequence[int]) -> list[float]:
+    return [known[c] for c in at]
 
 
 def _overflow(q: Query) -> ValueError:

@@ -272,10 +272,11 @@ def test_criterion_08_figure2_trend():
     lams = tuple(round(0.1 * i, 10) for i in range(1, 11))
     rows = {}
     for eps in (0.025, 0.1):
+        base = privacy_curve(DatabaseModel.iid(entry, n), q, (eps,))
         ratios = []
         for lam in lams:
             m = min(n, max(1, round(lam * n)))
-            ratios.append(viability_ratio(entry, q, n, m, (eps,))[0])
+            ratios.append(viability_ratio(base, entry, q, n, m)[0])
         rows[eps] = ratios
         assert all(r <= 1.0 + TREND_TOL for r in ratios)
         assert abs(ratios[-1] - 1.0) <= TREND_TOL  # identity at full rate
@@ -309,8 +310,9 @@ def test_criterion_10_viability_chain():
     entry = Pmf.bernoulli(0.5)
     q = count_query()
     for eps in (0.1, 0.5):
+        base = privacy_curve(DatabaseModel.iid(entry, 100), q, (eps,))
         for m in (25, 50, 75):
-            (r,) = viability_ratio(entry, q, 100, m, (eps,))
+            (r,) = viability_ratio(base, entry, q, 100, m)
             assert 0.0 < r < 1.0, f"m={m} eps={eps}: ratio {r} not below 1"
     assert time.time() - started < 30.0
     _report(10, "viability below one", started)

@@ -553,17 +553,19 @@ def test_with_replacement_count_query():
 
 def test_viability_ratio():
     entry = Pmf.bernoulli(0.5)
+    base = privacy_curve(DatabaseModel.iid(entry, 4), count_query(), (0.5,))
     # m = n is the identity: ratio exactly 1
-    assert viability_ratio(entry, count_query(), 4, 4, (0.5,)) == (1.0,)
-    (r,) = viability_ratio(entry, count_query(), 4, 2, (0.5,))
+    assert viability_ratio(base, entry, count_query(), 4, 4) == (1.0,)
+    (r,) = viability_ratio(base, entry, count_query(), 4, 2)
     assert 0.0 < r < 1.0
 
 
 def test_viability_ratio_zero_denominator():
     # a single-outcome entry has a flat zero curve: ratio undefined
     entry = Pmf.from_pairs([(0.0, 1.0)])
+    base = privacy_curve(DatabaseModel.iid(entry, 2), count_query(), (0.5,))
     with pytest.raises(ZeroDivisionError):
-        viability_ratio(entry, count_query(), 2, 1, (0.5,))
+        viability_ratio(base, entry, count_query(), 2, 1)
 
 
 def test_shrink_epsilon():

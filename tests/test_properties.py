@@ -328,8 +328,8 @@ def test_near_threshold_chains_take_the_proof_the_walk_or_the_fallback(q, shift,
     counted, calls = counting(q)
     privacy_curve(db, counted, GRID)
     # The proof evaluates the two end answers; the walk every one of the
-    # n + 1 cells; the fallback then each value's n cells again.
-    assert len(calls) == {"proof": 2, "walk": 2 + n + 1, "fallback": 2 + n + 1 + 2 * n}[path]
+    # n + 1 cells, and the fallback's laws read those answers back.
+    assert len(calls) == {"proof": 2, "walk": 2 + n + 1, "fallback": 2 + n + 1}[path]
 
 
 def test_the_poisson_sweep_evaluates_two_answers_per_chain():
