@@ -28,7 +28,7 @@ from .dist import (
     query_by_name,
     sum_query,
 )
-from .divergence import default_eps_grid, hockey_stick_divergence, privacy_curve
+from .divergence import check_grid, default_eps_grid, hockey_stick_divergence, privacy_curve
 from .errors import EnumerationBudgetError, NotSamplableError
 from .oracle import brute_force_divergence
 from .sampling import TemplateDistribution, sampled_pushforward
@@ -104,10 +104,10 @@ def _parse_one_eps(token: str) -> float:
         value = math.log(x)
     else:
         value = _parse_float(token, "--eps")
-    if not math.isfinite(value):
-        raise UsageError(f"--eps: epsilon must be finite, got {value}")
-    if value < 0.0:
-        raise UsageError(f"--eps: epsilon must be nonnegative, got {value}")
+    try:
+        check_grid((value,), curve=False)
+    except ValueError as exc:
+        raise UsageError(f"--eps: {exc}") from None
     return value
 
 

@@ -77,7 +77,10 @@ def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...], backwa
     backwards, the prefix of a unimodal chain runs from its mode to its tail,
     the order in which fsum keeps few partials (see dist.lattice_chain).
     One pass per direction: the grid is checked and exponentiated once, and
-    the prefix of length k read backwards is the suffix tail[n - k:]."""
+    the prefix of length k read backwards is the suffix tail[n - k:].
+    The rows with b = 0 lead the sort and add a forward at every eps, those
+    with a = 0 trail it and add b backward: each direction sums its rows once,
+    and an eps whose cut holds no other row takes that sum as it is."""
     check_grid(grid, curve=False)
     scales = list(map(math.exp, grid))
     # A row with a = b = 0 sorts last (ratio inf) and adds no term to either sum.
@@ -85,19 +88,23 @@ def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...], backwa
     rows = sorted(zip(ratios, a, b))
     ratios.sort()
     tail, n, fsum = rows[::-1], len(rows), math.fsum
+    lone = bisect_right(ratios, 0.0)
+    alone = fsum([x for _, x, _ in rows[:lone]])
     # x - s * y > 0 implies y / x < 1 / s, y - s * x > 0 that y / x > s; the
     # slack covers rounding, the exact test decides. A sum is capped at 1 by a
     # comparison, not min(), whose call costs a fifth of a short scan.
     fwd = tuple([
-        t if (t := fsum([d for _, x, y in tail[n - bisect_right(ratios, (1.0 + 1e-9) / s):]
-                         if (d := x - s * y) > 0.0])) < 1.0 else 1.0
+        t if (t := alone if (k := bisect_right(ratios, (1.0 + 1e-9) / s)) == lone else
+              fsum([d for _, x, y in tail[n - k:] if (d := x - s * y) > 0.0])) < 1.0 else 1.0
         for s in scales
     ])
     if not backward:
         return fwd, ()
+    lone = bisect_left(ratios, math.inf)
+    alone = fsum([y for _, _, y in rows[lone:]])
     return fwd, tuple([
-        t if (t := fsum([d for _, x, y in rows[bisect_left(ratios, s * (1.0 - 1e-9)):]
-                         if (d := y - s * x) > 0.0])) < 1.0 else 1.0
+        t if (t := alone if (k := bisect_left(ratios, s * (1.0 - 1e-9))) == lone else
+              fsum([d for _, x, y in rows[k:] if (d := y - s * x) > 0.0])) < 1.0 else 1.0
         for s in scales
     ])
 
@@ -166,6 +173,24 @@ def worst_pairs(
     return rows
 
 
+def _chain_curve(
+    steps: tuple[int, ...], weights: list[float], grid: tuple[float, ...]
+) -> tuple[float, ...]:
+    """The worst-pair curve on `grid` of the laws a lattice chain's cells
+    give (see dist.lattice_chain): its weights shifted by each value's step.
+    One pair kernel call per distinct step difference d scans both orders
+    of its pairs. Mirror rule: if the weights W equal W[::-1], the backward
+    terms of (W 0^d, 0^d W) are the forward ones mirrored; fsum rounds
+    exactly, so one direction is scanned, and gives both bit for bit."""
+    mirror = weights == weights[::-1]
+    rows = []
+    for d in {abs(s - t) for s in steps for t in steps} - {0}:
+        pair = _pair_curves(weights + [0.0] * d, [0.0] * d + weights, grid, not mirror)
+        rows.extend(pair[:1] if mirror else pair)
+    rows = rows or [(0.0,) * len(grid)]
+    return rows[0] if len(rows) == 1 else tuple(map(max, zip(*rows)))
+
+
 def privacy_curve(
     db: DatabaseModel,
     q: Query,
@@ -181,15 +206,12 @@ def privacy_curve(
 
     For sum, count and mean a position's laws are one lattice chain's
     weights shifted by each value's step (dist.lattice_chain): if q's
-    answers are distinct over its cells, one pair kernel call per distinct
-    step difference d scans both orders of its pairs; if they merge (values
-    1e11 and 1e11 + 2^-16, say), worst_pairs scans the chain's per-value
-    laws (dist.lattice_laws).
+    answers are distinct over its cells, they are the chain's own laws
+    (_chain_curve); if they merge (values 1e11 and 1e11 + 2^-16, say),
+    worst_pairs scans the chain's per-value laws (dist.lattice_laws).
     Other queries, and chains over `budget` cells, take the multiset kernel.
-    Mirror rule: if the chain's weights W equal W[::-1], the backward terms of
-    (W 0^d, 0^d W) are the forward ones mirrored; fsum rounds exactly, so one
-    direction is scanned, and gives both bit for bit. The grid is checked
-    once, here, and the values not at all (see PrivacyCurve._built).
+    The grid is checked once, here, and the values not at all (see
+    PrivacyCurve._built).
     """
     grid = as_grid(grid)
     check_grid(grid)
@@ -201,11 +223,7 @@ def privacy_curve(
         if chain is None:
             pmfs = {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
         elif chain[4]:
-            steps, weights = chain[:2]
-            mirror = weights == weights[::-1]
-            for d in {abs(s - t) for s in steps for t in steps} - {0}:
-                pair = _pair_curves(weights + [0.0] * d, [0.0] * d + weights, grid, not mirror)
-                rows.extend(pair[:1] if mirror else pair)
+            rows.append(_chain_curve(*chain[:2], grid))
             continue
         else:
             pmfs = _chain_laws(db, chain)

@@ -1,6 +1,7 @@
 """Amplification bounds, the samplability gate, and the DP-style helpers."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,10 @@ import statpriv.amplify
 import statpriv.dist
 import statpriv.sampling
 from statpriv.dist import (
+    DEFAULT_BUDGET,
     DatabaseModel,
     Pmf,
+    Query,
     binomial_pmf,
     condition,
     count_query,
@@ -94,37 +97,55 @@ def bits(values):
     return [float.hex(v) for v in values]
 
 
-@pytest.mark.parametrize("n, rate, sizes", [(1000, 0.1, 260), (40, 1.0, 1)])
+@pytest.mark.parametrize("n, rate, sizes", [(1000, 0.1, 229), (40, 1.0, 1)])
 def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, sizes):
-    # Each evaluated size m gets stretch(e, n / m) per eps, bit for
-    # bit, from one privacy_curve call, on a suffix of the grid: at n = 1000,
-    # rate 0.1 the share rule evaluates 260 of the 314 sizes the weight rule
-    # admits, and closes eps from the low end only. At rate 1 only m = n is
-    # evaluated and its grid is the input grid unchanged.
-    seen, curves = [], []
+    # Each evaluated size m gets stretch(e, n / m) per eps, bit for bit,
+    # from one privacy_curve call, on a slice of the grid that shrinks from
+    # either end: at n = 1000, rate 0.1 the sweep evaluates 229 of the 314
+    # sizes the weight rule admits. Each ceiling scans the chain of the size
+    # just evaluated at the stretch of 596, the largest size of nonzero
+    # weight. At rate 1 only m = n is evaluated and its grid is the input
+    # grid unchanged.
+    seen, curves, log = [], [], []
     sampled, curve = statpriv.amplify._sampled_curve_values, statpriv.amplify.privacy_curve
+    scan = statpriv.amplify._chain_curve
 
     def record(db, q, n, m, grid, budget):
         seen.append((m, grid))
+        log.append(m)
         return sampled(db, q, n, m, grid, budget)
 
     def counted(*args):
         curves.append(args[0].n)
         return curve(*args)
 
+    def ceiling(steps, weights, grid):  # bern(0.5) count: size m has m cells
+        log.append((len(weights), grid))
+        return scan(steps, weights, grid)
+
     monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
     monkeypatch.setattr(statpriv.amplify, "privacy_curve", counted)
+    monkeypatch.setattr(statpriv.amplify, "_chain_curve", ceiling)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
     poisson_bound(db, count_query(), n, rate, SHIFTED_GRID)
     assert len(seen) == sizes
     assert curves == [m for m, _ in seen]
-    lengths = [len(grid) for _, grid in seen]
-    assert lengths == sorted(lengths, reverse=True) and lengths[-1] >= 1
+    lo, hi = 0, len(SHIFTED_GRID)
     for m, grid in seen:
-        suffix = SHIFTED_GRID[len(SHIFTED_GRID) - len(grid):]
-        assert bits(grid) == bits(stretch(e, n / m) for e in suffix), m
+        full = [stretch(e, n / m) for e in SHIFTED_GRID]
+        start = full.index(grid[0])
+        assert lo <= start and start + len(grid) <= hi, m
+        lo, hi = start, start + len(grid)
+        assert bits(grid) == bits(full[lo:hi]), m
+    top = {float.hex(stretch(e, n / 596)) for e in SHIFTED_GRID}
+    ceilings = [(i, entry) for i, entry in enumerate(log) if isinstance(entry, tuple)]
+    for i, (m, grid) in ceilings:
+        assert [e for e in log[:i] if not isinstance(e, tuple)][-1] == m
+        assert set(bits(grid)) <= top
     if rate == 1.0:
-        assert seen == [(n, SHIFTED_GRID)]
+        assert seen == [(n, SHIFTED_GRID)] and not ceilings
+    else:
+        assert 0 < len(ceilings) < 60
 
 
 def weight_rule(n, rate):
@@ -138,17 +159,16 @@ def weight_rule(n, rate):
 
 
 def reference_poisson(entry, q, n, rate, grid):
-    """poisson_bound without the share rule: privacy_curve on every size of
-    weight at least NEGLIGIBLE_SIZE_WEIGHT, on its whole stretched grid, and
-    the lighter sizes charged delta = 1 at every eps, summed as
-    _size_mixture sums them."""
-    kept, tail = weight_rule(n, rate)
+    """poisson_bound with nothing charged: privacy_curve on every size of
+    nonzero weight, on its whole stretched grid, summed per eps by fsum."""
+    weights = binomial_pmf(n, rate)
     terms = [[] for _ in grid]
-    for m, factor in kept.items():
-        stretched = tuple(stretch(e, n / m) for e in grid)
-        for ts, v in zip(terms, privacy_curve(DatabaseModel.iid(entry, m), q, stretched).values):
-            ts.append(factor * v)
-    return tuple(min(1.0, math.fsum(ts) + tail) for ts in terms)
+    for m in range(1, n + 1):
+        if weights[m] > 0.0:
+            stretched = tuple(stretch(e, n / m) for e in grid)
+            for ts, v in zip(terms, privacy_curve(DatabaseModel.iid(entry, m), q, stretched).values):
+                ts.append(weights[m] * m / n * v)
+    return tuple(min(1.0, math.fsum(ts)) for ts in terms)
 
 
 @pytest.mark.parametrize(
@@ -195,31 +215,42 @@ def test_size_mixture_never_closes_an_eps_whose_sum_is_zero():
 
 
 def test_share_rule_charges_the_sizes_it_skips(monkeypatch):
-    # At a share of 2^-8 the charge shows: each size skipped at an eps adds
-    # its weight times m/n there, delta = 1, and the bound stays above the
-    # reference.
+    # At a share of 2^-8 the charge shows. Without a ceiling each size
+    # skipped at an eps adds its weight times m/n there, delta = 1, and so
+    # do the sizes of negligible weight. With one (poisson_bound on this
+    # i.i.d. model) each eps lies between the sum over every size and that
+    # charge of delta = 1, below the latter at some eps.
     monkeypatch.setattr(statpriv.amplify, "NEGLIGIBLE_TAIL_SHARE", 2.0 ** -8)
     entry, q, n, rate = Pmf.bernoulli(0.5), count_query(), 300, 0.1
-    evaluated = {}
-    sampled = statpriv.amplify._sampled_curve_values
-
-    def record(db, q, n, m, grid, budget):
-        curve = sampled(db, q, n, m, grid, budget)
-        evaluated[m] = curve.values
-        return curve
-
-    monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
-    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, SHIFTED_GRID).values
     kept, tail = weight_rule(n, rate)
     want = reference_poisson(entry, q, n, rate, SHIFTED_GRID)
+    evaluated = {}
+
+    def sized(m, grid):  # records size m's values by eps index
+        values = privacy_curve(DatabaseModel.iid(entry, m), q, grid).values
+        full = [stretch(e, n / m) for e in SHIFTED_GRID]
+        evaluated[m] = dict(zip(range(full.index(grid[0]), len(full)), values))
+        return values
+
+    def charged_one():
+        return [
+            min(1.0, math.fsum(f * evaluated[m][k] if k in evaluated.get(m, {}) else f
+                               for m, f in kept.items()) + tail)
+            for k in range(len(SHIFTED_GRID))
+        ]
+
+    got = statpriv.amplify._size_mixture(n, rate, SHIFTED_GRID, sized)
     assert len(evaluated) < len(kept) and got[0] > want[0]
-    for k, (g, ref) in enumerate(zip(got, want)):
-        terms = []
-        for m, factor in kept.items():
-            values = evaluated.get(m, ())
-            skip = len(SHIFTED_GRID) - len(values)
-            terms.append(factor if k < skip else factor * values[k - skip])
-        assert g == min(1.0, math.fsum(terms) + tail) >= ref
+    assert list(got) == charged_one() and all(map(operator.ge, got, want))
+    evaluated.clear()
+    monkeypatch.setattr(
+        statpriv.amplify, "_sampled_curve_values", lambda db, q, n, m, grid, budget:
+        PrivacyCurve(grid, sized(m, grid)))
+    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, SHIFTED_GRID).values
+    ones = charged_one()
+    assert len(evaluated) < len(kept) and got[0] > want[0]
+    assert all(map(operator.le, want, got)) and all(map(operator.le, got, ones))
+    assert list(got) != ones
 
 
 @st.composite
@@ -242,6 +273,87 @@ def test_share_rule_is_the_reference_or_one_ulp_above(case):
     got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, grid).values
     for g, w in zip(got, reference_poisson(entry, q, n, rate, grid)):
         assert g in (w, math.nextafter(w, math.inf)), (g, w)
+
+
+@st.composite
+def dyadic_iid_cases(draw):
+    """A 2- or 3-valued entry of dyadic weights, an additive query and n <= 30."""
+    outcomes = sorted(draw(st.sets(st.integers(-2, 3), min_size=2, max_size=3)))
+    total = 2 ** draw(st.integers(2, 5))
+    size = len(outcomes) - 1
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=size, max_size=size)))
+    weights = [(b - a) / total for a, b in zip([0, *cuts], [*cuts, total])]
+    entry = Pmf(tuple(map(float, outcomes)), tuple(weights))
+    q = draw(st.sampled_from((sum_query(), count_query(), mean_query())))
+    return entry, q, draw(st.integers(2, 30))
+
+
+@settings(max_examples=40)
+@given(dyadic_iid_cases())
+def test_no_larger_size_exceeds_the_ceiling(case):
+    # The data-processing ceiling of size m, its curve raised by the slack,
+    # bounds the curve of every larger size at every eps, with no tolerance.
+    entry, q, n = case
+    grid = (0.0, 0.1, 0.5, 1.0, 2.0)
+    ceiling = statpriv.amplify._ceiling(DatabaseModel.iid(entry, n), q, n, DEFAULT_BUDGET)
+    curves = [privacy_curve(DatabaseModel.iid(entry, m), q, grid).values for m in range(1, n + 1)]
+    for m in range(1, n):
+        cap = ceiling(m, grid)
+        assert cap is not None  # small models have distinct answers
+        for larger in curves[m:]:
+            assert all(d <= c for d, c in zip(larger, cap)), (m, larger, cap)
+
+
+def test_ceiling_needs_an_iid_model_and_an_additive_query():
+    ceiling = statpriv.amplify._ceiling
+    bern = Pmf.bernoulli(0.5)
+    assert ceiling(DatabaseModel([bern, Pmf.bernoulli(0.3)]), sum_query(), 2, DEFAULT_BUDGET) is None
+    maximum = Query("max", max, True)
+    assert ceiling(DatabaseModel.iid(bern, 4), maximum, 4, DEFAULT_BUDGET) is None
+    # Means of values 2^-16 apart at 1e11 merge from 2 entries on: their
+    # curves are below their cells', which the ceiling takes.
+    close = Pmf((1e11, 1e11 + 2.0**-16, 1e11 + 2.0**-15), (0.25, 0.5, 0.25))
+    grid = (0.0, 0.5, 1.0)
+    cap = ceiling(DatabaseModel.iid(close, 8), mean_query(), 8, DEFAULT_BUDGET)(2, grid)
+    for m in range(2, 9):
+        merged = privacy_curve(DatabaseModel.iid(close, m), mean_query(), grid).values
+        assert all(d <= c for d, c in zip(merged, cap)), (m, merged, cap)
+    assert merged != tuple(cap)
+
+
+def test_weight_floor_charges_no_longer_set_an_iid_bound():
+    # bern(0.5) count at poisson:1200,0.5: the sizes of weight below
+    # NEGLIGIBLE_SIZE_WEIGHT were charged 1.1068979823482692e-77 at every
+    # eps, which was the printed value at eps 2. The sizes above the swept
+    # range now take the ceiling and those below are evaluated where their
+    # charge would set the value: every eps is the sum over every size.
+    entry, q, n, rate, grid = Pmf.bernoulli(0.5), count_query(), 1200, 0.5, (0.0, 1.0, 2.0)
+    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, grid).values
+    assert weight_rule(n, rate)[1] == 1.1068979823482692e-77
+    assert bits(got) == bits(reference_poisson(entry, q, n, rate, grid))
+    assert got[2] == 3.874467616886448e-114
+
+
+def test_a_two_class_model_keeps_the_charges_of_delta_one(monkeypatch):
+    # No ceiling for a model that is not i.i.d.: the bound and the sizes it
+    # evaluates are those of the sweep that charged delta = 1, frozen here;
+    # at n = 60, rate 0.03 it skips sizes by both the share and the weight.
+    evaluated = []
+    sampled = statpriv.amplify._sampled_curve_values
+
+    def record(db, q, n, m, grid, budget):
+        evaluated.append(m)
+        return sampled(db, q, n, m, grid, budget)
+
+    monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
+    db = DatabaseModel([Pmf.bernoulli(0.3)] * 30 + [Pmf.bernoulli(0.6)] * 30)
+    got = poisson_bound(db, sum_query(), 60, 0.03, (0.0, 0.5, 1.0, 2.0)).values
+    assert bits(got) == [
+        "0x1.2b01746d1c86ap-6", "0x1.e80363f5a3502p-7",
+        "0x1.e7fc3abd30501p-7", "0x1.e7fc3a91dc5c9p-7",
+    ]
+    assert evaluated == list(range(1, 28))
+    assert weight_rule(60, 0.03)[1] > 0.0
 
 
 def test_stretcher_is_the_formula_and_passes_the_grid_at_factor_one():

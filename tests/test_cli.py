@@ -582,6 +582,17 @@ def test_eps_grid_without_a_finite_point_count_exits_1(capsys):
         parse_eps("0:1:1e-320", DEFAULT_BUDGET)
 
 
+@pytest.mark.parametrize(
+    "eps, bad", [("-0.5,0", "-0.5"), ("0,inf", "inf"), ("ln0.5", "-0.6931471805599453")]
+)
+def test_a_negative_or_infinite_eps_exits_1_in_the_grid_checks_words(eps, bad, capsys):
+    # One wording for a bad eps, the library's (divergence.check_grid).
+    assert main(["curve", "--entry", "bern:0.5", "--n", "4", "--query", "sum", "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --eps: eps must be finite and nonnegative, got {bad}\n"
+    assert captured.out == ""
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # main in a child process whose address space is capped at 1 GiB, so a size

@@ -13,7 +13,10 @@ chain stopped building every cell's answer: a `poisson-large` benchmark row,
 the two- and three-valued Poisson bounds of the CI, `compare`'s sized sum,
 two `figures fig2` runs, a `curve` whose answers merge (means of values
 2^-16 apart at 1e11) and one whose sums are distinct only cell by cell
-(near 2^52).
+(near 2^52). One value has moved since: the two-valued Poisson bound at
+n = 3000 printed its weight charge, 1.5377933342984368e-77, at eps 1, and
+prints the sum over every size, 2.337571133880179e-145, since the sizes
+past the swept range take the data-processing ceiling (amplify._ceiling).
 """
 
 import json

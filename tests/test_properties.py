@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statpriv import dist, divergence
+from statpriv import amplify, dist, divergence
 from statpriv.amplify import (
     dp_subsample,
     poisson_bound,
@@ -335,10 +335,12 @@ def test_near_threshold_chains_take_the_proof_the_walk_or_the_fallback(q, shift,
 def test_the_poisson_sweep_evaluates_two_answers_per_chain():
     counted, calls = counting(count_query())
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 1000)
-    with mock.patch.object(divergence, "lattice_chain", wraps=lattice_chain) as chains:
+    with mock.patch.object(divergence, "lattice_chain", wraps=lattice_chain) as chains, \
+            mock.patch.object(amplify, "lattice_chain", wraps=lattice_chain) as checks:
         poisson_bound(db, counted, 1000, 0.1, default_eps_grid())
-    assert chains.call_count == 260  # one chain per evaluated sample size
-    assert len(calls) <= 2 * chains.call_count
+    # One chain per evaluated sample size (229), and one per ceiling (49).
+    assert (chains.call_count, checks.call_count) == (229, 49)
+    assert len(calls) <= 2 * (chains.call_count + checks.call_count)
 
 
 @settings(max_examples=200)
