@@ -20,6 +20,7 @@ from .dist import (
 from .divergence import (
     PrivacyCurve,
     _chain_curve,
+    _exp_grid,
     as_grid,
     check_grid,
     half_line_check,
@@ -38,34 +39,35 @@ from .sampling import (
 )
 
 PARAM_TOL = 1e-12
-# Poisson sample sizes with a smaller Binomial weight are not swept (see
-# _size_mixture). Exact weights never round to 0 before about 2^-1074, so a
-# cut is needed: at n=1000, rate 0.1 it admits 314 sizes, against 582 at
-# 2^-1022. Without a ceiling (_ceiling) the sizes cut are charged delta = 1
-# at every eps: for any n below 2^53 that charge and the terms it replaces
-# stay below 2^-202 in total, less than one ulp of any delta above 2^-150.
-# With one, the sizes above the cut take the ceiling, and those below it are
-# evaluated at each eps whose float their charge of delta = 1 would move.
+# The Poisson sweep (_size_mixture) starts at the first sample size of at
+# least this Binomial weight; the lighter sizes below it are evaluated only
+# at the eps whose float their charge of delta = 1 would move. At n=3000,
+# rate 0.5 the sweep starts at size 996.
 NEGLIGIBLE_SIZE_WEIGHT = 2.0 ** -256
 # At each eps, the sizes above the last one evaluated are charged, their mass
-# times delta = 1 or times a ceiling, once that is below this share of the
-# delta summed so far (see _size_mixture), moving it by at most one ulp; at
-# n=1000, rate 0.1, bern(0.5) count, that evaluates 229 of the 314 sizes.
+# times a proven cap (_ceiling), once that is below this share of the delta
+# summed so far, moving it by at most one ulp; at n=1000, rate 0.1,
+# bern(0.5) count, that evaluates 229 of the 596 sizes of nonzero weight.
 NEGLIGIBLE_TAIL_SHARE = 2.0 ** -80
 
 
 def _stretcher(grid: tuple[float, ...]):
-    """factor -> log(1 + factor (e^eps - 1)) per eps of `grid`, the package's
-    one eps stretch (factor below 1 shrinks); expm1 is taken once per eps, at
-    the first factor other than 1, and factor 1 returns `grid` itself."""
+    """factor -> log(1 + factor (e^eps - 1)) per eps of the increasing
+    `grid`, the package's one eps stretch (factor below 1 shrinks); expm1 is
+    taken once per eps, at the first factor other than 1, and factor 1
+    returns `grid` itself. A stretch that is no float raises OverflowError."""
     bases = []
 
     def stretch(factor):
         if factor == 1.0:
             return grid
         if not bases:
-            bases.extend(map(math.expm1, grid))
-        return tuple([math.log1p(factor * x) for x in bases])
+            bases.extend(_exp_grid(grid, math.expm1))
+        stretched = tuple([math.log1p(factor * x) for x in bases])
+        if stretched[-1] == math.inf:
+            eps = grid[stretched.index(math.inf)]
+            raise OverflowError(f"eps {eps} is too large for its stretch by {factor} to be a float")
+        return stretched
 
     return stretch
 
@@ -146,10 +148,10 @@ def poisson_bound(
     Decomposes by realized sample size m: the m-of-n sampled curve at the
     stretched epsilon log(1 + (n/m)(e^eps - 1)) enters with the
     Binomial(n, rate) weight of m, scaled by m/n. The empty sample
-    contributes nothing, and sizes of negligible weight or share are charged
-    instead of evaluated (see _size_mixture): by an evaluated size's
-    lattice curve on an i.i.d. model with an additive query (_ceiling),
-    else delta = 1.
+    contributes nothing, and sizes of negligible share are charged their
+    mass times a proven cap instead of evaluated (see _size_mixture): an
+    evaluated size's lattice curve on an i.i.d. model with an additive query
+    (_ceiling), else delta = 1.
     The output curve is indexed by the input epsilon. On an i.i.d. model
     with an additive query each size's curve is one privacy_curve call, and
     as the sizes come in increasing order each call extends the lattice
@@ -168,89 +170,80 @@ def poisson_bound(
         return _sampled_curve_values(db, q, n, m, stretched, budget).values
 
     ceiling = _ceiling(db, q, n, budget)
-    return PrivacyCurve(grid, _size_mixture(n, rate, grid, sized_values, ceiling=ceiling))
+    return PrivacyCurve(grid, _size_mixture(n, rate, grid, sized_values, ceiling))
 
 
 def _ceiling(db, q, n, budget):
-    """For an i.i.d. model of at most n entries and an additive query:
-    (m, eps) -> values at the eps of `eps` that no size above m has in its
-    curve at that eps or above; None for other models and queries, and for
-    a size whose lattice chain is over `budget`.
+    """(m, eps) -> values at the eps of `eps` that no size above m has in its
+    curve at that eps or above, raised by a slack.
 
-    The values are the curve of size m's lattice cells (_chain_curve). Size
-    m + 1's cells are size m's convolved with the entry, one Markov kernel
-    applied to both laws of each pair, so by post-processing (Dwork & Roth
-    2014, Prop. 2.1) its cells' curve is at most size m's at every eps, and
-    a curve is nonincreasing in eps. Answers are a function of the cells,
-    so a size's curve, merged answers or not, is at most its cells' curve.
-    Each law is within (2kn + 3)u of the exact one, k the entry's support;
-    the slack covers that at both sizes compared and the rounded masses
-    the values are multiplied by.
+    For an i.i.d. model of at most n entries and an additive query they are
+    the curve of size m's lattice cells (_chain_curve). Size m + 1's cells
+    are size m's convolved with the entry, one Markov kernel applied to both
+    laws of each pair, so by post-processing (Dwork & Roth 2014, Prop. 2.1)
+    its cells' curve is at most size m's at every eps, and a curve is
+    nonincreasing in eps. Answers are a function of the cells, so a size's
+    curve, merged answers or not, is at most its cells' curve. Other models
+    and queries, and a size whose lattice chain is over `budget`, take
+    delta = 1. Each law is within (2kn + 3)u of the exact one, k the entry's
+    support; the slack covers that at both sizes compared, the rounded
+    masses the values are multiplied by and the rounding of the mass they
+    are charged for.
     """
-    if not db.is_iid or q.additive is None:
-        return None
     entry = db.entries[0]
     slack = 1.0 + 4 * (2 * len(entry.outcomes) * n + 3) * 2.0**-53
+    chained = db.is_iid and q.additive is not None
 
     def ceiling(m, eps):
-        chain = lattice_chain(DatabaseModel.iid(entry, m), 1, q, budget)
-        return None if chain is None else [slack * d for d in _chain_curve(*chain[:2], eps)]
+        chain = chained and lattice_chain(DatabaseModel.iid(entry, m), 1, q, budget)
+        return [slack * d for d in _chain_curve(*chain[:2], eps)] if chain else [slack] * len(eps)
 
     return ceiling
 
 
-def _size_mixture(n, rate, grid, sized_values, charge=True, ceiling=None):
+def _size_mixture(n, rate, grid, sized_values, ceiling):
     """Sum over sizes m of the Binomial(n, rate) weight of m times m/n times
     sized_values(m, stretched grid), per eps of the float tuple `grid`,
     capped at 1; _stretcher gives each stretched grid, `grid` itself at m = n.
     Sizes go in increasing order, so a sized_values that extends the last
     size's law (privacy_curve's lattice chain) holds one law at a time.
 
-    A size left out is charged at least what it would add, so the sum stays
-    an upper bound. The sizes of weight at least NEGLIGIBLE_SIZE_WEIGHT are
-    swept. Before each, an eps closes when the charge for the sizes above
-    the last evaluated size M is below NEGLIGIBLE_TAIL_SHARE times its sum
-    so far, which moves the sum by less than that share; an eps whose sum is
-    0 stays open. Eps close from either end of the grid, so each size is
-    evaluated on a slice of its stretched grid, and the sweep stops when
-    every eps is closed. With `charge` off every size is evaluated on the
-    whole grid.
-
-    Without `ceiling` a size is charged delta = 1, and the sizes outside the
-    swept range are charged at every eps, less than n * NEGLIGIBLE_SIZE_WEIGHT
-    in all. ceiling(M, eps) gives, where it can prove it, a value per eps of
-    `eps` that no larger size's delta exceeds at that eps or above (else
-    None). The sizes above M, swept or not, are then charged their mass times
-    that value at their smallest stretched eps, the stretch of the largest
-    size of nonzero weight. A value holds for every size above its own, so
-    each eps keeps the last it got; M's own row is at most a new one, so
-    ceiling is asked only where the row, times the ratio of the eps's last
-    value to its row, passes the test. The sizes below the range are charged
-    delta = 1 where that leaves an eps's float as it is, and are evaluated
-    at the other eps, save the lowest, whose mass is below the share of the
-    sum. Each eps takes one fsum of its terms, largest first, the order in
-    which fsum keeps few partials.
+    A size left out is charged its mass (weight times m/n) times a proven
+    cap, so the sum stays an upper bound. ceiling(M, eps) gives, per eps of
+    `eps`, a value that no size above M has in its curve at that eps or
+    above (_ceiling). The sweep runs from the first size of weight at least
+    NEGLIGIBLE_SIZE_WEIGHT (the last of nonzero weight, if none is that
+    heavy) to the last of nonzero weight. Before each size, an eps closes
+    once the sizes above the last evaluated size M, charged their mass times
+    a cap at their smallest stretched eps (the stretch of the largest size),
+    are below NEGLIGIBLE_TAIL_SHARE times its sum so far: that moves the sum
+    by less than the share. An eps whose sum is 0 stays open. Eps close from
+    either end of the grid, so each size is evaluated on a slice of its
+    stretched grid, and the sweep stops when every eps is closed. A cap
+    holds for every size above its own, so each eps keeps the last it got;
+    M's own row is at most a new one, so ceiling is asked only where the
+    row, times the ratio of the eps's last cap to its row, passes the test.
+    The sizes below the sweep are charged delta = 1 where that leaves an
+    eps's float as it is, and are evaluated at the other eps, save the
+    lowest, whose mass is below the share of the sum. Each eps takes one
+    fsum of its terms, largest first, the order in which fsum keeps few
+    partials.
     """
-    weights = binomial_pmf(n, rate)
-    floor, share = (NEGLIGIBLE_SIZE_WEIGHT, NEGLIGIBLE_TAIL_SHARE) if charge else (0.0, 0.0)
-    heavy = [m for m in range(1, n + 1) if weights[m] >= floor]
-    first, last = (heavy[0], heavy[-1]) if heavy else (n + 1, n)
+    weights, share = binomial_pmf(n, rate), NEGLIGIBLE_TAIL_SHARE
+    last = max((m for m in range(1, n + 1) if weights[m] > 0.0), default=n)
+    first = next((m for m in range(1, last) if weights[m] >= NEGLIGIBLE_SIZE_WEIGHT), last)
     masses = [w * m / n for m, w in enumerate(weights)]
-    factors, below, above = masses[first : last + 1], masses[1:first], masses[last + 1 :]
-    if ceiling is None:
-        below, above = below + above, []
-    # The mass above each size, rounded: it picks the eps to close, and where it
-    # is charged times a ceiling, the ceiling's slack covers its rounding.
-    left = list(itertools.accumulate(reversed(factors), initial=math.fsum(above)))[::-1]
+    factors, below = masses[first : last + 1], masses[1:first]
+    # The mass above each size, rounded: it picks the eps to close, and the
+    # cap's slack covers its rounding where it is charged.
+    left = list(itertools.accumulate(reversed(factors), initial=0.0))[::-1]
     stretch = _stretcher(grid)
-    if ceiling is not None:
-        top = stretch(n / max((m for m in range(1, n + 1) if weights[m] > 0.0), default=n))
+    top = stretch(n / last)
     rows: list[tuple[float, ...]] = []  # per evaluated size, 0.0 at the eps it skipped
     running = [0.0] * len(grid)  # each eps's terms summed in order, for the test
-    charges: list[list[float]] = [[] for _ in grid]
-    caps = [1.0] * len(grid)  # per eps, the last ceiling asked for, else delta = 1
-    proved = [False] * len(grid)  # per eps, whether caps holds a ceiling
-    guess = [1.0] * len(grid)  # per eps, that ceiling over its size's row
+    charges = [0.0] * len(grid)  # per eps, what its closing charged
+    caps = [math.inf] * len(grid)  # per eps, the last cap asked for
+    guess = [1.0] * len(grid)  # per eps, that cap over its size's row
 
     def ends(lo, hi, rest, cap):
         """[lo, hi) less the eps at either end whose charge, rest * cap(k),
@@ -264,17 +257,14 @@ def _size_mixture(n, rate, grid, sized_values, charge=True, ceiling=None):
     def close(i, lo, hi):
         """[lo, hi) less the eps that close before size first + i, each
         charged for that size and every size above it."""
-        rest = left[i]
-        if ceiling is not None:  # a ceiling holds for every size above its own
-            row = rows[-1]
-            a, b = ends(lo, hi, rest, lambda k: min(caps[k], guess[k] * row[k]))
-            ask = [k for k in (*range(lo, a), *range(b, hi))
-                   if rest * caps[k] >= share * running[k]]
-            for k, cap in zip(ask, ask and ceiling(first + i - 1, [top[k] for k in ask]) or ()):
-                caps[k], proved[k], guess[k] = cap, True, cap / row[k] if row[k] else 1.0
+        rest, row = left[i], rows[-1]
+        a, b = ends(lo, hi, rest, lambda k: min(caps[k], guess[k] * row[k]))
+        ask = [k for k in (*range(lo, a), *range(b, hi)) if rest * caps[k] >= share * running[k]]
+        for k, cap in zip(ask, ceiling(first + i - 1, [top[k] for k in ask]) if ask else ()):
+            caps[k], guess[k] = cap, cap / row[k] if row[k] else 1.0
         a, b = ends(lo, hi, rest, caps.__getitem__)
         for k in (*range(lo, a), *range(b, hi)):
-            charges[k] = [rest * caps[k]] if proved[k] else factors[i:] + above
+            charges[k] = rest * caps[k]
         return a, b
 
     lo, hi = 0, len(grid)
@@ -282,26 +272,22 @@ def _size_mixture(n, rate, grid, sized_values, charge=True, ceiling=None):
         if rows:
             # Each cap is at least the last row, so an eps that fails the test
             # with the row fails it with its cap: only an end that passes may close.
-            least, rest = rows[-1] if ceiling is not None else caps, left[i]
-            if (rest * least[lo] < share * running[lo]
-                    or rest * least[hi - 1] < share * running[hi - 1]):
+            row, rest = rows[-1], left[i]
+            if rest * row[lo] < share * running[lo] or rest * row[hi - 1] < share * running[hi - 1]:
                 lo, hi = close(i, lo, hi)
                 if lo == hi:
                     break
         values = tuple(sized_values(m, stretch(n / m)[lo:hi]))
         rows.append((0.0,) * lo + values + (0.0,) * (len(grid) - hi))
         running[lo:hi] = [r + factors[i] * v for r, v in zip(running[lo:hi], values)]
-    if lo < hi and left[-1] > 0.0:  # every swept size evaluated: those past the range
-        got = ceiling(last, [top[k] for k in range(lo, hi)])
-        for k, cap in zip(range(lo, hi), got or caps[lo:hi]):
-            charges[k] = [left[-1] * cap] if got or proved[k] else above
-    columns = zip(*rows) if rows else [()] * len(grid)
-    terms = [[*map(operator.mul, factors, col), *charge] for col, charge in zip(columns, charges)]
+    terms = [[*map(operator.mul, factors, col), c] for col, c in zip(zip(*rows), charges)]
     sums = [math.fsum(sorted(t, reverse=True)) for t in terms]
-    tail = math.fsum(below)
-    out = [s + tail for s in sums]
-    needs = [k for k, s in enumerate(sums) if s < 1.0 and out[k] != s]
-    if ceiling is not None and needs:  # below the range: evaluated where its charge shows
+    # Below the sweep: an eps is evaluated where charging every size delta = 1
+    # would move its float. Rounding is monotone, so where that whole charge
+    # leaves the float as it is, any part of it does too.
+    needs = [k for k, s in enumerate(sums)
+             if below and s < 1.0 and math.fsum(terms[k] + below) != s]
+    if needs:
         cum = list(itertools.accumulate(below))  # below[j] is the mass of size j + 1
         skip = {k: bisect.bisect_left(cum, share * sums[k]) for k in needs}
         for j in range(min(skip.values()), len(below)):
@@ -311,10 +297,10 @@ def _size_mixture(n, rate, grid, sized_values, charge=True, ceiling=None):
                 for k, v in zip(at, sized_values(j + 1, [stretched[k] for k in at])):
                     terms[k].append(below[j] * v)
         for k in needs:
-            out[k] = math.fsum(sorted(terms[k] + below[: skip[k]], reverse=True))
+            sums[k] = math.fsum(sorted(terms[k] + below[: skip[k]], reverse=True))
     # delta is nonincreasing in eps, so each eps may take a lower eps's bound:
     # charges taken at different sizes can leave a sum above its left neighbour.
-    return tuple(itertools.accumulate((min(1.0, s) for s in out), min))
+    return tuple(itertools.accumulate((min(1.0, s) for s in sums), min))
 
 
 def with_replacement_bound(
@@ -452,8 +438,9 @@ def dp_poisson_bound(
 
     Evaluates the curve at the stretched epsilons with value_at, whose
     chord in e^eps bounds a delta curve from above between grid points, at
-    every size: a lookup costs too little to charge any size instead.
-    Stretches beyond the curve's grid raise.
+    every size: a lookup costs too little to charge any size instead. Per
+    eps, one fsum over the sizes, capped at 1; a delta is never above a
+    lower eps's. Stretches beyond the curve's grid raise.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -463,7 +450,7 @@ def dp_poisson_bound(
     grid = tuple(map(float, grid))
     check_grid(grid)
 
-    def value_at(m, stretched):
-        return [curve.value_at(e) for e in stretched]
-
-    return PrivacyCurve(grid, _size_mixture(n, rate, grid, value_at, charge=False))
+    stretch = _stretcher(grid)
+    columns = zip(*[[w * m / n * curve.value_at(e) for e in stretch(n / m)]
+                    for m, w in enumerate(binomial_pmf(n, rate)) if m])
+    return PrivacyCurve(grid, itertools.accumulate((min(1.0, math.fsum(c)) for c in columns), min))

@@ -48,6 +48,15 @@ def check_grid(grid: tuple[float, ...], curve: bool = True) -> None:
         raise ValueError("epsilon grid must be strictly increasing")
 
 
+def _exp_grid(grid: tuple[float, ...], exp=math.exp) -> list[float]:
+    """exp (or expm1) of each eps of `grid`; where some e^eps is no float,
+    an OverflowError that names the largest eps."""
+    try:
+        return list(map(exp, grid))
+    except OverflowError:
+        raise OverflowError(f"eps {max(grid)} is too large for e^eps to be a float") from None
+
+
 def hockey_stick_divergence(mu: Pmf, nu: Pmf, eps: float) -> float:
     """sum over outcomes of max(0, mu(a) - e^eps nu(a)), capped at 1.
 
@@ -82,7 +91,7 @@ def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...], backwa
     with a = 0 trail it and add b backward: each direction sums its rows once,
     and an eps whose cut holds no other row takes that sum as it is."""
     check_grid(grid, curve=False)
-    scales = list(map(math.exp, grid))
+    scales = _exp_grid(grid)
     # A row with a = b = 0 sorts last (ratio inf) and adds no term to either sum.
     ratios = [y / x if x else math.inf for x, y in zip(a, b)]
     rows = sorted(zip(ratios, a, b))

@@ -1,5 +1,6 @@
 """Amplification bounds, the samplability gate, and the DP-style helpers."""
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -101,8 +102,8 @@ def bits(values):
 def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, sizes):
     # Each evaluated size m gets stretch(e, n / m) per eps, bit for bit,
     # from one privacy_curve call, on a slice of the grid that shrinks from
-    # either end: at n = 1000, rate 0.1 the sweep evaluates 229 of the 314
-    # sizes the weight rule admits. Each ceiling scans the chain of the size
+    # either end: at n = 1000, rate 0.1 the sweep evaluates 229 of the 596
+    # sizes of nonzero weight. Each ceiling scans the chain of the size
     # just evaluated at the stretch of 596, the largest size of nonzero
     # weight. At rate 1 only m = n is evaluated and its grid is the input
     # grid unchanged.
@@ -197,32 +198,47 @@ def test_share_rule_leaves_poisson_bound_bit_for_bit(monkeypatch, entry, q, n, r
     assert len(evaluated) < len(weight_rule(n, rate)[0])
 
 
+def delta_one_cap(n):
+    """_ceiling's cap of delta = 1 raised by its slack, from a non-additive
+    query on an i.i.d. bern(0.5) model of n entries, and that slack."""
+    db, maximum = DatabaseModel.iid(Pmf.bernoulli(0.5), n), Query("max", max, True)
+    cap = statpriv.amplify._ceiling(db, maximum, n, DEFAULT_BUDGET)
+    return cap, cap(1, (0.0,))[0]
+
+
 def test_size_mixture_never_closes_an_eps_whose_sum_is_zero():
-    # Sized values of 0 leave every sum at 0: every size of weight at least
-    # NEGLIGIBLE_SIZE_WEIGHT is evaluated on the whole grid, and the result
-    # is the weight charge alone.
+    # Sized values of 0 leave every sum at 0: every size of nonzero weight,
+    # 1 to 596, is evaluated on the whole grid, no cap is asked for, and the
+    # result is exactly 0.
     n, rate, seen = 1000, 0.1, []
 
     def zeros(m, stretched):
         seen.append((m, len(stretched)))
         return (0.0,) * len(stretched)
 
-    got = statpriv.amplify._size_mixture(n, rate, SHIFTED_GRID, zeros)
-    kept, tail = weight_rule(n, rate)
-    assert seen == [(m, len(SHIFTED_GRID)) for m in kept]
-    assert tail > 0.0
-    assert got == (tail,) * len(SHIFTED_GRID)
+    def cap(m, eps):
+        raise AssertionError("no eps closes")
+
+    got = statpriv.amplify._size_mixture(n, rate, SHIFTED_GRID, zeros, cap)
+    assert seen == [(m, len(SHIFTED_GRID)) for m in range(1, 597)]
+    assert binomial_pmf(n, rate)[596] > 0.0 == binomial_pmf(n, rate)[597]
+    assert got == (0.0,) * len(SHIFTED_GRID)
 
 
 def test_share_rule_charges_the_sizes_it_skips(monkeypatch):
-    # At a share of 2^-8 the charge shows. Without a ceiling each size
-    # skipped at an eps adds its weight times m/n there, delta = 1, and so
-    # do the sizes of negligible weight. With one (poisson_bound on this
-    # i.i.d. model) each eps lies between the sum over every size and that
-    # charge of delta = 1, below the latter at some eps.
+    # At a share of 2^-8 the charge shows. With the cap of delta = 1, an eps
+    # that closes after size M is charged the mass above M, summed from the
+    # largest size down as the sweep rounds it, times the slack: each eps is
+    # the fsum of its evaluated terms and that charge, bit for bit. With the
+    # lattice cap (poisson_bound on this i.i.d. model) each eps lies between
+    # the sum over every size and that charge of delta = 1, below the latter
+    # at some eps.
     monkeypatch.setattr(statpriv.amplify, "NEGLIGIBLE_TAIL_SHARE", 2.0 ** -8)
     entry, q, n, rate = Pmf.bernoulli(0.5), count_query(), 300, 0.1
-    kept, tail = weight_rule(n, rate)
+    weights = binomial_pmf(n, rate)
+    masses = {m: weights[m] * m / n for m in range(1, n + 1) if weights[m] > 0.0}
+    assert weights[1] >= NEGLIGIBLE_SIZE_WEIGHT  # no size below the sweep
+    cap, slack = delta_one_cap(n)
     want = reference_poisson(entry, q, n, rate, SHIFTED_GRID)
     evaluated = {}
 
@@ -233,14 +249,19 @@ def test_share_rule_charges_the_sizes_it_skips(monkeypatch):
         return values
 
     def charged_one():
-        return [
-            min(1.0, math.fsum(f * evaluated[m][k] if k in evaluated.get(m, {}) else f
-                               for m, f in kept.items()) + tail)
-            for k in range(len(SHIFTED_GRID))
-        ]
+        out = []
+        for k in range(len(SHIFTED_GRID)):
+            top = max(m for m in evaluated if k in evaluated[m])
+            rest = 0.0
+            for m in sorted(masses, reverse=True):
+                if m > top:
+                    rest += masses[m]
+            terms = [f * evaluated[m][k] for m, f in masses.items() if m <= top]
+            out.append(min(1.0, math.fsum(terms + [rest * slack])))
+        return list(itertools.accumulate(out, min))
 
-    got = statpriv.amplify._size_mixture(n, rate, SHIFTED_GRID, sized)
-    assert len(evaluated) < len(kept) and got[0] > want[0]
+    got = statpriv.amplify._size_mixture(n, rate, SHIFTED_GRID, sized, cap)
+    assert len(evaluated) < len(masses) and got[0] > want[0]
     assert list(got) == charged_one() and all(map(operator.ge, got, want))
     evaluated.clear()
     monkeypatch.setattr(
@@ -248,9 +269,30 @@ def test_share_rule_charges_the_sizes_it_skips(monkeypatch):
         PrivacyCurve(grid, sized(m, grid)))
     got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, SHIFTED_GRID).values
     ones = charged_one()
-    assert len(evaluated) < len(kept) and got[0] > want[0]
+    assert len(evaluated) < len(masses) and got[0] > want[0]
     assert all(map(operator.le, want, got)) and all(map(operator.le, got, ones))
     assert list(got) != ones
+
+
+def test_lower_tail_is_decided_on_the_sum_over_every_size():
+    # At n = 1200, rate 0.5 the sweep starts above size 1. Where charging
+    # the sizes below it delta = 1 moves a sum, they are evaluated: here their
+    # values are 1, so the bound is the fsum over every size. Deciding on the
+    # sweep's rounded sum plus the rounded tail left it one ulp below.
+    n, rate = 1200, 0.5
+    weights = binomial_pmf(n, rate)
+    assert weights[1] < NEGLIGIBLE_SIZE_WEIGHT
+
+    def value(m):
+        return 1.0 if weights[m] < NEGLIGIBLE_SIZE_WEIGHT else 1.593e-61
+
+    def sized(m, stretched):
+        return [value(m)] * len(stretched)
+
+    (got,) = statpriv.amplify._size_mixture(n, rate, (0.0,), sized, lambda m, eps: [1.0] * len(eps))
+    every = math.fsum(w * m / n * value(m) for m, w in enumerate(weights) if m)
+    assert every == 7.965000000000001e-62
+    assert got == every
 
 
 @st.composite
@@ -305,11 +347,20 @@ def test_no_larger_size_exceeds_the_ceiling(case):
 
 
 def test_ceiling_needs_an_iid_model_and_an_additive_query():
+    # Otherwise, and for a size whose chain is over the budget, the cap is
+    # delta = 1 raised by the slack 1 + 4(2kn + 3)2^-53, k the entry's support.
     ceiling = statpriv.amplify._ceiling
     bern = Pmf.bernoulli(0.5)
-    assert ceiling(DatabaseModel([bern, Pmf.bernoulli(0.3)]), sum_query(), 2, DEFAULT_BUDGET) is None
+    slack = 1.0 + 4 * (2 * 2 * 8 + 3) * 2.0**-53
     maximum = Query("max", max, True)
-    assert ceiling(DatabaseModel.iid(bern, 4), maximum, 4, DEFAULT_BUDGET) is None
+    two_class = DatabaseModel([bern, Pmf.bernoulli(0.3)] * 4)
+    for cap in (
+        ceiling(two_class, sum_query(), 8, DEFAULT_BUDGET),
+        ceiling(DatabaseModel.iid(bern, 8), maximum, 8, DEFAULT_BUDGET),
+        ceiling(DatabaseModel.iid(bern, 8), count_query(), 8, 34),  # size 8 has 35 cells
+    ):
+        assert cap(8, (0.0, 0.5, 1.0)) == [slack] * 3
+    assert ceiling(DatabaseModel.iid(bern, 8), count_query(), 8, 35)(8, (0.0,))[0] < 1.0
     # Means of values 2^-16 apart at 1e11 merge from 2 entries on: their
     # curves are below their cells', which the ceiling takes.
     close = Pmf((1e11, 1e11 + 2.0**-16, 1e11 + 2.0**-15), (0.25, 0.5, 0.25))
@@ -324,9 +375,10 @@ def test_ceiling_needs_an_iid_model_and_an_additive_query():
 def test_weight_floor_charges_no_longer_set_an_iid_bound():
     # bern(0.5) count at poisson:1200,0.5: the sizes of weight below
     # NEGLIGIBLE_SIZE_WEIGHT were charged 1.1068979823482692e-77 at every
-    # eps, which was the printed value at eps 2. The sizes above the swept
-    # range now take the ceiling and those below are evaluated where their
-    # charge would set the value: every eps is the sum over every size.
+    # eps, which was the printed value at eps 2. The light sizes above the
+    # heavy ones are now swept and charged the ceiling, and those below are
+    # evaluated where their charge would set the value: every eps is the sum
+    # over every size.
     entry, q, n, rate, grid = Pmf.bernoulli(0.5), count_query(), 1200, 0.5, (0.0, 1.0, 2.0)
     got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, grid).values
     assert weight_rule(n, rate)[1] == 1.1068979823482692e-77
@@ -334,10 +386,11 @@ def test_weight_floor_charges_no_longer_set_an_iid_bound():
     assert got[2] == 3.874467616886448e-114
 
 
-def test_a_two_class_model_keeps_the_charges_of_delta_one(monkeypatch):
-    # No ceiling for a model that is not i.i.d.: the bound and the sizes it
-    # evaluates are those of the sweep that charged delta = 1, frozen here;
-    # at n = 60, rate 0.03 it skips sizes by both the share and the weight.
+def test_a_two_class_model_is_charged_delta_one_raised_by_the_slack(monkeypatch):
+    # A model that is not i.i.d. takes the cap of delta = 1: the bound and
+    # the sizes it evaluates are those of the sweep that charged each size
+    # left out its mass times 1, frozen here; at n = 60, rate 0.03 it skips
+    # sizes by the share, up to the last of nonzero weight.
     evaluated = []
     sampled = statpriv.amplify._sampled_curve_values
 

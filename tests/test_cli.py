@@ -593,6 +593,33 @@ def test_a_negative_or_infinite_eps_exits_1_in_the_grid_checks_words(eps, bad, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["curve", "--entry", "bern:0.5", "--n", "4", "--eps", "710"], "e^eps"),
+        (["amplify", "--entry", "bern:0.5", "--technique", "wor:10,5", "--eps", "710"], "e^eps"),
+        (["amplify", "--entry", "bern:0.5", "--technique", "wr:32,2", "--eps", "710"], "e^eps"),
+        (["figures", "fig2", "--entry", "bern:0.5", "--eps", "709"], "its stretch by 10.0"),
+    ],
+)
+def test_an_eps_too_large_for_a_float_exits_1_naming_it(argv, err, tmp_path, capsys):
+    # e^710 is no float, nor is 709 stretched by fig2's n/m = 10.
+    eps = argv[-1]
+    assert main([*argv, "--out", str(tmp_path / "f.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: eps {eps}.0 is too large for {err} to be a float\n"
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
+def test_the_largest_eps_e_to_which_is_a_float_still_runs(capsys):
+    assert main(["curve", "--entry", "bern:0.5", "--n", "4", "--eps", "709"]) == 0
+    assert capsys.readouterr().out == "epsilon,delta\n709,0.125\n"
+    # Sizes of nonzero weight start at 492: 705 stretches to at most 706.8.
+    argv = ["amplify", "--entry", "bern:0.5", "--query", "count", "--technique", "poisson:3000,0.5"]
+    assert main([*argv, "--eps", "705"]) == 0
+    assert capsys.readouterr().out == "epsilon,eps_prime,delta_prime\n705,705,0\n"
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # main in a child process whose address space is capped at 1 GiB, so a size
