@@ -19,14 +19,16 @@ from .dist import (
 )
 from .divergence import (
     PrivacyCurve,
-    _chain_curve,
     _exp_grid,
+    _pointwise_max,
     as_grid,
+    cell_curve,
     check_grid,
     half_line_check,
     hockey_stick_curve,
     hockey_stick_divergence,
     privacy_curve,
+    worst_rows,
 )
 from .errors import NotSamplableError
 from .sampling import (
@@ -45,8 +47,8 @@ PARAM_TOL = 1e-12
 # rate 0.5 the sweep starts at size 996.
 NEGLIGIBLE_SIZE_WEIGHT = 2.0 ** -256
 # At each eps, the sizes above the last one evaluated are charged, their mass
-# times a proven cap (_ceiling), once that is below this share of the delta
-# summed so far, moving it by at most one ulp; at n=1000, rate 0.1,
+# times a proven cap (_ceiling), once that is at most this share of the
+# delta summed so far, moving it by at most one ulp; at n=1000, rate 0.1,
 # bern(0.5) count, that evaluates 229 of the 596 sizes of nonzero weight.
 NEGLIGIBLE_TAIL_SHARE = 2.0 ** -80
 
@@ -178,7 +180,7 @@ def _ceiling(db, q, n, budget):
     curve at that eps or above, raised by a slack.
 
     For an i.i.d. model of at most n entries and an additive query they are
-    the curve of size m's lattice cells (_chain_curve). Size m + 1's cells
+    the curve of size m's lattice cells (cell_curve). Size m + 1's cells
     are size m's convolved with the entry, one Markov kernel applied to both
     laws of each pair, so by post-processing (Dwork & Roth 2014, Prop. 2.1)
     its cells' curve is at most size m's at every eps, and a curve is
@@ -196,7 +198,7 @@ def _ceiling(db, q, n, budget):
 
     def ceiling(m, eps):
         chain = chained and lattice_chain(DatabaseModel.iid(entry, m), 1, q, budget)
-        return [slack * d for d in _chain_curve(*chain[:2], eps)] if chain else [slack] * len(eps)
+        return [slack * d for d in cell_curve(chain, eps)] if chain else [slack] * len(eps)
 
     return ceiling
 
@@ -216,8 +218,9 @@ def _size_mixture(n, rate, grid, sized_values, ceiling):
     heavy) to the last of nonzero weight. Before each size, an eps closes
     once the sizes above the last evaluated size M, charged their mass times
     a cap at their smallest stretched eps (the stretch of the largest size),
-    are below NEGLIGIBLE_TAIL_SHARE times its sum so far: that moves the sum
-    by less than the share. An eps whose sum is 0 stays open. Eps close from
+    are at most NEGLIGIBLE_TAIL_SHARE times its sum so far: that moves the
+    sum by at most the share, and a charge of 0 (a cap of 0 proves that no
+    larger size adds anything) closes an eps whose sum is 0. Eps close from
     either end of the grid, so each size is evaluated on a slice of its
     stretched grid, and the sweep stops when every eps is closed. A cap
     holds for every size above its own, so each eps keeps the last it got;
@@ -247,10 +250,10 @@ def _size_mixture(n, rate, grid, sized_values, ceiling):
 
     def ends(lo, hi, rest, cap):
         """[lo, hi) less the eps at either end whose charge, rest * cap(k),
-        is below the share of its sum so far."""
-        while lo < hi and rest * cap(lo) < share * running[lo]:
+        is at most the share of its sum so far."""
+        while lo < hi and rest * cap(lo) <= share * running[lo]:
             lo += 1
-        while hi > lo and rest * cap(hi - 1) < share * running[hi - 1]:
+        while hi > lo and rest * cap(hi - 1) <= share * running[hi - 1]:
             hi -= 1
         return lo, hi
 
@@ -259,7 +262,7 @@ def _size_mixture(n, rate, grid, sized_values, ceiling):
         charged for that size and every size above it."""
         rest, row = left[i], rows[-1]
         a, b = ends(lo, hi, rest, lambda k: min(caps[k], guess[k] * row[k]))
-        ask = [k for k in (*range(lo, a), *range(b, hi)) if rest * caps[k] >= share * running[k]]
+        ask = [k for k in (*range(lo, a), *range(b, hi)) if rest * caps[k] > share * running[k]]
         for k, cap in zip(ask, ceiling(first + i - 1, [top[k] for k in ask]) if ask else ()):
             caps[k], guess[k] = cap, cap / row[k] if row[k] else 1.0
         a, b = ends(lo, hi, rest, caps.__getitem__)
@@ -272,8 +275,8 @@ def _size_mixture(n, rate, grid, sized_values, ceiling):
         if rows:
             # Each cap is at least the last row, so an eps that fails the test
             # with the row fails it with its cap: only an end that passes may close.
-            row, rest = rows[-1], left[i]
-            if rest * row[lo] < share * running[lo] or rest * row[hi - 1] < share * running[hi - 1]:
+            row, rest, end = rows[-1], left[i], hi - 1
+            if rest * row[lo] <= share * running[lo] or rest * row[end] <= share * running[end]:
                 lo, hi = close(i, lo, hi)
                 if lo == hi:
                     break
@@ -341,7 +344,7 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
     samplability precondition over every answer pair the proof compares.
 
     Per position j, one drawn_classes pass over the given_drawn(j) view
-    gives each class's conditioned laws and worst_pairs rows, and two
+    gives each class's conditioned Laws and their worst_rows, and two
     families are certified on the epsilon grid:
 
     Same-template pairs: for each template drawing j and ordered
@@ -368,10 +371,11 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
     curves = []
     for j in scan_positions(db, technique.exchangeable):
         drawn = technique.given_drawn(j)
-        classes = []
-        for t, p, keys, laws, rows in drawn_classes(db, q, drawn, j, grid, budget):
+        terms, by_template = [], {}
+        for t, p, keys, laws in drawn_classes(db, q, drawn, j, budget):
+            rows, pmfs = worst_rows(laws, grid), laws.pmfs()
             for v, w in itertools.permutations(outcomes, 2):
-                res = half_line_check(laws[v], laws[w], grid)
+                res = half_line_check(pmfs[v], pmfs[w], grid)
                 if not res:
                     raise NotSamplableError(
                         res.eps,
@@ -379,11 +383,11 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
                         "half_line",
                         context=f"j={j}, template={t.indices}, pair=({v}, {w})",
                     )
-            classes.append((t, p, keys, laws, rows))
-        curves.append(drawn_curve(classes, grid).values)
+            terms.append((p, _pointwise_max(list(rows.values()))))
+            by_template[t] = keys, pmfs, rows
+        curves.append(drawn_curve(terms, grid).values)
         if db.n < 2:  # no template avoids j: no cross pairs
             continue
-        by_template = {t: (keys, laws, rows) for t, _, keys, laws, rows in classes}
         checked = set()
         for t_in, t_out, _ in matched_coupling(drawn, j, db, budget):
             keys, lefts, ceilings = by_template[t_in]
@@ -412,7 +416,7 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
                                 f"exceeds the same-template ceiling {ceiling}"
                             ),
                         )
-    return PrivacyCurve(grid, [max(col) for col in zip(*curves)])
+    return PrivacyCurve(grid, _pointwise_max(curves))
 
 
 def dp_subsample(curve: PrivacyCurve, rate: float) -> PrivacyCurve:

@@ -567,30 +567,29 @@ def answer_pmf(q: Query, pairs: Iterable[tuple[float, float]]) -> Pmf:
         raise _overflow(q) from None
 
 
-def lattice_laws(
-    db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUDGET
-) -> dict[float, Pmf] | None:
-    """Value v -> law of q on db with entry j fixed to v, from lattice_chain
-    (None when it is): the answers on the reachable cells shifted by v's
-    step. As q is nondecreasing in the total, equal answers are adjacent
-    runs and merge in total order: answer_law's outcomes, bit for bit."""
-    chain = lattice_chain(db, j, q, budget)
-    return None if chain is None else _chain_laws(db, chain)
+class Laws:
+    """Conditioning value -> answer law: the laws whose worst pair a scan
+    takes (divergence.worst_curve, worst_rows and cell_curve).
 
+    Laws(pmfs) holds explicit laws. A lattice chain (lattice_chain) holds
+    `weights` on its cells and, per value, a step in `steps`: each law is
+    the weights shifted by its step, merged where two cells share an answer,
+    which `distinct` rules out. It passes as `pmfs` the function that builds
+    the laws, which only pmfs() calls.
+    """
 
-def _chain_laws(db: DatabaseModel, chain) -> dict[float, Pmf]:
-    """lattice_laws of a chain lattice_chain has built."""
-    steps, weights, reachable, answers, _ = chain
-    masses = [weights[i] for i in reachable]
-    laws = (answers([s + i for i in reachable]) for s in steps)
-    return {v: _run_law(a, masses) for v, a in zip(db.outcome_grid, laws)}
+    def __init__(self, pmfs, steps=None, weights=(), distinct=False):
+        self._pmfs, self.steps, self.weights, self.distinct = pmfs, steps, weights, distinct
+
+    def pmfs(self) -> dict[float, Pmf]:
+        """Value -> law."""
+        return self._pmfs if self.steps is None else self._pmfs()
 
 
 def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUDGET):
-    """The lattice chain of an additive q (see Query) with entry j fixed:
-    (steps, weights, reachable, answers, distinct); None when q is not
-    additive or the chain would build over `budget` cells, for answer_law to
-    take over.
+    """The laws of an additive q (see Query) on db with entry j fixed to each
+    value, as a lattice chain (see Laws); None when q is not additive or the
+    chain would build over `budget` cells, for answer_law to take over.
 
     Scores lie on a lattice of step g, the gcd of the grid's score
     differences; `steps` are the grid's scores in steps above the lowest.
@@ -610,7 +609,7 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     test asks for more than 4 ulps, which also covers rounding g * unit.
     Short of a proof every cell's answer is compared, and when two are equal
     `answers` reads the compared ones back. Otherwise it evaluates q, which
-    happens only when _chain_laws builds the laws.
+    happens only when Laws.pmfs builds the laws.
 
     Error: every term is nonnegative, so each mass is within (2km + 3)u
     relative of the exact law (the entries' weights divided by their
@@ -649,7 +648,19 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
         distinct = all(map(lt, walk := answers(cells), walk[1:]))
         if not distinct:  # the laws read the walk's answers: each cell is answered once
             answers = partial(_read, dict(zip(cells, walk)))
-    return steps, list(map(truediv, law, repeat(total))), reachable, answers, distinct
+    weights = list(map(truediv, law, repeat(total)))
+
+    def pmfs():
+        # As q is nondecreasing in the total, equal answers are adjacent runs
+        # and merge in total order, their masses summed by fsum: answer_law's
+        # outcomes, bit for bit.
+        masses, laws = [weights[i] for i in reachable], {}
+        for v, s in zip(db.outcome_grid, steps):
+            runs = groupby(zip(answers([s + i for i in reachable]), masses), key=itemgetter(0))
+            laws[v] = Pmf(*zip(*[(a, math.fsum(w for _, w in run)) for a, run in runs]))
+        return laws
+
+    return Laws(pmfs, steps, weights, distinct)
 
 
 # The one law _free_law remembers: steps -> (entries, law, reachable cells).
@@ -691,18 +702,6 @@ def _step(law: list[float], reach: int, entry: Pmf, steps: tuple[int, ...]):
         out[s : s + size] = [a + w * x for a, x in zip(out[s : s + size], law)]
         grown |= reach << s
     return out, grown
-
-
-def _run_law(answers: list[float], weights: list[float]) -> Pmf:
-    """The law of nondecreasing answers with their weights: equal answers
-    are adjacent and merge, their weights summed by fsum."""
-    if all(map(lt, answers, answers[1:])):
-        return Pmf(answers, weights)
-    outcomes, masses = [], []
-    for a, run in groupby(zip(answers, weights), key=itemgetter(0)):
-        outcomes.append(a)
-        masses.append(math.fsum(w for _, w in run))
-    return Pmf(outcomes, masses)
 
 
 def _read(known: dict, at: Sequence[int]) -> list[float]:

@@ -10,10 +10,10 @@ from operator import add, gt, lt
 from .dist import (
     DEFAULT_BUDGET,
     DatabaseModel,
+    Laws,
     Pmf,
     Query,
     _Value,
-    _chain_laws,
     condition,
     lattice_chain,
     pushforward,
@@ -167,13 +167,12 @@ class PrivacyCurve(_Value):
         return min(1.0, max(0.0, v0 + t * (v1 - v0)))
 
 
-def worst_pairs(
-    pmfs: dict[float, Pmf], grid: tuple[float, ...]
-) -> dict[float, tuple[float, ...]]:
-    """The one worst-pair scan: conditioning value v -> per grid epsilon, the
-    maximum over w != v of hockey_stick_divergence(pmfs[v], pmfs[w], eps),
-    0.0 when there is no other value; one pair kernel call per unordered
-    pair gives both its directions."""
+def worst_rows(laws: Laws, grid: tuple[float, ...]) -> dict[float, tuple[float, ...]]:
+    """The laws' rows on `grid`: value v -> per eps, the maximum over w != v
+    of hockey_stick_divergence(v's law, w's law, eps), 0.0 when there is no
+    other value; one pair kernel call per unordered pair gives both its
+    directions."""
+    pmfs = laws.pmfs()
     rows = dict.fromkeys(pmfs, (0.0,) * len(grid))
     for (v, mu), (w, nu) in combinations(pmfs.items(), 2):
         forward, backward = _pair_curves(*_aligned(mu, nu), grid)
@@ -182,22 +181,35 @@ def worst_pairs(
     return rows
 
 
-def _chain_curve(
-    steps: tuple[int, ...], weights: list[float], grid: tuple[float, ...]
-) -> tuple[float, ...]:
-    """The worst-pair curve on `grid` of the laws a lattice chain's cells
-    give (see dist.lattice_chain): its weights shifted by each value's step.
-    One pair kernel call per distinct step difference d scans both orders
-    of its pairs. Mirror rule: if the weights W equal W[::-1], the backward
-    terms of (W 0^d, 0^d W) are the forward ones mirrored; fsum rounds
-    exactly, so one direction is scanned, and gives both bit for bit."""
+def worst_curve(laws: Laws, grid: tuple[float, ...]) -> tuple[float, ...]:
+    """The laws' worst-pair curve on `grid`: per eps, the maximum of their
+    rows. A chain whose answers are distinct is its cell_curve; one whose
+    answers merge (values 1e11 and 1e11 + 2^-16, say) scans its laws."""
+    if laws.distinct:
+        return cell_curve(laws, grid)
+    return _pointwise_max(list(worst_rows(laws, grid).values()))
+
+
+def cell_curve(chain: Laws, grid: tuple[float, ...]) -> tuple[float, ...]:
+    """A chain's worst-pair curve on `grid` over its lattice cells: its
+    weights shifted by each value's step. Answers are a function of the
+    cells, so this is at least worst_curve's, and equal to it where they are
+    distinct. One pair kernel call per distinct step difference d scans both
+    orders of its pairs. Mirror rule: if the weights W equal W[::-1], the
+    backward terms of (W 0^d, 0^d W) are the forward ones mirrored; fsum
+    rounds exactly, so one direction is scanned, and gives both bit for bit."""
+    weights = chain.weights
     mirror = weights == weights[::-1]
     rows = []
-    for d in {abs(s - t) for s in steps for t in steps} - {0}:
+    for d in {abs(s - t) for s in chain.steps for t in chain.steps} - {0}:
         pair = _pair_curves(weights + [0.0] * d, [0.0] * d + weights, grid, not mirror)
         rows.extend(pair[:1] if mirror else pair)
-    rows = rows or [(0.0,) * len(grid)]
-    return rows[0] if len(rows) == 1 else tuple(map(max, zip(*rows)))
+    return _pointwise_max(rows or [(0.0,) * len(grid)])
+
+
+def _pointwise_max(rows: list[tuple[float, ...]]) -> tuple[float, ...]:
+    """Per column, the largest entry of the nonempty list `rows`."""
+    return rows[0] if len(rows) == 1 else tuple(map(max, *rows))
 
 
 def privacy_curve(
@@ -211,16 +223,11 @@ def privacy_curve(
     For every epsilon on the grid this maximizes
     hockey_stick_divergence(answers | entry j = v, answers | entry j = w, eps)
     over positions j and ordered pairs (v, w) from the outcome grid, scanning
-    the positions of scan_positions.
-
-    For sum, count and mean a position's laws are one lattice chain's
-    weights shifted by each value's step (dist.lattice_chain): if q's
-    answers are distinct over its cells, they are the chain's own laws
-    (_chain_curve); if they merge (values 1e11 and 1e11 + 2^-16, say),
-    worst_pairs scans the chain's per-value laws (dist.lattice_laws).
-    Other queries, and chains over `budget` cells, take the multiset kernel.
-    The grid is checked once, here, and the values not at all (see
-    PrivacyCurve._built).
+    the positions of scan_positions: the maximum over positions of the
+    worst_curve of their Laws. For sum, count and mean those are a lattice
+    chain (dist.lattice_chain); other queries, and chains over `budget`
+    cells, take the multiset kernel. The grid is checked once, here, and the
+    values not at all (see PrivacyCurve._built).
     """
     grid = as_grid(grid)
     check_grid(grid)
@@ -228,18 +235,11 @@ def privacy_curve(
         raise ValueError("privacy_curve needs a pure product model, got fixed positions")
     rows = []
     for j in scan_positions(db, exchangeable=True):
-        chain = lattice_chain(db, j, q, budget)
-        if chain is None:
-            pmfs = {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
-        elif chain[4]:
-            rows.append(_chain_curve(*chain[:2], grid))
-            continue
-        else:
-            pmfs = _chain_laws(db, chain)
-        rows.extend(worst_pairs(pmfs, grid).values())
-    # Rows are never below 0.0, which is also the curve with no pair to scan.
-    rows = rows or [(0.0,) * len(grid)]
-    return PrivacyCurve._built(grid, rows[0] if len(rows) == 1 else tuple(map(max, zip(*rows))))
+        laws = lattice_chain(db, j, q, budget) or Laws(
+            {w: pushforward(condition(db, j, w), q, budget) for w in db.outcome_grid}
+        )
+        rows.append(worst_curve(laws, grid))
+    return PrivacyCurve._built(grid, _pointwise_max(rows))
 
 
 class HalfLineResult(_Value):

@@ -15,6 +15,7 @@ from functools import cached_property
 from .dist import (
     DEFAULT_BUDGET,
     DatabaseModel,
+    Laws,
     Pmf,
     Query,
     _Value,
@@ -25,7 +26,7 @@ from .dist import (
     law_key,
     scan_positions,
 )
-from .divergence import PrivacyCurve, as_grid, worst_pairs
+from .divergence import PrivacyCurve, _pointwise_max, as_grid, worst_curve
 from .errors import EnumerationBudgetError, ZeroProbabilityError
 
 PROB_TOL = 1e-12
@@ -284,30 +285,23 @@ def sampled_pushforward(
     return answer_pmf(q, pairs())
 
 
-def drawn_classes(db, q, view, j, grid, budget):
-    """(template, mass, law keys, value -> law, value -> worst row) per class
-    of `view`, a technique's given_drawn(j), in enumeration order: the
-    template's laws on db with entry j conditioned to each outcome grid
-    value, their law_keys, and worst_pairs of the laws on `grid`. Classes
-    with equal key tuples share one law set and one row set."""
+def drawn_classes(db, q, view, j, budget):
+    """(template, mass, law keys, laws) per class of `view`, a technique's
+    given_drawn(j), in enumeration order: the Laws of the template on db
+    with entry j conditioned to each outcome grid value, and their
+    law_keys: classes with equal keys have equal laws (see answer_law)."""
     conditioned = {w: condition(db, j, w) for w in db.outcome_grid}
-    shared: dict[tuple, tuple] = {}
     for t, p in view.classes(db, budget):
         keys = tuple(law_key(cond, t.indices) for cond in conditioned.values())
-        if keys not in shared:
-            laws = {w: apply_template(cond, t, q, budget) for w, cond in conditioned.items()}
-            shared[keys] = laws, worst_pairs(laws, grid)
-        yield (t, p, keys, *shared[keys])
+        laws = {w: apply_template(cond, t, q, budget) for w, cond in conditioned.items()}
+        yield t, p, keys, Laws(laws)
 
 
-def drawn_curve(classes, grid) -> PrivacyCurve:
-    """Per grid epsilon, the mass-weighted sum over drawn_classes items of
-    their worst row entry (the max over conditioning values)."""
-    terms: list[list[float]] = [[] for _ in grid]
-    for _, p, _, _, rows in classes:
-        for ts, d in zip(terms, (max(col) for col in zip(*rows.values()))):
-            ts.append(p * d)
-    return PrivacyCurve(grid, tuple(min(1.0, max(0.0, math.fsum(ts))) for ts in terms))
+def drawn_curve(terms, grid) -> PrivacyCurve:
+    """Per grid epsilon, the sum over (mass, curve) terms of mass times
+    curve, capped at 1."""
+    columns = zip(*[[p * d for d in curve] for p, curve in terms])
+    return PrivacyCurve(grid, [min(1.0, math.fsum(col)) for col in columns])
 
 
 def sampling_curve(
@@ -323,11 +317,12 @@ def sampling_curve(
     For each epsilon this averages, over the classes of the technique
     conditioned on entry j being drawn, the maximal hockey-stick divergence
     between template answer distributions of the model conditioned to j = v
-    versus j = w, maximized over ordered pairs (v, w): drawn_curve of
-    drawn_classes.
+    versus j = w, maximized over ordered pairs (v, w): drawn_curve of the
+    worst_curve of each of the drawn_classes.
     """
     grid = as_grid(grid)
-    return drawn_curve(drawn_classes(db, q, technique.given_drawn(j), j, grid, budget), grid)
+    classes = drawn_classes(db, q, technique.given_drawn(j), j, budget)
+    return drawn_curve([(p, worst_curve(laws, grid)) for _, p, _, laws in classes], grid)
 
 
 def sampling_curve_max(
@@ -341,7 +336,7 @@ def sampling_curve_max(
     grid = as_grid(grid)
     positions = scan_positions(db, technique.exchangeable)
     curves = [sampling_curve(db, q, technique, j, grid, budget).values for j in positions]
-    return PrivacyCurve(grid, tuple(max(col) for col in zip(*curves)))
+    return PrivacyCurve(grid, _pointwise_max(curves))
 
 
 def matched_coupling(

@@ -109,7 +109,7 @@ def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, siz
     # grid unchanged.
     seen, curves, log = [], [], []
     sampled, curve = statpriv.amplify._sampled_curve_values, statpriv.amplify.privacy_curve
-    scan = statpriv.amplify._chain_curve
+    scan = statpriv.amplify.cell_curve
 
     def record(db, q, n, m, grid, budget):
         seen.append((m, grid))
@@ -120,13 +120,13 @@ def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, siz
         curves.append(args[0].n)
         return curve(*args)
 
-    def ceiling(steps, weights, grid):  # bern(0.5) count: size m has m cells
-        log.append((len(weights), grid))
-        return scan(steps, weights, grid)
+    def ceiling(chain, grid):  # bern(0.5) count: size m has m cells
+        log.append((len(chain.weights), grid))
+        return scan(chain, grid)
 
     monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
     monkeypatch.setattr(statpriv.amplify, "privacy_curve", counted)
-    monkeypatch.setattr(statpriv.amplify, "_chain_curve", ceiling)
+    monkeypatch.setattr(statpriv.amplify, "cell_curve", ceiling)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
     poisson_bound(db, count_query(), n, rate, SHIFTED_GRID)
     assert len(seen) == sizes
@@ -206,23 +206,30 @@ def delta_one_cap(n):
     return cap, cap(1, (0.0,))[0]
 
 
-def test_size_mixture_never_closes_an_eps_whose_sum_is_zero():
-    # Sized values of 0 leave every sum at 0: every size of nonzero weight,
-    # 1 to 596, is evaluated on the whole grid, no cap is asked for, and the
-    # result is exactly 0.
-    n, rate, seen = 1000, 0.1, []
-
-    def zeros(m, stretched):
-        seen.append((m, len(stretched)))
-        return (0.0,) * len(stretched)
-
-    def cap(m, eps):
-        raise AssertionError("no eps closes")
-
-    got = statpriv.amplify._size_mixture(n, rate, SHIFTED_GRID, zeros, cap)
-    assert seen == [(m, len(SHIFTED_GRID)) for m in range(1, 597)]
+def test_size_mixture_closes_an_eps_whose_charge_is_zero():
+    # Sized values of 0 leave every sum at 0. A cap of 0 proves that no
+    # larger size adds anything, so every eps closes after the first size,
+    # asking for one cap. A cap of delta = 1 charges the sizes left
+    # something, so no eps closes: every size of nonzero weight, 1 to 596,
+    # is evaluated on the whole grid, and a cap is asked for before each
+    # size after the first. Either way the result is exactly 0.
+    n, rate = 1000, 0.1
     assert binomial_pmf(n, rate)[596] > 0.0 == binomial_pmf(n, rate)[597]
-    assert got == (0.0,) * len(SHIFTED_GRID)
+    for cap, sizes in ((0.0, 1), (1.0, 596)):
+        seen, asked = [], []
+
+        def zeros(m, stretched):
+            seen.append((m, len(stretched)))
+            return (0.0,) * len(stretched)
+
+        def ceiling(m, eps):
+            asked.append(m)
+            return [cap] * len(eps)
+
+        got = statpriv.amplify._size_mixture(n, rate, SHIFTED_GRID, zeros, ceiling)
+        assert seen == [(m, len(SHIFTED_GRID)) for m in range(1, sizes + 1)]
+        assert asked == list(range(1, max(sizes, 2)))
+        assert got == (0.0,) * len(SHIFTED_GRID)
 
 
 def test_share_rule_charges_the_sizes_it_skips(monkeypatch):

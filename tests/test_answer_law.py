@@ -2,7 +2,7 @@
 
 `pushforward` and `apply_template` share one kernel that enumerates multisets
 with multinomial weights; `privacy_curve` builds the laws of additive queries
-with the lattice chain `lattice_laws`. These tests check the multiset kernel
+with the lattice chain `lattice_chain`. These tests check the multiset kernel
 against a plain ordered enumeration written here, the chain against the
 multiset kernel, and the weights of both against exact rational arithmetic.
 Every answer is the float the query returns; two answers merge only when
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from statpriv.amplify import dp_poisson_bound
 from statpriv.dist import (
     DatabaseModel,
+    Laws,
     Pmf,
     Query,
     WEIGHT_TOL,
@@ -27,14 +28,20 @@ from statpriv.dist import (
     binomial_pmf,
     condition,
     count_query,
-    lattice_laws,
+    lattice_chain,
     law_key,
     mean_query,
     pushforward,
     sum_query,
 )
 from statpriv import dist
-from statpriv.divergence import PrivacyCurve, default_eps_grid, privacy_curve, worst_pairs
+from statpriv.divergence import (
+    PrivacyCurve,
+    default_eps_grid,
+    privacy_curve,
+    worst_curve,
+    worst_rows,
+)
 from statpriv.errors import EnumerationBudgetError
 from statpriv.sampling import Template, apply_template
 
@@ -106,7 +113,7 @@ U = 2.0**-53
 
 
 def chain_bound(db, j):
-    """The lattice chain's error bound (see lattice_laws): relative and
+    """The lattice chain's error bound (see lattice_chain): relative and
     absolute parts for the laws of db with entry j fixed."""
     free = [e for i, e in enumerate(db.entries, 1) if i != j]
     k = max((len(e.support) for e in free), default=1)
@@ -120,7 +127,8 @@ def assert_chain_matches_the_kernel(db, j, q):
     it, for the kernel's own roundoff and merges), and worst-pair curves
     within what those masses allow: delta(eps) moves by at most the mass
     errors of mu plus e^eps times those of nu, plus its own rounding."""
-    chain = lattice_laws(db, j, q)
+    laws = lattice_chain(db, j, q)
+    chain = laws.pmfs()
     kernel = {w: pushforward(condition(db, j, w), q) for w in db.outcome_grid}
     assert chain.keys() == kernel.keys()
     rel, floor = chain_bound(db, j)
@@ -130,7 +138,7 @@ def assert_chain_matches_the_kernel(db, j, q):
             assert abs(got - want) <= 2 * rel * want + floor, (w, got, want)
     grid = default_eps_grid()
     cells = max(len(law.outcomes) for law in kernel.values())
-    for got, want in zip(worst_pairs(chain, grid).values(), worst_pairs(kernel, grid).values()):
+    for got, want in zip(worst_rows(laws, grid).values(), worst_rows(Laws(kernel), grid).values()):
         for eps, a, b in zip(grid, got, want):
             scale = 1.0 + math.exp(eps)
             assert abs(a - b) <= (2 * rel + cells * floor) * scale + 4 * U, (eps, a, b)
@@ -147,7 +155,7 @@ def test_mean_curve_beyond_ordered_enumeration_matches_the_kernel():
     mean = privacy_curve(db, q, grid)
     kernel = {w: pushforward(condition(db, 1, w), q) for w in db.outcome_grid}
     assert mean.values[0] > 0.01
-    want = tuple(max(col) for col in zip(*worst_pairs(kernel, grid).values()))
+    want = worst_curve(Laws(kernel), grid)
     assert max(abs(a - b) for a, b in zip(mean.values, want)) <= TOL
     assert_chain_matches_the_kernel(db, 1, q)
 
@@ -191,19 +199,20 @@ def test_lattice_chain_matches_the_kernel(model, q):
 
 def test_lattice_chain_needs_an_additive_query_within_the_budget():
     three = DatabaseModel.iid(Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), 4)
-    assert lattice_laws(three, 1, MAX_QUERY) is None
+    assert lattice_chain(three, 1, MAX_QUERY) is None
     # 3 free entries of span 2 build 2 * (1 + 2 + 3) + 3 = 15 cells.
-    assert set(lattice_laws(three, 1, sum_query(), budget=15)) == {0.0, 1.0, 2.0}
-    assert lattice_laws(three, 1, sum_query(), budget=14) is None
+    assert set(lattice_chain(three, 1, sum_query(), budget=15).pmfs()) == {0.0, 1.0, 2.0}
+    assert lattice_chain(three, 1, sum_query(), budget=14) is None
     # Count scores 0, 1, 1: span 1 and 1 + 2 + 3 + 3 = 9 cells.
-    assert lattice_laws(three, 1, count_query(), budget=9) is not None
-    assert lattice_laws(three, 1, count_query(), budget=8) is None
+    assert lattice_chain(three, 1, count_query(), budget=9) is not None
+    assert lattice_chain(three, 1, count_query(), budget=8) is None
     unlike = DatabaseModel((Pmf.bernoulli(0.3), Pmf.bernoulli(0.6)))
-    assert lattice_laws(unlike, 2, sum_query())[1.0].as_dict == pytest.approx({1.0: 0.7, 2.0: 0.3})
+    assert lattice_chain(unlike, 2, sum_query()).pmfs()[1.0].as_dict == pytest.approx({1.0: 0.7, 2.0: 0.3})
     # Decimal scores with gcd 1 span about 7e15 lattice steps.
     decimal = DatabaseModel.iid(Pmf((0.1, 0.2, 0.3), (0.5, 0.25, 0.25)), 3)
-    assert lattice_laws(decimal, 1, sum_query()) is None
-    assert lattice_laws(DatabaseModel.iid(Pmf.point(2.0), 3), 1, mean_query())[2.0] == Pmf.point(2.0)
+    assert lattice_chain(decimal, 1, sum_query()) is None
+    point = lattice_chain(DatabaseModel.iid(Pmf.point(2.0), 3), 1, mean_query())
+    assert point.pmfs()[2.0] == Pmf.point(2.0)
 
 
 def test_lattice_chain_extends_its_last_law_bit_for_bit():
@@ -211,19 +220,20 @@ def test_lattice_chain_extends_its_last_law_bit_for_bit():
     # the ones a rebuild from scratch gives, and only one law is held.
     entry = Pmf((0.0, 1.0, 3.0), (0.3, 0.6, 0.1))
     for q in (sum_query(), mean_query()):
-        extended = [lattice_laws(DatabaseModel.iid(entry, m), 1, q) for m in range(1, 40)]
+        extended = [lattice_chain(DatabaseModel.iid(entry, m), 1, q).pmfs() for m in range(1, 40)]
         assert len(dist._chain_memo) == 1
         for m, laws in enumerate(extended, 1):
             dist._chain_memo.clear()
-            rebuilt = lattice_laws(DatabaseModel.iid(entry, m), 1, q)
+            rebuilt = lattice_chain(DatabaseModel.iid(entry, m), 1, q).pmfs()
             assert {w: bits(law) for w, law in laws.items()} == {w: bits(law) for w, law in rebuilt.items()}
     # a different entry, or fewer entries, starts again
-    other = lattice_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 5), 1, sum_query())
+    def laws(n):
+        return lattice_chain(DatabaseModel.iid(Pmf.bernoulli(0.3), n), 1, sum_query()).pmfs()
+
+    other = laws(5)
     dist._chain_memo.clear()
-    assert other == lattice_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 5), 1, sum_query())
-    assert lattice_laws(DatabaseModel.iid(Pmf.bernoulli(0.3), 3), 1, sum_query()) == lattice_laws(
-        DatabaseModel.iid(Pmf.bernoulli(0.3), 3), 1, sum_query()
-    )
+    assert other == laws(5)
+    assert laws(3) == laws(3)
 
 
 def exact_lattice_law(weights, m):
@@ -262,7 +272,7 @@ def test_lattice_chain_is_within_its_stated_bound_of_the_exact_law(weights, m):
     # Values 0..k-1: each total is one sum, so each mass is one lattice cell.
     entry = Pmf(tuple(map(float, range(len(weights)))), weights)
     db = DatabaseModel.iid(entry, m + 1)
-    law = lattice_laws(db, 1, sum_query())[0.0]
+    law = lattice_chain(db, 1, sum_query()).pmfs()[0.0]
     rel, floor = chain_bound(db, 1)
     exact = exact_lattice_law(weights, m)
     assert len(law.outcomes) == len(exact)
@@ -282,7 +292,7 @@ def test_lattice_chain_normalizes_weights_that_sum_to_one_only_after_rounding(we
         (Pmf((0.0, 1.0), (0.5, 0.5 - 2.0**-43)), 21),
     ):
         for q in (sum_query(), count_query(), mean_query()):
-            for law in lattice_laws(DatabaseModel.iid(entry, n), 1, q).values():
+            for law in lattice_chain(DatabaseModel.iid(entry, n), 1, q).pmfs().values():
                 assert abs(math.fsum(law.weights) - 1.0) <= WEIGHT_TOL / 10
 
 
@@ -308,7 +318,8 @@ def test_every_count_vector_with_one_lattice_total_gives_the_chains_float(entry,
     # for mean as rounded once.
     values = entry.outcomes
     scores, _, unit = q.additive(values)
-    laws = lattice_laws(DatabaseModel.iid(entry, m + 1), 1, q, budget=10**6)
+    chain = lattice_chain(DatabaseModel.iid(entry, m + 1), 1, q, budget=10**6)
+    laws = chain and chain.pmfs()
     exact = {
         "sum": lambda sample: sum(map(Fraction, sample)),
         "count": lambda sample: Fraction(sum(x > 0.0 for x in sample)),

@@ -18,15 +18,16 @@ from statpriv.cli import (
 from statpriv.dist import (
     DEFAULT_BUDGET,
     DatabaseModel,
+    Laws,
     Pmf,
     binomial_pmf,
     condition,
     count_query,
-    lattice_laws,
+    lattice_chain,
     pushforward,
     sum_query,
 )
-from statpriv.divergence import privacy_curve, worst_pairs
+from statpriv.divergence import privacy_curve, worst_curve
 from statpriv.oracle import brute_force_divergence
 from statpriv.sampling import TemplateDistribution
 
@@ -193,7 +194,7 @@ def kernel_curve(entry, n, grid):
     """The sum's curve from multiset-kernel pushforwards, as floats."""
     db = DatabaseModel.iid(parse_entry(entry), n)
     laws = {w: pushforward(condition(db, 1, w), sum_query()) for w in db.outcome_grid}
-    return [max(col) for col in zip(*worst_pairs(laws, grid).values())]
+    return list(worst_curve(Laws(laws), grid))
 
 
 def curve_values(capsys, *argv):
@@ -205,7 +206,7 @@ def test_decimal_entry_beyond_the_lattice_budget_takes_the_multiset_kernel(capsy
     # 0.1, 0.2 and 0.3 are integers over 2^55 whose differences have gcd 1,
     # so the lattice chain would need about 7e15 cells per entry.
     entry = "discrete:0.1@0.5,0.2@0.25,0.3@0.25"
-    assert lattice_laws(DatabaseModel.iid(parse_entry(entry), 8), 1, sum_query()) is None
+    assert lattice_chain(DatabaseModel.iid(parse_entry(entry), 8), 1, sum_query()) is None
     got = curve_values(capsys, "--entry", entry, "--n", "8")
     assert got == kernel_curve(entry, 8, (0.0, 0.5, 1.0))
 

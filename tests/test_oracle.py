@@ -193,6 +193,7 @@ def test_answer_law_is_the_plain_loop_bit_for_bit(case):
 PIPELINE_KERNELS = {
     "answer_law", "law_key", "MEMO_OUTCOMES", "_law_memo", "_memo_outcomes", "_remember",
     "_enumerate_law", "worst_pairs", "_pair_curves",
+    "Laws", "pmfs", "worst_rows", "worst_curve", "cell_curve",
 }
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statpriv import amplify, dist, divergence
+from statpriv import amplify, divergence
 from statpriv.amplify import (
     dp_subsample,
     poisson_bound,
@@ -29,14 +29,13 @@ from statpriv.amplify import (
 )
 from statpriv.dist import (
     DatabaseModel,
+    Laws,
     Pmf,
     Query,
-    _chain_laws,
     binomial_pmf,
     condition,
     count_query,
     lattice_chain,
-    lattice_laws,
     mean_query,
     scan_positions,
     sum_query,
@@ -47,7 +46,7 @@ from statpriv.divergence import (
     default_eps_grid,
     hockey_stick_curve,
     privacy_curve,
-    worst_pairs,
+    worst_rows,
 )
 from statpriv.errors import NotSamplableError
 from statpriv.oracle import brute_force_divergence
@@ -235,25 +234,25 @@ def shift_scan_against_laws(db, q, grid):
     merges = False
     want_backward = []
     for j in scan_positions(db, exchangeable=True):
-        laws = lattice_laws(db, j, q)
-        rows.extend(worst_pairs(laws, grid).values())
-        steps, weights, reachable, _, distinct = lattice_chain(db, j, q)
-        cells = {s + i for s in steps for i in reachable}
+        chain = lattice_chain(db, j, q)
+        laws = chain.pmfs()
+        rows.extend(worst_rows(Laws(laws), grid).values())
+        reachable = {0}  # the cells the free entries' supports reach
+        for entry in db.entries[: j - 1] + db.entries[j:]:
+            reachable = {r + s for r in reachable for s, w in zip(chain.steps, entry.weights) if w > 0.0}
+        cells = {s + i for s in chain.steps for i in reachable}
         answers = set().union(*(law.outcomes for law in laws.values()))
-        assert distinct == (len(answers) == len(cells))
-        if distinct:
-            shifts = {abs(s - t) for s in steps for t in steps} - {0}
-            want_backward += [weights != weights[::-1]] * len(shifts)
+        assert chain.distinct == (len(answers) == len(cells))
+        if chain.distinct:
+            shifts = {abs(s - t) for s in chain.steps for t in chain.steps} - {0}
+            want_backward += [chain.weights != chain.weights[::-1]] * len(shifts)
         else:
             merges = True
             want_backward += [True] * math.comb(len(laws), 2)
     want = [max(col) for col in zip(*rows)]
-    # One counter for lattice_chain under both of its names.
-    chains = mock.Mock(wraps=lattice_chain)
     with (
-        mock.patch.object(dist, "lattice_chain", chains),
-        mock.patch.object(divergence, "lattice_chain", chains),
-        mock.patch.object(divergence, "_chain_laws", wraps=_chain_laws) as fallback,
+        mock.patch.object(divergence, "lattice_chain", wraps=lattice_chain) as chains,
+        mock.patch.object(divergence, "worst_rows", wraps=worst_rows) as fallback,
         mock.patch.object(divergence, "_pair_curves", wraps=_pair_curves) as kernel,
     ):
         got = privacy_curve(db, q, grid).values

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from statpriv.dist import DatabaseModel, Pmf, lattice_laws, sum_query
+from statpriv.dist import DatabaseModel, Pmf, lattice_chain, sum_query
 from statpriv.divergence import PrivacyCurve, hockey_stick_divergence, privacy_curve
 from statpriv.tradeoff import (
     TradeoffFn,
@@ -169,7 +169,7 @@ def test_subsampling_operator_lies_below_both_sampled_curves(entry, n, m):
     # dropped vertices by an absolute tolerance put chords up to 4.6e-7
     # above that minimum where the values are small (bern(0.3), n = 100,
     # m = 50).
-    laws = lattice_laws(DatabaseModel.iid(entry, m), 1, sum_query())
+    laws = lattice_chain(DatabaseModel.iid(entry, m), 1, sum_query()).pmfs()
     for v, w in itertools.permutations(laws, 2):
         fn = tradeoff_from_pmfs(laws[v], laws[w])
         mixed = p_sample(fn, m / n)
