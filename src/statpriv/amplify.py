@@ -14,7 +14,6 @@ from .dist import (
     Query,
     binomial_pmf,
     lattice_chain,
-    law_key,
     scan_positions,
 )
 from .divergence import (
@@ -74,43 +73,42 @@ def _stretcher(grid: tuple[float, ...]):
     return stretch
 
 
-def _check_model(db: DatabaseModel, n: int) -> None:
-    if n != db.n:
-        raise ValueError(f"n={n} does not match the model size {db.n}")
+def _check_model(db: DatabaseModel) -> None:
     if db.fixed:
         raise ValueError("amplification bounds need a pure product model")
 
 
-def _sampled_curve_values(db, q, n, m, grid, budget):
-    """Sampled curve for m-of-n without replacement, maximized over positions.
+def _sampled_curve_values(db, q, m, grid, budget):
+    """Sampled curve for m of db's n entries without replacement, maximized
+    over positions.
 
     i.i.d. models collapse to the privacy curve of an m-entry model, which
     for an additive query is built on the lattice chain.
     """
     if db.is_iid:
         return privacy_curve(DatabaseModel.iid(db.entries[0], m), q, grid, budget)
-    technique = TemplateDistribution.without_replacement(n, m, budget)
-    return sampling_curve_max(db, q, technique, grid, budget)
+    technique = TemplateDistribution.without_replacement(db.n, m, budget)
+    return sampling_curve_max(db, q, technique, grid)
 
 
 def without_replacement_bound(
     db: DatabaseModel,
     q: Query,
-    n: int,
     m: int,
     grid: tuple[float, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> PrivacyCurve:
-    """Amplified curve for m-of-n sampling without replacement, indexed by eps'.
+    """Amplified curve for sampling m of db's n entries without replacement,
+    indexed by eps'.
 
     Each grid epsilon gives eps' = log(1 + (m/n)(e^eps - 1)) and delta' = m/n
     times the sampled privacy curve at eps, maximized over positions.
     """
-    _check_model(db, n)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    _check_model(db)
+    if not 1 <= m <= db.n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={db.n}")
     grid = as_grid(grid)
-    return dp_subsample(_sampled_curve_values(db, q, n, m, grid, budget), m / n)
+    return dp_subsample(_sampled_curve_values(db, q, m, grid, budget), m / db.n)
 
 
 def viability_ratio(
@@ -140,12 +138,12 @@ def viability_ratio(
 def poisson_bound(
     db: DatabaseModel,
     q: Query,
-    n: int,
     rate: float,
     grid: tuple[float, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> PrivacyCurve:
-    """Delta curve for Poisson sampling with inclusion probability `rate`.
+    """Delta curve for Poisson sampling of db's n entries with inclusion
+    probability `rate`.
 
     Decomposes by realized sample size m: the m-of-n sampled curve at the
     stretched epsilon log(1 + (n/m)(e^eps - 1)) enters with the
@@ -161,7 +159,7 @@ def poisson_bound(
     gives palindromic chains, which privacy_curve's mirror rule scans in
     one direction.
     """
-    _check_model(db, n)
+    _check_model(db)
     rate = float(rate)
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
@@ -169,18 +167,18 @@ def poisson_bound(
     check_grid(grid)
 
     def sized_values(m, stretched):
-        return _sampled_curve_values(db, q, n, m, stretched, budget).values
+        return _sampled_curve_values(db, q, m, stretched, budget).values
 
-    ceiling = _ceiling(db, q, n, budget)
-    return PrivacyCurve(grid, _size_mixture(n, rate, grid, sized_values, ceiling))
+    ceiling = _ceiling(db, q, budget)
+    return PrivacyCurve(grid, _size_mixture(db.n, rate, grid, sized_values, ceiling))
 
 
-def _ceiling(db, q, n, budget):
+def _ceiling(db, q, budget):
     """(m, eps) -> values at the eps of `eps` that no size above m has in its
     curve at that eps or above, raised by a slack.
 
-    For an i.i.d. model of at most n entries and an additive query they are
-    the curve of size m's lattice cells (cell_curve). Size m + 1's cells
+    For an i.i.d. db of n entries and an additive query they are the curve
+    of size m's lattice cells (cell_curve). Size m + 1's cells
     are size m's convolved with the entry, one Markov kernel applied to both
     laws of each pair, so by post-processing (Dwork & Roth 2014, Prop. 2.1)
     its cells' curve is at most size m's at every eps, and a curve is
@@ -193,7 +191,7 @@ def _ceiling(db, q, n, budget):
     are charged for.
     """
     entry = db.entries[0]
-    slack = 1.0 + 4 * (2 * len(entry.outcomes) * n + 3) * 2.0**-53
+    slack = 1.0 + 4 * (2 * len(entry.outcomes) * db.n + 3) * 2.0**-53
     chained = db.is_iid and q.additive is not None
 
     def ceiling(m, eps):
@@ -309,12 +307,12 @@ def _size_mixture(n, rate, grid, sized_values, ceiling):
 def with_replacement_bound(
     db: DatabaseModel,
     q: Query,
-    n: int,
     m: int,
     grid: tuple[float, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> PrivacyCurve:
-    """Amplified curve for m uniform draws with replacement, indexed by eps'.
+    """Amplified curve for m uniform draws with replacement from db's n
+    entries, indexed by eps'.
 
     Needs a monotone query and the samplability precondition certified by
     _gated_drawn_curve (half-line choosability on same-template pairs, the
@@ -328,18 +326,18 @@ def with_replacement_bound(
     counts, sum over k of P(K = k) E[worst | K = k], is
     P(K >= 1) E[worst | K >= 1], the shape of the without-replacement bound.
     """
-    _check_model(db, n)
+    _check_model(db)
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
     if not q.monotone:
         raise ValueError("the with-replacement bound needs a monotone query")
     grid = as_grid(grid)
-    technique = TemplateDistribution.with_replacement(n, m, budget)
-    curve = _gated_drawn_curve(db, q, technique, grid, budget)
-    return dp_subsample(curve, min(1.0, math.fsum(binomial_pmf(m, 1.0 / n)[1:])))
+    technique = TemplateDistribution.with_replacement(db.n, m, budget)
+    curve = _gated_drawn_curve(db, q, technique, grid)
+    return dp_subsample(curve, min(1.0, math.fsum(binomial_pmf(m, 1.0 / db.n)[1:])))
 
 
-def _gated_drawn_curve(db, q, technique, grid, budget):
+def _gated_drawn_curve(db, q, technique, grid):
     """The drawn-view curve, sampling_curve_max's, behind the
     samplability precondition over every answer pair the proof compares.
 
@@ -361,8 +359,7 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
     interleaved answer supports even though the inequality the proof
     actually uses holds, so the inequality itself is checked. Both families
     run over classes of templates and class pairs (matched_coupling), in
-    the enumeration order of the templates; class pairs with equal law keys
-    compare the same laws, so each is checked once.
+    the enumeration order of the templates.
 
     Raises NotSamplableError with a witness and the refused family
     ("half_line" or "coupled") on the first failure.
@@ -372,7 +369,7 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
     for j in scan_positions(db, technique.exchangeable):
         drawn = technique.given_drawn(j)
         terms, by_template = [], {}
-        for t, p, keys, laws in drawn_classes(db, q, drawn, j, budget):
+        for t, p, laws in drawn_classes(db, q, drawn, j):
             rows, pmfs = worst_rows(laws, grid), laws.pmfs()
             for v, w in itertools.permutations(outcomes, 2):
                 res = half_line_check(pmfs[v], pmfs[w], grid)
@@ -384,18 +381,13 @@ def _gated_drawn_curve(db, q, technique, grid, budget):
                         context=f"j={j}, template={t.indices}, pair=({v}, {w})",
                     )
             terms.append((p, _pointwise_max(list(rows.values()))))
-            by_template[t] = keys, pmfs, rows
+            by_template[t] = pmfs, rows
         curves.append(drawn_curve(terms, grid).values)
         if db.n < 2:  # no template avoids j: no cross pairs
             continue
-        checked = set()
-        for t_in, t_out, _ in matched_coupling(drawn, j, db, budget):
-            keys, lefts, ceilings = by_template[t_in]
-            key_out = law_key(db, t_out.indices)
-            if (keys, key_out) in checked:
-                continue
-            checked.add((keys, key_out))
-            right = apply_template(db, t_out, q, budget)
+        for t_in, t_out, _ in matched_coupling(drawn, j, db):
+            lefts, ceilings = by_template[t_in]
+            right = apply_template(db, t_out, q, technique.budget)
             for v in outcomes:
                 left = lefts[v]
                 crosses = hockey_stick_curve(left, right, grid)

@@ -290,7 +290,7 @@ def cmd_amplify(opts) -> int:
     _check_size(opts, n, budget)
     grid = parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
     bound = dict(wor=without_replacement_bound, poisson=poisson_bound, wr=with_replacement_bound)
-    curve = bound[kind](DatabaseModel.iid(entry, n), q, n, param, grid, budget)
+    curve = bound[kind](DatabaseModel.iid(entry, n), q, param, grid, budget)
     rows = zip(grid, curve.grid, curve.values)  # Poisson keeps eps: eps' = eps
     _write_csv(opts.get("out"), ("epsilon", "eps_prime", "delta_prime"), rows)
     return 0
@@ -332,7 +332,7 @@ def cmd_figures(opts) -> int:
         ms = [min(n, max(1, round(lam * n))) for lam in _lambda_grid()]
         columns = [viability_ratio(base, entry, q, n, m, budget) for m in ms]
     else:
-        bounds = [poisson_bound(db, q, n, lam, eps_list, budget) for lam in _lambda_grid()]
+        bounds = [poisson_bound(db, q, lam, eps_list, budget) for lam in _lambda_grid()]
         columns = [map(operator.truediv, bound.values, base.values) for bound in bounds]
     # Every curve covers the whole eps list; a file per eps reads one column.
     for eps, column in zip(eps_list, zip(*columns)):
@@ -366,19 +366,19 @@ def cmd_verify(opts) -> int:
         for n in range(2, max_n + 1):
             db = DatabaseModel.iid(entry, n)
             techniques = {
-                f"wor n={n} m={m}": TemplateDistribution.without_replacement(n, m)
+                f"wor n={n} m={m}": TemplateDistribution.without_replacement(n, m, budget)
                 for m in range(1, n + 1)
             }
-            techniques[f"poisson n={n} rate=0.5"] = TemplateDistribution.poisson(n, 0.5)
+            techniques[f"poisson n={n} rate=0.5"] = TemplateDistribution.poisson(n, 0.5, budget)
             techniques.update(
-                (f"wr n={n} m={m}", TemplateDistribution.with_replacement(n, m))
+                (f"wr n={n} m={m}", TemplateDistribution.with_replacement(n, m, budget))
                 for m in range(1, 3)
             )
             high = condition(db, 1, 1.0)
             low = condition(db, 1, 0.0)
             for label, technique in techniques.items():
-                answers_high = sampled_pushforward(high, technique, q, budget)
-                answers_low = sampled_pushforward(low, technique, q, budget)
+                answers_high = sampled_pushforward(high, technique, q)
+                answers_low = sampled_pushforward(low, technique, q)
                 for eps in grid:
                     pipe = hockey_stick_divergence(answers_high, answers_low, eps)
                     if faulty:
@@ -413,14 +413,14 @@ def cmd_verify(opts) -> int:
                     )
 
             for m in range(1, n + 1):
-                curve = without_replacement_bound(db, q, n, m, grid, budget)
+                curve = without_replacement_bound(db, q, m, grid, budget)
                 dominance(f"wor n={n} m={m}", "wor_dominance", curve)
-            curve = poisson_bound(db, q, n, 0.5, grid, budget)
+            curve = poisson_bound(db, q, 0.5, grid, budget)
             dominance(f"poisson n={n} rate=0.5", "poisson_dominance", curve)
             for m in range(1, 3):
                 wr_cases += 1
                 try:
-                    curve = with_replacement_bound(db, q, n, m, grid, budget)
+                    curve = with_replacement_bound(db, q, m, grid, budget)
                 except NotSamplableError as exc:
                     # The gate refused this model; nothing to compare.
                     refused[exc.family] += 1

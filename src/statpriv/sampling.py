@@ -23,7 +23,6 @@ from .dist import (
     answer_pmf,
     binomial_pmf,
     condition,
-    law_key,
     scan_positions,
 )
 from .divergence import PrivacyCurve, _pointwise_max, as_grid, worst_curve
@@ -58,24 +57,26 @@ class TemplateDistribution(_Value):
     The named techniques (without_replacement, poisson, with_replacement)
     and their given_drawn views are built in closed form: their `items` are
     the classes when all entries are alike, `classes` those one model tells
-    apart. Only these set `param` (m, or the rate for poisson), `given` (the
-    positions a view conditions on being drawn at least once) and `budget`,
-    which their views get.
+    apart. Only these set `param` (m, or the rate for poisson) and `given`
+    (the positions a view conditions on being drawn at least once).
+    `budget` bounds every enumeration made for the technique: its classes,
+    their answer laws and coupled pairs. Views keep it.
     Equality and the hash ignore `budget`.
     """
 
     kind: str
     n: int
     items: tuple[tuple[Template, float], ...]
-    param: float | None = None  # these three only _named sets
+    param: float | None = None  # these two only _named sets
     given: tuple[int, ...] = ()
-    budget: int = DEFAULT_BUDGET
+    budget: int
 
-    def __init__(self, kind: str, n: int, items: tuple[tuple[Template, float], ...]):
+    def __init__(self, kind: str, n: int, items: tuple[tuple[Template, float], ...],
+                 budget: int = DEFAULT_BUDGET):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         items = tuple((t, float(p)) for t, p in items)
-        self.__dict__.update(kind=kind, n=n, items=items)
+        self.__dict__.update(kind=kind, n=n, items=items, budget=budget)
         if not items:
             raise ValueError("a technique needs at least one template")
         for t, p in items:
@@ -124,13 +125,11 @@ class TemplateDistribution(_Value):
         items = _classes(kind, n, param, _groups(n, None, given), given, budget)
         if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
-        out = TemplateDistribution(kind, n, items)
-        out.__dict__.update(param=param, given=given, budget=budget)
+        out = TemplateDistribution(kind, n, items, budget)
+        out.__dict__.update(param=param, given=given)
         return out
 
-    def classes(
-        self, db: DatabaseModel, budget: int = DEFAULT_BUDGET
-    ) -> tuple[tuple[Template, float], ...]:
+    def classes(self, db: DatabaseModel) -> tuple[tuple[Template, float], ...]:
         """(representative, mass) per class of templates with one answer
         law on db for every query, in enumeration order.
 
@@ -140,19 +139,18 @@ class TemplateDistribution(_Value):
         templates (hypergeometric or multinomial over the group sizes), with
         the Binomial size weight for poisson; its representative is its
         first template in itertools order. Raises EnumerationBudgetError
-        past `budget` classes. Keeps the last model's classes, as Pmf keeps as_dict.
+        past the technique's budget in classes. Keeps the last model's
+        classes, as Pmf keeps as_dict.
         """
         if self.n != db.n:
             raise ValueError(f"technique over 1..{self.n} does not match model size {db.n}")
-        if self.param is None:
-            return self.items
-        if db.is_iid and len(self.items) <= budget:
-            return self.items  # built over these very groups
-        if self.__dict__.get("_last_classes", ())[:2] != (db, budget):
+        if self.param is None or db.is_iid:
+            return self.items  # explicit, or built over these very groups
+        if self.__dict__.get("_last_classes", (None,))[0] != db:
             groups = _groups(self.n, db, self.given)
-            classes = _classes(self.kind, self.n, self.param, groups, self.given, budget)
-            self.__dict__["_last_classes"] = db, budget, classes
-        return self.__dict__["_last_classes"][2]
+            classes = _classes(self.kind, self.n, self.param, groups, self.given, self.budget)
+            self.__dict__["_last_classes"] = db, classes
+        return self.__dict__["_last_classes"][1]
 
     def given_drawn(self, j: int) -> "TemplateDistribution":
         """The view of the templates that draw entry j at least once."""
@@ -162,7 +160,7 @@ class TemplateDistribution(_Value):
         items = _conditioned(self.items, (j,))
         if not items:
             raise ZeroProbabilityError(f"no templates with {label}")
-        return TemplateDistribution(self.kind, self.n, items)
+        return TemplateDistribution(self.kind, self.n, items, self.budget)
 
 
 def _groups(n, db, given):
@@ -268,33 +266,27 @@ def apply_template(
     return answer_law(db, t.indices, q, budget)
 
 
-def sampled_pushforward(
-    db: DatabaseModel,
-    technique: TemplateDistribution,
-    q: Query,
-    budget: int = DEFAULT_BUDGET,
-) -> Pmf:
-    """Mixture of per-class answer distributions under the technique."""
+def sampled_pushforward(db: DatabaseModel, technique: TemplateDistribution, q: Query) -> Pmf:
+    """Mixture of per-class answer distributions under the technique, each
+    within its budget."""
 
     def pairs():
-        for t, p in technique.classes(db, budget):
-            sub = apply_template(db, t, q, budget)
+        for t, p in technique.classes(db):
+            sub = apply_template(db, t, q, technique.budget)
             for a, w in zip(sub.outcomes, sub.weights):
                 yield a, p * w
 
     return answer_pmf(q, pairs())
 
 
-def drawn_classes(db, q, view, j, budget):
-    """(template, mass, law keys, laws) per class of `view`, a technique's
+def drawn_classes(db, q, view, j):
+    """(template, mass, laws) per class of `view`, a technique's
     given_drawn(j), in enumeration order: the Laws of the template on db
-    with entry j conditioned to each outcome grid value, and their
-    law_keys: classes with equal keys have equal laws (see answer_law)."""
+    with entry j conditioned to each outcome grid value."""
     conditioned = {w: condition(db, j, w) for w in db.outcome_grid}
-    for t, p in view.classes(db, budget):
-        keys = tuple(law_key(cond, t.indices) for cond in conditioned.values())
-        laws = {w: apply_template(cond, t, q, budget) for w, cond in conditioned.items()}
-        yield t, p, keys, Laws(laws)
+    for t, p in view.classes(db):
+        laws = {w: apply_template(cond, t, q, view.budget) for w, cond in conditioned.items()}
+        yield t, p, Laws(laws)
 
 
 def drawn_curve(terms, grid) -> PrivacyCurve:
@@ -310,7 +302,6 @@ def sampling_curve(
     technique: TemplateDistribution,
     j: int,
     grid: tuple[float, ...] | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> PrivacyCurve:
     """Expected worst-pair divergence over templates drawing entry j.
 
@@ -321,8 +312,8 @@ def sampling_curve(
     worst_curve of each of the drawn_classes.
     """
     grid = as_grid(grid)
-    classes = drawn_classes(db, q, technique.given_drawn(j), j, budget)
-    return drawn_curve([(p, worst_curve(laws, grid)) for _, p, _, laws in classes], grid)
+    classes = drawn_classes(db, q, technique.given_drawn(j), j)
+    return drawn_curve([(p, worst_curve(laws, grid)) for _, p, laws in classes], grid)
 
 
 def sampling_curve_max(
@@ -330,20 +321,16 @@ def sampling_curve_max(
     q: Query,
     technique: TemplateDistribution,
     grid: tuple[float, ...] | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> PrivacyCurve:
     """Pointwise maximum of sampling_curve over the positions of scan_positions."""
     grid = as_grid(grid)
     positions = scan_positions(db, technique.exchangeable)
-    curves = [sampling_curve(db, q, technique, j, grid, budget).values for j in positions]
+    curves = [sampling_curve(db, q, technique, j, grid).values for j in positions]
     return PrivacyCurve(grid, _pointwise_max(curves))
 
 
 def matched_coupling(
-    drawn: TemplateDistribution,
-    j: int,
-    db: DatabaseModel,
-    budget: int = DEFAULT_BUDGET,
+    drawn: TemplateDistribution, j: int, db: DatabaseModel
 ) -> tuple[tuple[Template, Template, float], ...]:
     """Couple the classes of templates drawing entry j with templates
     avoiding it, as (template with j, partner without j, joint probability)
@@ -359,7 +346,8 @@ def matched_coupling(
     pairs stand for have the law of the technique's templates that avoid j
     (conditioned as `drawn` is at its other positions), after sorting their
     indices (injective case) or directly. `drawn` must put all mass on one
-    template length; mixed lengths (Poisson views) are rejected.
+    template length; mixed lengths (Poisson views) are rejected. Raises
+    EnumerationBudgetError past the budget of `drawn` in pairs.
     """
     n = drawn.n
     lengths = {t.length for t, _ in drawn.items}
@@ -375,7 +363,7 @@ def matched_coupling(
     injective = all(len(t.distinct) == t.length for t, _ in drawn.items)
     groups = _groups(n, db, (*drawn.given, j))
     pairs = []
-    for t, p in drawn.classes(db, budget):
+    for t, p in drawn.classes(db):
         # The j slots are a with-replacement draw from the other indices:
         # one already drawn (a group of its own, unless injective) or a
         # free one of a group.
@@ -386,14 +374,14 @@ def matched_coupling(
         if not others:
             raise ValueError(f"no index left to replace {j} in {t.indices}")
         width = sum(map(len, others))
-        fills = _classes("with_replacement", width, len(slots), others, (), budget)
+        fills = _classes("with_replacement", width, len(slots), others, (), drawn.budget)
         for fill, share in fills:
             partner = list(t.indices)
             for s, x in zip(slots, fill.indices):
                 partner[s] = x
             pairs.append((t, Template(tuple(partner)), p * share))
-        if len(pairs) > budget:
-            raise EnumerationBudgetError(f"more than {budget}", budget)
+        if len(pairs) > drawn.budget:
+            raise EnumerationBudgetError(len(pairs), drawn.budget)
     return tuple(pairs)
 
 class CouplingSplit(_Value):

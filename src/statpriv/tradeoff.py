@@ -7,6 +7,7 @@ piecewise linear, convex and nonincreasing on [0, 1].
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .dist import Pmf, _Value
@@ -87,6 +88,15 @@ def _lower_hull(points):
     return hull
 
 
+_UNIT = 1 << 1074  # 1.0 in units of 2^-1074, the least subnormal
+
+
+def _units(w: float) -> int:
+    """The float w >= 0 as an exact integer count of 2^-1074."""
+    num, den = w.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
 def tradeoff_from_pmfs(mu: Pmf, nu: Pmf) -> TradeoffFn:
     """Optimal testing trade-off distinguishing mu from nu.
 
@@ -101,14 +111,18 @@ def tradeoff_from_pmfs(mu: Pmf, nu: Pmf) -> TradeoffFn:
     """
     rows = [(a, mu.prob(a), nu.prob(a)) for a in nu.support]
     rows.sort(key=lambda r: (r[1] / r[2], r[0]))
+    # Each breakpoint is an exact sum of weights, correctly rounded as fsum
+    # rounds it: weights are integer multiples of 2^-1074, summed as ints.
+    nu_tails = itertools.accumulate((_units(r[2]) for r in reversed(rows)), initial=0)
+    mu_heads = list(itertools.accumulate((_units(r[1]) for r in rows), initial=0))
     xs = []
     ys = []
-    for k in range(len(rows), -1, -1):
-        x = math.fsum(r[2] for r in rows[k:])
+    for nu_tail, mu_head in zip(nu_tails, reversed(mu_heads)):
+        x = nu_tail / _UNIT
         if xs and x == xs[-1]:  # nu mass below one ulp of x: keep the
             del xs[-1], ys[-1]  # larger set, whose type II error is lower
         xs.append(x)
-        ys.append(math.fsum(r[1] for r in rows[:k]))
+        ys.append(mu_head / _UNIT)
     xs[-1] = 1.0
     return TradeoffFn(tuple(xs), tuple(ys))
 

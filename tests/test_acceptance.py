@@ -97,7 +97,7 @@ def test_criterion_02_without_replacement_dominance():
         hi, lo = _conditioned_pair(db)
         for m in range(1, n + 1):
             tech = TemplateDistribution.without_replacement(n, m)
-            bound = without_replacement_bound(db, q, n, m, EPS4)
+            bound = without_replacement_bound(db, q, m, EPS4)
             for eps, eps_prime, delta_prime in zip(EPS4, bound.grid, bound.values):
                 want = math.log1p((m / n) * math.expm1(eps))
                 assert abs(eps_prime - want) <= AGREEMENT_TOL
@@ -123,7 +123,7 @@ def test_criterion_03_poisson_dominance():
         db = DatabaseModel.iid(Pmf.bernoulli(p), n)
         hi, lo = _conditioned_pair(db)
         tech = TemplateDistribution.poisson(n, rate)
-        curve = poisson_bound(db, q, n, rate, EPS4)
+        curve = poisson_bound(db, q, rate, EPS4)
         for eps, star in zip(curve.grid, curve.values):
             direct = max(
                 brute_force_divergence(hi, lo, tech, q, eps),
@@ -149,7 +149,7 @@ def test_criterion_04_with_replacement_dominance():
         hi, lo = _conditioned_pair(db)
         tech = TemplateDistribution.with_replacement(n, m)
         try:
-            bound = with_replacement_bound(db, q, n, m, EPS4)
+            bound = with_replacement_bound(db, q, m, EPS4)
         except NotSamplableError as err:
             refused.append((p, n, m, err.eps, err.outcome))
             continue

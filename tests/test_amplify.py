@@ -51,14 +51,14 @@ def stretch(eps, factor):
 
 def test_without_replacement_two_of_one():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    c = without_replacement_bound(db, sum_query(), 2, 1, (0.0, LN2))
+    c = without_replacement_bound(db, sum_query(), 1, (0.0, LN2))
     assert c == PrivacyCurve((0.0, math.log(1.5)), (0.5, 0.5))
 
 
 def test_without_replacement_full_sample_passthrough():
     # m = n: no amplification, eps' = eps and delta' = the model's own delta
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    c = without_replacement_bound(db, sum_query(), 2, 2, (0.0, 0.5))
+    c = without_replacement_bound(db, sum_query(), 2, (0.0, 0.5))
     assert c.grid == (0.0, 0.5)
     assert c.values[0] == 0.5
 
@@ -70,7 +70,7 @@ def test_without_replacement_dominates_oracle(p, n, m):
     q = sum_query()
     tech = TemplateDistribution.without_replacement(n, m)
     hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
-    c = without_replacement_bound(db, q, n, m, (0.0, 0.5, 1.0))
+    c = without_replacement_bound(db, q, m, (0.0, 0.5, 1.0))
     for eps_prime, delta_prime in zip(c.grid, c.values):
         direct = max(
             brute_force_divergence(hi, lo, tech, q, eps_prime),
@@ -81,7 +81,7 @@ def test_without_replacement_dominates_oracle(p, n, m):
 
 def test_poisson_bound_known_point():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    c = poisson_bound(db, sum_query(), 2, 0.5, (0.0, 0.5))
+    c = poisson_bound(db, sum_query(), 0.5, (0.0, 0.5))
     assert c.grid == (0.0, 0.5)
     assert abs(c.values[0] - 0.375) <= TOL
     tech = TemplateDistribution.poisson(2, 0.5)
@@ -111,10 +111,10 @@ def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, siz
     sampled, curve = statpriv.amplify._sampled_curve_values, statpriv.amplify.privacy_curve
     scan = statpriv.amplify.cell_curve
 
-    def record(db, q, n, m, grid, budget):
+    def record(db, q, m, grid, budget):
         seen.append((m, grid))
         log.append(m)
-        return sampled(db, q, n, m, grid, budget)
+        return sampled(db, q, m, grid, budget)
 
     def counted(*args):
         curves.append(args[0].n)
@@ -128,7 +128,7 @@ def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, siz
     monkeypatch.setattr(statpriv.amplify, "privacy_curve", counted)
     monkeypatch.setattr(statpriv.amplify, "cell_curve", ceiling)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
-    poisson_bound(db, count_query(), n, rate, SHIFTED_GRID)
+    poisson_bound(db, count_query(), rate, SHIFTED_GRID)
     assert len(seen) == sizes
     assert curves == [m for m, _ in seen]
     lo, hi = 0, len(SHIFTED_GRID)
@@ -187,12 +187,12 @@ def test_share_rule_leaves_poisson_bound_bit_for_bit(monkeypatch, entry, q, n, r
     evaluated = []
     sampled = statpriv.amplify._sampled_curve_values
 
-    def record(db, q, n, m, grid, budget):
+    def record(db, q, m, grid, budget):
         evaluated.append(m)
-        return sampled(db, q, n, m, grid, budget)
+        return sampled(db, q, m, grid, budget)
 
     monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
-    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, grid).values
+    got = poisson_bound(DatabaseModel.iid(entry, n), q, rate, grid).values
     want = reference_poisson(entry, q, n, rate, as_grid(grid))
     assert bits(got) == bits(want)
     assert len(evaluated) < len(weight_rule(n, rate)[0])
@@ -202,7 +202,7 @@ def delta_one_cap(n):
     """_ceiling's cap of delta = 1 raised by its slack, from a non-additive
     query on an i.i.d. bern(0.5) model of n entries, and that slack."""
     db, maximum = DatabaseModel.iid(Pmf.bernoulli(0.5), n), Query("max", max, True)
-    cap = statpriv.amplify._ceiling(db, maximum, n, DEFAULT_BUDGET)
+    cap = statpriv.amplify._ceiling(db, maximum, DEFAULT_BUDGET)
     return cap, cap(1, (0.0,))[0]
 
 
@@ -272,9 +272,9 @@ def test_share_rule_charges_the_sizes_it_skips(monkeypatch):
     assert list(got) == charged_one() and all(map(operator.ge, got, want))
     evaluated.clear()
     monkeypatch.setattr(
-        statpriv.amplify, "_sampled_curve_values", lambda db, q, n, m, grid, budget:
+        statpriv.amplify, "_sampled_curve_values", lambda db, q, m, grid, budget:
         PrivacyCurve(grid, sized(m, grid)))
-    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, SHIFTED_GRID).values
+    got = poisson_bound(DatabaseModel.iid(entry, n), q, rate, SHIFTED_GRID).values
     ones = charged_one()
     assert len(evaluated) < len(masses) and got[0] > want[0]
     assert all(map(operator.le, want, got)) and all(map(operator.le, got, ones))
@@ -319,7 +319,7 @@ def small_iid_cases(draw):
 def test_share_rule_is_the_reference_or_one_ulp_above(case):
     entry, q, n, rate = case
     grid = (0.0, 0.3, 1.0, 2.5)
-    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, grid).values
+    got = poisson_bound(DatabaseModel.iid(entry, n), q, rate, grid).values
     for g, w in zip(got, reference_poisson(entry, q, n, rate, grid)):
         assert g in (w, math.nextafter(w, math.inf)), (g, w)
 
@@ -344,7 +344,7 @@ def test_no_larger_size_exceeds_the_ceiling(case):
     # bounds the curve of every larger size at every eps, with no tolerance.
     entry, q, n = case
     grid = (0.0, 0.1, 0.5, 1.0, 2.0)
-    ceiling = statpriv.amplify._ceiling(DatabaseModel.iid(entry, n), q, n, DEFAULT_BUDGET)
+    ceiling = statpriv.amplify._ceiling(DatabaseModel.iid(entry, n), q, DEFAULT_BUDGET)
     curves = [privacy_curve(DatabaseModel.iid(entry, m), q, grid).values for m in range(1, n + 1)]
     for m in range(1, n):
         cap = ceiling(m, grid)
@@ -362,17 +362,17 @@ def test_ceiling_needs_an_iid_model_and_an_additive_query():
     maximum = Query("max", max, True)
     two_class = DatabaseModel([bern, Pmf.bernoulli(0.3)] * 4)
     for cap in (
-        ceiling(two_class, sum_query(), 8, DEFAULT_BUDGET),
-        ceiling(DatabaseModel.iid(bern, 8), maximum, 8, DEFAULT_BUDGET),
-        ceiling(DatabaseModel.iid(bern, 8), count_query(), 8, 34),  # size 8 has 35 cells
+        ceiling(two_class, sum_query(), DEFAULT_BUDGET),
+        ceiling(DatabaseModel.iid(bern, 8), maximum, DEFAULT_BUDGET),
+        ceiling(DatabaseModel.iid(bern, 8), count_query(), 34),  # size 8 has 35 cells
     ):
         assert cap(8, (0.0, 0.5, 1.0)) == [slack] * 3
-    assert ceiling(DatabaseModel.iid(bern, 8), count_query(), 8, 35)(8, (0.0,))[0] < 1.0
+    assert ceiling(DatabaseModel.iid(bern, 8), count_query(), 35)(8, (0.0,))[0] < 1.0
     # Means of values 2^-16 apart at 1e11 merge from 2 entries on: their
     # curves are below their cells', which the ceiling takes.
     close = Pmf((1e11, 1e11 + 2.0**-16, 1e11 + 2.0**-15), (0.25, 0.5, 0.25))
     grid = (0.0, 0.5, 1.0)
-    cap = ceiling(DatabaseModel.iid(close, 8), mean_query(), 8, DEFAULT_BUDGET)(2, grid)
+    cap = ceiling(DatabaseModel.iid(close, 8), mean_query(), DEFAULT_BUDGET)(2, grid)
     for m in range(2, 9):
         merged = privacy_curve(DatabaseModel.iid(close, m), mean_query(), grid).values
         assert all(d <= c for d, c in zip(merged, cap)), (m, merged, cap)
@@ -387,7 +387,7 @@ def test_weight_floor_charges_no_longer_set_an_iid_bound():
     # evaluated where their charge would set the value: every eps is the sum
     # over every size.
     entry, q, n, rate, grid = Pmf.bernoulli(0.5), count_query(), 1200, 0.5, (0.0, 1.0, 2.0)
-    got = poisson_bound(DatabaseModel.iid(entry, n), q, n, rate, grid).values
+    got = poisson_bound(DatabaseModel.iid(entry, n), q, rate, grid).values
     assert weight_rule(n, rate)[1] == 1.1068979823482692e-77
     assert bits(got) == bits(reference_poisson(entry, q, n, rate, grid))
     assert got[2] == 3.874467616886448e-114
@@ -401,13 +401,13 @@ def test_a_two_class_model_is_charged_delta_one_raised_by_the_slack(monkeypatch)
     evaluated = []
     sampled = statpriv.amplify._sampled_curve_values
 
-    def record(db, q, n, m, grid, budget):
+    def record(db, q, m, grid, budget):
         evaluated.append(m)
-        return sampled(db, q, n, m, grid, budget)
+        return sampled(db, q, m, grid, budget)
 
     monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
     db = DatabaseModel([Pmf.bernoulli(0.3)] * 30 + [Pmf.bernoulli(0.6)] * 30)
-    got = poisson_bound(db, sum_query(), 60, 0.03, (0.0, 0.5, 1.0, 2.0)).values
+    got = poisson_bound(db, sum_query(), 0.03, (0.0, 0.5, 1.0, 2.0)).values
     assert bits(got) == [
         "0x1.2b01746d1c86ap-6", "0x1.e80363f5a3502p-7",
         "0x1.e7fc3abd30501p-7", "0x1.e7fc3a91dc5c9p-7",
@@ -441,13 +441,13 @@ def test_poisson_bound_refuses_a_bad_grid_before_the_sweep(monkeypatch, grid, me
     monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", lambda *a: evaluated.append(a))
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 10)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        poisson_bound(db, sum_query(), 10, 0.3, grid)
+        poisson_bound(db, sum_query(), 0.3, grid)
     assert evaluated == []
     with pytest.raises(ValueError, match=f"^{message}$"):
         dp_poisson_bound(PrivacyCurve((0.0, 1.0), (0.5, 0.2)), 10, 0.3, grid)
     monkeypatch.undo()
     with pytest.raises(ValueError, match=f"^{message}$"):
-        without_replacement_bound(db, sum_query(), 10, 3, grid)
+        without_replacement_bound(db, sum_query(), 3, grid)
 
 
 @pytest.mark.parametrize("rate", [0.25, 0.5, 0.75, 1.0])
@@ -457,7 +457,7 @@ def test_poisson_dominates_oracle(rate):
         db = DatabaseModel.iid(Pmf.bernoulli(0.3), n)
         tech = TemplateDistribution.poisson(n, rate)
         hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
-        curve = poisson_bound(db, q, n, rate, (0.0, 0.5, 1.0))
+        curve = poisson_bound(db, q, rate, (0.0, 0.5, 1.0))
         for eps, star in zip(curve.grid, curve.values):
             direct = max(
                 brute_force_divergence(hi, lo, tech, q, eps),
@@ -471,13 +471,13 @@ def sampled_bounds(db, q, n, grid):
     wr at m = 1, 2 where the samplability gate passes."""
     techniques = TemplateDistribution
     bounds = [
-        (techniques.without_replacement(n, m), without_replacement_bound(db, q, n, m, grid))
+        (techniques.without_replacement(n, m), without_replacement_bound(db, q, m, grid))
         for m in range(1, n + 1)
     ]
-    bounds.append((techniques.poisson(n, 0.5), poisson_bound(db, q, n, 0.5, grid)))
+    bounds.append((techniques.poisson(n, 0.5), poisson_bound(db, q, 0.5, grid)))
     for m in (1, 2):
         try:
-            curve = with_replacement_bound(db, q, n, m, grid)
+            curve = with_replacement_bound(db, q, m, grid)
         except NotSamplableError:
             continue
         bounds.append((techniques.with_replacement(n, m), curve))
@@ -509,8 +509,8 @@ def test_interpolated_bound_values_dominate_the_oracle(p):
 def test_with_replacement_single_draw_equals_without():
     # one draw with or without replacement is the same technique
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    wr = with_replacement_bound(db, sum_query(), 2, 1, (0.0, LN2))
-    wor = without_replacement_bound(db, sum_query(), 2, 1, (0.0, LN2))
+    wr = with_replacement_bound(db, sum_query(), 1, (0.0, LN2))
+    wor = without_replacement_bound(db, sum_query(), 1, (0.0, LN2))
     assert wr == wor
 
 
@@ -520,7 +520,7 @@ def test_with_replacement_needs_monotone_query():
 
     scrambled = Query("parity", lambda xs: float(int(sum(xs)) % 2), monotone=False)
     with pytest.raises(ValueError):
-        with_replacement_bound(db, scrambled, 2, 1, (0.0,))
+        with_replacement_bound(db, scrambled, 1, (0.0,))
 
 
 def test_with_replacement_gate_refuses_coupled_violation():
@@ -528,7 +528,7 @@ def test_with_replacement_gate_refuses_coupled_violation():
     # and the mean value inequality fails, so the bound must refuse
     db = DatabaseModel.iid(Pmf.bernoulli(0.3), 2)
     with pytest.raises(NotSamplableError) as err:
-        with_replacement_bound(db, sum_query(), 2, 2, (0.0, 0.5, 1.0))
+        with_replacement_bound(db, sum_query(), 2, (0.0, 0.5, 1.0))
     assert err.value.eps == 0.5
     assert "coupled" in str(err.value)
     assert err.value.family == "coupled"
@@ -538,7 +538,7 @@ def test_with_replacement_gate_refuses_interleaved_lattice():
     # template (1,2,2): answers v+2X vs w+2X interleave, signs +,-,+,-
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
     with pytest.raises(NotSamplableError) as err:
-        with_replacement_bound(db, sum_query(), 2, 3, (0.0, 0.5))
+        with_replacement_bound(db, sum_query(), 3, (0.0, 0.5))
     assert err.value.eps == 0.0
     assert err.value.outcome == 2.0
     assert "template=(1, 2, 2)" in str(err.value)
@@ -576,7 +576,7 @@ def test_with_replacement_gate_refusals_are_frozen(entry, q, n, m, grid, family,
     # The gate checks each distinct answer law once; the first refusal, its
     # witness and every number in its message must not move.
     with pytest.raises(NotSamplableError) as err:
-        with_replacement_bound(DatabaseModel.iid(entry, n), q, n, m, grid)
+        with_replacement_bound(DatabaseModel.iid(entry, n), q, m, grid)
     assert (err.value.family, str(err.value)) == (family, message)
 
 
@@ -600,7 +600,7 @@ def test_with_replacement_bound_enumerates_each_answer_law_once(answer_laws_buil
     # conditioned to 0 and to 1, which the gate checks and the drawn-view
     # curve sums in one walk, and 2 for their partners (2, 2) and (2, 3).
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 32)
-    with_replacement_bound(db, sum_query(), 32, 2)
+    with_replacement_bound(db, sum_query(), 2)
     assert len(answer_laws_built) == 6
 
 
@@ -611,7 +611,7 @@ def test_with_replacement_bound_scales_with_classes_not_templates(answer_laws_bu
     # 1/2 at every eps, twice delta 1, so delta' = (1/n)(1 - 1/n) + 1/n^2.
     n = 10000
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
-    c = with_replacement_bound(db, sum_query(), n, 2, (0.0, 1.0))
+    c = with_replacement_bound(db, sum_query(), 2, (0.0, 1.0))
     assert len(answer_laws_built) == 6
     assert all(abs(d - 1 / n) <= TOL / n for d in c.values)
 
@@ -633,7 +633,7 @@ def test_with_replacement_gate_builds_each_drawn_views_classes_once(monkeypatch,
     monkeypatch.setattr(statpriv.sampling, "_classes", counted)
     db = DatabaseModel((Pmf.bernoulli(0.3), Pmf.bernoulli(0.6)) * 20)
     try:
-        with_replacement_bound(db, sum_query(), 40, m, (0.0, 0.5, 1.0))
+        with_replacement_bound(db, sum_query(), m, (0.0, 0.5, 1.0))
     except NotSamplableError as exc:
         assert (m, exc.family) == (2, "coupled")
     assert len(calls) == built
@@ -671,7 +671,7 @@ def test_with_replacement_bound_is_the_draw_count_mixture(n, m):
     # the drawn-view curve is the mixture over draw counts up to roundoff.
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
     grid = (0.0, 0.25, 0.5, 1.0, 2.0)
-    c = with_replacement_bound(db, sum_query(), n, m, grid)
+    c = with_replacement_bound(db, sum_query(), m, grid)
     want = draw_count_mixture(db, sum_query(), n, m, grid)
     assert all(w > 0.0 for w in want)
     for d, w in zip(c.values, want):
@@ -683,14 +683,14 @@ def test_with_replacement_eps_prime_shrinks_by_the_exact_drawn_rate():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
     drawn = float(1 - Fraction(n - 1, n) ** 2)
     grid = (0.5, 1.0, 2.0)
-    for e, eps_prime in zip(grid, with_replacement_bound(db, sum_query(), n, 2, grid).grid):
+    for e, eps_prime in zip(grid, with_replacement_bound(db, sum_query(), 2, grid).grid):
         want = math.log1p(drawn * math.expm1(e))
         assert abs(eps_prime - want) <= 1e-14 * want
 
 
 def test_with_replacement_gate_passes_symmetric_two_of_two():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    c = with_replacement_bound(db, sum_query(), 2, 2, (0.0, 0.5, 1.0))
+    c = with_replacement_bound(db, sum_query(), 2, (0.0, 0.5, 1.0))
     q = sum_query()
     tech = TemplateDistribution.with_replacement(2, 2)
     hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
@@ -705,13 +705,13 @@ def test_with_replacement_gate_passes_symmetric_two_of_two():
 def test_with_replacement_single_entry_database():
     # n=1: the entry is drawn every time; answers are point masses m*v
     db = DatabaseModel.iid(Pmf.bernoulli(0.3), 1)
-    c = with_replacement_bound(db, sum_query(), 1, 3, (0.0, 1.0))
+    c = with_replacement_bound(db, sum_query(), 3, (0.0, 1.0))
     assert c == PrivacyCurve((0.0, 1.0), (1.0, 1.0))
 
 
 def test_with_replacement_count_query():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
-    c = with_replacement_bound(db, count_query(), 2, 2, (0.0, 0.5))
+    c = with_replacement_bound(db, count_query(), 2, (0.0, 0.5))
     q = count_query()
     tech = TemplateDistribution.with_replacement(2, 2)
     hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)

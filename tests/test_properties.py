@@ -122,16 +122,16 @@ def test_amplification_bounds_dominate_the_oracle(db, q, rate):
     n = db.n
     for m in range(1, n + 1):
         technique = TemplateDistribution.without_replacement(n, m)
-        bound = without_replacement_bound(db, q, n, m, GRID)
+        bound = without_replacement_bound(db, q, m, GRID)
         for eps_prime, delta_prime in zip(bound.grid, bound.values):
             assert_dominates(db, technique, q, eps_prime, delta_prime)
     technique = TemplateDistribution.poisson(n, rate)
-    curve = poisson_bound(db, q, n, rate, GRID)
+    curve = poisson_bound(db, q, rate, GRID)
     for eps, delta in zip(curve.grid, curve.values):
         assert_dominates(db, technique, q, eps, delta)
     for m in (1, 2):
         try:
-            bound = with_replacement_bound(db, q, n, m, GRID)
+            bound = with_replacement_bound(db, q, m, GRID)
         except NotSamplableError:
             continue  # refused by the gate: the theorem does not apply
         technique = TemplateDistribution.with_replacement(n, m)
@@ -146,7 +146,7 @@ def test_with_replacement_bound_is_dp_subsampling_of_the_drawn_view_curve(db, q,
     # curve; that must be sampling_curve_max's curve, bit for bit.
     n = db.n
     try:
-        bound = with_replacement_bound(db, q, n, m, GRID)
+        bound = with_replacement_bound(db, q, m, GRID)
     except NotSamplableError:
         return  # refused by the gate: there is no bound to compare
     curve = sampling_curve_max(db, q, TemplateDistribution.with_replacement(n, m), GRID)
@@ -336,7 +336,7 @@ def test_the_poisson_sweep_evaluates_two_answers_per_chain():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 1000)
     with mock.patch.object(divergence, "lattice_chain", wraps=lattice_chain) as chains, \
             mock.patch.object(amplify, "lattice_chain", wraps=lattice_chain) as checks:
-        poisson_bound(db, counted, 1000, 0.1, default_eps_grid())
+        poisson_bound(db, counted, 0.1, default_eps_grid())
     # One chain per evaluated sample size (229), and one per ceiling (49).
     assert (chains.call_count, checks.call_count) == (229, 49)
     assert len(calls) <= 2 * (chains.call_count + checks.call_count)
@@ -429,6 +429,44 @@ def test_tradeoff_round_trips_bound_the_curve(pair):
     envelope = curve_to_tradeoff(PrivacyCurve(grid, values))
     for eps, delta in zip(grid, values):
         assert tradeoff_to_delta(envelope, eps) <= delta, (eps, delta)
+
+
+@st.composite
+def wide_pmf_pairs(draw):
+    """(mu, nu) on up to 40 shared outcomes, with float weights of every
+    size down to subnormal ones."""
+    size = draw(st.integers(1, 40))
+    raw_weights = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-290), st.just(5e-324))
+
+    def pmf():
+        raw = draw(st.lists(raw_weights, min_size=size, max_size=size))
+        raw[0] = max(raw[0], 0.5)
+        total = math.fsum(raw)
+        return Pmf(tuple(map(float, range(size))), tuple(r / total for r in raw))
+
+    return pmf(), pmf()
+
+
+def tradeoff_by_fsum(mu, nu):
+    """The breakpoints of tradeoff_from_pmfs, one fsum per breakpoint over
+    the rows in its order."""
+    rows = sorted(((a, mu.prob(a), nu.prob(a)) for a in nu.support), key=lambda r: (r[1] / r[2], r[0]))
+    xs, ys = [], []
+    for k in range(len(rows), -1, -1):
+        x = math.fsum(r[2] for r in rows[k:])
+        if xs and x == xs[-1]:
+            del xs[-1], ys[-1]
+        xs.append(x)
+        ys.append(math.fsum(r[1] for r in rows[:k]))
+    xs[-1] = 1.0
+    return tuple(xs), tuple(ys)
+
+
+@settings(max_examples=400)
+@given(st.one_of(pmf_pairs(), wide_pmf_pairs()))
+def test_tradeoff_breakpoints_are_fsums_bit_for_bit(pair):
+    fn = tradeoff_from_pmfs(*pair)
+    assert (fn.xs, fn.ys) == tradeoff_by_fsum(*pair)
 
 
 @settings(max_examples=300)

@@ -200,11 +200,11 @@ def test_explicit_items_are_their_own_classes():
 def test_budget_counts_classes_not_templates():
     # 10^8 sequences of two draws from 10000 entries are 2 classes, 4 with
     # entry 1 conditioned apart ((1, 1), (1, 2), (2, 2), (2, 3)).
-    wide = TemplateDistribution.with_replacement(10000, 2, budget=2)
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 10000)
-    assert len(wide.classes(condition(db, 1, 1.0), budget=4)) == 4
+    wide = TemplateDistribution.with_replacement(10000, 2, budget=4)
+    assert len(wide.classes(condition(db, 1, 1.0))) == 4
     with pytest.raises(EnumerationBudgetError):
-        wide.classes(condition(db, 1, 1.0), budget=3)
+        TemplateDistribution.with_replacement(10000, 2, budget=3).classes(condition(db, 1, 1.0))
     # Four draws from 6 alike entries: the 5 partitions of 4. One hundred
     # draws from 100: 190569292 partitions, refused before any is built.
     assert len(TemplateDistribution.with_replacement(6, 4, budget=5).items) == 5
@@ -214,10 +214,27 @@ def test_budget_counts_classes_not_templates():
         TemplateDistribution.with_replacement(100, 100)
     # Three of six entries in three pairs of alike ones: 7 count vectors.
     pairs = DatabaseModel(tuple(Pmf.bernoulli(p) for p in (0.2, 0.2, 0.4, 0.4, 0.6, 0.6)))
-    three = TemplateDistribution.without_replacement(6, 3)
-    assert len(three.classes(pairs, budget=7)) == 7
+    assert len(TemplateDistribution.without_replacement(6, 3, budget=7).classes(pairs)) == 7
     with pytest.raises(EnumerationBudgetError):
-        three.classes(pairs, budget=6)
+        TemplateDistribution.without_replacement(6, 3, budget=6).classes(pairs)
+
+
+def test_a_techniques_budget_bounds_its_classes_and_laws():
+    # Each enumeration made for a technique is counted against the budget
+    # it was built with: the 4 classes of two draws from 4 entries with
+    # entry 1 conditioned apart and the 6 states of a 5-entry bern sum
+    # (test_matched_coupling_budget_counts_class_pairs counts the pairs).
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 4)
+    with pytest.raises(EnumerationBudgetError) as err:
+        TemplateDistribution.with_replacement(4, 2, budget=3).classes(condition(db, 1, 1.0))
+    assert (err.value.states, err.value.budget) == (4, 3)
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 6)
+    with pytest.raises(EnumerationBudgetError) as err:
+        sampled_pushforward(db, TemplateDistribution.without_replacement(6, 5, budget=5), sum_query())
+    assert (err.value.states, err.value.budget) == (6, 5)
+    assert len(sampled_pushforward(
+        db, TemplateDistribution.without_replacement(6, 5, budget=6), sum_query()
+    ).outcomes) == 6
 
 
 def test_views_keep_the_budget_of_their_technique():
@@ -268,9 +285,10 @@ def test_closed_form_classes_are_the_enumerated_templates(case):
     assert_classes_match_the_templates(view, given, db)
     # The budget counts exactly the classes built.
     count = len(technique.classes(db))
-    assert len(technique.classes(db, budget=count)) == count
+    rebuilt = getattr(TemplateDistribution, technique.kind)
+    assert len(rebuilt(technique.n, technique.param, budget=count).classes(db)) == count
     with pytest.raises(EnumerationBudgetError):
-        technique.classes(db, budget=count - 1)
+        rebuilt(technique.n, technique.param, budget=count - 1).classes(db)
 
 
 def test_apply_template_repeats_share_one_draw():
@@ -419,14 +437,18 @@ def assert_coupling_matches_the_templates(technique):
 
 
 def test_matched_coupling_budget_counts_class_pairs():
-    # Two draws from 32 alike entries, entry 1 drawn: 2 classes with 2
-    # partner classes each.
-    t = TemplateDistribution.with_replacement(32, 2)
+    # Three draws from 32 alike entries, entry 1 drawn: 4 classes, with
+    # 3, 4, 2 and 3 partner classes. The 7 classes counted to build the
+    # view fit a budget of 7; its pairs trip it at the third class, with 9
+    # pairs built.
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 32)
-    drawn = t.given_drawn(1)
-    assert len(matched_coupling(drawn, 1, db, budget=4)) == 4
-    with pytest.raises(EnumerationBudgetError):
-        matched_coupling(drawn, 1, db, budget=3)
+    drawn = TemplateDistribution.with_replacement(32, 3, budget=12).given_drawn(1)
+    assert len(matched_coupling(drawn, 1, db)) == 12
+    with pytest.raises(EnumerationBudgetError) as err:
+        matched_coupling(TemplateDistribution.with_replacement(32, 3, budget=7).given_drawn(1), 1, db)
+    assert isinstance(err.value.states, int)
+    assert (err.value.states, err.value.budget) == (9, 7)
+    assert str(err.value).startswith("enumeration needs 9 states but the budget is 7")
 
 
 def test_matched_coupling_rejects_mixed_lengths():
