@@ -28,7 +28,7 @@ from .dist import (
     query_by_name,
     sum_query,
 )
-from .divergence import check_grid, default_eps_grid, hockey_stick_divergence, privacy_curve
+from .divergence import check_grid, default_eps_grid, hockey_stick_curve, privacy_curve
 from .errors import EnumerationBudgetError, NotSamplableError
 from .oracle import brute_force_divergence
 from .sampling import TemplateDistribution, sampled_pushforward
@@ -361,26 +361,29 @@ def cmd_verify(opts) -> int:
             (case, quantity, pipeline, reference, abs(pipeline - reference), ok)
         )
 
+    by_n = {}  # each n's techniques, built at first use and shared by both p
     for p in (0.3, 0.5):
         entry = Pmf.bernoulli(p)
         for n in range(2, max_n + 1):
             db = DatabaseModel.iid(entry, n)
-            techniques = {
-                f"wor n={n} m={m}": TemplateDistribution.without_replacement(n, m, budget)
-                for m in range(1, n + 1)
-            }
-            techniques[f"poisson n={n} rate=0.5"] = TemplateDistribution.poisson(n, 0.5, budget)
-            techniques.update(
-                (f"wr n={n} m={m}", TemplateDistribution.with_replacement(n, m, budget))
-                for m in range(1, 3)
-            )
+            techniques = by_n.get(n)
+            if techniques is None:
+                techniques = by_n[n] = {
+                    f"wor n={n} m={m}": TemplateDistribution.without_replacement(n, m, budget)
+                    for m in range(1, n + 1)
+                }
+                techniques[f"poisson n={n} rate=0.5"] = TemplateDistribution.poisson(n, 0.5, budget)
+                techniques.update(
+                    (f"wr n={n} m={m}", TemplateDistribution.with_replacement(n, m, budget))
+                    for m in range(1, 3)
+                )
             high = condition(db, 1, 1.0)
             low = condition(db, 1, 0.0)
             for label, technique in techniques.items():
                 answers_high = sampled_pushforward(high, technique, q)
                 answers_low = sampled_pushforward(low, technique, q)
-                for eps in grid:
-                    pipe = hockey_stick_divergence(answers_high, answers_low, eps)
+                pipes = hockey_stick_curve(answers_high, answers_low, grid)
+                for eps, pipe in zip(grid, pipes):
                     if faulty:
                         pipe = -pipe
                         faulty = False

@@ -595,7 +595,8 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     differences; `steps` are the grid's scores in steps above the lowest.
     The m free entries (all but j) are convolved in floats one at a time,
     law(i) = law(i - 1) * entry i, on i * span + 1 cells, so
-    span * m(m + 1)/2 + m cells in all: what `budget` counts. `weights` is
+    span * m(m + 1)/2 + m cells in all: what `budget` counts, or at m = 0
+    the span + 1 cells that shifting by j's steps builds. `weights` is
     the law divided by its fsum, so weights that sum to 1 only after
     rounding, such as (0.7, 0.3), do not drift. Fixing j to v shifts the
     `reachable` cells by v's step; `answers` maps a list of cells to q's
@@ -624,7 +625,7 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     steps = tuple((s - low) // g for s in scores)
     free = db.entries[: j - 1] + db.entries[j:]
     m = len(free)
-    if max(steps) * (m * (m + 1) // 2) + m > budget:
+    if (max(steps) * (m * (m + 1) // 2) + m or max(steps) + 1) > budget:
         return None
     law, reach = _free_law(free, steps)
     # fsum rounds exactly, so order sets only its speed: a law's tail added from

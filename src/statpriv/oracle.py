@@ -4,8 +4,11 @@ Everything here recomputes results from first principles: joint enumeration
 over templates and the database realizations of positive probability
 (each entry's value from its support, so a fixed entry takes one value;
 `budget` counts the pairs), compensated summation and an exhaustive
-rejection-set search. No aggregation code is shared with the sampling
-pipeline, so agreement between the two is meaningful evidence.
+rejection-set search. Within one law the realizations' masses are computed
+once per template probability and the query once per picked sample, while
+every pair is still enumerated and added in order. No aggregation code is
+shared with the sampling pipeline, so agreement between the two is
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -74,22 +77,33 @@ def _answer_law(db, technique, q, budget):
     states = count * math.prod(map(len, supports))
     if states > budget:
         raise EnumerationBudgetError(states, budget)
-    rows = [(row, tuple(map(Pmf.prob, db.entries, row))) for row in itertools.product(*supports)]
+    rows = list(itertools.product(*supports))
+    dicts = [e.as_dict for e in db.entries]
+    probs = [tuple(map(dict.__getitem__, dicts, row)) for row in rows]
     evaluate, empty, prod = q.evaluator, float(q.empty_answer), math.prod
-    acc: dict[float, _Kahan] = {}
+    masses: dict[float, list[float]] = {}  # one list per template probability
+    acc: dict[float, list[float]] = {}  # answer -> [Kahan total, compensation]
+    acc_of: dict[tuple, list[float]] = {}  # picked sample -> its answer's sum
     for indices, pt in templates:
+        if pt not in masses:
+            masses[pt] = [prod(p, start=pt) for p in probs]  # pt * p1 * p2 ..., left to right
         picks = [i - 1 for i in indices]
         if len(picks) == 1:  # a sample is a tuple: slice the one index
             picks = [slice(picks[0], picks[0] + 1)]
-        pick = operator.itemgetter(*picks) if picks else None
-        for row, probs in rows:
-            # An answer is the float the query returns; equal floats merge.
-            a = float(evaluate(pick(row))) if picks else empty
-            k = acc.get(a)
+        pick = operator.itemgetter(*picks or [slice(0)])  # an empty template picks ()
+        for row, v in zip(rows, masses[pt]):
+            sample = pick(row)
+            k = acc_of.get(sample)
             if k is None:
-                k = acc[a] = _Kahan()
-            k.add(prod(probs, start=pt))  # pt * p1 * p2 ..., left to right
-    return tuple(sorted((a, k.total) for a, k in acc.items()))
+                # An answer is the float the query returns; equal floats merge.
+                a = float(evaluate(sample)) if sample else empty
+                k = acc_of[sample] = acc.setdefault(a, [0.0, 0.0])
+            total, c = k  # _Kahan.add, inline
+            y = v - c
+            t = total + y
+            k[1] = (t - total) - y
+            k[0] = t
+    return tuple(sorted((a, k[0]) for a, k in acc.items()))
 
 
 def brute_force_divergence(

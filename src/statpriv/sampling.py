@@ -139,17 +139,18 @@ class TemplateDistribution(_Value):
         templates (hypergeometric or multinomial over the group sizes), with
         the Binomial size weight for poisson; its representative is its
         first template in itertools order. Raises EnumerationBudgetError
-        past the technique's budget in classes. Keeps the last model's
-        classes, as Pmf keeps as_dict.
+        past the technique's budget in classes. Keeps the last classes,
+        keyed by the groups as a tuple of tuples: models with equal groups,
+        as a model conditioned at one position to each value, share them.
         """
         if self.n != db.n:
             raise ValueError(f"technique over 1..{self.n} does not match model size {db.n}")
         if self.param is None or db.is_iid:
             return self.items  # explicit, or built over these very groups
-        if self.__dict__.get("_last_classes", (None,))[0] != db:
-            groups = _groups(self.n, db, self.given)
+        groups = tuple(map(tuple, _groups(self.n, db, self.given)))
+        if self.__dict__.get("_last_classes", (None,))[0] != groups:
             classes = _classes(self.kind, self.n, self.param, groups, self.given, self.budget)
-            self.__dict__["_last_classes"] = db, classes
+            self.__dict__["_last_classes"] = groups, classes
         return self.__dict__["_last_classes"][1]
 
     def given_drawn(self, j: int) -> "TemplateDistribution":

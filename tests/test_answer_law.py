@@ -213,6 +213,14 @@ def test_lattice_chain_needs_an_additive_query_within_the_budget():
     assert lattice_chain(decimal, 1, sum_query()) is None
     point = lattice_chain(DatabaseModel.iid(Pmf.point(2.0), 3), 1, mean_query())
     assert point.pmfs()[2.0] == Pmf.point(2.0)
+    # With no free entry the shift by the values' steps builds span + 1
+    # cells: 3 for three values, about 1.1e16 for 0, 0.1 and 0.3.
+    one = DatabaseModel.iid(three.entries[0], 1)
+    assert lattice_chain(one, 1, sum_query(), budget=3) is not None
+    assert lattice_chain(one, 1, sum_query(), budget=2) is None
+    assert lattice_chain(DatabaseModel.iid(Pmf.bernoulli(0.3), 1), 1, sum_query()) is not None
+    wide = DatabaseModel.iid(Pmf((0.0, 0.1, 0.3), (0.2, 0.3, 0.5)), 1)
+    assert lattice_chain(wide, 1, sum_query()) is None
 
 
 def test_lattice_chain_extends_its_last_law_bit_for_bit():

@@ -211,6 +211,32 @@ def test_decimal_entry_beyond_the_lattice_budget_takes_the_multiset_kernel(capsy
     assert got == kernel_curve(entry, 8, (0.0, 0.5, 1.0))
 
 
+WIDE_AT_ONE = "discrete:0@0.2,0.1@0.3,0.3@0.5"
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "--entry", WIDE_AT_ONE, "--n", "1", "--query", "sum"),
+    ("amplify", "--entry", WIDE_AT_ONE, "--query", "sum", "--technique", "wor:8,1"),
+    ("amplify", "--entry", WIDE_AT_ONE, "--query", "mean", "--technique", "poisson:8,0.3",
+     "--budget", "200"),
+])
+def test_wide_lattice_without_free_entries_takes_the_multiset_kernel(argv, monkeypatch, capsys):
+    # With no free entry the chain convolves nothing, but shifting by the
+    # steps of scores about 1.1e16 apart would build that many cells.
+    one = DatabaseModel.iid(parse_entry(WIDE_AT_ONE), 1)
+    assert lattice_chain(one, 1, sum_query()) is None
+    assert main(list(argv)) == 0
+    got = capsys.readouterr().out
+    monkeypatch.setattr("statpriv.divergence.lattice_chain", lambda *args: None)
+    monkeypatch.setattr("statpriv.amplify.lattice_chain", lambda *args: None)
+    assert main(list(argv)) == 0
+    assert got == capsys.readouterr().out
+    if argv[0] == "curve":
+        rows = [row.split(",") for row in got.splitlines()[1:]]
+        grid = tuple(float(eps) for eps, _ in rows)
+        assert [float(delta) for _, delta in rows] == kernel_curve(WIDE_AT_ONE, 1, grid)
+
+
 def test_budget_takes_the_chain_then_the_multiset_kernel_then_refuses(capsys):
     # n = 10 on three values: the chain over 9 free entries of span 2 builds
     # 2 * 45 + 9 = 99 cells; the multiset kernel enumerates C(11, 2) = 55

@@ -17,6 +17,9 @@ two `figures fig2` runs, a `curve` whose answers merge (means of values
 n = 3000 printed its weight charge, 1.5377933342984368e-77, at eps 1, and
 prints the sum over every size, 2.337571133880179e-145, since the sizes
 past the swept range take the data-processing ceiling (amplify._ceiling).
+The last golden pin, the benchmark's `verify --max-n 6`, was frozen before
+the oracle computed each mass and answer once per law and verify built each
+n's techniques once.
 """
 
 import json

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import statpriv.sampling
 from statpriv.dist import DatabaseModel, Pmf, condition, law_key, sum_query
 from statpriv.divergence import hockey_stick_divergence, privacy_curve
 from statpriv.errors import EnumerationBudgetError, ZeroProbabilityError
@@ -217,6 +218,33 @@ def test_budget_counts_classes_not_templates():
     assert len(TemplateDistribution.without_replacement(6, 3, budget=7).classes(pairs)) == 7
     with pytest.raises(EnumerationBudgetError):
         TemplateDistribution.without_replacement(6, 3, budget=6).classes(pairs)
+
+
+def test_classes_are_kept_per_group_structure(monkeypatch):
+    # The classes depend on the model only through its groups: a model
+    # conditioned at one position to either value, or two models alike on
+    # the same positions, share one build; other groups build their own.
+    technique, fresh = (TemplateDistribution.without_replacement(6, 3) for _ in range(2))
+    built = []
+    original = statpriv.sampling._classes
+
+    def counted(*args):
+        built.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(statpriv.sampling, "_classes", counted)
+    db = DatabaseModel.iid(Pmf.bernoulli(0.3), 6)
+    high, low = condition(db, 1, 1.0), condition(db, 1, 0.0)
+    first = technique.classes(high)
+    assert technique.classes(low) is first and technique.classes(high) is first
+    assert built == [((1,), (2, 3, 4, 5, 6))]
+    other = condition(db, 2, 1.0)
+    assert technique.classes(other) == fresh.classes(other) != first
+    assert built[1:] == [((1, 3, 4, 5, 6), (2,))] * 2  # the technique's, then the fresh one's
+    mixed = DatabaseModel((Pmf.bernoulli(0.3), Pmf.bernoulli(0.6)) * 3)
+    alike = DatabaseModel((Pmf.bernoulli(0.2), Pmf.bernoulli(0.7)) * 3)
+    assert technique.classes(mixed) is technique.classes(alike)
+    assert built[3:] == [((1, 3, 5), (2, 4, 6))]
 
 
 def test_a_techniques_budget_bounds_its_classes_and_laws():
