@@ -25,7 +25,6 @@ from .divergence import (
     check_grid,
     half_line_check,
     hockey_stick_curve,
-    hockey_stick_divergence,
     privacy_curve,
     worst_rows,
 )
@@ -372,11 +371,10 @@ def _gated_drawn_curve(db, q, technique, grid):
         for t, p, laws in drawn_classes(db, q, drawn, j):
             rows, pmfs = worst_rows(laws, grid), laws.pmfs()
             for v, w in itertools.permutations(outcomes, 2):
-                res = half_line_check(pmfs[v], pmfs[w], grid)
-                if not res:
+                witness = half_line_check(pmfs[v], pmfs[w], grid)
+                if witness is not None:
                     raise NotSamplableError(
-                        res.eps,
-                        res.outcome,
+                        *witness,
                         "half_line",
                         context=f"j={j}, template={t.indices}, pair=({v}, {w})",
                     )
@@ -404,7 +402,7 @@ def _gated_drawn_curve(db, q, technique, grid):
                             context=(
                                 f"j={j}, coupled templates {t_in.indices} and "
                                 f"{t_out.indices}, conditioned to {v}: cross "
-                                f"divergence {hockey_stick_divergence(left, right, eps)} "
+                                f"divergence {cross} "
                                 f"exceeds the same-template ceiling {ceiling}"
                             ),
                         )

@@ -242,21 +242,9 @@ def privacy_curve(
     return PrivacyCurve._built(grid, _pointwise_max(rows))
 
 
-class HalfLineResult(_Value):
-    """Outcome of a half-line check; falsy with a witness on failure."""
-
-    ok: bool
-    eps: float | None
-    outcome: float | None
-
-    def __init__(self, ok: bool, eps: float | None = None, outcome: float | None = None):
-        self.__dict__.update(ok=ok, eps=eps, outcome=outcome)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def half_line_check(mu: Pmf, nu: Pmf, eps_grid: tuple[float, ...] | None = None) -> HalfLineResult:
+def half_line_check(
+    mu: Pmf, nu: Pmf, eps_grid: tuple[float, ...] | None = None
+) -> tuple[float, float] | None:
     """Check that some optimal distinguishing set is a half line.
 
     For each epsilon on the grid, the outcomes with mu(a) - e^eps nu(a) > 0,
@@ -267,9 +255,10 @@ def half_line_check(mu: Pmf, nu: Pmf, eps_grid: tuple[float, ...] | None = None)
     with-replacement bound needs, since a maximizing set only has to be
     choosable as a half line.
 
-    The first violation is returned as a witness: its epsilon and the
-    outcome completing the second sign change. The check is grid-limited;
-    epsilons between grid points are not examined.
+    Returns None when every epsilon passes, else the first violation as a
+    witness (eps, outcome): the outcome completes the second sign change.
+    The check is grid-limited; epsilons between grid points are not
+    examined.
     """
     union = sorted(set(mu.support) | set(nu.support))
     probs = [(mu.prob(a), nu.prob(a)) for a in union]
@@ -278,8 +267,8 @@ def half_line_check(mu: Pmf, nu: Pmf, eps_grid: tuple[float, ...] | None = None)
         diffs = [pa if qa == 0.0 else pa - scale * qa for pa, qa in probs]
         failure = _sign_change_violation(union, diffs)
         if failure is not None:
-            return HalfLineResult(False, eps, failure)
-    return HalfLineResult(True)
+            return eps, failure
+    return None
 
 
 def _sign_change_violation(union, diffs):

@@ -23,12 +23,14 @@ class ZeroProbabilityError(ValueError):
 
 class NotSamplableError(ValueError):
     """The samplability gate refused; carries the witness and the refused
-    family, "half_line" (same-template pair) or "coupled" (cross pair)."""
+    family, "half_line" (same-template pair, the half-line property) or
+    "coupled" (cross pair, the mean value inequality)."""
 
     def __init__(self, eps, outcome, family, context=""):
         detail = f" ({context})" if context else ""
+        condition = "mean value inequality" if family == "coupled" else "half-line property"
         super().__init__(
-            f"half-line property fails at eps={eps} "
+            f"{condition} fails at eps={eps} "
             f"with witness outcome {outcome}{detail}"
         )
         self.eps = eps

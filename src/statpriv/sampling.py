@@ -384,34 +384,3 @@ def matched_coupling(
         if len(pairs) > drawn.budget:
             raise EnumerationBudgetError(len(pairs), drawn.budget)
     return tuple(pairs)
-
-class CouplingSplit(_Value):
-    """Total variation split mu = (1 - tv) common + tv mu_excess, same for nu."""
-
-    tv: float
-    common: Pmf
-    mu_excess: Pmf
-    nu_excess: Pmf
-
-    def __init__(self, tv: float, common: Pmf, mu_excess: Pmf, nu_excess: Pmf):
-        self.__dict__.update(tv=tv, common=common, mu_excess=mu_excess, nu_excess=nu_excess)
-
-
-def maximal_coupling_split(mu: Pmf, nu: Pmf) -> CouplingSplit:
-    """Split two pmfs into shared mass and normalized excess parts.
-
-    tv is the total variation distance. When tv is 0 or 1 the unused parts
-    are arbitrary and the inputs are returned unchanged in their place.
-    """
-    union = sorted(set(mu.support) | set(nu.support))
-    mins = [(a, min(mu.prob(a), nu.prob(a))) for a in union]
-    overlap = math.fsum(w for _, w in mins)
-    tv = 1.0 - overlap
-    if tv <= 0.0:
-        return CouplingSplit(0.0, mu, mu, nu)
-    if overlap == 0.0:
-        return CouplingSplit(1.0, mu, mu, nu)
-    common = Pmf.from_pairs((a, w / overlap) for a, w in mins)
-    mu_excess = Pmf.from_pairs((a, (mu.prob(a) - w) / tv) for a, w in mins)
-    nu_excess = Pmf.from_pairs((a, (nu.prob(a) - w) / tv) for a, w in mins)
-    return CouplingSplit(tv, common, mu_excess, nu_excess)

@@ -560,13 +560,13 @@ def test_with_replacement_gate_refuses_interleaved_lattice():
         ),
         (
             Pmf.bernoulli(0.3), sum_query(), 32, 2, None, "coupled",
-            "half-line property fails at eps=0.05 with witness outcome 1.0 "
+            "mean value inequality fails at eps=0.05 with witness outcome 1.0 "
             "(j=1, coupled templates (1, 2) and (2, 2), conditioned to 1.0: cross "
             "divergence 0.7 exceeds the same-template ceiling 0.6846186710871927)",
         ),
         (
             Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), sum_query(), 4, 2, None, "coupled",
-            "half-line property fails at eps=0.05 with witness outcome 1.0 "
+            "mean value inequality fails at eps=0.05 with witness outcome 1.0 "
             "(j=1, coupled templates (1, 2) and (2, 2), conditioned to 1.0: cross "
             "divergence 0.5 exceeds the same-template ceiling 0.48718222590599397)",
         ),

@@ -265,13 +265,9 @@ def test_half_line_check_strict_vs_relaxed():
     b = pmf({0.0: 0.5, 2.0: 0.5})
     # at eps 0 the difference is 0,+,- : strictly-positive set is interior,
     # but the zero at outcome 0 lets a half line be chosen
-    relaxed = half_line_check(a, b, (0.0,))
-    assert relaxed.ok
-    assert relaxed.eps is None and relaxed.outcome is None
+    assert half_line_check(a, b, (0.0,)) is None
     # at eps 1 the difference is -,+,- : genuinely not a half line
-    relaxed1 = half_line_check(a, b, (1.0,))
-    assert not relaxed1.ok
-    assert relaxed1.eps == 1.0 and relaxed1.outcome == 2.0
+    assert half_line_check(a, b, (1.0,)) == (1.0, 2.0)
 
 
 def test_half_line_check_passes_shifted_binomials():
@@ -279,9 +275,7 @@ def test_half_line_check_passes_shifted_binomials():
     t = TemplateDistribution.without_replacement(3, 2)
     hi = sampled_pushforward(condition(db, 1, 1.0), t.given_drawn(1), sum_query())
     lo = sampled_pushforward(condition(db, 1, 0.0), t.given_drawn(1), sum_query())
-    res = half_line_check(hi, lo, default_eps_grid())
-    assert res.ok
-    assert bool(res)
+    assert half_line_check(hi, lo, default_eps_grid()) is None
 
 
 def test_single_draw_mean_value_inequality():

@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 
 import statpriv.sampling
 from statpriv.dist import DatabaseModel, Pmf, condition, law_key, sum_query
-from statpriv.divergence import hockey_stick_divergence, privacy_curve
+from statpriv.divergence import privacy_curve
 from statpriv.errors import EnumerationBudgetError, ZeroProbabilityError
 from statpriv.sampling import (
     Template,
     TemplateDistribution,
     apply_template,
     matched_coupling,
-    maximal_coupling_split,
     sampled_pushforward,
     sampling_curve,
     sampling_curve_max,
@@ -484,26 +483,3 @@ def test_matched_coupling_rejects_mixed_lengths():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
     with pytest.raises(ValueError):
         matched_coupling(t.given_drawn(1), 1, db)
-
-
-def test_maximal_coupling_split():
-    mu = pmf({0.0: 0.7, 1.0: 0.3})
-    nu = pmf({0.0: 0.4, 1.0: 0.6})
-    sp = maximal_coupling_split(mu, nu)
-    assert abs(sp.tv - 0.3) <= TOL
-    assert abs(sp.tv - hockey_stick_divergence(mu, nu, 0.0)) <= TOL
-    assert sp.mu_excess.support == (0.0,)
-    assert sp.nu_excess.support == (1.0,)
-    # the split must reassemble both inputs exactly
-    for a in (0.0, 1.0):
-        lhs = (1.0 - sp.tv) * sp.common.prob(a) + sp.tv * sp.mu_excess.prob(a)
-        assert abs(lhs - mu.prob(a)) <= TOL
-        rhs = (1.0 - sp.tv) * sp.common.prob(a) + sp.tv * sp.nu_excess.prob(a)
-        assert abs(rhs - nu.prob(a)) <= TOL
-
-
-def test_maximal_coupling_split_degenerate():
-    mu = pmf({0.0: 1.0})
-    assert maximal_coupling_split(mu, mu).tv == 0.0
-    nu = pmf({1.0: 1.0})
-    assert maximal_coupling_split(mu, nu).tv == 1.0

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from statpriv.dist import DatabaseModel, Pmf, Query, sum_query
-from statpriv.divergence import HalfLineResult, PrivacyCurve
-from statpriv.sampling import CouplingSplit, Template, TemplateDistribution
+from statpriv.divergence import PrivacyCurve
+from statpriv.sampling import Template, TemplateDistribution
 from statpriv.tradeoff import TradeoffFn
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -37,11 +37,6 @@ CASES = {
         lambda: PrivacyCurve((0.0, 1.0), (0.5, 0.125)),
         "PrivacyCurve(grid=(0.0, 1.0), values=(0.5, 0.25))",
     ),
-    "HalfLineResult": (
-        lambda: HalfLineResult(False, 0.5, 1.0),
-        lambda: HalfLineResult(True),
-        "HalfLineResult(ok=False, eps=0.5, outcome=1.0)",
-    ),
     "Template": (lambda: Template((1, 2, 2)), lambda: Template((1, 2)), "Template(indices=(1, 2, 2))"),
     "TemplateDistribution": (
         lambda: TemplateDistribution.without_replacement(3, 2, budget=1000),
@@ -54,11 +49,6 @@ CASES = {
         lambda: TemplateDistribution("explicit", 2, ((Template((1,)), 0.25), (Template((2,)), 0.75))),
         "TemplateDistribution(kind='explicit', n=2, items=((Template(indices=(1,)), 0.5),"
         " (Template(indices=(2,)), 0.5)), param=None, given=(), budget=10000000)",
-    ),
-    "CouplingSplit": (
-        lambda: CouplingSplit(0.5, *(Pmf((0.0, 1.0), (0.25, 0.75)),) * 3),
-        lambda: CouplingSplit(0.25, *(Pmf((0.0, 1.0), (0.25, 0.75)),) * 3),
-        f"CouplingSplit(tv=0.5, common={P}, mu_excess={P}, nu_excess={P})",
     ),
     "TradeoffFn": (
         lambda: TradeoffFn((0.0, 1.0), (1.0, 0.0)),
@@ -85,6 +75,24 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     loaded = set(out.stdout.split())
     assert "statpriv.cli" in loaded
     assert not {"dataclasses", "inspect", "typing"} & loaded
+
+
+def test_each_name_is_imported_from_its_module():
+    # The package binds no name but its version, and `import statpriv.dist`
+    # loads the errors it raises and nothing else of the package.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import statpriv; "
+        "print(statpriv.__version__, *(n for n in vars(statpriv) if not n.startswith('_'))); "
+        "import statpriv.dist; print(*sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True
+    )
+    (version, *public), loaded = (line.split() for line in out.stdout.splitlines())
+    assert version and public == []
+    assert {m for m in loaded if m.split(".")[0] == "statpriv"} == {
+        "statpriv", "statpriv.dist", "statpriv.errors"
+    }
 
 
 def test_running_a_cli_command_loads_no_argument_parser_nor_tradeoff():
