@@ -183,11 +183,11 @@ def _ceiling(db, q, budget):
     its cells' curve is at most size m's at every eps, and a curve is
     nonincreasing in eps. Answers are a function of the cells, so a size's
     curve, merged answers or not, is at most its cells' curve. Other models
-    and queries, and a size whose lattice chain is over `budget`, take
-    delta = 1. Each law is within (2kn + 3)u of the exact one, k the entry's
-    support; the slack covers that at both sizes compared, the rounded
-    masses the values are multiplied by and the rounding of the mass they
-    are charged for.
+    and queries, and a size that lattice_chain leaves to the multiset kernel
+    (over `budget`, or sparse), take delta = 1. Each law is within
+    (2kn + 3)u of the exact one, k the entry's support; the slack covers
+    that at both sizes compared, the rounded masses the values are
+    multiplied by and the rounding of the mass they are charged for.
     """
     entry = db.entries[0]
     slack = 1.0 + 4 * (2 * len(entry.outcomes) * db.n + 3) * 2.0**-53

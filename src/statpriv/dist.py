@@ -588,8 +588,12 @@ class Laws:
 
 def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUDGET):
     """The laws of an additive q (see Query) on db with entry j fixed to each
-    value, as a lattice chain (see Laws); None when q is not additive or the
-    chain would build over `budget` cells, for answer_law to take over.
+    value, as a lattice chain (see Laws); None when q is not additive, the
+    chain would build over `budget` cells or the lattice is sparse, for
+    answer_law to take over. Sparse means the last step's max(steps) * m + 1
+    cells exceed 1024 times the C(m + k - 1, m) count vectors of the m free
+    entries over the grid's k values, the states answer_law enumerates: steps
+    0, 1 and 2^18 at m = 5 build 5.5M cells for 21 reachable totals.
 
     Scores lie on a lattice of step g, the gcd of the grid's score
     differences; `steps` are the grid's scores in steps above the lowest.
@@ -626,6 +630,8 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     free = db.entries[: j - 1] + db.entries[j:]
     m = len(free)
     if (max(steps) * (m * (m + 1) // 2) + m or max(steps) + 1) > budget:
+        return None
+    if max(steps) * m + 1 > 1024 * math.comb(m + len(steps) - 1, m):
         return None
     law, reach = _free_law(free, steps)
     # fsum rounds exactly, so order sets only its speed: a law's tail added from

@@ -66,8 +66,8 @@ def hockey_stick_divergence(mu: Pmf, nu: Pmf, eps: float) -> float:
 
 
 def hockey_stick_curve(mu: Pmf, nu: Pmf, grid: tuple[float, ...]) -> tuple[float, ...]:
-    """hockey_stick_divergence(mu, nu, eps) per eps of `grid`: the pair kernel's first half."""
-    return _pair_curves(*_aligned(mu, nu), grid, backward=False)[0]
+    """hockey_stick_divergence(mu, nu, eps) per eps of `grid`: the pair kernel on their weights."""
+    return _pair_curves(*_aligned(mu, nu), grid)
 
 
 def _aligned(mu: Pmf, nu: Pmf) -> tuple[list[float], list[float]]:
@@ -77,43 +77,32 @@ def _aligned(mu: Pmf, nu: Pmf) -> tuple[list[float], list[float]]:
     return [mud.get(x, 0.0) for x in union], [nud.get(x, 0.0) for x in union]
 
 
-def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...], backward=True):
-    """The pair kernel: per eps of `grid`, min(1, sum of (a - e^eps b)+) and,
-    if `backward`, min(1, sum of (b - e^eps a)+), for weights a, b on one
-    outcome list. Sorted once by b / a (inf where a = 0), the positive terms
-    of the first sum form a prefix and those of the second a suffix. fsum is
-    exactly rounded, so the order of the terms sets only its speed: read
-    backwards, the prefix of a unimodal chain runs from its mode to its tail,
-    the order in which fsum keeps few partials (see dist.lattice_chain).
-    One pass per direction: the grid is checked and exponentiated once, and
-    the prefix of length k read backwards is the suffix tail[n - k:].
-    The rows with b = 0 lead the sort and add a forward at every eps, those
-    with a = 0 trail it and add b backward: each direction sums its rows once,
+def _pair_curves(a: list[float], b: list[float], grid: tuple[float, ...]) -> tuple[float, ...]:
+    """The pair kernel: per eps of `grid`, min(1, sum of (a - e^eps b)+), for
+    weights a, b on one outcome list; the other direction is the kernel on
+    (b, a). Sorted by b / a (inf where a = 0), the positive terms form a
+    prefix. fsum is exactly rounded, so the order of the terms sets only its
+    speed: read backwards, the prefix of a unimodal chain runs from its mode
+    to its tail, the order in which fsum keeps few partials (see
+    dist.lattice_chain). The grid is checked and exponentiated once, and the
+    prefix of length k read backwards is the suffix tail[n - k:]. The rows
+    with b = 0 lead the sort and add a at every eps: they are summed once,
     and an eps whose cut holds no other row takes that sum as it is."""
     check_grid(grid, curve=False)
     scales = _exp_grid(grid)
-    # A row with a = b = 0 sorts last (ratio inf) and adds no term to either sum.
+    # A row with a = 0 sorts last (ratio inf) and adds no term.
     ratios = [y / x if x else math.inf for x, y in zip(a, b)]
     rows = sorted(zip(ratios, a, b))
     ratios.sort()
     tail, n, fsum = rows[::-1], len(rows), math.fsum
     lone = bisect_right(ratios, 0.0)
     alone = fsum([x for _, x, _ in rows[:lone]])
-    # x - s * y > 0 implies y / x < 1 / s, y - s * x > 0 that y / x > s; the
-    # slack covers rounding, the exact test decides. A sum is capped at 1 by a
-    # comparison, not min(), whose call costs a fifth of a short scan.
-    fwd = tuple([
+    # x - s * y > 0 implies y / x < 1 / s; the slack covers rounding, the
+    # exact test decides. A sum is capped at 1 by a comparison, not min(),
+    # whose call costs a fifth of a short scan.
+    return tuple([
         t if (t := alone if (k := bisect_right(ratios, (1.0 + 1e-9) / s)) == lone else
               fsum([d for _, x, y in tail[n - k:] if (d := x - s * y) > 0.0])) < 1.0 else 1.0
-        for s in scales
-    ])
-    if not backward:
-        return fwd, ()
-    lone = bisect_left(ratios, math.inf)
-    alone = fsum([y for _, _, y in rows[lone:]])
-    return fwd, tuple([
-        t if (t := alone if (k := bisect_left(ratios, s * (1.0 - 1e-9))) == lone else
-              fsum([d for _, x, y in rows[k:] if (d := y - s * x) > 0.0])) < 1.0 else 1.0
         for s in scales
     ])
 
@@ -170,14 +159,14 @@ class PrivacyCurve(_Value):
 def worst_rows(laws: Laws, grid: tuple[float, ...]) -> dict[float, tuple[float, ...]]:
     """The laws' rows on `grid`: value v -> per eps, the maximum over w != v
     of hockey_stick_divergence(v's law, w's law, eps), 0.0 when there is no
-    other value; one pair kernel call per unordered pair gives both its
-    directions."""
+    other value. Each unordered pair is aligned once and the pair kernel
+    scans it both ways: (v's weights, w's) for v's row, (w's, v's) for w's."""
     pmfs = laws.pmfs()
     rows = dict.fromkeys(pmfs, (0.0,) * len(grid))
     for (v, mu), (w, nu) in combinations(pmfs.items(), 2):
-        forward, backward = _pair_curves(*_aligned(mu, nu), grid)
-        rows[v] = tuple(map(max, rows[v], forward))
-        rows[w] = tuple(map(max, rows[w], backward))
+        a, b = _aligned(mu, nu)
+        rows[v] = tuple(map(max, rows[v], _pair_curves(a, b, grid)))
+        rows[w] = tuple(map(max, rows[w], _pair_curves(b, a, grid)))
     return rows
 
 
@@ -194,16 +183,19 @@ def cell_curve(chain: Laws, grid: tuple[float, ...]) -> tuple[float, ...]:
     """A chain's worst-pair curve on `grid` over its lattice cells: its
     weights shifted by each value's step. Answers are a function of the
     cells, so this is at least worst_curve's, and equal to it where they are
-    distinct. One pair kernel call per distinct step difference d scans both
-    orders of its pairs. Mirror rule: if the weights W equal W[::-1], the
-    backward terms of (W 0^d, 0^d W) are the forward ones mirrored; fsum
-    rounds exactly, so one direction is scanned, and gives both bit for bit."""
+    distinct. Per distinct step difference d the weights W are padded once
+    and the pair kernel scans (W 0^d, 0^d W) and (0^d W, W 0^d). Mirror rule:
+    if W equals W[::-1], the second pair is the first read backwards; fsum
+    rounds exactly, so the kernel gives it the same curve bit for bit, and
+    one call per d scans both orders."""
     weights = chain.weights
     mirror = weights == weights[::-1]
     rows = []
     for d in {abs(s - t) for s in chain.steps for t in chain.steps} - {0}:
-        pair = _pair_curves(weights + [0.0] * d, [0.0] * d + weights, grid, not mirror)
-        rows.extend(pair[:1] if mirror else pair)
+        a, b = weights + [0.0] * d, [0.0] * d + weights
+        rows.append(_pair_curves(a, b, grid))
+        if not mirror:
+            rows.append(_pair_curves(b, a, grid))
     return _pointwise_max(rows or [(0.0,) * len(grid)])
 
 

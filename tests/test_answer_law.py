@@ -223,6 +223,23 @@ def test_lattice_chain_needs_an_additive_query_within_the_budget():
     assert lattice_chain(wide, 1, sum_query()) is None
 
 
+def test_lattice_chain_leaves_a_sparse_lattice_to_the_multiset_kernel():
+    # Steps 0, 1 and 2^18: the last step's 2^18 * m + 1 cells hold at most
+    # C(m + 2, 2) reachable totals, 21 at m = 5 and 45 at m = 8.
+    sparse = Pmf((99999999999.0, 100000000000.0000152587890625, 100000000003.0), (0.3, 0.3, 0.4))
+    grid = (0.0, 0.5, 1.0)
+    for n in (6, 9):
+        db = DatabaseModel.iid(sparse, n)
+        assert lattice_chain(db, 1, sum_query()) is None
+        # The curve is the one a budget too small for the chain gives.
+        want = privacy_curve(db, sum_query(), grid, budget=1000)
+        assert privacy_curve(db, sum_query(), grid) == want
+    # Dense lattices keep the chain, however long.
+    assert lattice_chain(DatabaseModel.iid(Pmf.bernoulli(0.3), 4000), 1, sum_query()) is not None
+    three = Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
+    assert lattice_chain(DatabaseModel.iid(three, 1000), 1, sum_query()) is not None
+
+
 def test_lattice_chain_extends_its_last_law_bit_for_bit():
     # Sizes 1, 2, ... extend one chain by one entry each; the laws must be
     # the ones a rebuild from scratch gives, and only one law is held.

@@ -192,7 +192,9 @@ def test_answer_law_is_the_plain_loop_bit_for_bit(case):
 
 PIPELINE_KERNELS = {
     "answer_law", "law_key", "MEMO_OUTCOMES", "_law_memo", "_memo_outcomes", "_remember",
-    "_enumerate_law", "worst_pairs", "_pair_curves",
+    "_enumerate_law", "pushforward", "apply_template", "answer_pmf", "sampled_pushforward",
+    "drawn_classes", "binomial_pmf", "_free_law", "_step",
+    "hockey_stick_curve", "hockey_stick_divergence", "_aligned", "_pair_curves", "privacy_curve",
     "Laws", "pmfs", "worst_rows", "worst_curve", "cell_curve",
 }
 

@@ -10,9 +10,8 @@ no aggregation code with the pipeline. Lattice models of up to 9 entries
 check privacy_curve's shift scan against the per-value scan of its laws.
 """
 
-import inspect
 import math
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import itemgetter
 from unittest import mock
 
@@ -42,6 +41,7 @@ from statpriv.dist import (
 )
 from statpriv.divergence import (
     PrivacyCurve,
+    _aligned,
     _pair_curves,
     default_eps_grid,
     hockey_stick_curve,
@@ -226,13 +226,14 @@ def shift_scan_against_laws(db, q, grid):
     """privacy_curve against the per-value scan of every position's laws,
     bit for bit. Returns whether privacy_curve fell back to those laws,
     which it must do exactly when two cells of a chain share an answer (the
-    laws then have fewer outcomes in all than the chain has cells), and
-    the `backward` flag of each pair kernel call: a shift scan skips the
-    backward direction exactly when the chain's weights are a palindrome,
-    and the fallback always takes it."""
+    laws then have fewer outcomes in all than the chain has cells), and the
+    direction of each pair kernel call of the shift scans. A shift d of
+    weights W scans (W 0^d, 0^d W), "forward", and (0^d W, W 0^d),
+    "backward", unless W is a palindrome; the fallback aligns each pair of
+    laws once and scans it both ways."""
     rows = [(0.0,) * len(grid)]
     merges = False
-    want_backward = []
+    want = []  # (direction, a, b) per pair kernel call
     for j in scan_positions(db, exchangeable=True):
         chain = lattice_chain(db, j, q)
         laws = chain.pmfs()
@@ -244,30 +245,30 @@ def shift_scan_against_laws(db, q, grid):
         answers = set().union(*(law.outcomes for law in laws.values()))
         assert chain.distinct == (len(answers) == len(cells))
         if chain.distinct:
-            shifts = {abs(s - t) for s in chain.steps for t in chain.steps} - {0}
-            want_backward += [chain.weights != chain.weights[::-1]] * len(shifts)
+            weights = chain.weights
+            for d in {abs(s - t) for s in chain.steps for t in chain.steps} - {0}:
+                a, b = weights + [0.0] * d, [0.0] * d + weights
+                want.append(("forward", a, b))
+                if weights != weights[::-1]:
+                    want.append(("backward", b, a))
         else:
             merges = True
-            want_backward += [True] * math.comb(len(laws), 2)
-    want = [max(col) for col in zip(*rows)]
+            for mu, nu in combinations(laws.values(), 2):
+                a, b = _aligned(mu, nu)
+                want += [("pair", a, b), ("pair", b, a)]
+    values = [max(col) for col in zip(*rows)]
     with (
         mock.patch.object(divergence, "lattice_chain", wraps=lattice_chain) as chains,
         mock.patch.object(divergence, "worst_rows", wraps=worst_rows) as fallback,
         mock.patch.object(divergence, "_pair_curves", wraps=_pair_curves) as kernel,
     ):
         got = privacy_curve(db, q, grid).values
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert [v.hex() for v in got] == [v.hex() for v in values]
     assert fallback.called == merges
     # The fallback takes the chain the scan has built: one per position.
     assert chains.call_count == len(scan_positions(db, exchangeable=True))
-    kernel_args = inspect.signature(_pair_curves).bind
-    backward = []
-    for call in kernel.call_args_list:
-        bound = kernel_args(*call.args, **call.kwargs)
-        bound.apply_defaults()
-        backward.append(bound.arguments["backward"])
-    assert backward == want_backward
-    return merges, backward
+    assert [call.args[:2] for call in kernel.call_args_list] == [(a, b) for _, a, b in want]
+    return merges, [direction for direction, _, _ in want if direction != "pair"]
 
 
 @settings(max_examples=300)
@@ -357,22 +358,22 @@ def test_privacy_curve_is_the_curve_a_checked_build_gives(db, q, grid):
 
 
 @pytest.mark.parametrize(
-    "entry, q, n, backward",
+    "entry, q, n, directions",
     [
         # Two values of equal weight: the chain is a palindrome at every n.
-        (Pmf.bernoulli(0.5), count_query(), 1000, [False]),
-        (Pmf((-1.0, 1.0), (0.5, 0.5)), sum_query(), 200, [False]),
-        (Pmf.bernoulli(0.3), count_query(), 200, [True]),
+        (Pmf.bernoulli(0.5), count_query(), 1000, ["forward"]),
+        (Pmf((-1.0, 1.0), (0.5, 0.5)), sum_query(), 200, ["forward"]),
+        (Pmf.bernoulli(0.3), count_query(), 200, ["forward", "backward"]),
         # The entry is a palindrome, but its chain at n = 300 is not: float
         # addition does not associate, and the two shifts scan both ways.
-        (Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), sum_query(), 300, [True, True]),
+        (Pmf((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)), sum_query(), 300, ["forward", "backward"] * 2),
     ],
     ids=["bern0.5-count", "pm1-sum", "bern0.3-count", "three-valued-sum"],
 )
-def test_palindromic_chains_scan_one_direction(entry, q, n, backward):
+def test_palindromic_chains_scan_one_direction(entry, q, n, directions):
     merges, got = shift_scan_against_laws(DatabaseModel.iid(entry, n), q, default_eps_grid())
     assert not merges
-    assert got == backward
+    assert got == directions
 
 
 # Raw masses before normalization: zeros, masses near 1e-300 (one of them
