@@ -419,32 +419,3 @@ def dp_subsample(curve: PrivacyCurve, rate: float) -> PrivacyCurve:
     if not all(map(operator.lt, shrunk, shrunk[1:])):
         raise ValueError(f"two eps of the grid shrink to one eps' at rate {rate}")
     return PrivacyCurve(shrunk, [rate * d for d in curve.values])
-
-
-def dp_poisson_bound(
-    curve: PrivacyCurve,
-    n: int,
-    rate: float,
-    grid: tuple[float, ...],
-) -> PrivacyCurve:
-    """Size-decomposed Poisson bound applied to an arbitrary delta curve, on
-    `grid`.
-
-    Evaluates the curve at the stretched epsilons with value_at, whose
-    chord in e^eps bounds a delta curve from above between grid points, at
-    every size: a lookup costs too little to charge any size instead. Per
-    eps, one fsum over the sizes, capped at 1; a delta is never above a
-    lower eps's. Stretches beyond the curve's grid raise.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    rate = float(rate)
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    grid = tuple(map(float, grid))
-    check_grid(grid)
-
-    stretch = _stretcher(grid)
-    columns = zip(*[[w * m / n * curve.value_at(e) for e in stretch(n / m)]
-                    for m, w in enumerate(binomial_pmf(n, rate)) if m])
-    return PrivacyCurve(grid, itertools.accumulate((min(1.0, math.fsum(c)) for c in columns), min))

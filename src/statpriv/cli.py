@@ -13,8 +13,6 @@ import operator
 import sys
 
 from .amplify import (
-    _stretcher,
-    dp_poisson_bound,
     poisson_bound,
     viability_ratio,
     with_replacement_bound,
@@ -88,6 +86,9 @@ def parse_entry(token: str) -> Pmf:
             raise UsageError(
                 f"--entry discrete: weights sum to {total}, need a positive total"
             )
+        for _, w in pairs:
+            if w < 0.0:
+                raise UsageError(f"--entry discrete: weight {w} is negative")
         try:
             return Pmf.from_pairs((v, w / total) for v, w in pairs)
         except ValueError as exc:
@@ -163,8 +164,8 @@ def parse_technique(token: str):
     raise UsageError(f"unknown technique {name!r}; use none, wor, poisson or wr")
 
 
-# The flags of curve, amplify, figures and compare (flag -> help); every one
-# but --config is also a config key.
+# The flags of curve, amplify and figures (flag -> help); every one but
+# --config is also a config key.
 _COMMON = {
     "entry": "entry pmf: bern:p, point:v, discrete:v@w,...",
     "n": "number of database entries",
@@ -443,36 +444,6 @@ def cmd_verify(opts) -> int:
     return 3 if failures else 0
 
 
-def cmd_compare(opts) -> int:
-    """Classic rate-scaled route against the size-decomposed route.
-
-    Both are applied to the same unsampled delta curve, so the difference
-    isolates the decomposition by realized sample size.
-    """
-    entry, q, budget = _common_inputs(opts)
-    technique = parse_technique(_require(opts, "technique"))
-    if technique[0] != "poisson":
-        raise UsageError("compare needs --technique poisson:n,rate")
-    _, n, rate = technique
-    _check_size(opts, n, budget)
-    eps_list = parse_eps(opts["eps"], budget) if opts.get("eps") else default_eps_grid()
-    _within_budget((n + 1) * len(eps_list), "--technique and --eps", "stretched points", budget)
-    db = DatabaseModel.iid(entry, n)
-    # dp_poisson_bound stretches eps_list with a stretcher over the same grid,
-    # so the curve's grid holds every eps it looks up, bit for bit.
-    stretch = _stretcher(eps_list)
-    matched = stretch(1.0 / rate)
-    needed = set(matched).union(*(stretch(n / m) for m in range(1, n + 1)))
-    curve = privacy_curve(db, q, tuple(sorted(needed)), budget)
-    # The classic route: rate times the curve at each eps stretched by
-    # 1/rate, the eps that subsampling at the rate shrinks back to it.
-    classic = [rate * curve.value_at(e) for e in matched]
-    sized = dp_poisson_bound(curve, n, rate, eps_list)
-    rows = zip(eps_list, classic, sized.values)
-    _write_csv(opts.get("out"), ("epsilon", "delta_classic", "delta_sized"), rows)
-    return 0
-
-
 # command -> (handler, one-line help, flag -> help, choices of its one
 # positional); a flag whose help is None is a hidden switch without a value.
 _COMMANDS = {
@@ -490,7 +461,6 @@ _COMMANDS = {
         },
         (),
     ),
-    "compare": (cmd_compare, "classic against size-decomposed Poisson route", _COMMON, ()),
 }
 
 

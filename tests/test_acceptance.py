@@ -358,8 +358,6 @@ def test_criterion_11_cli_determinism(tmp_path):
         ("figures", "fig3", "--entry", "bern:0.5", "--query", "count",
          "--n", "10", "--eps", "0.1"),
         ("verify", "--max-n", "2"),
-        ("compare", "--entry", "bern:0.5", "--n", "2", "--query", "sum",
-         "--technique", "poisson:2,0.5", "--eps", "0.25,0.75"),
     ]
     for idx, argv in enumerate(commands):
         results = []

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from statpriv.amplify import (
     NEGLIGIBLE_SIZE_WEIGHT,
-    dp_poisson_bound,
     dp_subsample,
     poisson_bound,
     viability_ratio,
@@ -443,8 +442,6 @@ def test_poisson_bound_refuses_a_bad_grid_before_the_sweep(monkeypatch, grid, me
     with pytest.raises(ValueError, match=f"^{message}$"):
         poisson_bound(db, sum_query(), 0.3, grid)
     assert evaluated == []
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        dp_poisson_bound(PrivacyCurve((0.0, 1.0), (0.5, 0.2)), 10, 0.3, grid)
     monkeypatch.undo()
     with pytest.raises(ValueError, match=f"^{message}$"):
         without_replacement_bound(db, sum_query(), 3, grid)
@@ -464,6 +461,52 @@ def test_poisson_dominates_oracle(rate):
                 brute_force_divergence(lo, hi, tech, q, eps),
             )
             assert direct <= star + DOM_TOL
+
+
+def exact_poisson_delta(entry, n, rate):
+    """delta(0) of the sum of a Poisson sample at `rate` of n i.i.d. entries,
+    entry 1 set to each value in turn, in rationals: the entry's float
+    weights normalized exactly, and every value of the other entries and
+    every inclusion pattern enumerated."""
+    total = sum(map(Fraction, entry.weights))
+    weight = {v: Fraction(w) / total for v, w in zip(entry.outcomes, entry.weights)}
+    r = Fraction(rate)
+    laws = []
+    for v in entry.outcomes:
+        law = {}
+        for others in itertools.product(entry.outcomes, repeat=n - 1):
+            mass = math.prod(map(weight.get, others), start=Fraction(1))
+            for included in itertools.product((0, 1), repeat=n):
+                k = sum(included)
+                answer = sum(Fraction(x) for x, i in zip((v, *others), included) if i)
+                law[answer] = law.get(answer, 0) + mass * r**k * (1 - r) ** (n - k)
+        laws.append(law)
+    return max(
+        sum(max(a[s] - b.get(s, 0), 0) for s in a) for a, b in itertools.permutations(laws, 2)
+    )
+
+
+# Cases whose float bound lies below the exact delta by less than one ulp:
+# the chain's weights and the pair kernel round to nearest, and no proven
+# slack raises the printed delta yet (ROADMAP item 4).
+POISSON_BELOW_BY_ROUNDING = {(0.3, 2, 0.5), (0.3, 2, 0.1), (0.3, 3, 0.5), (0.5, 2, 0.1)}
+
+
+@pytest.mark.parametrize("p, n, rate", [
+    pytest.param(p, n, rate, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="rounded to nearest, below the exact delta by under one ulp (ROADMAP item 4)",
+    )) if (p, n, rate) in POISSON_BELOW_BY_ROUNDING else (p, n, rate)
+    for p in (0.3, 0.5) for n in range(1, 7) for rate in (0.1, 0.5)
+])
+def test_poisson_bound_dominates_the_exact_delta(p, n, rate):
+    # No tolerance: the bound's float must not lie below the rational delta.
+    entry = Pmf.bernoulli(p)
+    exact = exact_poisson_delta(entry, n, rate)
+    (got,) = poisson_bound(DatabaseModel.iid(entry, n), sum_query(), rate, (0.0,)).values
+    if Fraction(got) + Fraction(math.ulp(got)) < exact:
+        pytest.fail(f"{got} is more than one ulp below the exact delta {float(exact)}")
+    assert Fraction(got) >= exact
 
 
 def sampled_bounds(db, q, n, grid):
@@ -784,17 +827,3 @@ def test_dp_subsample():
     # Adjacent floats whose eps' round to one float: no curve holds both.
     with pytest.raises(ValueError, match="^two eps of the grid shrink to one eps' at rate 0.5$"):
         dp_subsample(PrivacyCurve((0.5, 0.5000000000000001), (0.25, 0.25)), 0.5)
-
-
-def test_dp_poisson_bound_grid_discipline():
-    c = PrivacyCurve((0.0, 1.0, 2.0), (0.5, 0.2, 0.1))
-    (got,) = dp_poisson_bound(c, 4, 0.5, (0.5,)).values
-    assert 0.0 < got < 0.5
-    assert dp_poisson_bound(c, 4, 0.5, (0.0, 0.5)).values == (
-        dp_poisson_bound(c, 4, 0.5, (0.0,)).values[0],
-        got,
-    )
-    with pytest.raises(ValueError):
-        dp_poisson_bound(c, 4, 0.25, (1.9,))  # stretched eps leaves the grid
-    with pytest.raises(ValueError):
-        dp_poisson_bound(c, 4, 0.5, (-0.5,))

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statpriv.amplify import dp_poisson_bound
 from statpriv.dist import (
     DatabaseModel,
     Laws,
@@ -36,7 +35,6 @@ from statpriv.dist import (
 )
 from statpriv import dist
 from statpriv.divergence import (
-    PrivacyCurve,
     default_eps_grid,
     privacy_curve,
     worst_curve,
@@ -503,13 +501,6 @@ def test_symmetric_kernel_answers_from_counts():
         assert apply_template(db, Template((1, 2, 2, 5)), blind) == apply_template(
             db, Template((1, 2, 2, 5)), q
         )
-
-
-def test_dp_poisson_bound_beyond_float_coefficients():
-    # Every size's stretch of eps 0.5, up to 6.57 at m = 1, lies on the grid.
-    curve = PrivacyCurve((0.0, 1.0, 2.0, 8.0), (0.5, 0.2, 0.1, 0.0))
-    (got,) = dp_poisson_bound(curve, 1100, 0.5, (0.5,)).values
-    assert 0.0 < got <= 0.5
 
 
 def bits(law):

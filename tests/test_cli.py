@@ -19,10 +19,7 @@ from statpriv.dist import (
     DEFAULT_BUDGET,
     DatabaseModel,
     Laws,
-    Pmf,
-    binomial_pmf,
     condition,
-    count_query,
     lattice_chain,
     pushforward,
     sum_query,
@@ -45,6 +42,10 @@ def test_parse_entry():
     assert parse_entry("discrete:0@0.5").as_dict == {0.0: 1.0}
     for bad in ("bern", "bern:1.5", "gauss:1", "discrete:0@0", "discrete:0@-1,1@2"):
         with pytest.raises(Exception):
+            parse_entry(bad)
+    # A negative weight is refused by name, not dropped with the zeros.
+    for bad, weight in (("discrete:0@-1e-13,1@1", "-1e-13"), ("discrete:0@-0.5,1@0.5,2@1", "-0.5")):
+        with pytest.raises(UsageError, match=f"^--entry discrete: weight {weight} is negative$"):
             parse_entry(bad)
 
 
@@ -414,45 +415,7 @@ def test_two_valued_decimal_entry_takes_the_answers_the_query_releases(tmp_path)
         assert abs(oracle - 0.49) <= 1e-12
 
 
-def test_compare_poisson(tmp_path):
-    out = tmp_path / "cmp.csv"
-    code = run(
-        tmp_path,
-        "compare", "--entry", "bern:0.5", "--n", "2", "--query", "sum",
-        "--technique", "poisson:2,0.5", "--eps", "0.5", "--out", str(out),
-    )
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "epsilon,delta_classic,delta_sized"
-    assert lines[1] == "0.5,0.25,0.25"
-    # compare refuses non-poisson techniques
-    assert run(
-        tmp_path,
-        "compare", "--entry", "bern:0.5", "--n", "2", "--query", "sum",
-        "--technique", "wor:2,1", "--eps", "0.5", "--out", str(out),
-    ) == 1
-
-
-def test_compare_sums_every_size(capsys):
-    # delta_sized charges no size by weight: it is the fsum over every size
-    # of its Binomial weight times m/n times the curve at its stretched eps,
-    # far below the 2^-256 weight charge (about 1.96e-78 here).
-    n, rate, eps = 1000, 0.1, 0.5
-    assert main([
-        "compare", "--entry", "bern:0.5", "--n", str(n), "--query", "count",
-        "--technique", f"poisson:{n},{rate}", "--eps", str(eps),
-    ]) == 0
-    delta_sized = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
-    stretched = [math.log1p(n / m * math.expm1(eps)) if m < n else eps for m in range(1, n + 1)]
-    grid = tuple(sorted({*stretched, math.log1p(1 / rate * math.expm1(eps))}))
-    curve = privacy_curve(DatabaseModel.iid(Pmf.bernoulli(0.5), n), count_query(), grid)
-    weights = binomial_pmf(n, rate)
-    want = math.fsum(weights[m] * m / n * curve.value_at(s) for m, s in enumerate(stretched, 1))
-    assert delta_sized == want
-    assert 0.0 < want < 1e-100
-
-
-@pytest.mark.parametrize("command", ["amplify", "compare"])
+@pytest.mark.parametrize("command", ["amplify"])
 def test_n_must_match_the_technique_size(tmp_path, capsys, command):
     out = tmp_path / "x.csv"
     code = run(
@@ -485,8 +448,6 @@ def test_figures_rejects_sampling_technique(tmp_path, capsys):
      "--technique", "wor:3,2", "--eps", "0,0.5"),
     ("amplify", "--entry", "bern:0.5", "--n", "2", "--query", "sum",
      "--technique", "poisson:2,0.5", "--eps", "0,1"),
-    ("compare", "--entry", "bern:0.5", "--n", "2", "--query", "sum",
-     "--technique", "poisson:2,0.5", "--eps", "0.25,0.75"),
 ])
 def test_byte_determinism(tmp_path, argv):
     a = tmp_path / "a.csv"
@@ -502,7 +463,6 @@ FLAGS = {
     "amplify": COMMON_FLAGS,
     "figures": COMMON_FLAGS,
     "verify": ("--max-n", "--out", "--budget"),
-    "compare": COMMON_FLAGS,
 }
 
 
@@ -558,6 +518,7 @@ def test_a_repeated_flag_takes_its_last_value(capsys):
     (("verify", "2"), "verify: unexpected argument '2'"),
     (("amplify", "--entry", "bern:0.5", "--technique", "wor:4,2", "--eps", "0.5,0.5000000000000001"),
      "two eps of the grid shrink to one eps' at rate 0.5"),
+    (("compare",), "unknown command 'compare'; use one of curve, amplify, figures, verify"),
 ])
 def test_usage_errors_exit_1_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -664,10 +625,6 @@ SIZE_REFUSALS = {
         ("curve", "--n", "3", "--eps", "0:1e15:1e-3"),
         "--eps: 1000000000000000001 grid points",
     ),
-    "stretched": (
-        ("compare", "--technique", "poisson:1000000,0.1"),
-        "--technique and --eps: 61000061 stretched points",
-    ),
     "technique": (
         ("amplify", "--technique", "poisson:1000000000,0.1"),
         "--technique: 1000000000 entries",
@@ -705,10 +662,6 @@ def test_sizes_are_counted_against_the_given_budget(capsys):
     cases = (
         (("curve", "--n", "101"), "--n: 101 entries"),
         (("curve", "--n", "2", "--eps", "0:1:0.01"), "--eps: 101 grid points"),
-        (
-            ("compare", "--technique", "poisson:10,0.5", "--eps", "0:1:0.1"),
-            "--technique and --eps: 121 stretched points",
-        ),
         (("amplify", "--technique", "wr:2,101"), "--technique: 101 draws"),
     )
     for (command, *rest), what in cases:
@@ -717,7 +670,6 @@ def test_sizes_are_counted_against_the_given_budget(capsys):
         assert err == f"error: {what}, more than the budget 100; pass a larger --budget\n"
     # At the budget itself the runs go through.
     assert main(["curve", *base, "--n", "100", "--eps", "0:0.99:0.01"]) == 0
-    assert main(["compare", *base, "--technique", "poisson:9,0.5", "--eps", "0:0.9:0.1"]) == 0
 
 
 def test_n_beyond_the_index_range_exits_1_with_one_line(capsys):

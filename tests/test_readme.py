@@ -29,7 +29,7 @@ CLI_LINES = [
 
 def test_readme_has_the_examples():
     assert len(QUICK_START) == 1
-    assert len(CLI_LINES) == 5
+    assert len(CLI_LINES) == 4
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
