@@ -13,6 +13,7 @@ from .dist import (
     Pmf,
     Query,
     binomial_pmf,
+    lattice_builder,
     lattice_chain,
     scan_positions,
 )
@@ -26,6 +27,7 @@ from .divergence import (
     half_line_check,
     hockey_stick_curve,
     privacy_curve,
+    worst_curve,
     worst_rows,
 )
 from .errors import NotSamplableError
@@ -79,11 +81,7 @@ def _check_model(db: DatabaseModel) -> None:
 
 def _sampled_curve_values(db, q, m, grid, budget):
     """Sampled curve for m of db's n entries without replacement, maximized
-    over positions.
-
-    i.i.d. models collapse to the privacy curve of an m-entry model, which
-    for an additive query is built on the lattice chain.
-    """
+    over positions: for an i.i.d. model, the privacy curve of m entries."""
     if db.is_iid:
         return privacy_curve(DatabaseModel.iid(db.entries[0], m), q, grid, budget)
     technique = TemplateDistribution.without_replacement(db.n, m, budget)
@@ -152,11 +150,9 @@ def poisson_bound(
     evaluated size's lattice curve on an i.i.d. model with an additive query
     (_ceiling), else delta = 1.
     The output curve is indexed by the input epsilon. On an i.i.d. model
-    with an additive query each size's curve is one privacy_curve call, and
-    as the sizes come in increasing order each call extends the lattice
-    chain of the last by one entry. A two-valued entry of equal weights
-    gives palindromic chains, which privacy_curve's mirror rule scans in
-    one direction.
+    with an additive query a size's curve is the worst_curve of its lattice
+    chain (_size_chains), privacy_curve's bit for bit; a refused chain, and
+    other models and queries, take _sampled_curve_values.
     """
     _check_model(db)
     rate = float(rate)
@@ -164,17 +160,38 @@ def poisson_bound(
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     grid = as_grid(grid)
     check_grid(grid)
+    chain = _size_chains(db, q, budget)
 
     def sized_values(m, stretched):
-        return _sampled_curve_values(db, q, m, stretched, budget).values
+        if db.is_iid:  # privacy_curve checks its grid before it builds a chain
+            check_grid(stretched)
+        laws = chain(m)
+        if not laws:
+            return _sampled_curve_values(db, q, m, stretched, budget).values
+        return worst_curve(laws, stretched)
 
-    ceiling = _ceiling(db, q, budget)
+    ceiling = _ceiling(db, q, budget, chain)
     return PrivacyCurve(grid, _size_mixture(db.n, rate, grid, sized_values, ceiling))
 
 
-def _ceiling(db, q, budget):
+def _size_chains(db, q, budget):
+    """m -> lattice_chain(DatabaseModel.iid(db's entry, m), 1, q, budget), from
+    one setup, falsy for other models; the last size's chain is kept."""
+    build = db.is_iid and lattice_builder(db.outcome_grid, q)
+    entry, kept = db.entries[0], [0, None]
+
+    def chain(m):
+        if kept[0] != m:
+            kept[:] = m, build and build((entry,) * (m - 1), budget)
+        return kept[1]
+
+    return chain
+
+
+def _ceiling(db, q, budget, chain=None):
     """(m, eps) -> values at the eps of `eps` that no size above m has in its
-    curve at that eps or above, raised by a slack.
+    curve at that eps or above, raised by a slack; size m's chain is chain(m),
+    else lattice_chain's.
 
     For an i.i.d. db of n entries and an additive query they are the curve
     of size m's lattice cells (cell_curve). Size m + 1's cells
@@ -183,19 +200,20 @@ def _ceiling(db, q, budget):
     its cells' curve is at most size m's at every eps, and a curve is
     nonincreasing in eps. Answers are a function of the cells, so a size's
     curve, merged answers or not, is at most its cells' curve. Other models
-    and queries, and a size that lattice_chain leaves to the multiset kernel
-    (over `budget`, or sparse), take delta = 1. Each law is within
-    (2kn + 3)u of the exact one, k the entry's support; the slack covers
-    that at both sizes compared, the rounded masses the values are
-    multiplied by and the rounding of the mass they are charged for.
+    and queries, and a size whose chain the build refuses (over the budget,
+    or sparse), take delta = 1. Each law is within (2kn + 3)u of the exact
+    one, k the entry's support; the slack covers that at both sizes
+    compared, the rounded masses the values are multiplied by and the
+    rounding of the mass they are charged for.
     """
     entry = db.entries[0]
     slack = 1.0 + 4 * (2 * len(entry.outcomes) * db.n + 3) * 2.0**-53
-    chained = db.is_iid and q.additive is not None
+    chain = chain or (
+        lambda m: db.is_iid and lattice_chain(DatabaseModel.iid(entry, m), 1, q, budget))
 
     def ceiling(m, eps):
-        chain = chained and lattice_chain(DatabaseModel.iid(entry, m), 1, q, budget)
-        return [slack * d for d in cell_curve(chain, eps)] if chain else [slack] * len(eps)
+        laws = chain(m)
+        return [slack * d for d in cell_curve(laws, eps)] if laws else [slack] * len(eps)
 
     return ceiling
 
@@ -205,7 +223,7 @@ def _size_mixture(n, rate, grid, sized_values, ceiling):
     sized_values(m, stretched grid), per eps of the float tuple `grid`,
     capped at 1; _stretcher gives each stretched grid, `grid` itself at m = n.
     Sizes go in increasing order, so a sized_values that extends the last
-    size's law (privacy_curve's lattice chain) holds one law at a time.
+    size's law holds one law at a time, and ceiling asks for the last one.
 
     A size left out is charged its mass (weight times m/n) times a proven
     cap, so the sum stays an upper bound. ceiling(M, eps) gives, per eps of

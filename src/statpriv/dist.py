@@ -105,14 +105,14 @@ class Pmf(_Value):
 
         Outcomes are kept as given: two merge only when they are the same
         float (0.0 and -0.0 are one outcome, 0.0). Weights are added in the
-        order of the pairs.
+        order of the pairs; `drop_zero` drops an exact 0, Pmf refuses < 0 or NaN.
         """
         acc: dict[float, float] = {}
         for a, w in pairs:
             acc[a] = acc.get(a, 0.0) + w
         items = sorted(acc.items())
         if drop_zero:
-            items = [(a, w) for a, w in items if w > 0.0]
+            items = [(a, w) for a, w in items if w != 0.0]
         if not items:
             raise ValueError("no outcomes with positive weight")
         return Pmf(tuple(a for a, _ in items), tuple(w for _, w in items))
@@ -587,24 +587,30 @@ class Laws:
 
 
 def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUDGET):
-    """The laws of an additive q (see Query) on db with entry j fixed to each
-    value, as a lattice chain (see Laws); None when q is not additive, the
-    chain would build over `budget` cells or the lattice is sparse, for
-    answer_law to take over. Sparse means the last step's max(steps) * m + 1
+    """lattice_builder's chain for db's grid and q, on db's entries but j."""
+    build = lattice_builder(db.outcome_grid, q)
+    return build and build(db.entries[: j - 1] + db.entries[j:], budget)
+
+
+def lattice_builder(grid: tuple[float, ...], q: Query):
+    """The setup, once per family, of the lattice chains of q on `grid`: None
+    when q is not additive (see Query), else build(free, budget), the chain
+    (see Laws) of one entry fixed to each value and the entries `free`, or,
+    before any step, None when it would build over `budget` cells or its
+    lattice is sparse. Sparse means the last step's max(steps) * m + 1
     cells exceed 1024 times the C(m + k - 1, m) count vectors of the m free
     entries over the grid's k values, the states answer_law enumerates: steps
     0, 1 and 2^18 at m = 5 build 5.5M cells for 21 reachable totals.
 
     Scores lie on a lattice of step g, the gcd of the grid's score
     differences; `steps` are the grid's scores in steps above the lowest.
-    The m free entries (all but j) are convolved in floats one at a time,
+    The m free entries are convolved in floats one at a time by _free_law,
     law(i) = law(i - 1) * entry i, on i * span + 1 cells, so
     span * m(m + 1)/2 + m cells in all: what `budget` counts, or at m = 0
-    the span + 1 cells that shifting by j's steps builds. `weights` is
-    the law divided by its fsum, so weights that sum to 1 only after
-    rounding, such as (0.7, 0.3), do not drift. Fixing j to v shifts the
-    `reachable` cells by v's step; `answers` maps a list of cells to q's
-    floats on them.
+    the span + 1 cells that shifting by the fixed entry's steps builds.
+    `weights` is the law divided by its fsum, so weights that sum to 1 only
+    after rounding, such as (0.7, 0.3), do not drift. Fixing the entry to v
+    shifts the `reachable` cells by v's step; `answers` maps cells to q's floats.
 
     `distinct` says that no two cells share an answer, so that each law is
     the weights shifted. It is proved from the two end answers alone (one
@@ -623,51 +629,54 @@ def lattice_chain(db: DatabaseModel, j: int, q: Query, budget: int = DEFAULT_BUD
     """
     if q.additive is None:
         return None
-    scores, answer, unit = q.additive(db.outcome_grid)
+    scores, answer, unit = q.additive(grid)
     low = min(scores)
     g = math.gcd(*(s - low for s in scores)) or 1
     steps = tuple((s - low) // g for s in scores)
-    free = db.entries[: j - 1] + db.entries[j:]
-    m = len(free)
-    if (max(steps) * (m * (m + 1) // 2) + m or max(steps) + 1) > budget:
-        return None
-    if max(steps) * m + 1 > 1024 * math.comb(m + len(steps) - 1, m):
-        return None
-    law, reach = _free_law(free, steps)
-    # fsum rounds exactly, so order sets only its speed: a law's tail added from
-    # the tiny end keeps a partial per binade (14 times slower at m = 1500).
-    total = math.fsum(sorted(law, reverse=True))
-    reachable = _set_bits(reach)
-    cells = _set_bits(reduce(or_, [reach << s for s in steps]))
-    base = (m + 1) * low  # the total score on cell c is base + g * c
 
-    def answers(at: Sequence[int]) -> list[float]:
-        try:
-            return list(map(answer, repeat(m + 1), [base + g * c for c in at]))
-        except OverflowError:
-            raise _overflow(q) from None
+    def build(free: tuple[Pmf, ...], budget: int):
+        m = len(free)
+        if (max(steps) * (m * (m + 1) // 2) + m or max(steps) + 1) > budget:
+            return None
+        if max(steps) * m + 1 > 1024 * math.comb(m + len(steps) - 1, m):
+            return None
+        law, reach = _free_law(free, steps)
+        # fsum rounds exactly, so order sets only its speed: a law's tail added from
+        # the tiny end keeps a partial per binade (14 times slower at m = 1500).
+        total = math.fsum(sorted(law, reverse=True))
+        reachable = _set_bits(reach)
+        cells = _set_bits(reduce(or_, [reach << s for s in steps]))
+        base = (m + 1) * low  # the total score on cell c is base + g * c
 
-    ends = answers([cells[0], cells[-1]])
-    # g is capped where a float holds it: a smaller g can only send the
-    # chain to the cell-by-cell comparison.
-    distinct = min(g, 1 << 1000) * unit(m + 1) > 4.0 * math.ulp(max(map(abs, ends)))
-    if not distinct:
-        distinct = all(map(lt, walk := answers(cells), walk[1:]))
-        if not distinct:  # the laws read the walk's answers: each cell is answered once
-            answers = partial(_read, dict(zip(cells, walk)))
-    weights = list(map(truediv, law, repeat(total)))
+        def answers(at: Sequence[int]) -> list[float]:
+            try:
+                return list(map(answer, repeat(m + 1), [base + g * c for c in at]))
+            except OverflowError:
+                raise _overflow(q) from None
 
-    def pmfs():
-        # As q is nondecreasing in the total, equal answers are adjacent runs
-        # and merge in total order, their masses summed by fsum: answer_law's
-        # outcomes, bit for bit.
-        masses, laws = [weights[i] for i in reachable], {}
-        for v, s in zip(db.outcome_grid, steps):
-            runs = groupby(zip(answers([s + i for i in reachable]), masses), key=itemgetter(0))
-            laws[v] = Pmf(*zip(*[(a, math.fsum(w for _, w in run)) for a, run in runs]))
-        return laws
+        ends = answers([cells[0], cells[-1]])
+        # g is capped where a float holds it: a smaller g can only send the
+        # chain to the cell-by-cell comparison.
+        distinct = min(g, 1 << 1000) * unit(m + 1) > 4.0 * math.ulp(max(map(abs, ends)))
+        if not distinct:
+            distinct = all(map(lt, walk := answers(cells), walk[1:]))
+            if not distinct:  # the laws read the walk's answers: each cell is answered once
+                answers = partial(_read, dict(zip(cells, walk)))
+        weights = list(map(truediv, law, repeat(total)))
 
-    return Laws(pmfs, steps, weights, distinct)
+        def pmfs():
+            # As q is nondecreasing in the total, equal answers are adjacent runs
+            # and merge in total order, their masses summed by fsum: answer_law's
+            # outcomes, bit for bit.
+            masses, laws = [weights[i] for i in reachable], {}
+            for v, s in zip(grid, steps):
+                runs = groupby(zip(answers([s + i for i in reachable]), masses), key=itemgetter(0))
+                laws[v] = Pmf(*zip(*[(a, math.fsum(w for _, w in run)) for a, run in runs]))
+            return laws
+
+        return Laws(pmfs, steps, weights, distinct)
+
+    return build
 
 
 # The one law _free_law remembers: steps -> (entries, law, reachable cells).
@@ -676,10 +685,11 @@ _chain_memo: dict = {}
 
 def _free_law(entries: tuple[Pmf, ...], steps: tuple[int, ...]):
     """The chain over `entries` before normalization, and its reachable
-    cells as the set bits of an int. The last chain is kept: a request
-    that appends entries to it extends it one step per entry, which gives
-    bit for bit the law a rebuild from scratch would, so sizes 1, 2, 3, ...
-    of one entry cost one step each and only one law is held."""
+    cells as the set bits of an int: the one stepper, which lattice_builder's
+    build runs after its refusals. The last chain is kept: a request that
+    appends entries to it extends it one step per entry, which gives bit for
+    bit the law a rebuild from scratch would, so sizes 1, 2, 3, ... of one
+    entry cost one step each and only one law is held."""
     done, law, reach = _chain_memo.get(steps, ((), [1.0], 1))
     if entries[: len(done)] != done:
         done, law, reach = (), [1.0], 1

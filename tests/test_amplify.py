@@ -28,12 +28,13 @@ from statpriv.dist import (
     binomial_pmf,
     condition,
     count_query,
+    lattice_chain,
     mean_query,
     scan_positions,
     sum_query,
 )
-from statpriv.divergence import PrivacyCurve, as_grid, privacy_curve
-from statpriv.errors import NotSamplableError
+from statpriv.divergence import PrivacyCurve, as_grid, cell_curve, privacy_curve
+from statpriv.errors import EnumerationBudgetError, NotSamplableError
 from statpriv.oracle import brute_force_divergence
 from statpriv.sampling import TemplateDistribution, sampling_curve
 
@@ -97,39 +98,54 @@ def bits(values):
     return [float.hex(v) for v in values]
 
 
+def counted_builds(monkeypatch):
+    """amplify.lattice_builder patched so that each build it returns logs
+    the size it is asked for (its free entries and the fixed one); the log."""
+    builder, built = statpriv.amplify.lattice_builder, []
+
+    def counted(grid, q):
+        build = builder(grid, q)
+
+        def logged(free, budget):
+            built.append(len(free) + 1)
+            return build(free, budget)
+
+        return build and logged
+
+    monkeypatch.setattr(statpriv.amplify, "lattice_builder", counted)
+    return built
+
+
 @pytest.mark.parametrize("n, rate, sizes", [(1000, 0.1, 229), (40, 1.0, 1)])
 def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, sizes):
     # Each evaluated size m gets stretch(e, n / m) per eps, bit for bit,
-    # from one privacy_curve call, on a slice of the grid that shrinks from
-    # either end: at n = 1000, rate 0.1 the sweep evaluates 229 of the 596
-    # sizes of nonzero weight. Each ceiling scans the chain of the size
-    # just evaluated at the stretch of 596, the largest size of nonzero
-    # weight. At rate 1 only m = n is evaluated and its grid is the input
-    # grid unchanged.
-    seen, curves, log = [], [], []
-    sampled, curve = statpriv.amplify._sampled_curve_values, statpriv.amplify.privacy_curve
-    scan = statpriv.amplify.cell_curve
+    # from one chain build and one worst_curve scan of that chain, on a
+    # slice of the grid that shrinks from either end: at n = 1000, rate 0.1
+    # the sweep evaluates 229 of the 596 sizes of nonzero weight, none of
+    # them through _sampled_curve_values. Each ceiling scans the chain of
+    # the size just evaluated, the very Laws kept from its scan, at the
+    # stretch of 596, the largest size of nonzero weight. At rate 1 only
+    # m = n is evaluated and its grid is the input grid unchanged.
+    seen, log = [], []
+    worst, scan = statpriv.amplify.worst_curve, statpriv.amplify.cell_curve
 
-    def record(db, q, m, grid, budget):
-        seen.append((m, grid))
-        log.append(m)
-        return sampled(db, q, m, grid, budget)
+    def record(laws, grid):  # bern(0.5) count: size m has m cells
+        seen.append((len(laws.weights), grid))
+        log.append(laws)
+        return worst(laws, grid)
 
-    def counted(*args):
-        curves.append(args[0].n)
-        return curve(*args)
-
-    def ceiling(chain, grid):  # bern(0.5) count: size m has m cells
-        log.append((len(chain.weights), grid))
+    def ceiling(chain, grid):
+        log.append((chain, grid))
         return scan(chain, grid)
 
-    monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", record)
-    monkeypatch.setattr(statpriv.amplify, "privacy_curve", counted)
+    built = counted_builds(monkeypatch)
+    monkeypatch.setattr(statpriv.amplify, "worst_curve", record)
     monkeypatch.setattr(statpriv.amplify, "cell_curve", ceiling)
+    monkeypatch.setattr(statpriv.amplify, "_sampled_curve_values", lambda *a: pytest.fail(str(a)))
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), n)
     poisson_bound(db, count_query(), rate, SHIFTED_GRID)
     assert len(seen) == sizes
-    assert curves == [m for m, _ in seen]
+    assert built == [m for m, _ in seen]
     lo, hi = 0, len(SHIFTED_GRID)
     for m, grid in seen:
         full = [stretch(e, n / m) for e in SHIFTED_GRID]
@@ -139,8 +155,8 @@ def test_poisson_sweep_stretches_each_size_bit_for_bit(monkeypatch, n, rate, siz
         assert bits(grid) == bits(full[lo:hi]), m
     top = {float.hex(stretch(e, n / 596)) for e in SHIFTED_GRID}
     ceilings = [(i, entry) for i, entry in enumerate(log) if isinstance(entry, tuple)]
-    for i, (m, grid) in ceilings:
-        assert [e for e in log[:i] if not isinstance(e, tuple)][-1] == m
+    for i, (chain, grid) in ceilings:
+        assert [e for e in log[:i] if not isinstance(e, tuple)][-1] is chain
         assert set(bits(grid)) <= top
     if rate == 1.0:
         assert seen == [(n, SHIFTED_GRID)] and not ceilings
@@ -270,9 +286,9 @@ def test_share_rule_charges_the_sizes_it_skips(monkeypatch):
     assert len(evaluated) < len(masses) and got[0] > want[0]
     assert list(got) == charged_one() and all(map(operator.ge, got, want))
     evaluated.clear()
+    # bern(0.5) count: the chain of size m has m cells.
     monkeypatch.setattr(
-        statpriv.amplify, "_sampled_curve_values", lambda db, q, m, grid, budget:
-        PrivacyCurve(grid, sized(m, grid)))
+        statpriv.amplify, "worst_curve", lambda laws, grid: sized(len(laws.weights), grid))
     got = poisson_bound(DatabaseModel.iid(entry, n), q, rate, SHIFTED_GRID).values
     ones = charged_one()
     assert len(evaluated) < len(masses) and got[0] > want[0]
@@ -323,6 +339,55 @@ def test_share_rule_is_the_reference_or_one_ulp_above(case):
         assert g in (w, math.nextafter(w, math.inf)), (g, w)
 
 
+def replaced_route(db, q, rate, grid, budget):
+    """poisson_bound as it was before the sweep kept its lattice chains:
+    one privacy_curve per size, and a ceiling that builds the chain of the
+    size asked for by lattice_chain and scans its cells by cell_curve."""
+    entry = db.entries[0]
+    slack = 1.0 + 4 * (2 * len(entry.outcomes) * db.n + 3) * 2.0**-53
+
+    def sized(m, stretched):
+        return privacy_curve(DatabaseModel.iid(entry, m), q, stretched, budget).values
+
+    def ceiling(m, eps):
+        chain = lattice_chain(DatabaseModel.iid(entry, m), 1, q, budget)
+        return [slack * d for d in cell_curve(chain, eps)] if chain else [slack] * len(eps)
+
+    return PrivacyCurve(grid, statpriv.amplify._size_mixture(db.n, rate, grid, sized, ceiling))
+
+
+@st.composite
+def chain_family_cases(draw):
+    """A 2- or 3-valued entry, its weights not log-concave at times, on
+    small integers or on the sparse values 0, 1 and 4000; an additive query;
+    n <= 60, a rate in (0, 1] and a small budget, which sends some sizes,
+    or all, to the multiset kernel, or over its budget."""
+    values = draw(st.one_of(
+        st.sets(st.integers(-2, 3), min_size=2, max_size=3).map(sorted), st.just([0, 1, 4000])
+    ))
+    raw = draw(st.lists(st.integers(1, 8), min_size=len(values), max_size=len(values)))
+    entry = Pmf(tuple(map(float, values)), tuple(w / sum(raw) for w in raw))
+    q = draw(st.sampled_from((sum_query(), count_query(), mean_query())))
+    rate = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return entry, q, draw(st.integers(1, 60)), rate, draw(st.sampled_from((10, 100, 1000, 10**5)))
+
+
+@settings(max_examples=200)
+@given(chain_family_cases())
+def test_poisson_bound_is_the_route_it_replaced_bit_for_bit(case):
+    # The values, or the error, of the replaced route, bit for bit.
+    entry, q, n, rate, budget = case
+    db, grid = DatabaseModel.iid(entry, n), (0.0, 0.3, 1.0, 2.5)
+
+    def outcome(bound):
+        try:
+            return bits(bound(db, q, rate, grid, budget).values)
+        except EnumerationBudgetError as error:
+            return str(error)
+
+    assert outcome(poisson_bound) == outcome(replaced_route)
+
+
 @st.composite
 def dyadic_iid_cases(draw):
     """A 2- or 3-valued entry of dyadic weights, an additive query and n <= 30."""
@@ -341,37 +406,56 @@ def dyadic_iid_cases(draw):
 def test_no_larger_size_exceeds_the_ceiling(case):
     # The data-processing ceiling of size m, its curve raised by the slack,
     # bounds the curve of every larger size at every eps, with no tolerance.
+    # It is read from the chain the sweep keeps for size m (_size_chains)
+    # and equals the ceiling that builds size m's chain by lattice_chain.
     entry, q, n = case
     grid = (0.0, 0.1, 0.5, 1.0, 2.0)
-    ceiling = statpriv.amplify._ceiling(DatabaseModel.iid(entry, n), q, DEFAULT_BUDGET)
+    db = DatabaseModel.iid(entry, n)
+    chain = statpriv.amplify._size_chains(db, q, DEFAULT_BUDGET)
+    kept = statpriv.amplify._ceiling(db, q, DEFAULT_BUDGET, chain)
+    rebuilt = statpriv.amplify._ceiling(db, q, DEFAULT_BUDGET)
     curves = [privacy_curve(DatabaseModel.iid(entry, m), q, grid).values for m in range(1, n + 1)]
     for m in range(1, n):
-        cap = ceiling(m, grid)
-        assert cap is not None  # small models have distinct answers
+        assert chain(m)  # small models fit the budget
+        cap = kept(m, grid)
+        assert cap == rebuilt(m, grid)
         for larger in curves[m:]:
             assert all(d <= c for d, c in zip(larger, cap)), (m, larger, cap)
 
 
+def ceilings(db, q, budget):
+    """_ceiling on the sweep's kept chains (_size_chains), and on chains
+    lattice_chain builds per size."""
+    chain = statpriv.amplify._size_chains(db, q, budget)
+    return statpriv.amplify._ceiling(db, q, budget, chain), statpriv.amplify._ceiling(db, q, budget)
+
+
 def test_ceiling_needs_an_iid_model_and_an_additive_query():
     # Otherwise, and for a size whose chain is over the budget, the cap is
-    # delta = 1 raised by the slack 1 + 4(2kn + 3)2^-53, k the entry's support.
-    ceiling = statpriv.amplify._ceiling
+    # delta = 1 raised by the slack 1 + 4(2kn + 3)2^-53, k the entry's
+    # support: the sweep's chains give no chain there. Both routes agree.
+    chains = statpriv.amplify._size_chains
     bern = Pmf.bernoulli(0.5)
     slack = 1.0 + 4 * (2 * 2 * 8 + 3) * 2.0**-53
     maximum = Query("max", max, True)
     two_class = DatabaseModel([bern, Pmf.bernoulli(0.3)] * 4)
-    for cap in (
-        ceiling(two_class, sum_query(), DEFAULT_BUDGET),
-        ceiling(DatabaseModel.iid(bern, 8), maximum, DEFAULT_BUDGET),
-        ceiling(DatabaseModel.iid(bern, 8), count_query(), 34),  # size 8 has 35 cells
+    for db, q, budget in (
+        (two_class, sum_query(), DEFAULT_BUDGET),
+        (DatabaseModel.iid(bern, 8), maximum, DEFAULT_BUDGET),
+        (DatabaseModel.iid(bern, 8), count_query(), 34),  # size 8 has 35 cells
     ):
-        assert cap(8, (0.0, 0.5, 1.0)) == [slack] * 3
-    assert ceiling(DatabaseModel.iid(bern, 8), count_query(), 35)(8, (0.0,))[0] < 1.0
+        assert not chains(db, q, budget)(8)
+        for cap in ceilings(db, q, budget):
+            assert cap(8, (0.0, 0.5, 1.0)) == [slack] * 3
+    for cap in ceilings(DatabaseModel.iid(bern, 8), count_query(), 35):
+        assert cap(8, (0.0,))[0] < 1.0
     # Means of values 2^-16 apart at 1e11 merge from 2 entries on: their
     # curves are below their cells', which the ceiling takes.
     close = Pmf((1e11, 1e11 + 2.0**-16, 1e11 + 2.0**-15), (0.25, 0.5, 0.25))
     grid = (0.0, 0.5, 1.0)
-    cap = ceiling(DatabaseModel.iid(close, 8), mean_query(), DEFAULT_BUDGET)(2, grid)
+    kept, rebuilt = ceilings(DatabaseModel.iid(close, 8), mean_query(), DEFAULT_BUDGET)
+    cap = kept(2, grid)
+    assert cap == rebuilt(2, grid)
     for m in range(2, 9):
         merged = privacy_curve(DatabaseModel.iid(close, m), mean_query(), grid).values
         assert all(d <= c for d, c in zip(merged, cap)), (m, merged, cap)

@@ -52,6 +52,22 @@ def test_pmf_rejects_bad_weights():
         Pmf((1.0, 0.0), (0.5, 0.5))  # outcomes must increase
 
 
+@pytest.mark.parametrize(
+    "pairs, bad",
+    [
+        ([(0.0, -1e-13), (1.0, 1.0)], "-1e-13"),
+        ([(0.0, math.nan), (1.0, 1.0)], "nan"),
+        # The merged weight counts: 0.25 - 0.5 is negative.
+        ([(0.0, 0.25), (1.0, 1.25), (0.0, -0.5)], "-0.25"),
+    ],
+)
+def test_pmf_from_pairs_refuses_a_negative_or_nan_weight(pairs, bad):
+    # Only an exact zero is dropped: the rest sum to 1, so a dropped weight
+    # would pass unseen.
+    with pytest.raises(ValueError, match=f"^invalid weight {bad}$"):
+        Pmf.from_pairs(pairs)
+
+
 def test_point_and_bernoulli():
     assert Pmf.point(3.0).as_dict == {3.0: 1.0}
     b = Pmf.bernoulli(0.3)
@@ -66,6 +82,9 @@ def test_point_and_bernoulli():
 def test_mixture():
     m = Pmf.mixture([(0.25, Pmf.point(0.0)), (0.75, Pmf.point(1.0))])
     assert m.as_dict == {0.0: 0.25, 1.0: 0.75}
+    # A NaN coefficient is no negative one, and its NaN weights are refused.
+    with pytest.raises(ValueError, match="^invalid weight nan$"):
+        Pmf.mixture([(math.nan, Pmf.point(0.0)), (1.0, Pmf.point(1.0))])
 
 
 def test_queries():

@@ -19,6 +19,13 @@ since: the two-valued Poisson bound at n = 3000 printed its weight charge,
 data-processing ceiling (amplify._ceiling). The last golden pin, the
 benchmark's `verify --max-n 6`, was frozen before the oracle computed each
 mass and answer once per law and verify built each n's techniques once.
+The three Poisson pins after it were frozen before the sweep set up each
+family's lattice chain once and scanned each size's chain directly:
+`amplify-sparse-poisson-10` (0, 1 and 4000 at rate 0.5: sizes 2 to 5 are
+sparse and take the multiset kernel, the others the chain),
+`amplify-bern-mean-poisson-2000` (the chain's distinct proof runs per size)
+and `amplify-three-valued-poisson-500` (a chain that is no palindrome, so
+each shift takes two scans).
 """
 
 import json

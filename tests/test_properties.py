@@ -335,12 +335,28 @@ def test_near_threshold_chains_take_the_proof_the_walk_or_the_fallback(q, shift,
 def test_the_poisson_sweep_evaluates_two_answers_per_chain():
     counted, calls = counting(count_query())
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 1000)
-    with mock.patch.object(divergence, "lattice_chain", wraps=lattice_chain) as chains, \
-            mock.patch.object(amplify, "lattice_chain", wraps=lattice_chain) as checks:
+    builder, builds = amplify.lattice_builder, []
+
+    def logged(grid, q):
+        build = builder(grid, q)
+
+        def logged_build(free, budget):
+            builds.append(len(free) + 1)
+            return build(free, budget)
+
+        return logged_build
+
+    with mock.patch.object(amplify, "lattice_builder", logged), \
+            mock.patch.object(amplify, "cell_curve", wraps=amplify.cell_curve) as ceilings, \
+            mock.patch.object(amplify, "lattice_chain", wraps=lattice_chain) as rebuilt, \
+            mock.patch.object(divergence, "lattice_chain", wraps=lattice_chain) as curves:
         poisson_bound(db, counted, 0.1, default_eps_grid())
-    # One chain per evaluated sample size (229), and one per ceiling (49).
-    assert (chains.call_count, checks.call_count) == (229, 49)
-    assert len(calls) <= 2 * (chains.call_count + checks.call_count)
+    # One chain per evaluated sample size (229), each built once, and 49
+    # ceilings, which read the chain kept from the last size: no ceiling and
+    # no privacy_curve builds one.
+    assert (len(builds), len(set(builds)), ceilings.call_count) == (229, 229, 49)
+    assert (rebuilt.call_count, curves.call_count) == (0, 0)
+    assert len(calls) <= 2 * len(builds)
 
 
 @settings(max_examples=200)
