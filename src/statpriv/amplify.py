@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -14,7 +15,7 @@ from .dist import (
     Query,
     binomial_pmf,
     lattice_builder,
-    lattice_chain,
+    lattice_chain,  # not called here: tests patch amplify.lattice_chain
     scan_positions,
 )
 from .divergence import (
@@ -170,7 +171,7 @@ def poisson_bound(
             return _sampled_curve_values(db, q, m, stretched, budget).values
         return worst_curve(laws, stretched)
 
-    ceiling = _ceiling(db, q, budget, chain)
+    ceiling = _ceiling(db, chain)
     return PrivacyCurve(grid, _size_mixture(db.n, rate, grid, sized_values, ceiling))
 
 
@@ -178,20 +179,19 @@ def _size_chains(db, q, budget):
     """m -> lattice_chain(DatabaseModel.iid(db's entry, m), 1, q, budget), from
     one setup, falsy for other models; the last size's chain is kept."""
     build = db.is_iid and lattice_builder(db.outcome_grid, q)
-    entry, kept = db.entries[0], [0, None]
+    entry = db.entries[0]
 
+    @functools.lru_cache(maxsize=1)
     def chain(m):
-        if kept[0] != m:
-            kept[:] = m, build and build((entry,) * (m - 1), budget)
-        return kept[1]
+        return build and build((entry,) * (m - 1), budget)
 
     return chain
 
 
-def _ceiling(db, q, budget, chain=None):
+def _ceiling(db, chain):
     """(m, eps) -> values at the eps of `eps` that no size above m has in its
-    curve at that eps or above, raised by a slack; size m's chain is chain(m),
-    else lattice_chain's.
+    curve at that eps or above, raised by a slack; size m's chain is chain(m)
+    (_size_chains).
 
     For an i.i.d. db of n entries and an additive query they are the curve
     of size m's lattice cells (cell_curve). Size m + 1's cells
@@ -208,8 +208,6 @@ def _ceiling(db, q, budget, chain=None):
     """
     entry = db.entries[0]
     slack = 1.0 + 4 * (2 * len(entry.outcomes) * db.n + 3) * 2.0**-53
-    chain = chain or (
-        lambda m: db.is_iid and lattice_chain(DatabaseModel.iid(entry, m), 1, q, budget))
 
     def ceiling(m, eps):
         laws = chain(m)

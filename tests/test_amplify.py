@@ -217,7 +217,7 @@ def delta_one_cap(n):
     """_ceiling's cap of delta = 1 raised by its slack, from a non-additive
     query on an i.i.d. bern(0.5) model of n entries, and that slack."""
     db, maximum = DatabaseModel.iid(Pmf.bernoulli(0.5), n), Query("max", max, True)
-    cap = statpriv.amplify._ceiling(db, maximum, DEFAULT_BUDGET)
+    cap = statpriv.amplify._ceiling(db, statpriv.amplify._size_chains(db, maximum, DEFAULT_BUDGET))
     return cap, cap(1, (0.0,))[0]
 
 
@@ -406,35 +406,29 @@ def dyadic_iid_cases(draw):
 def test_no_larger_size_exceeds_the_ceiling(case):
     # The data-processing ceiling of size m, its curve raised by the slack,
     # bounds the curve of every larger size at every eps, with no tolerance.
-    # It is read from the chain the sweep keeps for size m (_size_chains)
-    # and equals the ceiling that builds size m's chain by lattice_chain.
+    # It is read from the chain the sweep keeps for size m (_size_chains).
     entry, q, n = case
     grid = (0.0, 0.1, 0.5, 1.0, 2.0)
     db = DatabaseModel.iid(entry, n)
     chain = statpriv.amplify._size_chains(db, q, DEFAULT_BUDGET)
-    kept = statpriv.amplify._ceiling(db, q, DEFAULT_BUDGET, chain)
-    rebuilt = statpriv.amplify._ceiling(db, q, DEFAULT_BUDGET)
+    ceiling = statpriv.amplify._ceiling(db, chain)
     curves = [privacy_curve(DatabaseModel.iid(entry, m), q, grid).values for m in range(1, n + 1)]
     for m in range(1, n):
         assert chain(m)  # small models fit the budget
-        cap = kept(m, grid)
-        assert cap == rebuilt(m, grid)
+        cap = ceiling(m, grid)
         for larger in curves[m:]:
             assert all(d <= c for d, c in zip(larger, cap)), (m, larger, cap)
-
-
-def ceilings(db, q, budget):
-    """_ceiling on the sweep's kept chains (_size_chains), and on chains
-    lattice_chain builds per size."""
-    chain = statpriv.amplify._size_chains(db, q, budget)
-    return statpriv.amplify._ceiling(db, q, budget, chain), statpriv.amplify._ceiling(db, q, budget)
 
 
 def test_ceiling_needs_an_iid_model_and_an_additive_query():
     # Otherwise, and for a size whose chain is over the budget, the cap is
     # delta = 1 raised by the slack 1 + 4(2kn + 3)2^-53, k the entry's
-    # support: the sweep's chains give no chain there. Both routes agree.
+    # support: the sweep's chains give no chain there.
     chains = statpriv.amplify._size_chains
+
+    def ceiling(db, q, budget):
+        return statpriv.amplify._ceiling(db, chains(db, q, budget))
+
     bern = Pmf.bernoulli(0.5)
     slack = 1.0 + 4 * (2 * 2 * 8 + 3) * 2.0**-53
     maximum = Query("max", max, True)
@@ -445,17 +439,13 @@ def test_ceiling_needs_an_iid_model_and_an_additive_query():
         (DatabaseModel.iid(bern, 8), count_query(), 34),  # size 8 has 35 cells
     ):
         assert not chains(db, q, budget)(8)
-        for cap in ceilings(db, q, budget):
-            assert cap(8, (0.0, 0.5, 1.0)) == [slack] * 3
-    for cap in ceilings(DatabaseModel.iid(bern, 8), count_query(), 35):
-        assert cap(8, (0.0,))[0] < 1.0
+        assert ceiling(db, q, budget)(8, (0.0, 0.5, 1.0)) == [slack] * 3
+    assert ceiling(DatabaseModel.iid(bern, 8), count_query(), 35)(8, (0.0,))[0] < 1.0
     # Means of values 2^-16 apart at 1e11 merge from 2 entries on: their
     # curves are below their cells', which the ceiling takes.
     close = Pmf((1e11, 1e11 + 2.0**-16, 1e11 + 2.0**-15), (0.25, 0.5, 0.25))
     grid = (0.0, 0.5, 1.0)
-    kept, rebuilt = ceilings(DatabaseModel.iid(close, 8), mean_query(), DEFAULT_BUDGET)
-    cap = kept(2, grid)
-    assert cap == rebuilt(2, grid)
+    cap = ceiling(DatabaseModel.iid(close, 8), mean_query(), DEFAULT_BUDGET)(2, grid)
     for m in range(2, 9):
         merged = privacy_curve(DatabaseModel.iid(close, m), mean_query(), grid).values
         assert all(d <= c for d, c in zip(merged, cap)), (m, merged, cap)

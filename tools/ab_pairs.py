@@ -1,18 +1,20 @@
 """Paired A/B runs of the benchmark's workloads on two checkouts.
 
     python3 tools/ab_pairs.py --parent ../parent --change . --pairs 12 --seed 3 \
-        [--workload poisson-large ...] [--samples 3] [--out BENCH_<PR>.json]
+        [--workload poisson-large ...] [--out BENCH_<PR>.json]
 
 A pair is one measurement of each side, the side that runs first
 alternating from pair to pair. A side's measurement is the median of
---samples fresh interpreters started through that checkout's own
-`perfbench/sample.py`, untraced, with the argv its own `perfbench/workloads.py`
-builds for the seed; each output is checked against that checkout's frozen
-references, and a pair with a failed sample on either side is left out of the
-statistics. Per workload and end-to-end metric the result gives each side's
-median and quartiles over the pairs and the change's wins: the pairs where it
-reads lower, ties counting for neither side. The benchmark's own files are
-read and run, never changed.
+SAMPLES untraced samples taken by that checkout's own `perfbench/run.py`
+(run_sample: one fresh interpreter through its `perfbench/sample.py`, the
+output checked against its frozen reference), with the argv its own
+`perfbench/workloads.py` builds for the seed. A pair with a failed sample
+on either side is left out of the statistics. Per workload and end-to-end
+metric the result gives each side's median and quartiles over the pairs and
+the change's wins: the pairs where it reads lower, ties counting for
+neither side. --out records each side's commit, so each side must be a git
+checkout with no uncommitted change to a tracked file. The benchmark's own
+files are read and run, never changed.
 """
 
 from __future__ import annotations
@@ -24,45 +26,43 @@ import platform
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
-SAMPLE_TIMEOUT_S = 120
+SAMPLES = 3  # per side and pair
 
 
 class Side:
-    """One checkout: its perfbench workloads module and sample runner."""
+    """One checkout: its commit and its perfbench/run.py, loaded as its own
+    module with its own `workloads` and `tracer`."""
 
     def __init__(self, name: str, root: Path):
         self.name, self.root = name, root.resolve()
-        path = self.root / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(f"workloads_{name}", path)
-        self.workloads = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = self.workloads  # dataclasses resolve through sys.modules
-        spec.loader.exec_module(self.workloads)
-
-    def sample(self, case, reference: str) -> dict | None:
-        """One untraced sample's metrics, or None with the reason on stderr."""
-        spec = {"argv": list(case.argv), "trace": False}
-        spec["t0"] = time.clock_gettime(time.CLOCK_MONOTONIC)
+        self.revision = revision(self.root)
+        bench = str(self.root / "perfbench")
+        shared = ("workloads", "tracer")  # run.py imports these by bare name
+        saved = {k: sys.modules.pop(k) for k in shared if k in sys.modules}
+        sys.path.insert(0, bench)
         try:
-            proc = subprocess.run(
-                [sys.executable, str(self.root / "perfbench" / "sample.py"), json.dumps(spec)],
-                capture_output=True, text=True, timeout=SAMPLE_TIMEOUT_S, cwd=self.root,
-            )
-        except subprocess.TimeoutExpired:
-            problem = f"no result within {SAMPLE_TIMEOUT_S} s"
-        else:
-            if proc.returncode != 0:
-                problem = f"sample exited {proc.returncode}: {proc.stderr.strip()[-400:]}"
-            else:
-                data = json.loads(proc.stdout)
-                problem = self.workloads.output_problem(case, reference, data["exit"], data["out"])
-                if problem is None:
-                    return {m: data[m] for m in METRICS}
-        print(f"{self.name} {case.key}: sample failed: {problem}", file=sys.stderr)
-        return None
+            spec = importlib.util.spec_from_file_location(f"run_{name}", Path(bench) / "run.py")
+            self.run = importlib.util.module_from_spec(spec)
+            sys.modules[spec.name] = self.run  # dataclasses resolve through sys.modules
+            spec.loader.exec_module(self.run)
+        finally:
+            sys.path.remove(bench)
+            for k in shared:
+                sys.modules.pop(k, None)
+            sys.modules.update(saved)
+
+    def measure(self, case, reference: str) -> dict | None:
+        """The median of SAMPLES samples' metrics, or None if one failed."""
+        runs = [self.run.run_sample(case, reference, False) for _ in range(SAMPLES)]
+        for s in runs:
+            if s.problem:
+                print(f"{self.name} {case.key}: sample failed: {s.problem}", file=sys.stderr)
+        if any(s.problem for s in runs):
+            return None
+        return {m: statistics.median(s.data[m] for s in runs) for m in METRICS}
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -72,24 +72,21 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def run_workload(sides: tuple[Side, Side], workload: str, seed: int, pairs: int,
-                 samples: int) -> dict:
-    cases = [s.workloads.case_for(workload, seed) for s in sides]
-    refs = [s.workloads.load_reference(c) for s, c in zip(sides, cases)]
+def run_workload(sides: tuple[Side, Side], workload: str, seed: int, pairs: int) -> dict:
+    cases = [s.run.case_for(workload, seed) for s in sides]
+    refs = [s.run.load_reference(c) for s, c in zip(sides, cases)]
     kept, failed = [], [0, 0]
     for i in range(pairs):
         pair = [None, None]
         for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-            runs = [sides[k].sample(cases[k], refs[k]) for _ in range(samples)]
-            failed[k] += runs.count(None)
-            if None not in runs:
-                pair[k] = {m: statistics.median(r[m] for r in runs) for m in METRICS}
+            pair[k] = sides[k].measure(cases[k], refs[k])
+            failed[k] += pair[k] is None
         if None not in pair:
             kept.append(pair)
     out = {
         "argv": {s.name: list(c.argv) for s, c in zip(sides, cases)},
         "pairs": len(kept),
-        "failed_samples": {s.name: f for s, f in zip(sides, failed)},
+        "failed_pairs": {s.name: f for s, f in zip(sides, failed)},
         "metrics": {},
     }
     for m in METRICS:
@@ -106,12 +103,17 @@ def run_workload(sides: tuple[Side, Side], workload: str, seed: int, pairs: int,
 
 
 def revision(root: Path) -> str | None:
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
-    except OSError:
-        return None
-    return proc.stdout.strip() or None
+    """The commit checked out at `root`, or None when it is no git checkout
+    or a tracked file differs from that commit."""
+    def git(*args):
+        try:
+            proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    return head if head and git("status", "--porcelain", "--untracked-files=no") == "" else None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,24 +123,26 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", action="append", help="a workload name (repeatable; default all)")
     ap.add_argument("--seed", type=int, default=0, help="picks each workload's table row")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--samples", type=int, default=1, help="fresh interpreters per side and pair")
     ap.add_argument("--out", type=Path, help="write the result as JSON here")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.samples < 1:
-        ap.error("--pairs and --samples must be at least 1")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     sides = (Side("parent", args.parent), Side("change", args.change))
-    names = args.workload or list(sides[1].workloads.WORKLOADS)
+    unknown = [f"--{s.name} {s.root}" for s in sides if s.revision is None]
+    if args.out and unknown:
+        ap.error(f"--out records each side's commit; no clean git checkout at {', '.join(unknown)}")
+    names = args.workload or list(sides[1].run.WORKLOADS)
     result = {
-        "revisions": {s.name: revision(s.root) for s in sides},
+        "revisions": {s.name: s.revision for s in sides},
         "seed": args.seed,
-        "samples_per_side": args.samples,
+        "samples_per_side": SAMPLES,
         "host": {"python": platform.python_version(), "machine": platform.machine()},
         "workloads": {},
     }
     for name in names:
-        row = run_workload(sides, name, args.seed, args.pairs, args.samples)
+        row = run_workload(sides, name, args.seed, args.pairs)
         result["workloads"][name] = row
-        print(f"{name}: {row['pairs']} pairs, failed samples {row['failed_samples']}")
+        print(f"{name}: {row['pairs']} pairs, failed pairs {row['failed_pairs']}")
         for m, stats in row["metrics"].items():
             p, c = stats["parent"], stats["change"]
             print(f"  {m:12s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
@@ -146,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"  change wins {stats['change_wins']} of {row['pairs']}")
     if args.out:
         args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    failed = any(sum(r["failed_samples"].values()) for r in result["workloads"].values())
+    failed = any(sum(r["failed_pairs"].values()) for r in result["workloads"].values())
     return 1 if failed else 0
 
 
