@@ -15,7 +15,6 @@ from .dist import (
     Query,
     binomial_pmf,
     lattice_builder,
-    lattice_chain,  # not called here: tests patch amplify.lattice_chain
     scan_positions,
 )
 from .divergence import (

@@ -7,15 +7,15 @@ piecewise linear, convex and nonincreasing on [0, 1].
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
 from .dist import Pmf, _Value
-from .divergence import PrivacyCurve
+from .divergence import PrivacyCurve, _exp_grid
 
 HULL_TOL = 1e-12
 INVERSE_TOL = 1e-9
-ALPHA_GRID_SIZE = 1024  # the alphas curve_to_tradeoff samples
 
 
 class TradeoffFn(_Value):
@@ -52,38 +52,25 @@ class TradeoffFn(_Value):
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"argument {x} outside [0, 1]")
         xs, ys = self.xs, self.ys
-        lo, hi = 0, len(xs) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if xs[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        if xs[lo] == x:
-            return ys[lo]
-        t = (x - xs[lo]) / (xs[hi] - xs[lo])
-        return ys[lo] + t * (ys[hi] - ys[lo])
+        i = bisect.bisect_right(xs, x) - 1
+        if xs[i] == x:
+            return ys[i]
+        t = (x - xs[i]) / (xs[i + 1] - xs[i])
+        return ys[i] + t * (ys[i + 1] - ys[i])
 
 
-def _lower_hull(points):
-    """Lower convex hull of x-sorted points, by monotone chain; a tolerance
-    would drop true vertices where values are small, so none is used."""
-    cleaned = []
-    for x, y in points:
-        if cleaned and x == cleaned[-1][0]:
-            if y < cleaned[-1][1]:
-                cleaned[-1] = (x, y)
-            continue
-        cleaned.append((x, y))
+def _lower_hull(points) -> list[tuple[float, float]]:
+    """Lower convex hull of `points`, the lowest y kept at each x, by
+    monotone chain; a tolerance would drop true vertices where values are
+    small, so none is used."""
     hull: list[tuple[float, float]] = []
-    for pt in cleaned:
+    for _, same_x in itertools.groupby(sorted(points), key=lambda xy: xy[0]):
+        pt = next(same_x)
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            cross = (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0)
-            if cross <= 0.0:
-                hull.pop()
-            else:
+            if (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0) > 0.0:
                 break
+            hull.pop()
         hull.append(pt)
     return hull
 
@@ -133,24 +120,16 @@ def conjugate(fn: TradeoffFn, slope: float) -> float:
 
 
 def inverse(fn: TradeoffFn) -> TradeoffFn:
-    """Pointwise smallest inverse, again a trade-off curve.
+    """Pointwise smallest inverse, again a trade-off curve: the lower hull of
+    the breakpoints with x and y swapped, and of (0, 1) and (1, 0).
 
     Requires fn(1) = 0 up to 1e-9: otherwise the literal inverse jumps to 1
     below fn(1) and stops being convex.
     """
     if fn.ys[-1] > INVERSE_TOL:
         raise ValueError(f"inverse needs fn(1) = 0, got fn(1) = {fn.ys[-1]}")
-    pts: list[tuple[float, float]] = []
-    for x, y in zip(reversed(fn.xs), reversed(fn.ys)):
-        y = min(1.0, max(0.0, y))
-        if pts and y <= pts[-1][0]:
-            pts[-1] = (pts[-1][0], x)
-        else:
-            pts.append((y, x))
-    pts[0] = (0.0, pts[0][1])
-    if pts[-1][0] < 1.0:
-        pts.append((1.0, 0.0))
-    return TradeoffFn(tuple(p[0] for p in pts), tuple(p[1] for p in pts))
+    swapped = [(min(1.0, max(0.0, y)), x) for x, y in zip(fn.xs, fn.ys)]
+    return TradeoffFn(*zip(*_lower_hull([(0.0, 1.0), (1.0, 0.0), *swapped])))
 
 
 def p_sample(fn: TradeoffFn, p: float) -> TradeoffFn:
@@ -166,54 +145,38 @@ def subsampling_operator(fn: TradeoffFn, p: float) -> TradeoffFn:
     """Symmetrized subsampling envelope at rate p.
 
     Convex closure of the pointwise minimum of p_sample(fn, p) and its
-    inverse, evaluated on the union of their breakpoints plus the crossing
-    points between them.
+    inverse: the lower hull of that minimum on the union of their
+    breakpoints. Between two of them both curves are linear, so the minimum
+    is concave there and lies above its chord; a crossing of the two is
+    never a vertex.
     """
     mixed = p_sample(fn, p)
     inv = inverse(mixed)
-    xs = sorted(set(mixed.xs) | set(inv.xs))
-    pts = []
-    prev = None
-    for x in xs:
-        f = mixed(x)
-        g = inv(x)
-        if prev is not None:
-            x0, f0, g0 = prev
-            d0, d1 = f0 - g0, f - g
-            if (d0 > 0.0 > d1) or (d0 < 0.0 < d1):
-                xc = x0 + (x - x0) * d0 / (d0 - d1)
-                if x0 < xc < x:
-                    pts.append((xc, min(mixed(xc), inv(xc))))
-        pts.append((x, min(f, g)))
-        prev = (x, f, g)
-    hull = _lower_hull(pts)
-    return TradeoffFn(tuple(p_[0] for p_ in hull), tuple(p_[1] for p_ in hull))
+    pts = [(x, min(mixed(x), inv(x))) for x in set(mixed.xs) | set(inv.xs)]
+    return TradeoffFn(*zip(*_lower_hull(pts)))
 
 
 def curve_to_tradeoff(curve: PrivacyCurve) -> TradeoffFn:
-    """Trade-off lower envelope implied by a privacy curve.
+    """Trade-off lower envelope implied by a privacy curve: the maximum of 0
+    and, for each (eps, delta), the lines 1 - delta - e^eps a and
+    e^-eps (1 - delta - a).
 
-    Takes the maximum of the supporting lines of every (eps, delta) point
-    over a uniform grid of ALPHA_GRID_SIZE alphas, then convexifies. Grid
-    sampling can only lower the envelope, so the result stays a valid bound.
+    Line c - s a is read as the point (s, c). The upper hull of the points
+    holds the leading lines in order of s, and adjacent ones cross at the
+    slope of the edge between them; the crossings in (0, 1) are the
+    envelope's breakpoints, and its value there is exact to roundoff.
     """
-    lines = [
-        (math.exp(e), math.exp(-e), d) for e, d in zip(curve.grid, curve.values)
-    ]
-    pts = []
-    for i in range(ALPHA_GRID_SIZE):
-        a = i / (ALPHA_GRID_SIZE - 1)
-        best = 0.0
-        for grow, shrink, d in lines:
-            t1 = 1.0 - d - grow * a
-            if t1 > best:
-                best = t1
-            t2 = shrink * (1.0 - d - a)
-            if t2 > best:
-                best = t2
-        pts.append((a, best))
-    hull = _lower_hull(pts)
-    return TradeoffFn(tuple(p[0] for p in hull), tuple(p[1] for p in hull))
+    lines = [(0.0, 0.0)]  # line c - s a as (s, -c), whose lower hull is (s, c)'s upper
+    for grow, e, d in zip(_exp_grid(curve.grid), curve.grid, curve.values):
+        shrink = math.exp(-e)
+        lines += [(grow, d - 1.0), (shrink, -shrink * (1.0 - d))]
+    leading = _lower_hull(lines)
+    pts = [(a, max(0.0, *(-h - s * a for s, h in leading))) for a in (0.0, 1.0)]
+    for (s0, h0), (s1, h1) in zip(leading, leading[1:]):
+        a = (h0 - h1) / (s1 - s0)
+        if 0.0 < a < 1.0:
+            pts.append((a, max(0.0, -h0 - s0 * a, -h1 - s1 * a)))
+    return TradeoffFn(*zip(*_lower_hull(pts)))
 
 
 def tradeoff_to_delta(fn: TradeoffFn, eps: float) -> float:
@@ -221,7 +184,7 @@ def tradeoff_to_delta(fn: TradeoffFn, eps: float) -> float:
     eps = float(eps)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    return min(1.0, max(0.0, 1.0 + conjugate(fn, -math.exp(eps))))
+    return min(1.0, max(0.0, 1.0 + conjugate(fn, -_exp_grid((eps,))[0])))
 
 
 def subsampled_tradeoff(fn: TradeoffFn, n: int, m: int) -> TradeoffFn:

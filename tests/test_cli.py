@@ -229,7 +229,7 @@ def test_wide_lattice_without_free_entries_takes_the_multiset_kernel(argv, monke
     assert main(list(argv)) == 0
     got = capsys.readouterr().out
     monkeypatch.setattr("statpriv.divergence.lattice_chain", lambda *args: None)
-    monkeypatch.setattr("statpriv.amplify.lattice_chain", lambda *args: None)
+    monkeypatch.setattr("statpriv.amplify.lattice_builder", lambda *args: None)
     assert main(list(argv)) == 0
     assert got == capsys.readouterr().out
     if argv[0] == "curve":

@@ -447,6 +447,22 @@ def test_tradeoff_round_trips_bound_the_curve(pair):
         assert tradeoff_to_delta(envelope, eps) <= delta, (eps, delta)
 
 
+@settings(max_examples=300)
+@given(pmf_pairs())
+def test_curve_to_tradeoff_lies_below_both_exact_tradeoffs(pair):
+    # The envelope of max(H(mu||nu), H(nu||mu)) on the default grid bounds
+    # the trade-off of either orientation from below. A difference of
+    # piecewise-linear curves peaks at a breakpoint of one of them; 1e-15
+    # is roundoff. Chords over sampled alphas put it 2.4e-4 above a true 0.
+    mu, nu = pair
+    grid = default_eps_grid()
+    values = tuple(map(max, hockey_stick_curve(mu, nu, grid), hockey_stick_curve(nu, mu, grid)))
+    envelope = curve_to_tradeoff(PrivacyCurve(grid, values))
+    exact = tradeoff_from_pmfs(mu, nu), tradeoff_from_pmfs(nu, mu)
+    for x in set(envelope.xs).union(*(fn.xs for fn in exact)):
+        assert envelope(x) <= min(fn(x) for fn in exact) + 1e-15, x
+
+
 @st.composite
 def wide_pmf_pairs(draw):
     """(mu, nu) on up to 40 shared outcomes, with float weights of every

@@ -186,10 +186,30 @@ def test_curve_to_tradeoff_round_trip():
     fn = curve_to_tradeoff(curve)
     for eps, want in zip(grid, curve.values):
         got = tradeoff_to_delta(fn, eps)
-        # the alpha grid discretizes the envelope; recovery is close and
-        # never exceeds the true delta
+        # the envelope is exact at its breakpoints, so recovery gives the
+        # delta back to roundoff
         assert got <= want + TOL
-        assert abs(got - want) <= 1e-3
+        assert abs(got - want) <= 1e-15
+
+
+def test_curve_to_tradeoff_of_randomized_response_bends_once():
+    # (1, 0)-DP is randomized response at eps 1: max(1 - e a, (1 - a) / e)
+    # crosses itself at a = 1/(1+e), where both lines give 1/(1+e).
+    fn = curve_to_tradeoff(PrivacyCurve((1.0,), (0.0,)))
+    knee = 1.0 / (1.0 + math.e)
+    assert len(fn.xs) == 3
+    for got, want in zip(zip(fn.xs, fn.ys), ((0.0, 1.0), (knee, knee), (1.0, 0.0))):
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15, (got, want)
+
+
+def test_tradeoff_to_delta_names_an_eps_too_large_for_e_to_the_eps():
+    with pytest.raises(OverflowError, match="eps 800.0 is too large"):
+        tradeoff_to_delta(TradeoffFn((0.0, 1.0), (1.0, 0.0)), 800.0)
+
+
+def test_curve_to_tradeoff_names_an_eps_too_large_for_e_to_the_eps():
+    with pytest.raises(OverflowError, match="eps 800.0 is too large"):
+        curve_to_tradeoff(PrivacyCurve((0.0, 800.0), (0.5, 0.0)))
 
 
 def test_tradeoff_to_delta_on_exact_curve():

@@ -7,6 +7,7 @@ identity. The classes share one small base in `statpriv.dist`, so importing
 the CLI loads neither `dataclasses` nor the `inspect` machinery it pulls in.
 """
 
+import ast
 import pickle
 import subprocess
 import sys
@@ -114,6 +115,23 @@ def test_running_a_cli_command_loads_no_argument_parser_nor_tradeoff():
     assert code == "0" and "statpriv.cli" in imported
     unwanted = {"argparse", "gettext", "locale", "statpriv.tradeoff"}
     assert not unwanted & set(imported) and not unwanted & set(ran)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # An import kept only for a test to patch hides that the patch reaches
+    # nothing the module runs.
+    unused = []
+    for path in sorted((SRC / "statpriv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 @values
