@@ -250,12 +250,14 @@ def half_line_check(
     Returns None when every epsilon passes, else the first violation as a
     witness (eps, outcome): the outcome completes the second sign change.
     The check is grid-limited; epsilons between grid points are not
-    examined.
+    examined. An eps that check_grid refuses raises its ValueError, and an
+    eps whose e^eps is no float an OverflowError that names it.
     """
+    grid = as_grid(eps_grid)
+    check_grid(grid, curve=False)
     union = sorted(set(mu.support) | set(nu.support))
     probs = [(mu.prob(a), nu.prob(a)) for a in union]
-    for eps in as_grid(eps_grid):
-        scale = math.exp(eps)
+    for eps, scale in zip(grid, _exp_grid(grid)):
         diffs = [pa if qa == 0.0 else pa - scale * qa for pa, qa in probs]
         failure = _sign_change_violation(union, diffs)
         if failure is not None:

@@ -120,9 +120,12 @@ def brute_force_divergence(
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if technique.n != db_a.n or technique.n != db_b.n:
         raise ValueError("technique size must match both models")
+    try:
+        scale = math.exp(eps)
+    except OverflowError:
+        raise OverflowError(f"eps {eps} is too large for e^eps to be a float") from None
     law_a = _answer_law(db_a, technique, q, budget)
     law_b = dict(_answer_law(db_b, technique, q, budget))
-    scale = math.exp(eps)
     acc = _Kahan()
     for a, wa in law_a:
         wb = law_b.get(a, 0.0)

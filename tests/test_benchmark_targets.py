@@ -3,16 +3,20 @@
 perfbench/tracer.py imports numpy, which the package tests do not need, so
 its TARGETS are read from the source with ast rather than imported. A target
 the tracer cannot find is reported as absent and its metrics vanish from the
-benchmark; a rename in src/ must not do that silently.
+benchmark; a rename in src/ must not do that silently. Nor may a command
+call a target through a reference the tracer does not rebind.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import statpriv.cli  # noqa: F401 - loads every module the tracer wraps
+from statpriv import amplify
+from statpriv.sampling import TemplateDistribution
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -53,3 +57,37 @@ def test_every_tracer_target_resolves_after_importing_the_cli(module, path):
         owner = getattr(owner, part, None)
         assert owner is not None, f"{module}.{path} does not exist"
     assert callable(owner)
+
+
+def test_the_commands_run_a_wrapper_bound_as_the_tracer_binds_it(monkeypatch):
+    # The tracer rebinds each module name that holds a target and patches a
+    # class attribute in place; a command that held a target elsewhere, as in
+    # a module-level dict, would run the original and the tracer would miss it.
+    calls = Counter()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("statpriv.")]
+    bounds = ("without_replacement_bound", "poisson_bound", "with_replacement_bound")
+    for name in bounds:
+        raw = vars(amplify)[name]
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is raw:
+                    monkeypatch.setattr(module, attr, spy(name, raw))
+    constructors = ("without_replacement", "poisson", "with_replacement")
+    for name in constructors:
+        raw = vars(TemplateDistribution)[name].__func__
+        monkeypatch.setattr(TemplateDistribution, name, staticmethod(spy(name, raw)))
+
+    assert statpriv.cli.main(["verify", "--max-n", "2"]) == 0
+    assert set(calls) == set(bounds + constructors)
+    for token, name in zip(("wor:2,1", "poisson:2,0.5", "wr:2,1"), bounds):
+        before = calls[name]
+        argv = ["amplify", "--entry", "bern:0.5", "--query", "sum", "--technique", token]
+        assert statpriv.cli.main([*argv, "--eps", "0"]) == 0
+        assert calls[name] == before + 1

@@ -366,6 +366,19 @@ def test_verify_counts_gate_refusals_on_stderr(tmp_path, capsys):
     assert not any(r.startswith("wr n=4 m=2 p=0.3 eps=0,wr_dominance") for r in rows)
 
 
+def test_verify_refuses_a_model_over_the_budget(tmp_path, capsys):
+    # Each n's techniques are built at first use: n = 2 and 3 pass a budget
+    # of 100, and the oracle's 128 states at n = 4 are refused before any row
+    # is written.
+    assert run(tmp_path, "verify", "--max-n", "4", "--budget", "100") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: enumeration needs 128 states but the budget is 100; "
+        "pass a larger budget to proceed\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, query",
     [
@@ -439,6 +452,19 @@ def test_figures_rejects_sampling_technique(tmp_path, capsys):
     assert not list(tmp_path.glob("f_eps*.csv"))
     assert run(tmp_path, *argv, "--technique", "none", "--out", stem) == 0
     assert [p.name for p in tmp_path.glob("f_eps*.csv")] == ["f_eps0.3.csv"]
+
+
+def test_figures_fig1_rejects_n(tmp_path, capsys):
+    # fig1 sweeps its own sizes; an --n, or an n from --config, is refused, not ignored.
+    cfg = tmp_path / "fig1.cfg"
+    cfg.write_text("entry=bern:0.5\nn=7\n")
+    stem = str(tmp_path / "f.csv")
+    for argv in (("--entry", "bern:0.5", "--n", "7"), ("--config", str(cfg))):
+        assert run(tmp_path, "figures", "fig1", *argv, "--out", stem) == 1
+        assert capsys.readouterr().err == (
+            "error: fig1 sweeps its own n = 10, 20, ..., 200; use curve for one n\n"
+        )
+    assert not list(tmp_path.glob("f_eps*.csv"))
 
 
 @pytest.mark.parametrize("argv", [

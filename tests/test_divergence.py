@@ -271,6 +271,18 @@ def test_half_line_check_strict_vs_relaxed():
     assert half_line_check(a, b, (1.0,)) == (1.0, 2.0)
 
 
+@pytest.mark.parametrize("eps, error, message", [
+    (math.nan, ValueError, "eps must be finite and nonnegative, got nan"),
+    (-1.0, ValueError, "eps must be finite and nonnegative, got -1.0"),
+    (800.0, OverflowError, "eps 800.0 is too large for e^eps to be a float"),
+])
+def test_half_line_check_refuses_a_bad_grid_naming_its_eps(eps, error, message):
+    # A grid no eps of which can be checked must not read as "every eps passes".
+    with pytest.raises(error) as exc:
+        half_line_check(Pmf.bernoulli(0.5), Pmf.bernoulli(0.2), (eps,))
+    assert str(exc.value) == message
+
+
 def test_half_line_check_passes_shifted_binomials():
     db = DatabaseModel.iid(Pmf.bernoulli(0.5), 3)
     t = TemplateDistribution.without_replacement(3, 2)

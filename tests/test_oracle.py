@@ -248,6 +248,15 @@ def test_brute_force_divergence_rejects_size_mismatch():
         brute_force_divergence(db2, db3, tech, sum_query(), 0.0)
 
 
+def test_brute_force_divergence_names_an_eps_too_large_for_e_to_the_eps():
+    db = DatabaseModel.iid(Pmf.bernoulli(0.5), 2)
+    tech = TemplateDistribution.without_replacement(2, 1)
+    hi, lo = condition(db, 1, 1.0), condition(db, 1, 0.0)
+    with pytest.raises(OverflowError) as exc:
+        brute_force_divergence(hi, lo, tech, sum_query(), 800)
+    assert str(exc.value) == "eps 800.0 is too large for e^eps to be a float"
+
+
 def test_brute_force_tradeoff_breakpoints():
     mu = pmf({0.0: 0.75, 1.0: 0.25})
     nu = pmf({0.0: 0.25, 1.0: 0.75})
