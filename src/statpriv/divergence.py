@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import combinations, repeat
+from itertools import combinations, pairwise, repeat
 from operator import add, gt, lt
 
 from .dist import (
@@ -25,7 +25,7 @@ CURVE_TOL = 1e-12
 
 def default_eps_grid() -> tuple[float, ...]:
     """Epsilon grid 0 to 3 in steps of 0.05, the package-wide default."""
-    return tuple(round(0.05 * i, 10) for i in range(61))
+    return tuple(i / 20 for i in range(61))  # round(0.05 * i, 10), bit for bit
 
 
 def as_grid(grid: tuple[float, ...] | None) -> tuple[float, ...]:
@@ -247,22 +247,38 @@ def half_line_check(
     with-replacement bound needs, since a maximizing set only has to be
     choosable as a half line.
 
-    Returns None when every epsilon passes, else the first violation as a
-    witness (eps, outcome): the outcome completes the second sign change.
-    The check is grid-limited; epsilons between grid points are not
-    examined. An eps that check_grid refuses raises its ValueError, and an
-    eps whose e^eps is no float an OverflowError that names it.
+    Returns None when every epsilon passes, else the first violation in
+    grid order as a witness (eps, outcome): the outcome completes the second
+    sign change. The check is grid-limited; epsilons between grid points are
+    not examined. An eps that check_grid refuses raises its ValueError, and
+    an eps whose e^eps is no float an OverflowError that names it.
+
+    Each difference pa - e^eps qa is nonincreasing in e^eps, rounding
+    included: bisection finds where on the sorted scales each outcome leaves
+    + and enters -, and one sign walk per run between those cuts decides
+    every eps of the run.
     """
     grid = as_grid(eps_grid)
     check_grid(grid, curve=False)
     union = sorted(set(mu.support) | set(nu.support))
     probs = [(mu.prob(a), nu.prob(a)) for a in union]
-    for eps, scale in zip(grid, _exp_grid(grid)):
+    scales = _exp_grid(grid)
+    ordered = sorted(scales)
+    cuts = {0, len(ordered)}
+    for pa, qa in probs:
+        if qa != 0.0:  # s * qa - pa is -(pa - s * qa) exactly: rounding is symmetric
+            cuts.add(bisect_left(ordered, 0.0, key=lambda s: s * qa - pa))
+            cuts.add(bisect_right(ordered, 0.0, key=lambda s: s * qa - pa))
+    failing = {}  # scale -> witness, for the scales of each failing run
+    for lo, hi in pairwise(sorted(cuts)):
+        scale = ordered[lo]
         diffs = [pa if qa == 0.0 else pa - scale * qa for pa, qa in probs]
         failure = _sign_change_violation(union, diffs)
         if failure is not None:
-            return eps, failure
-    return None
+            failing.update(dict.fromkeys(ordered[lo:hi], failure))
+    if not failing:
+        return None
+    return next((eps, failing[s]) for eps, s in zip(grid, scales) if s in failing)
 
 
 def _sign_change_violation(union, diffs):

@@ -67,8 +67,8 @@ def _templates(technique):
 
 @functools.lru_cache(maxsize=32)  # verify asks again for the same laws
 def _answer_law(db, technique, q, budget):
-    """Joint enumeration of (template, database realization) pairs, as
-    (answer, mass) pairs in increasing answer order. Realizations take
+    """Joint enumeration of (template, database realization) pairs, as an
+    answer -> mass dict in increasing answer order. Realizations take
     each entry's value from its support, so all have positive probability;
     the budget counts templates times realizations. Template by template,
     in product order, each answer adds its weights to one Kahan sum."""
@@ -103,7 +103,7 @@ def _answer_law(db, technique, q, budget):
             t = total + y
             k[1] = (t - total) - y
             k[0] = t
-    return tuple(sorted((a, k[0]) for a, k in acc.items()))
+    return {a: acc[a][0] for a in sorted(acc)}
 
 
 def brute_force_divergence(
@@ -125,9 +125,9 @@ def brute_force_divergence(
     except OverflowError:
         raise OverflowError(f"eps {eps} is too large for e^eps to be a float") from None
     law_a = _answer_law(db_a, technique, q, budget)
-    law_b = dict(_answer_law(db_b, technique, q, budget))
+    law_b = _answer_law(db_b, technique, q, budget)
     acc = _Kahan()
-    for a, wa in law_a:
+    for a, wa in law_a.items():
         wb = law_b.get(a, 0.0)
         diff = wa if wb == 0.0 else wa - scale * wb
         if diff > 0.0:

@@ -1,14 +1,19 @@
 """Command line interface: parsing, outputs, exit codes, determinism."""
 
+import csv
+import io
 import math
+import operator
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from statpriv import cli
 from statpriv.cli import (
     UsageError,
+    _parse_one_eps,
     main,
     parse_entry,
     parse_eps,
@@ -99,6 +104,36 @@ def test_parse_eps():
     for bad in ("0:inf:1", "0:1:nan", "nan:1:0.5", "inf:inf:1", "inf", "nan", "0,nan", "lninf"):
         with pytest.raises(UsageError, match="--eps"):
             parse_eps(bad, DEFAULT_BUDGET)
+
+
+def per_token_eps(token):
+    """parse_eps on a comma list as one _parse_one_eps per token, or the
+    message it exits with."""
+    try:
+        values = tuple(_parse_one_eps(part) for part in token.split(","))
+    except UsageError as exc:
+        return str(exc)
+    if not all(map(operator.lt, values, values[1:])):
+        return "--eps: grid values must be strictly increasing"
+    return values
+
+
+@pytest.mark.parametrize("token", [
+    "0,0.25,1", " 0.5, 1", "  2  ", "0,1_0", "1e-320,1", "-0.0,1", "0,0.05,0.1", "1,ln2", "ln2,ln3",
+    "ln0", "lninf", "", "0,,1", "0.1,0.2,abc", "0x1", "nan", "0,inf", "1e999", "-1", "1,2,nan,-1",
+    "0,800", "1,0.5", "0,0", "0,-0.0",
+])
+def test_parse_eps_reads_a_comma_list_as_its_tokens_read_one_by_one(token):
+    # The one-pass read of a list of plain numbers falls back to the token
+    # walk for ln tokens and on any error: same values, same first message.
+    try:
+        got = parse_eps(token, DEFAULT_BUDGET)
+    except UsageError as exc:
+        got = str(exc)
+    want = per_token_eps(token)
+    assert type(got) is type(want) and got == want
+    if isinstance(got, tuple):
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_parse_technique():
@@ -481,6 +516,50 @@ def test_byte_determinism(tmp_path, argv):
     assert run(tmp_path, *argv, "--out", str(a)) == 0
     assert run(tmp_path, *argv, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_every_field_a_command_writes_needs_no_csv_quoting(tmp_path, monkeypatch, capsys):
+    # The CLI joins its fields with commas: no field may hold what the csv
+    # module would quote, and each table is the bytes csv.writer writes.
+    tables = []
+    write = cli._write_csv
+
+    def recording(path, header, rows):
+        rows = list(rows)
+        tables.append((path, header, rows))
+        write(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recording)
+    commands = [
+        ("curve", "--entry", "discrete:0@0.25,1@0.5,2@0.25", "--n", "3", "--query", "sum"),
+        ("amplify", "--entry", "bern:0.3", "--query", "sum", "--technique", "wor:4,2"),
+        ("amplify", "--entry", "bern:0.3", "--query", "count", "--technique", "poisson:6,0.5"),
+        ("amplify", "--entry", "bern:0.5", "--query", "sum", "--technique", "wr:8,2"),
+        *(("figures", fig, "--entry", "bern:0.5", "--query", "count", "--out", str(tmp_path / fig))
+          for fig in ("fig1", "fig2", "fig3")),
+        ("verify", "--max-n", "3"),
+    ]
+    for argv in commands:
+        tables.clear()
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert tables
+        for path, header, rows in tables:
+            lines = [list(header), *([cli._fmt(v) for v in row] for row in rows)]
+            assert not [f for line in lines for f in line if set(f) & set(',"\r\n')]
+            expected = io.StringIO()
+            csv.writer(expected, lineterminator="\n").writerows(lines)
+            written = Path(path).read_bytes().decode("utf-8") if path else out
+            assert written == expected.getvalue()
+
+
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "0"), (1.0, "1"), (-2.0, "-2"), (0.1, "0.1"), (1e16, "1e+16"), (-1e16, "-1e+16"),
+    (9999999999999998.0, "9999999999999998"), (5e-324, "5e-324"), (True, "1"), (False, "0"),
+    (3, "3"), ("wor n=3 m=2 p=0.3 eps=0.5", "wor n=3 m=2 p=0.3 eps=0.5"),
+])
+def test_fmt_writes_each_field_as_before(value, text):
+    assert cli._fmt(value) == text
 
 
 COMMON_FLAGS = ("--entry", "--n", "--query", "--technique", "--eps", "--out", "--budget", "--config")

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from statpriv.dist import (
     DatabaseModel,
@@ -289,6 +291,64 @@ def test_half_line_check_passes_shifted_binomials():
     hi = sampled_pushforward(condition(db, 1, 1.0), t.given_drawn(1), sum_query())
     lo = sampled_pushforward(condition(db, 1, 0.0), t.given_drawn(1), sum_query())
     assert half_line_check(hi, lo, default_eps_grid()) is None
+
+
+def per_eps_half_line_check(mu, nu, grid):
+    """half_line_check as one sign walk per eps, in grid order."""
+    union = sorted(set(mu.support) | set(nu.support))
+    probs = [(mu.prob(a), nu.prob(a)) for a in union]
+    for eps in grid:
+        scale = math.exp(eps)
+        previous, changes = 0, 0
+        for a, (pa, qa) in zip(union, probs):
+            d = pa if qa == 0.0 else pa - scale * qa
+            sign = (d > 0.0) - (d < 0.0)
+            if sign == 0:
+                continue
+            if previous != 0 and sign != previous:
+                changes += 1
+                if changes == 2:
+                    return eps, a
+            previous = sign
+    return None
+
+
+@st.composite
+def half_line_cases(draw):
+    """Two pmfs on one grid of 1-6 outcomes, zero weights included, and an
+    eps grid in any order with repeats: eps drawn at random, at a log ratio
+    of two weights, where a difference may be exactly 0, and one float to
+    either side of it."""
+    outcomes = sorted(draw(st.sets(st.integers(-3, 6), min_size=1, max_size=6)))
+
+    def weights():
+        raw = draw(st.lists(st.integers(0, 4), min_size=len(outcomes), max_size=len(outcomes)))
+        raw[0] += not any(raw)
+        return Pmf(tuple(map(float, outcomes)), tuple(r / sum(raw) for r in raw))
+
+    mu, nu = weights(), weights()
+    ratios = [mu.prob(a) / nu.prob(a) for a in outcomes if mu.prob(a) > nu.prob(a) > 0.0]
+    near = [f(math.log(r)) for r in ratios for f in (
+        lambda e: e, lambda e: math.nextafter(e, 0.0), lambda e: math.nextafter(e, 9.0))]
+    pool = st.floats(0.0, 4.0) | st.sampled_from([0.0, LN2, *near])
+    return mu, nu, tuple(draw(st.lists(pool, max_size=12)))
+
+
+@settings(max_examples=500)
+@given(half_line_cases())
+@example((Pmf.bernoulli(0.5), Pmf.bernoulli(0.5), (0.0,)))
+@example((pmf({0.0: 0.5, 1.0: 0.5}), pmf({0.0: 0.5, 2.0: 0.5}), (2.0, 0.0, 1.0, 1.0, 0.0)))
+@example((pmf({0.0: 0.5, 1.0: 0.5}), pmf({0.0: 0.5, 2.0: 0.5}), (0.0, 0.0, 1.0, 2.0, 1.0)))
+def test_half_line_check_is_the_per_eps_walk(case):
+    # One sign walk per run of eps with one sign pattern gives what a walk
+    # per eps gives, with no tolerance: the verdict, the eps and the witness.
+    mu, nu, grid = case
+    assert half_line_check(mu, nu, grid) == per_eps_half_line_check(mu, nu, grid)
+
+
+def test_default_eps_grid_is_the_rounded_twentieths():
+    want = [round(0.05 * i, 10).hex() for i in range(61)]
+    assert [eps.hex() for eps in default_eps_grid()] == want
 
 
 def test_single_draw_mean_value_inequality():

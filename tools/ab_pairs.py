@@ -15,6 +15,14 @@ the change's wins: the pairs where it reads lower, ties counting for
 neither side. --out records each side's commit, so each side must be a git
 checkout with no uncommitted change to a tracked file. The benchmark's own
 files are read and run, never changed.
+
+Next to the workloads, under "startup", the same pairs time each side's
+start-up apart from its work: `python3 -c pass` (the interpreter with
+`site`) and `python3 -S -c "import statpriv.cli"` (the package's own
+imports), each with bytecode (a pycache prefix warmed by one run first)
+and without (PYTHONDONTWRITEBYTECODE=1 on a copy of `src/` that holds no
+`__pycache__`, so the package compiles on every run, as in a benchmark
+sample). A value is the median of SAMPLES runs' wall time, in seconds.
 """
 
 from __future__ import annotations
@@ -22,14 +30,25 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 SAMPLES = 3  # per side and pair
+# start-up metric -> (interpreter flags, code, with bytecode)
+STARTUP = {
+    "pass_pyc_s": ((), "pass", True),
+    "pass_nopyc_s": ((), "pass", False),
+    "import_cli_pyc_s": (("-S",), "import statpriv.cli", True),
+    "import_cli_nopyc_s": (("-S",), "import statpriv.cli", False),
+}
 
 
 class Side:
@@ -64,6 +83,32 @@ class Side:
             return None
         return {m: statistics.median(s.data[m] for s in runs) for m in METRICS}
 
+    def startup(self, scratch: Path) -> dict:
+        """The median of SAMPLES runs of each STARTUP command, in seconds,
+        against a copy of this side's `src/` made on the first call."""
+        src, pycache = scratch / self.name / "src", scratch / self.name / "pycache"
+        if not src.exists():
+            shutil.copytree(self.root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            for flags, code, _ in STARTUP.values():
+                self._time(flags, code, src, pycache)  # warms the pycache prefix
+        times = {m: [] for m in STARTUP}
+        for _ in range(SAMPLES):
+            for m, (flags, code, bytecode) in STARTUP.items():
+                times[m].append(self._time(flags, code, src, pycache if bytecode else None))
+        return {m: statistics.median(t) for m, t in times.items()}
+
+    @staticmethod
+    def _time(flags, code: str, src: Path, pycache: Path | None) -> float:
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+        env["PYTHONPATH"] = str(src)
+        if pycache is None:
+            env["PYTHONDONTWRITEBYTECODE"] = "1"
+        else:
+            env["PYTHONPYCACHEPREFIX"] = str(pycache)
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True)
+        return time.perf_counter() - start
+
 
 def spread(values: list[float]) -> dict[str, float]:
     """Median and quartiles, by the inclusive method."""
@@ -72,24 +117,24 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def run_workload(sides: tuple[Side, Side], workload: str, seed: int, pairs: int) -> dict:
-    cases = [s.run.case_for(workload, seed) for s in sides]
-    refs = [s.run.load_reference(c) for s, c in zip(sides, cases)]
+def paired(measure, pairs: int, metrics) -> dict:
+    """`pairs` pairs of measure(k) for sides k = 0 (parent) and 1 (change),
+    the side that runs first alternating; a pair where either side returns
+    None is left out of the statistics."""
     kept, failed = [], [0, 0]
     for i in range(pairs):
         pair = [None, None]
         for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-            pair[k] = sides[k].measure(cases[k], refs[k])
+            pair[k] = measure(k)
             failed[k] += pair[k] is None
         if None not in pair:
             kept.append(pair)
     out = {
-        "argv": {s.name: list(c.argv) for s, c in zip(sides, cases)},
         "pairs": len(kept),
-        "failed_pairs": {s.name: f for s, f in zip(sides, failed)},
+        "failed_pairs": dict(zip(("parent", "change"), failed)),
         "metrics": {},
     }
-    for m in METRICS:
+    for m in metrics:
         if not kept:
             break
         parent, change = ([p[k][m] for p in kept] for k in (0, 1))
@@ -100,6 +145,22 @@ def run_workload(sides: tuple[Side, Side], workload: str, seed: int, pairs: int)
             "change_losses": sum(c > p for p, c in zip(parent, change)),
         }
     return out
+
+
+def run_workload(sides: tuple[Side, Side], workload: str, seed: int, pairs: int) -> dict:
+    cases = [s.run.case_for(workload, seed) for s in sides]
+    refs = [s.run.load_reference(c) for s, c in zip(sides, cases)]
+    row = paired(lambda k: sides[k].measure(cases[k], refs[k]), pairs, METRICS)
+    return {"argv": {s.name: list(c.argv) for s, c in zip(sides, cases)}, **row}
+
+
+def report(name: str, row: dict) -> None:
+    print(f"{name}: {row['pairs']} pairs, failed pairs {row['failed_pairs']}")
+    for m, stats in row["metrics"].items():
+        p, c = stats["parent"], stats["change"]
+        print(f"  {m:18s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+              f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+              f"  change wins {stats['change_wins']} of {row['pairs']}")
 
 
 def revision(root: Path) -> str | None:
@@ -140,14 +201,12 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     for name in names:
-        row = run_workload(sides, name, args.seed, args.pairs)
-        result["workloads"][name] = row
-        print(f"{name}: {row['pairs']} pairs, failed pairs {row['failed_pairs']}")
-        for m, stats in row["metrics"].items():
-            p, c = stats["parent"], stats["change"]
-            print(f"  {m:12s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
-                  f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
-                  f"  change wins {stats['change_wins']} of {row['pairs']}")
+        result["workloads"][name] = row = run_workload(sides, name, args.seed, args.pairs)
+        report(name, row)
+    with tempfile.TemporaryDirectory() as scratch:
+        row = paired(lambda k: sides[k].startup(Path(scratch)), args.pairs, STARTUP)
+    result["startup"] = row
+    report("startup", row)
     if args.out:
         args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     failed = any(sum(r["failed_pairs"].values()) for r in result["workloads"].values())
